@@ -14,10 +14,10 @@ from .rational import decimal_string, format_rational, parse_rational
 from .tree import (Assignment, Flow, Measure, Potential, Tree, assignment_from, divergence,
                    flow_cost, good_potential, potential_value, unique_flow, validate_tree,
                    w1_tree)
-from .lp import (DualityReport, FiniteGraph, TransportPlan, all_pairs_distances,
-                 check_complementary_slackness, dual_feasible, verify_duality, w1_lp)
+from .lp import (DualityReport, FiniteGraph, TransportPlan, check_complementary_slackness,
+                 verify_duality, w1_lp)
 from .regular import (BasepointCoord, PairGeometry, RadialProfile, TruncatedRegularTree,
-                      ball_profile, ball_size, basepoint_coord, build_truncated_tree,
+                      ball_profile, ball_size, build_truncated_tree,
                       flow_direction_check, point_mass_profile, profile_total_mass,
                       radial_measure, radial_potential, radial_potential_field,
                       sphere_profile, sphere_size, w1_radial_flow_formula,

@@ -20,16 +20,11 @@ from mpmath import iv
 
 from .errors import InvalidParams
 from .families import GFBundle, bundle_from_table, srw_g_table, w1_via_genfun, _check_alpha
+from .rational import RationalLike, _qpow
 from .regular import PairGeometry
-
-RationalLike = Fraction | int | str
 
 #: Working precision (decimal digits) for interval-valued algebraic constants.
 INTERVAL_DPS = 60
-
-
-def _qpow(q: int, e: int) -> Fraction:
-    return Fraction(q) ** e
 
 
 def line_w1(d: int) -> Fraction:

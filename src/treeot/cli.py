@@ -32,7 +32,7 @@ from .rational import decimal_string, format_rational, parse_rational
 from .regular import (PairGeometry, RadialProfile, ball_profile, build_truncated_tree,
                       radial_measure, sphere_profile, w1_radial_flow_formula,
                       w1_radial_formula)
-from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
+from .suites import DEFAULT_SEED, INEQUALITY_GRID, SUITE_NAMES, inequality_cell, run_suite
 from .tree import (assignment_from, flow_cost, good_potential, potential_value,
                    unique_flow, w1_tree)
 
@@ -267,36 +267,26 @@ def _cmd_asym(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(tokens: list[str]) -> tuple[list[Fraction], list[int], list[int]]:
-    alphas = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)]
-    d_list = list(range(1, 7))
-    q_list = list(range(2, 11))
+def _parse_grid(tokens: list[str]) -> dict:
+    grid = dict(INEQUALITY_GRID)
     for token in tokens:
         key, _, value = token.partition("=")
         key = key.strip()
-        if key == "alpha":
-            alphas = _parse_alpha_list(value)
-        elif key == "d":
-            d_list = _parse_int_range(value)
-        elif key == "q":
-            q_list = _parse_int_range(value)
-        else:
+        if key not in grid:
             raise ValueError(f"unknown grid field {key!r}")
-    return alphas, d_list, q_list
+        grid[key] = _parse_alpha_list(value) if key == "alpha" else _parse_int_range(value)
+    return grid
 
 
 def _cmd_verify_ineq(args: argparse.Namespace) -> int:
-    from .asymptotics import verify_inequalities
-
-    alphas, d_list, q_list = _parse_grid(args.grid or [])
+    grid = _parse_grid(args.grid or [])
     writer = csv.writer(sys.stdout)
     writer.writerow(["alpha", "d", "q", "chain_a", "chain_b", "ball_floor_equality", "passed"])
     all_ok = True
-    for alpha in alphas:
-        for d in d_list:
-            for q in q_list:
-                rep = verify_inequalities(alpha, d, q)
-                ok = rep.passed and rep.ball_floor_equality == ((d, q) == (1, 2))
+    for alpha in grid["alpha"]:
+        for d in grid["d"]:
+            for q in grid["q"]:
+                rep, ok = inequality_cell(alpha, d, q)
                 all_ok &= ok
                 writer.writerow([format_rational(alpha), d, q,
                                  rep.chain_a, rep.chain_b, rep.ball_floor_equality, ok])

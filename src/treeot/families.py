@@ -23,25 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InvalidAlpha, InvalidParams, OrderExceeded
+from .rational import RationalLike, _frac, _qpow
 from .regular import PairGeometry, RadialProfile
 from .series import Series
 
-RationalLike = Fraction | int | str
-
 #: Default truncation order; enough for time steps up to ~60.
 DEFAULT_ORDER = 64
-
-
-def _frac(value: RationalLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def _qpow(q: int, e: int) -> Fraction:
-    """q**e as an exact rational, allowing negative exponents."""
-    return Fraction(q) ** e
 
 
 def _check_family_params(q: int, order: int) -> None:
@@ -97,25 +87,26 @@ class GTable:
         return Series(self.rows[ell])
 
 
-def _srw_scaled_columns(num: int, den: int, q: int, order: int) -> list[list[int]]:
-    """Integer columns f(l, n) = (den*(q+1))^n * g(l, n) for the walk family.
+def _srw_scaled_columns(num: int, den: int, q: int, order: int) -> Iterator[list[int]]:
+    """Integer columns f(l, n) = (den*(q+1))^n * g(l, n) for the walk family,
+    for n = 0..order; entries l = 0..order + 1, the last one always zero.
 
     Column step: f(0, n+1) = num*(q+1)*f(0, n) + (den-num)*(q+1)*f(1, n) and
     f(l, n+1) = num*(q+1)*f(l, n) + q*(den-num)*f(l+1, n) + (den-num)*f(l-1, n).
+    Only the current and the next column are alive inside the generator.
     """
     a_step = num * (q + 1)
     move = den - num
     col = [0] * (order + 2)
     col[0] = 1
-    columns = [col[: order + 1]]
+    yield col
     for _ in range(order):
         nxt = [0] * (order + 2)
         nxt[0] = a_step * col[0] + move * (q + 1) * col[1]
         for ell in range(1, order + 1):
             nxt[ell] = a_step * col[ell] + q * move * col[ell + 1] + move * col[ell - 1]
         col = nxt
-        columns.append(col[: order + 1])
-    return columns
+        yield col
 
 
 def srw_g_table(alpha: RationalLike, q: int, order: int = DEFAULT_ORDER) -> GTable:
@@ -123,7 +114,7 @@ def srw_g_table(alpha: RationalLike, q: int, order: int = DEFAULT_ORDER) -> GTab
     alpha = _check_alpha(alpha)
     _check_family_params(q, order)
     num, den = alpha.numerator, alpha.denominator
-    columns = _srw_scaled_columns(num, den, q, order)
+    columns = list(_srw_scaled_columns(num, den, q, order))
     base = den * (q + 1)
     scales = [base ** n for n in range(order + 1)]
     rows = tuple(
@@ -143,20 +134,8 @@ def srw_return_sequence(alpha: RationalLike, q: int,
     alpha = _check_alpha(alpha)
     _check_family_params(q, order)
     num, den = alpha.numerator, alpha.denominator
-    a_step = num * (q + 1)
-    move = den - num
-    base = den * (q + 1)
-    col = [0] * (order + 2)
-    col[0] = 1
-    returns = [1]
-    for _ in range(order):
-        nxt = [0] * (order + 2)
-        nxt[0] = a_step * col[0] + move * (q + 1) * col[1]
-        for ell in range(1, order + 1):
-            nxt[ell] = a_step * col[ell] + q * move * col[ell + 1] + move * col[ell - 1]
-        col = nxt
-        returns.append(col[0])
-    return returns, base
+    returns = [col[0] for col in _srw_scaled_columns(num, den, q, order)]
+    return returns, den * (q + 1)
 
 
 def sphere_g_table(q: int, order: int = DEFAULT_ORDER) -> GTable:

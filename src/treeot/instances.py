@@ -5,8 +5,9 @@ Document shape::
     {"vertices": [...], "edges": [[u, v], ...],
      "mu": {"<vertex>": "p/q", ...}, "nu": {...}}
 
-Vertex ids are arbitrary JSON scalars; measure keys are their string forms.
-Rationals travel as strings so exactness survives the round trip.
+Vertex ids are arbitrary JSON scalars; measure keys are their string forms,
+so no two ids may have the same string form. Rationals travel as strings so
+exactness survives the round trip.
 """
 
 from __future__ import annotations
@@ -24,8 +25,14 @@ def instance_from_dict(doc: dict) -> tuple[Tree, Measure, Measure]:
     for key in ("vertices", "edges", "mu", "nu"):
         if key not in doc:
             raise ValueError(f"instance document is missing the {key!r} field")
-    tree = validate_tree(doc["vertices"], [tuple(e) for e in doc["edges"]])
-    by_name = {str(label): idx for label, idx in tree.index.items()}
+    tree = validate_tree(doc["vertices"], doc["edges"])
+    by_name: dict[str, int] = {}
+    for label, idx in tree.index.items():
+        name = str(label)
+        if name in by_name:
+            raise ValueError(f"vertex ids {tree.labels[by_name[name]]!r} and {label!r} "
+                             f"share the measure key {name!r}")
+        by_name[name] = idx
 
     def read_measure(field: str) -> Measure:
         masses: dict[int, Fraction] = {}

@@ -8,13 +8,13 @@ certificates, and complementary slackness.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .errors import DuplicateEdge, InfeasiblePotential, MassMismatch, NotConnected, TooLarge
-from .tree import Measure, Potential, Tree
+from .errors import InfeasiblePotential, MassMismatch, TooLarge
+from .tree import (Measure, Potential, Tree, _bfs, _build_graph, _hop_distances,
+                   _require_connected)
 
 #: Supports larger than this are refused; the exact simplex is for desk-scale
 #: verification, not production-scale solving.
@@ -23,74 +23,36 @@ MAX_SUPPORT = 40
 
 @dataclass(frozen=True)
 class FiniteGraph:
-    """Connected simple graph with precomputed hop distances."""
+    """Connected simple graph; hop distances from a source vertex are computed
+    by one BFS on first use, so only the rows a caller reads are ever built."""
 
     labels: tuple[Hashable, ...]
     index: dict
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
-    distances: tuple[tuple[int, ...], ...]
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_vertices(self) -> int:
         return len(self.labels)
 
     def distance(self, u: int, v: int) -> int:
-        return self.distances[u][v]
+        row = self._rows.get(u)
+        if row is None:
+            row = self._rows[u] = _hop_distances(self.adjacency, u)
+        return row[v]
 
     @classmethod
     def build(cls, vertices: Sequence[Hashable], edges: Iterable[tuple]) -> "FiniteGraph":
-        labels = tuple(vertices)
-        index: dict = {}
-        for pos, label in enumerate(labels):
-            if label in index:
-                raise ValueError(f"duplicate vertex id {label!r}")
-            index[label] = pos
-        seen: set[tuple[int, int]] = set()
-        dense: list[tuple[int, int]] = []
-        for a, b in edges:
-            if a not in index or b not in index:
-                raise ValueError(f"edge ({a!r}, {b!r}) references an unknown vertex")
-            u, v = index[a], index[b]
-            if u == v:
-                raise ValueError(f"self-loop at vertex {a!r}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise DuplicateEdge(f"edge ({a!r}, {b!r}) appears more than once")
-            seen.add(key)
-            dense.append(key)
-        neighbor_lists: list[list[int]] = [[] for _ in labels]
-        for u, v in dense:
-            neighbor_lists[u].append(v)
-            neighbor_lists[v].append(u)
-        adjacency = tuple(tuple(sorted(ns)) for ns in neighbor_lists)
-        distances = all_pairs_distances(adjacency)
-        return cls(labels=labels, index=index, edges=tuple(dense),
-                   adjacency=adjacency, distances=distances)
+        labels, index, dense_edges, adjacency = _build_graph(vertices, edges)
+        _require_connected(adjacency)
+        return cls(labels=labels, index=index, edges=dense_edges, adjacency=adjacency)
 
     @classmethod
     def from_tree(cls, tree: Tree) -> "FiniteGraph":
-        return cls.build(tree.labels, [(tree.labels[u], tree.labels[v]) for u, v in tree.edges])
-
-
-def all_pairs_distances(adjacency: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Hop-count distance matrix via one BFS per vertex."""
-    n = len(adjacency)
-    rows: list[tuple[int, ...]] = []
-    for src in range(n):
-        dist = [-1] * n
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if any(d < 0 for d in dist):
-            raise NotConnected(f"vertex {src} cannot reach the whole graph")
-        rows.append(tuple(dist))
-    return tuple(rows)
+        """The tree as a graph, sharing its already validated structures."""
+        return cls(labels=tree.labels, index=tree.index, edges=tree.edges,
+                   adjacency=tree.adjacency)
 
 
 @dataclass(frozen=True)
@@ -195,7 +157,7 @@ def _transportation_simplex(
             value = sum((costs[ii][jj] * x for (ii, jj), x in alloc.items()), Fraction(0))
             return value, alloc
 
-        path = _basis_path(basis, entering)
+        path = _basis_path(basis, entering, m, n)
         minus = path[0::2]  # cells whose allocation decreases
         plus = path[1::2]
         theta = min(alloc[c] for c in minus)
@@ -211,73 +173,43 @@ def _transportation_simplex(
     raise RuntimeError("transportation simplex failed to terminate")
 
 
+def _basis_tree(basis, m, n):
+    """The basis as an adjacency list: rows are nodes 0..m-1, columns m..m+n-1."""
+    adjacency: list[list[int]] = [[] for _ in range(m + n)]
+    for i, j in basis:
+        adjacency[i].append(m + j)
+        adjacency[m + j].append(i)
+    return adjacency
+
+
 def _duals(costs, basis, m, n):
     """Dual prices from the basis tree, rooted at supply node 0."""
-    u: list = [None] * m
-    v: list = [None] * n
-    row_cells: list[list[int]] = [[] for _ in range(m)]
-    col_cells: list[list[int]] = [[] for _ in range(n)]
-    for (i, j) in basis:
-        row_cells[i].append(j)
-        col_cells[j].append(i)
-    u[0] = 0
-    queue = deque([("r", 0)])
-    while queue:
-        side, k = queue.popleft()
-        if side == "r":
-            for j in row_cells[k]:
-                if v[j] is None:
-                    v[j] = costs[k][j] - u[k]
-                    queue.append(("c", j))
+    order, parent = _bfs(_basis_tree(basis, m, n), 0)
+    price = [0] * (m + n)
+    for node in order[1:]:
+        p = parent[node]
+        if node >= m:
+            price[node] = costs[p][node - m] - price[p]
         else:
-            for i in col_cells[k]:
-                if u[i] is None:
-                    u[i] = costs[i][k] - v[k]
-                    queue.append(("r", i))
-    return u, v
+            price[node] = costs[node][p - m] - price[p]
+    return price[:m], price[m:]
 
 
-def _basis_path(basis, entering):
+def _basis_path(basis, entering, m, n):
     """Cells along the unique basis-tree path closing the entering cell's cycle.
 
     Returned in order from the entering cell's row end to its column end, so
     cells at even positions lose allocation when the entering cell gains.
     """
     i0, j0 = entering
-    row_cells: dict[int, list[int]] = {}
-    col_cells: dict[int, list[int]] = {}
-    for (i, j) in basis:
-        row_cells.setdefault(i, []).append(j)
-        col_cells.setdefault(j, []).append(i)
-    start = ("r", i0)
-    goal = ("c", j0)
-    parents: dict[tuple[str, int], tuple[tuple[str, int], tuple[int, int]]] = {start: (start, (-1, -1))}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        side, k = node
-        if side == "r":
-            steps = ((("c", j), (k, j)) for j in row_cells.get(k, ()))
-        else:
-            steps = ((("r", i), (i, k)) for i in col_cells.get(k, ()))
-        for nxt, cell in steps:
-            if nxt not in parents:
-                parents[nxt] = (node, cell)
-                queue.append(nxt)
+    _, parent = _bfs(_basis_tree(basis, m, n), i0)
     cells = []
-    node = goal
-    while node != start:
-        node, cell = parents[node]
-        cells.append(cell)
-    cells.reverse()
-    return cells
-
-
-def dual_feasible(graph: FiniteGraph, phi: Potential) -> bool:
-    """True iff ``phi`` changes by at most 1 along every edge."""
-    return all(abs(phi.value(u) - phi.value(v)) <= 1 for u, v in graph.edges)
+    node = m + j0
+    while node != i0:
+        p = parent[node]
+        cells.append((p, node - m) if node >= m else (node, p - m))
+        node = p
+    return cells[::-1]
 
 
 @dataclass(frozen=True)
@@ -301,7 +233,7 @@ def verify_duality(graph: FiniteGraph, mu: Measure, nu: Measure, phi: Potential)
     The certificate flag is True exactly when ``phi`` attains the optimum,
     i.e. when it is an optimal dual solution.
     """
-    if not dual_feasible(graph, phi):
+    if not phi.is_edge_lipschitz(graph):
         raise InfeasiblePotential("potential jumps by more than 1 across an edge")
     primal, plan = w1_lp(graph, mu, nu)
     dual = sum(((mu.value(v) - nu.value(v)) * phi.value(v)

@@ -9,16 +9,33 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+RationalLike = Fraction | int | str
+
+
+def _frac(value: RationalLike) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _qpow(q: int, e: int) -> Fraction:
+    """q**e as an exact rational, allowing negative exponents."""
+    return Fraction(q) ** e
+
 
 def parse_rational(value: str | int | Fraction) -> Fraction:
-    """Parse ``"p/q"`` / ``"p"`` strings (or ints/Fractions) into a Fraction."""
+    """Parse ``"p/q"`` / ``"p"`` strings (or ints/Fractions) into a Fraction.
+
+    Raises :class:`ValueError` naming the value for anything else (floats and
+    bools included) and for a zero denominator.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"cannot interpret {value!r} as an exact rational; "
+                         f"give an int or a \"p/q\" string")
+    try:
+        return Fraction(value.strip() if isinstance(value, str) else value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def format_rational(value: Fraction) -> str:

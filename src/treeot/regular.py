@@ -16,14 +16,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+
 from .errors import InvalidParams, TruncationTooSmall
+from .rational import _frac
 from .tree import Flow, Measure, Potential, Tree, validate_tree
-
-RationalLike = Fraction | int | str
-
-
-def _frac(value: RationalLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -190,11 +186,6 @@ def build_truncated_tree(q: int, d: int, radius: int) -> TruncatedRegularTree:
     return TruncatedRegularTree(geometry=geometry, radius=radius, tree=tree,
                                 x=0, y=d, path=tuple(range(d + 1)),
                                 coords=tuple(coords))
-
-
-def basepoint_coord(truncation: TruncatedRegularTree, v: int) -> BasepointCoord:
-    """Coordinates of a vertex relative to the X-Y path."""
-    return truncation.coords[v]
 
 
 def radial_measure(truncation: TruncatedRegularTree, center: int, profile: RadialProfile) -> Measure:

@@ -12,12 +12,7 @@ from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import NonSquareConstantTerm, NonUnitDivisor, OrderExceeded
-
-RationalLike = Fraction | int | str
-
-
-def _frac(value: RationalLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+from .rational import RationalLike, _frac
 
 
 class Series:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .asymptotics import gamma_asymptotic, interval_mid, verify_inequalities
+from .asymptotics import InequalityReport, gamma_asymptotic, interval_mid, verify_inequalities
 from .families import (GTable, bundle_from_table, check_functional_equation, srw_closed_form,
                        srw_g_table, srw_return_sequence)
 from .lp import FiniteGraph, check_complementary_slackness, verify_duality, w1_lp
@@ -26,6 +26,11 @@ from .tree import (Measure, assignment_from, good_potential, unique_flow, valida
 DEFAULT_SEED = 20260808
 
 SUITE_NAMES = ("duality", "triple", "series", "inequalities", "oeis", "gamma")
+
+#: Default (alpha, d, q) grid of the coefficient chain, for the
+#: ``inequalities`` suite and ``treeot verify-ineq``.
+INEQUALITY_GRID = {"alpha": (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)),
+                   "d": tuple(range(1, 7)), "q": tuple(range(2, 11))}
 
 
 @dataclass
@@ -207,17 +212,22 @@ def suite_series(seed: int = DEFAULT_SEED, order: int = 24) -> RunReport:
     return report
 
 
+def inequality_cell(alpha: Fraction, d: int, q: int) -> tuple[InequalityReport, bool]:
+    """The coefficient chain at one grid cell, and whether the cell passes:
+    the chain holds and B_ball meets its 1/3 floor exactly at (d, q) = (1, 2)."""
+    res = verify_inequalities(alpha, d, q)
+    return res, res.passed and res.ball_floor_equality == ((d, q) == (1, 2))
+
+
 def suite_inequalities(seed: int = DEFAULT_SEED) -> RunReport:
     """Coefficient ordering chain over the full parameter grid."""
     report = RunReport("inequalities", seed)
-    for alpha in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)):
-        for d in range(1, 7):
-            for q in range(2, 11):
-                res = verify_inequalities(alpha, d, q)
-                floor_ok = res.ball_floor_equality == ((d, q) == (1, 2))
-                report.add({"alpha": str(alpha), "d": d, "q": q}, "formula",
-                           res.passed and floor_ok,
-                           detail="" if res.passed and floor_ok else str(res.as_dict()))
+    for alpha in INEQUALITY_GRID["alpha"]:
+        for d in INEQUALITY_GRID["d"]:
+            for q in INEQUALITY_GRID["q"]:
+                res, ok = inequality_cell(alpha, d, q)
+                report.add({"alpha": str(alpha), "d": d, "q": q}, "formula", ok,
+                           detail="" if ok else str(res.as_dict()))
     return report
 
 

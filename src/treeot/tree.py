@@ -11,18 +11,92 @@ same number.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Protocol, Sequence
 
 from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected
+from .rational import RationalLike, _frac
 
-RationalLike = Fraction | int | str
+
+def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, dict, tuple, tuple]:
+    """Map labels to dense indices, check the edges, and build the sorted adjacency.
+
+    Returns ``(labels, index, edges, adjacency)`` with every edge stored once
+    as a ``(lo, hi)`` pair. Raises :class:`ValueError` for an empty vertex
+    list, a repeated vertex id, or an edge that is not a pair or names an
+    unknown vertex; :class:`HasCycle` for a self-loop; and
+    :class:`DuplicateEdge` for an edge given twice.
+    """
+    labels = tuple(vertices)
+    if not labels:
+        raise ValueError("a graph needs at least one vertex")
+    index: dict = {}
+    for pos, label in enumerate(labels):
+        if label in index:
+            raise ValueError(f"duplicate vertex id {label!r}")
+        index[label] = pos
+
+    seen: set[tuple[int, int]] = set()
+    dense_edges: list[tuple[int, int]] = []
+    for edge in edges:
+        if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+            raise ValueError(f"edge {edge!r} is not a pair of vertex ids")
+        a, b = edge
+        if a not in index or b not in index:
+            raise ValueError(f"edge ({a!r}, {b!r}) references an unknown vertex")
+        u, v = index[a], index[b]
+        if u == v:
+            raise HasCycle(f"self-loop at vertex {a!r}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise DuplicateEdge(f"edge ({a!r}, {b!r}) appears more than once")
+        seen.add(key)
+        dense_edges.append(key)
+
+    neighbor_lists: list[list[int]] = [[] for _ in labels]
+    for u, v in dense_edges:
+        neighbor_lists[u].append(v)
+        neighbor_lists[v].append(u)
+    adjacency = tuple(tuple(sorted(ns)) for ns in neighbor_lists)
+    return labels, index, tuple(dense_edges), adjacency
 
 
-def _frac(value: RationalLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _bfs(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
+    """Vertices reachable from ``root`` in BFS order, plus the parent of each
+    vertex: -1 at the root and -2 where unreached."""
+    parent = [-2] * len(adjacency)
+    parent[root] = -1
+    order = [root]
+    for u in order:  # the loop also visits the vertices it appends
+        for w in adjacency[u]:
+            if parent[w] == -2:
+                parent[w] = u
+                order.append(w)
+    return order, parent
+
+
+def _hop_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
+    """Hop distances from ``source`` to every vertex; -1 where unreached."""
+    order, parent = _bfs(adjacency, source)
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    for v in order[1:]:
+        dist[v] = dist[parent[v]] + 1
+    return dist
+
+
+def _require_connected(adjacency: Sequence[Sequence[int]]) -> None:
+    reached = len(_bfs(adjacency, 0)[0])
+    if reached != len(adjacency):
+        raise NotConnected(f"only {reached} of {len(adjacency)} vertices reachable from vertex 0")
+
+
+class _HasEdges(Protocol):
+    """Any graph over dense indices: a :class:`Tree` or an ``lp.FiniteGraph``."""
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]: ...
 
 
 @dataclass(frozen=True)
@@ -54,16 +128,7 @@ class Tree:
 
     def bfs_distances(self, source: int) -> list[int]:
         """Hop distances from ``source`` to every vertex."""
-        dist = [-1] * self.num_vertices
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self.adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
+        return _hop_distances(self.adjacency, source)
 
 
 def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
@@ -72,57 +137,15 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
     Raises :class:`DuplicateEdge`, :class:`HasCycle`, or :class:`NotConnected`
     when the input is not a simple connected acyclic graph.
     """
-    labels = tuple(vertices)
-    if not labels:
-        raise ValueError("a tree needs at least one vertex")
-    index: dict = {}
-    for pos, label in enumerate(labels):
-        if label in index:
-            raise ValueError(f"duplicate vertex id {label!r}")
-        index[label] = pos
-
-    seen: set[tuple[int, int]] = set()
-    dense_edges: list[tuple[int, int]] = []
-    for a, b in edges:
-        if a not in index or b not in index:
-            raise ValueError(f"edge ({a!r}, {b!r}) references an unknown vertex")
-        u, v = index[a], index[b]
-        if u == v:
-            raise HasCycle(f"self-loop at vertex {a!r}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise DuplicateEdge(f"edge ({a!r}, {b!r}) appears more than once")
-        seen.add(key)
-        dense_edges.append(key)
-
+    labels, index, dense_edges, adjacency = _build_graph(vertices, edges)
     n = len(labels)
     if len(dense_edges) > n - 1:
         raise HasCycle(f"{len(dense_edges)} edges on {n} vertices force a cycle")
     if len(dense_edges) < n - 1:
         raise NotConnected(f"{len(dense_edges)} edges cannot connect {n} vertices")
-
-    neighbor_lists: list[list[int]] = [[] for _ in range(n)]
-    for u, v in dense_edges:
-        neighbor_lists[u].append(v)
-        neighbor_lists[v].append(u)
-    adjacency = tuple(tuple(sorted(ns)) for ns in neighbor_lists)
-
     # |E| = |V| - 1, so connectivity also rules out cycles.
-    reached = 1
-    marked = [False] * n
-    marked[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in adjacency[u]:
-            if not marked[w]:
-                marked[w] = True
-                reached += 1
-                queue.append(w)
-    if reached != n:
-        raise NotConnected(f"only {reached} of {n} vertices reachable from vertex 0")
-
-    return Tree(labels=labels, index=index, edges=tuple(dense_edges), adjacency=adjacency)
+    _require_connected(adjacency)
+    return Tree(labels=labels, index=index, edges=dense_edges, adjacency=adjacency)
 
 
 @dataclass(frozen=True)
@@ -213,8 +236,9 @@ class Potential:
     def __getitem__(self, v: int) -> Fraction:
         return self.values[v]
 
-    def is_edge_lipschitz(self, tree: Tree) -> bool:
-        return all(abs(self.values[u] - self.values[v]) <= 1 for u, v in tree.edges)
+    def is_edge_lipschitz(self, graph: _HasEdges) -> bool:
+        """True iff the potential changes by at most 1 along every edge."""
+        return all(abs(self.values[u] - self.values[v]) <= 1 for u, v in graph.edges)
 
 
 def assignment_from(mu: Measure, nu: Measure) -> Assignment:
@@ -225,22 +249,6 @@ def assignment_from(mu: Measure, nu: Measure) -> Assignment:
     for v, m in nu.masses.items():
         charges[v] = charges.get(v, Fraction(0)) - m
     return Assignment(charges)
-
-
-def _bfs_order(tree: Tree, root: int = 0) -> tuple[list[int], list[int]]:
-    """Vertices in BFS order from ``root`` plus the parent of each vertex."""
-    parent = [-2] * tree.num_vertices
-    parent[root] = -1
-    order = [root]
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in tree.adjacency[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                order.append(w)
-                queue.append(w)
-    return order, parent
 
 
 def unique_flow(tree: Tree, rho: Assignment) -> Flow:
@@ -254,7 +262,7 @@ def unique_flow(tree: Tree, rho: Assignment) -> Flow:
     for v in rho.support():
         if not 0 <= v < n:
             raise ValueError(f"assignment references vertex {v} outside the tree")
-    order, parent = _bfs_order(tree, root=0)
+    order, parent = _bfs(tree.adjacency, 0)
     subtree = [rho.value(v) for v in range(n)]
     values: dict[tuple[int, int], Fraction] = {}
     for v in reversed(order):
@@ -291,7 +299,7 @@ def good_potential(tree: Tree, flow: Flow, root: int = 0) -> Potential:
     The result is pinned to 0 at ``root``; any other choice differs by a
     constant and pairs identically with zero-sum assignments.
     """
-    order, parent = _bfs_order(tree, root=root)
+    order, parent = _bfs(tree.adjacency, root)
     values: list[Fraction | None] = [None] * tree.num_vertices
     values[root] = Fraction(0)
     for v in order:

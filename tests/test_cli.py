@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,11 @@ class TestInstances:
         with pytest.raises(ValueError, match="unknown vertex"):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [0.5, True, None, "3/0"])
+    def test_parse_rational_refuses_inexact_and_broken_values(self, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            parse_rational(value)
+
     def test_rational_strings_survive(self):
         doc = {"vertices": [0, 1], "edges": [[0, 1]],
                "mu": {"0": "22/7"}, "nu": {"1": "22/7"}}
@@ -83,6 +89,62 @@ class TestW1Command:
         code, _, err = run_cli(capsys, "w1", str(path))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("mass", [0.5, "1/0", True, None, [1, 2]])
+    def test_inexact_or_broken_mass_is_an_input_error(self, capsys, tmp_path, mass):
+        path = tmp_path / "mass.json"
+        path.write_text(json.dumps({
+            "vertices": ["a", "b"], "edges": [["a", "b"]],
+            "mu": {"a": mass}, "nu": {"b": "1"}}))
+        code, out, err = run_cli(capsys, "w1", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and repr(mass) in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"vertices": [1, "1"], "edges": [[1, "1"]], "mu": {"1": "1"}, "nu": {"1": "1"}},
+         "share the measure key '1'"),
+        ({"vertices": [0, 1], "edges": [[0]], "mu": {"0": "1"}, "nu": {"1": "1"}},
+         "edge [0] is not a pair"),
+        ({"vertices": [0, 1, 2], "edges": [[0, 1, 2]], "mu": {"0": "1"}, "nu": {"1": "1"}},
+         "edge [0, 1, 2] is not a pair"),
+        ({"vertices": [0, 1], "edges": [7], "mu": {"0": "1"}, "nu": {"1": "1"}},
+         "edge 7 is not a pair"),
+    ])
+    def test_malformed_document_is_an_input_error(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "w1", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_long_path_reads_distance_rows_of_support_vertices_only(self, capsys, tmp_path,
+                                                                    monkeypatch):
+        import treeot.lp
+
+        n = 3000
+        mu_at = [37 * k for k in range(8)]
+        nu_at = [n - 1 - 41 * k for k in range(8)]
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({
+            "vertices": list(range(n)), "edges": [[i, i + 1] for i in range(n - 1)],
+            "mu": {str(v): "1/8" for v in mu_at}, "nu": {str(v): "1/8" for v in nu_at}}))
+        sources = []
+        hop_distances = treeot.lp._hop_distances
+
+        def spy(adjacency, source):
+            sources.append(source)
+            return hop_distances(adjacency, source)
+
+        monkeypatch.setattr(treeot.lp, "_hop_distances", spy)
+        code, out, _ = run_cli(capsys, "w1", str(path), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["agree"] is True and "lp_skipped" not in doc
+        expected = str(w1_tree(*load_instance(path)))
+        assert doc["paths"] == {"flow": expected, "potential": expected, "lp": expected}
+        assert doc["duality"]["certificate"] is True
+        assert sources and len(sources) == len(set(sources))
+        assert set(sources) <= set(mu_at) | set(nu_at)
 
 
 class TestSweepCommand:

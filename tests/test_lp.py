@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from treeot import (FiniteGraph, InfeasiblePotential, MassMismatch, Measure, Potential,
-                    TooLarge, TransportPlan, all_pairs_distances, assignment_from,
-                    check_complementary_slackness, dual_feasible, good_potential,
+                    TooLarge, TransportPlan, assignment_from,
+                    check_complementary_slackness, good_potential,
                     unique_flow, verify_duality, w1_lp, w1_tree)
 from treeot.instances import demo_instance, instance_from_dict
 
@@ -36,7 +36,29 @@ class TestDistances:
     def test_disconnected_raises(self):
         from treeot import NotConnected
         with pytest.raises(NotConnected):
-            all_pairs_distances(((), ()))
+            FiniteGraph.build([0, 1], [])
+
+    def test_self_loop_is_a_cycle(self):
+        from treeot import HasCycle
+        with pytest.raises(HasCycle):
+            FiniteGraph.build(range(3), [(0, 1), (1, 1), (1, 2)])
+
+    def test_rows_match_tree_bfs_on_random_trees(self):
+        rng = rng_for(31)
+        for _ in range(20):
+            n = rng.randint(2, 40)
+            tree = random_tree(rng, n)
+            for g in (FiniteGraph.from_tree(tree),
+                      FiniteGraph.build(tree.labels,
+                                        [(tree.labels[u], tree.labels[v]) for u, v in tree.edges])):
+                for u in range(n):
+                    assert [g.distance(u, v) for v in range(n)] == tree.bfs_distances(u)
+
+    def test_rows_on_the_four_cycle(self):
+        g = FiniteGraph.build(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+        for u in range(4):
+            assert [g.distance(u, v) for v in range(4)] == [min((v - u) % 4, (u - v) % 4)
+                                                            for v in range(4)]
 
     def test_matrix_symmetric_zero_diagonal(self):
         g = FiniteGraph.build(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -94,18 +116,18 @@ class TestW1LP:
 class TestDualSide:
     def test_constant_potential_feasible(self):
         g = FiniteGraph.build(range(3), [(0, 1), (1, 2)])
-        assert dual_feasible(g, Potential((Fraction(1),) * 3))
+        assert Potential((Fraction(1),) * 3).is_edge_lipschitz(g)
 
     def test_jump_of_two_infeasible(self):
         g = FiniteGraph.build(range(2), [(0, 1)])
-        assert not dual_feasible(g, Potential((Fraction(0), Fraction(2))))
+        assert not Potential((Fraction(0), Fraction(2))).is_edge_lipschitz(g)
 
     def test_demo_potential_feasible_and_optimal(self):
         tree, mu, nu = instance_from_dict(demo_instance())
         g = FiniteGraph.from_tree(tree)
         rho = assignment_from(mu, nu)
         phi = good_potential(tree, unique_flow(tree, rho), root=tree.index["v4"])
-        assert dual_feasible(g, phi)
+        assert phi.is_edge_lipschitz(g)
         report = verify_duality(g, mu, nu, phi)
         assert report.primal == report.dual == 12
         assert report.optimal_certificate
@@ -159,7 +181,7 @@ class TestRandomizedAgreement:
             anchors = {v: Fraction(rng.randint(-3, 3)) for v in rng.sample(range(n), 2)}
             phi = Potential(tuple(min(base + g.distance(a, v) for a, base in anchors.items())
                                   for v in range(n)))
-            assert dual_feasible(g, phi)
+            assert phi.is_edge_lipschitz(g)
             dual = sum(((mu.value(v) - nu.value(v)) * phi.value(v) for v in range(n)),
                        Fraction(0))
             assert plan.cost(g) >= dual

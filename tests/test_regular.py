@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from treeot import (InvalidParams, PairGeometry, TruncationTooSmall, assignment_from,
-                    ball_profile, basepoint_coord, build_truncated_tree, flow_cost,
+                    ball_profile, build_truncated_tree, flow_cost,
                     flow_direction_check, point_mass_profile, profile_total_mass,
                     radial_measure, radial_potential, radial_potential_field,
                     sphere_profile, unique_flow, w1_radial_flow_formula,
@@ -86,10 +86,10 @@ class TestTruncation:
 class TestCoordinates:
     def test_centers_and_path(self):
         tt = build_truncated_tree(2, 3, 2)
-        assert basepoint_coord(tt, tt.x) == BasepointCoord(0, 0)
-        assert basepoint_coord(tt, tt.y) == BasepointCoord(3, 0)
+        assert tt.coord(tt.x) == BasepointCoord(0, 0)
+        assert tt.coord(tt.y) == BasepointCoord(3, 0)
         for j, z in enumerate(tt.path):
-            assert basepoint_coord(tt, z) == BasepointCoord(j, 0)
+            assert tt.coord(z) == BasepointCoord(j, 0)
 
     @pytest.mark.parametrize("q,d,radius", [(2, 2, 3), (3, 3, 2)])
     def test_distance_identity(self, q, d, radius):
