@@ -27,7 +27,7 @@ from .asymptotics import ball_AB, sphere_AB, srw_AB
 from .errors import TreeOTError, TooLarge
 from .families import ball_gf, sphere_gf, srw_closed_form, srw_g_table, srw_profile
 from .instances import dump_instance, load_instance
-from .lp import FiniteGraph, verify_duality, w1_lp
+from .lp import FiniteGraph, verify_duality
 from .rational import decimal_string, format_rational, parse_rational
 from .regular import (PairGeometry, RadialProfile, ball_profile, build_truncated_tree,
                       radial_measure, sphere_profile, w1_radial_flow_formula,
@@ -101,10 +101,8 @@ def _cmd_w1(args: argparse.Namespace) -> int:
     lp_note = None
     duality = None
     try:
-        graph = FiniteGraph.from_tree(tree)
-        via_lp, _ = w1_lp(graph, mu, nu)
-        paths["lp"] = via_lp
-        duality = verify_duality(graph, mu, nu, phi)
+        duality = verify_duality(FiniteGraph.from_tree(tree), mu, nu, phi)
+        paths["lp"] = duality.primal
     except TooLarge as exc:
         lp_note = str(exc)
     agree = len({v for v in paths.values()}) == 1

@@ -20,11 +20,43 @@ from .rational import format_rational, parse_rational
 from .tree import Measure, Tree, validate_tree
 
 
+#: The JSON scalars a vertex id may be; lists and objects are refused.
+_SCALAR_IDS = (str, int, float, type(None))
+
+#: Each field of an instance document, with the types it may have.
+_FIELDS = {"vertices": ((list, tuple), "a list of vertex ids"),
+           "edges": ((list, tuple), "a list of edges"),
+           "mu": (dict, "an object mapping vertex ids to masses"),
+           "nu": (dict, "an object mapping vertex ids to masses")}
+
+
+def _check_ids(field: str, ids) -> None:
+    for label in ids:
+        if not isinstance(label, _SCALAR_IDS):
+            raise ValueError(f"{field!r} holds the vertex id {label!r}; "
+                             f"a vertex id must be a JSON scalar")
+
+
 def instance_from_dict(doc: dict) -> tuple[Tree, Measure, Measure]:
-    """Validate an instance document into a tree and two dense-indexed measures."""
-    for key in ("vertices", "edges", "mu", "nu"):
+    """Validate an instance document into a tree and two dense-indexed measures.
+
+    Raises :class:`ValueError` naming the field or the vertex id when the
+    document is not an object, lacks a field, or has a field of the wrong
+    shape: ``vertices`` and ``edges`` must be lists, ``mu`` and ``nu``
+    objects, and every vertex id a JSON scalar.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"an instance document must be a JSON object, got {type(doc).__name__}")
+    for key, (kinds, expected) in _FIELDS.items():
         if key not in doc:
             raise ValueError(f"instance document is missing the {key!r} field")
+        if not isinstance(doc[key], kinds):
+            raise ValueError(f"the {key!r} field must be {expected}, "
+                             f"got {type(doc[key]).__name__}")
+    _check_ids("vertices", doc["vertices"])
+    for edge in doc["edges"]:
+        if isinstance(edge, (list, tuple)):
+            _check_ids("edges", edge)
     tree = validate_tree(doc["vertices"], doc["edges"])
     by_name: dict[str, int] = {}
     for label, idx in tree.index.items():

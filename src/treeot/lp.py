@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InfeasiblePotential, MassMismatch, TooLarge
+from .rational import _frac
 from .tree import (Measure, Potential, Tree, _bfs, _build_graph, _hop_distances,
                    _require_connected)
 
@@ -64,7 +65,7 @@ class TransportPlan:
     def __post_init__(self) -> None:
         cleaned = {}
         for (u, v), raw in self.entries.items():
-            x = Fraction(raw)
+            x = _frac(raw)
             if x < 0:
                 raise ValueError(f"negative plan entry at ({u}, {v})")
             if x:
@@ -233,9 +234,9 @@ def verify_duality(graph: FiniteGraph, mu: Measure, nu: Measure, phi: Potential)
     The certificate flag is True exactly when ``phi`` attains the optimum,
     i.e. when it is an optimal dual solution.
     """
+    primal, plan = w1_lp(graph, mu, nu)  # refuses supports over the cap before any O(n) pass
     if not phi.is_edge_lipschitz(graph):
         raise InfeasiblePotential("potential jumps by more than 1 across an edge")
-    primal, plan = w1_lp(graph, mu, nu)
     dual = sum(((mu.value(v) - nu.value(v)) * phi.value(v)
                 for v in set(mu.support()) | set(nu.support())), Fraction(0))
     return DualityReport(primal=primal, dual=dual,

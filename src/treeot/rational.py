@@ -13,7 +13,8 @@ RationalLike = Fraction | int | str
 
 
 def _frac(value: RationalLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """A Fraction as is; anything else under the rules of :func:`parse_rational`."""
+    return value if isinstance(value, Fraction) else parse_rational(value)
 
 
 def _qpow(q: int, e: int) -> Fraction:
@@ -24,13 +25,18 @@ def _qpow(q: int, e: int) -> Fraction:
 def parse_rational(value: str | int | Fraction) -> Fraction:
     """Parse ``"p/q"`` / ``"p"`` strings (or ints/Fractions) into a Fraction.
 
-    Raises :class:`ValueError` naming the value for anything else (floats and
-    bools included) and for a zero denominator.
+    Decimal strings such as ``"0.5"`` are read exactly. Raises
+    :class:`ValueError` naming the value for anything else (floats and bools
+    included), for a string with an exponent (``"1e3"``: its expansion has no
+    bound), and for a zero denominator.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"cannot interpret {value!r} as an exact rational; "
+                         f"give an int or a \"p/q\" string")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"exponent notation in {value!r} is refused; "
                          f"give an int or a \"p/q\" string")
     try:
         return Fraction(value.strip() if isinstance(value, str) else value)

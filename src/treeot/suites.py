@@ -15,7 +15,7 @@ from typing import Callable
 from .asymptotics import InequalityReport, gamma_asymptotic, interval_mid, verify_inequalities
 from .families import (GTable, bundle_from_table, check_functional_equation, srw_closed_form,
                        srw_g_table, srw_return_sequence)
-from .lp import FiniteGraph, check_complementary_slackness, verify_duality, w1_lp
+from .lp import FiniteGraph, check_complementary_slackness, verify_duality
 from .rational import decimal_string, format_rational
 from .regular import (PairGeometry, RadialProfile, build_truncated_tree, radial_measure,
                       w1_radial_flow_formula, w1_radial_formula)
@@ -151,9 +151,9 @@ def suite_duality(seed: int = DEFAULT_SEED, cases: int = 150) -> RunReport:
         mu, nu = random_measure_pair(rng, n)
         graph = FiniteGraph.from_tree(tree)
         tree_value = w1_tree(tree, mu, nu)
-        lp_value, plan = w1_lp(graph, mu, nu)
         phi = good_potential(tree, unique_flow(tree, assignment_from(mu, nu)))
         duality = verify_duality(graph, mu, nu, phi)
+        lp_value = duality.primal
         slack = check_complementary_slackness(graph, duality.plan, phi)
         ok = (tree_value == lp_value and duality.optimal_certificate and slack
               and duality.plan.satisfies_marginals(mu, nu))

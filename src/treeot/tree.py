@@ -86,10 +86,12 @@ def _hop_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]
     return dist
 
 
-def _require_connected(adjacency: Sequence[Sequence[int]]) -> None:
-    reached = len(_bfs(adjacency, 0)[0])
-    if reached != len(adjacency):
-        raise NotConnected(f"only {reached} of {len(adjacency)} vertices reachable from vertex 0")
+def _require_connected(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """The BFS from vertex 0; raises :class:`NotConnected` unless it reaches every vertex."""
+    order, parent = _bfs(adjacency, 0)
+    if len(order) != len(adjacency):
+        raise NotConnected(f"only {len(order)} of {len(adjacency)} vertices reachable from vertex 0")
+    return order, parent
 
 
 class _HasEdges(Protocol):
@@ -104,13 +106,17 @@ class Tree:
     """Finite connected acyclic graph over dense vertex indices ``0..n-1``.
 
     ``labels`` preserves the caller's vertex identifiers; all other structures
-    (and all measures/flows/potentials) use the dense indices.
+    (and all measures/flows/potentials) use the dense indices. ``order`` and
+    ``parent`` are the BFS from vertex 0 that validation ran: the tree rooted
+    at 0, with ``parent`` -1 at the root.
     """
 
     labels: tuple[Hashable, ...]
     index: dict
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
+    parent: tuple[int, ...]
 
     @property
     def num_vertices(self) -> int:
@@ -144,8 +150,9 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
     if len(dense_edges) < n - 1:
         raise NotConnected(f"{len(dense_edges)} edges cannot connect {n} vertices")
     # |E| = |V| - 1, so connectivity also rules out cycles.
-    _require_connected(adjacency)
-    return Tree(labels=labels, index=index, edges=dense_edges, adjacency=adjacency)
+    order, parent = _require_connected(adjacency)
+    return Tree(labels=labels, index=index, edges=dense_edges, adjacency=adjacency,
+                order=tuple(order), parent=tuple(parent))
 
 
 @dataclass(frozen=True)
@@ -199,29 +206,19 @@ class Assignment:
 
 @dataclass(frozen=True)
 class Flow:
-    """Antisymmetric edge function, stored once per edge on (lo, hi) pairs."""
+    """Edge function on a rooted tree, one value per vertex: ``up[v]`` is the
+    flow from ``v`` to ``parent[v]``, and 0 at the root."""
 
-    values: Mapping[tuple[int, int], Fraction]
-
-    def __post_init__(self) -> None:
-        cleaned = {}
-        for (u, v), raw in self.values.items():
-            x = _frac(raw)
-            if u >= v:
-                raise ValueError(f"flow keys must be (lo, hi) pairs, got ({u}, {v})")
-            if x:
-                cleaned[(u, v)] = x
-        object.__setattr__(self, "values", cleaned)
+    parent: tuple[int, ...]
+    up: tuple[Fraction, ...]
 
     def signed(self, u: int, v: int) -> Fraction:
-        """Flow from u to v; antisymmetric, zero on edges it does not mention."""
-        if u < v:
-            return self.values.get((u, v), Fraction(0))
-        return -self.values.get((v, u), Fraction(0))
-
-    def magnitude(self, edge: tuple[int, int]) -> Fraction:
-        u, v = edge
-        return abs(self.signed(u, v))
+        """Flow from u to v; antisymmetric, zero unless u and v are adjacent."""
+        if self.parent[u] == v:
+            return self.up[u]
+        if self.parent[v] == u:
+            return -self.up[v]
+        return Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -255,41 +252,34 @@ def unique_flow(tree: Tree, rho: Assignment) -> Flow:
     """The one flow whose divergence equals ``rho``.
 
     Across each edge the flow carries the net charge of the side cut off by
-    removing that edge; a single post-order sweep accumulates those subtree
-    sums in O(n) exact operations.
+    removing that edge; one sweep up the tree's BFS order accumulates those
+    subtree sums in O(n) exact operations. The root's sum is the total
+    charge, which is 0.
     """
     n = tree.num_vertices
-    for v in rho.support():
+    subtree = [Fraction(0)] * n
+    for v, c in rho.charges.items():
         if not 0 <= v < n:
             raise ValueError(f"assignment references vertex {v} outside the tree")
-    order, parent = _bfs(tree.adjacency, 0)
-    subtree = [rho.value(v) for v in range(n)]
-    values: dict[tuple[int, int], Fraction] = {}
-    for v in reversed(order):
-        p = parent[v]
-        if p < 0:
-            continue
-        # Flow from v's side into p carries the whole subtree charge.
-        if v < p:
-            values[(v, p)] = subtree[v]
-        else:
-            values[(p, v)] = -subtree[v]
-        subtree[p] += subtree[v]
-    return Flow(values)
+        subtree[v] = c
+    parent = tree.parent
+    for v in reversed(tree.order[1:]):
+        if subtree[v]:
+            subtree[parent[v]] += subtree[v]
+    return Flow(parent, tuple(subtree))
 
 
 def divergence(tree: Tree, flow: Flow) -> tuple[Fraction, ...]:
     """Net outflow at every vertex."""
-    div = [Fraction(0)] * tree.num_vertices
-    for (u, v), x in flow.values.items():
-        div[u] += x
-        div[v] -= x
+    div = list(flow.up)
+    for v in tree.order[1:]:
+        div[flow.parent[v]] -= flow.up[v]
     return tuple(div)
 
 
 def flow_cost(flow: Flow) -> Fraction:
     """Total size of the flow: the sum of |flow| over all edges."""
-    return sum((abs(x) for x in flow.values.values()), Fraction(0))
+    return sum((abs(x) for x in flow.up if x), Fraction(0))
 
 
 def good_potential(tree: Tree, flow: Flow, root: int = 0) -> Potential:
@@ -299,21 +289,13 @@ def good_potential(tree: Tree, flow: Flow, root: int = 0) -> Potential:
     The result is pinned to 0 at ``root``; any other choice differs by a
     constant and pairs identically with zero-sum assignments.
     """
-    order, parent = _bfs(tree.adjacency, root)
-    values: list[Fraction | None] = [None] * tree.num_vertices
-    values[root] = Fraction(0)
-    for v in order:
-        p = parent[v]
-        if p < 0:
-            continue
-        s = flow.signed(p, v)
-        if s > 0:
-            values[v] = values[p] - 1
-        elif s < 0:
-            values[v] = values[p] + 1
-        else:
-            values[v] = values[p]
-    return Potential(tuple(values))  # type: ignore[arg-type]
+    parent, up = flow.parent, flow.up
+    level = [0] * tree.num_vertices
+    for v in tree.order[1:]:
+        x = up[v]
+        level[v] = level[parent[v]] + (x > 0) - (x < 0)
+    base = level[root]
+    return Potential(tuple(Fraction(h - base) for h in level))
 
 
 def potential_value(rho: Assignment, phi: Potential) -> Fraction:

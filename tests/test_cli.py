@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,10 +51,14 @@ class TestInstances:
         with pytest.raises(ValueError, match="unknown vertex"):
             instance_from_dict(doc)
 
-    @pytest.mark.parametrize("value", [0.5, True, None, "3/0"])
+    @pytest.mark.parametrize("value", [0.5, True, None, "3/0", "1e3", "2E-1"])
     def test_parse_rational_refuses_inexact_and_broken_values(self, value):
         with pytest.raises(ValueError, match=re.escape(repr(value))):
             parse_rational(value)
+
+    def test_parse_rational_reads_decimal_strings_exactly(self):
+        assert parse_rational("0.5") == Fraction(1, 2)
+        assert parse_rational(" -1.25 ") == Fraction(-5, 4)
 
     def test_rational_strings_survive(self):
         doc = {"vertices": [0, 1], "edges": [[0, 1]],
@@ -90,7 +95,7 @@ class TestW1Command:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("mass", [0.5, "1/0", True, None, [1, 2]])
+    @pytest.mark.parametrize("mass", [0.5, "1/0", True, None, [1, 2], "1e3", "2E-1"])
     def test_inexact_or_broken_mass_is_an_input_error(self, capsys, tmp_path, mass):
         path = tmp_path / "mass.json"
         path.write_text(json.dumps({
@@ -109,6 +114,22 @@ class TestW1Command:
          "edge [0, 1, 2] is not a pair"),
         ({"vertices": [0, 1], "edges": [7], "mu": {"0": "1"}, "nu": {"1": "1"}},
          "edge 7 is not a pair"),
+        ({"vertices": [[0], 1], "edges": [[[0], 1]], "mu": {"1": "1"}, "nu": {"1": "1"}},
+         "'vertices' holds the vertex id [0]"),
+        ({"vertices": [{"id": 0}, 1], "edges": [], "mu": {"1": "1"}, "nu": {"1": "1"}},
+         "'vertices' holds the vertex id {'id': 0}"),
+        ({"vertices": [0, 1], "edges": [[[0], 1]], "mu": {"1": "1"}, "nu": {"1": "1"}},
+         "'edges' holds the vertex id [0]"),
+        ({"vertices": 5, "edges": [], "mu": {"0": "1"}, "nu": {"0": "1"}},
+         "the 'vertices' field must be a list"),
+        ({"vertices": [0], "edges": 5, "mu": {"0": "1"}, "nu": {"0": "1"}},
+         "the 'edges' field must be a list"),
+        ({"vertices": [0], "edges": [], "mu": ["a"], "nu": {"0": "1"}},
+         "the 'mu' field must be an object"),
+        ({"vertices": [0], "edges": [], "mu": {"0": "1"}, "nu": None},
+         "the 'nu' field must be an object"),
+        ([{"vertices": [0], "edges": [], "mu": {"0": "1"}, "nu": {"0": "1"}}],
+         "an instance document must be a JSON object, got list"),
     ])
     def test_malformed_document_is_an_input_error(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
@@ -145,6 +166,49 @@ class TestW1Command:
         assert doc["duality"]["certificate"] is True
         assert sources and len(sources) == len(set(sources))
         assert set(sources) <= set(mu_at) | set(nu_at)
+
+
+    def test_lp_is_solved_once(self, capsys, demo_instance_path, monkeypatch):
+        import treeot.lp
+
+        calls = []
+        w1_lp = treeot.lp.w1_lp
+
+        def spy(*args):
+            calls.append(args)
+            return w1_lp(*args)
+
+        # Patch every binding of the name, so a caller that imported it is seen too.
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "treeot" and getattr(module, "w1_lp", None) is w1_lp:
+                monkeypatch.setattr(module, "w1_lp", spy)
+        code, out, _ = run_cli(capsys, "w1", str(demo_instance_path))
+        assert code == 0 and "w1 via lp: 12" in out
+        assert len(calls) == 1
+
+    def test_one_bfs_when_supports_exceed_the_lp_cap(self, capsys, tmp_path, monkeypatch):
+        import treeot.tree
+
+        n = 100
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({
+            "vertices": list(range(n)), "edges": [[i, i + 1] for i in range(n - 1)],
+            "mu": {str(v): "1/41" for v in range(41)},
+            "nu": {str(v): "1/41" for v in range(n - 41, n)}}))
+        calls = []
+        bfs = treeot.tree._bfs
+
+        def spy(adjacency, root):
+            calls.append(root)
+            return bfs(adjacency, root)
+
+        monkeypatch.setattr(treeot.tree, "_bfs", spy)
+        code, out, _ = run_cli(capsys, "w1", str(path), "--json")
+        assert calls == [0]
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["agree"] is True and "lp_skipped" in doc
+        assert doc["w1"] == str(w1_tree(*load_instance(path)))
 
 
 class TestSweepCommand:

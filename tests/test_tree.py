@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeot import (Assignment, HasCycle, MassMismatch, Measure, NotConnected,
-                    assignment_from, divergence, flow_cost, good_potential,
-                    potential_value, unique_flow, validate_tree, w1_tree)
+                    RadialProfile, Series, assignment_from, divergence, flow_cost,
+                    good_potential, potential_value, unique_flow, validate_tree, w1_tree)
 from treeot.instances import demo_instance, instance_from_dict
 
 from conftest import random_measure_pair, random_tree, rng_for
@@ -59,6 +60,18 @@ class TestValidateTree:
             Measure({0: Fraction(-1, 2)})
 
 
+@pytest.mark.parametrize("value", [0.1, True])
+@pytest.mark.parametrize("build", [
+    lambda x: Measure({0: x}),
+    lambda x: Assignment({0: x, 1: -1}),
+    lambda x: RadialProfile((x,)),
+    lambda x: Series((x,)),
+], ids=["Measure", "Assignment", "RadialProfile", "Series"])
+def test_constructors_refuse_floats_and_bools(build, value):
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        build(value)
+
+
 class TestAssignment:
     def test_identical_measures_cancel(self):
         mu = Measure({0: Fraction(1, 2), 1: Fraction(1, 2)})
@@ -85,14 +98,15 @@ class TestUniqueFlow:
     def test_zero_assignment_zero_flow(self):
         tree = validate_tree(range(3), [(0, 1), (1, 2)])
         flow = unique_flow(tree, Assignment({}))
-        assert flow.values == {}
+        assert {(u, v): flow.signed(u, v) for u, v in tree.edges if flow.signed(u, v)} == {}
         assert flow_cost(flow) == 0
 
     def test_demo_flow_magnitudes_and_directions(self):
         tree, mu, nu = demo_tree()
         flow = unique_flow(tree, assignment_from(mu, nu))
-        by_label = {(tree.labels[u], tree.labels[v]): x for (u, v), x in flow.values.items()}
-        # Signed on the (lo, hi) orientation of the storage key; negative means
+        by_label = {(tree.labels[u], tree.labels[v]): flow.signed(u, v)
+                    for u, v in tree.edges if flow.signed(u, v)}
+        # Signed on the (lo, hi) orientation of ``tree.edges``; negative means
         # the flow runs from the higher-indexed vertex to the lower one.
         assert by_label == {
             ("v1", "v3"): 1, ("v3", "v6"): 1, ("v5", "v6"): 1,
