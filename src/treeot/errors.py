@@ -22,7 +22,8 @@ class MassMismatch(TreeOTError):
 
 
 class TooLarge(TreeOTError):
-    """An instance exceeds the size cap of the exact LP oracle."""
+    """An instance exceeds a stated size cap: the support cap of the exact LP
+    oracle, or the bit budget of the tree route's integer charges."""
 
 
 class InfeasiblePotential(TreeOTError):

@@ -90,13 +90,14 @@ class TransportPlan:
 
 def w1_lp(graph: FiniteGraph, mu: Measure, nu: Measure) -> tuple[Fraction, TransportPlan]:
     """Exact optimum of the transportation LP plus one optimal plan."""
-    if mu.total() != nu.total():
-        raise MassMismatch(f"total masses differ: {mu.total()} vs {nu.total()}")
     sources = mu.support()
     sinks = nu.support()
     if len(sources) > MAX_SUPPORT or len(sinks) > MAX_SUPPORT:
         raise TooLarge(f"supports of size {len(sources)}x{len(sinks)} exceed the "
                        f"{MAX_SUPPORT}-point oracle cap")
+    given, taken = mu.total(), nu.total()
+    if given != taken:
+        raise MassMismatch(f"total masses differ: {given} vs {taken}")
     for v in (*sources, *sinks):
         if not 0 <= v < graph.num_vertices:
             raise ValueError(f"measure references vertex {v} outside the graph")

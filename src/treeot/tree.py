@@ -1,22 +1,28 @@
 """Exact 1-Wasserstein distance on finite trees.
 
-Costs are hop counts and every mass, charge, flow value, and potential value
-is a :class:`fractions.Fraction`, so all identities in this module hold
-exactly. The backbone facts: on a tree there is exactly one flow whose
-divergence matches a given zero-sum assignment (the value across an edge is
-the net charge on one side), the cost of that flow is the transport distance,
-and pairing the assignment with any potential adapted to the flow yields the
+Costs are hop counts and masses are Fractions. The tree route scales every
+mass once by L, the lcm of the denominators, runs the flow and the pairing
+in integers over L, and divides by L once, so all identities hold exactly.
+The backbone facts: on a tree there is exactly one flow whose divergence
+matches a given zero-sum assignment (the value across an edge is the net
+charge on one side), the cost of that flow is the transport distance, and
+pairing the assignment with any potential adapted to the flow yields the
 same number.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Protocol, Sequence
 
-from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected
+from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected, TooLarge
 from .rational import RationalLike, _frac
+
+#: Budget for the integer charges: bits(L) times the number of values held
+#: over L (about 128 MiB of digits). Larger instances raise :class:`TooLarge`.
+MAX_CHARGE_BITS = 2 ** 30
 
 
 def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, dict, tuple, tuple]:
@@ -76,14 +82,18 @@ def _bfs(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list
     return order, parent
 
 
-def _hop_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
-    """Hop distances from ``source`` to every vertex; -1 where unreached."""
-    order, parent = _bfs(adjacency, source)
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
+def _depths(order: Sequence[int], parent: Sequence[int]) -> list[int]:
+    """Hop distances from ``order[0]`` along a parent-before-child order; -1 where unreached."""
+    dist = [-1] * len(parent)
+    dist[order[0]] = 0
     for v in order[1:]:
         dist[v] = dist[parent[v]] + 1
     return dist
+
+
+def _hop_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
+    """Hop distances from ``source`` to every vertex; -1 where unreached."""
+    return _depths(*_bfs(adjacency, source))
 
 
 def _require_connected(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -133,7 +143,9 @@ class Tree:
         return len(self.adjacency[v])
 
     def bfs_distances(self, source: int) -> list[int]:
-        """Hop distances from ``source`` to every vertex."""
+        """Hop distances from ``source``; from the root, read off the stored BFS."""
+        if source == self.order[0]:
+            return _depths(self.order, self.parent)
         return _hop_distances(self.adjacency, source)
 
 
@@ -165,9 +177,9 @@ class Measure:
         cleaned: dict[int, Fraction] = {}
         for v, raw in self.masses.items():
             m = _frac(raw)
-            if m < 0:
+            if m.numerator < 0:
                 raise ValueError(f"negative mass {m} at vertex {v}")
-            if m:
+            if m.numerator:
                 cleaned[int(v)] = m
         object.__setattr__(self, "masses", cleaned)
 
@@ -185,52 +197,74 @@ class Measure:
         return Measure({v: c * m for v, m in self.masses.items()})
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Signed charges summing to zero (a mass surplus/deficit pattern)."""
+def _common_scale(denominators: Iterable[int], count: int) -> int:
+    """L, the lcm of ``denominators``, grown one at a time; raises :class:`TooLarge`
+    as soon as ``count`` integers over L would pass :data:`MAX_CHARGE_BITS`."""
+    scale = 1
+    for d in denominators:
+        scale = math.lcm(scale, d)
+        if scale.bit_length() * count > MAX_CHARGE_BITS:
+            raise TooLarge(f"a common denominator of {scale.bit_length()} bits over {count} "
+                           f"values exceeds the {MAX_CHARGE_BITS}-bit charge cap")
+    return scale
 
-    charges: Mapping[int, Fraction]
+
+@dataclass(frozen=True, eq=False)
+class Assignment:
+    """Signed charges summing to zero (a mass surplus/deficit pattern), held
+    as integers over one common denominator: the charge at ``v`` is
+    ``num[v] / scale``. :meth:`of` builds one from rational charges."""
+
+    num: Mapping[int, int]
+    scale: int
 
     def __post_init__(self) -> None:
-        cleaned = {int(v): _frac(c) for v, c in self.charges.items() if _frac(c)}
-        if sum(cleaned.values(), Fraction(0)) != 0:
+        cleaned = {v: x for v, x in self.num.items() if x}
+        if sum(cleaned.values()) != 0:
             raise ValueError("assignment charges must sum to zero")
-        object.__setattr__(self, "charges", cleaned)
+        object.__setattr__(self, "num", cleaned)
+
+    @classmethod
+    def of(cls, charges: Mapping[int, RationalLike]) -> "Assignment":
+        fracs = {int(v): _frac(c) for v, c in charges.items()}
+        scale = _common_scale({c.denominator for c in fracs.values()}, len(fracs))
+        return cls({v: c.numerator * (scale // c.denominator) for v, c in fracs.items()}, scale)
+
+    @property
+    def charges(self) -> dict[int, Fraction]:
+        """The nonzero charges as reduced Fractions, built on each read."""
+        return {v: Fraction(x, self.scale) for v, x in self.num.items()}
 
     def value(self, v: int) -> Fraction:
-        return self.charges.get(v, Fraction(0))
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.charges))
+        return Fraction(self.num.get(v, 0), self.scale)
 
 
 @dataclass(frozen=True)
 class Flow:
-    """Edge function on a rooted tree, one value per vertex: ``up[v]`` is the
-    flow from ``v`` to ``parent[v]``, and 0 at the root."""
+    """Edge function on a rooted tree, one integer per vertex over ``scale``:
+    ``up[v] / scale`` is the flow from ``v`` to ``parent[v]``, and 0 at the root."""
 
     parent: tuple[int, ...]
-    up: tuple[Fraction, ...]
+    up: tuple[int, ...]
+    scale: int
 
     def signed(self, u: int, v: int) -> Fraction:
         """Flow from u to v; antisymmetric, zero unless u and v are adjacent."""
         if self.parent[u] == v:
-            return self.up[u]
+            return Fraction(self.up[u], self.scale)
         if self.parent[v] == u:
-            return -self.up[v]
+            return Fraction(-self.up[v], self.scale)
         return Fraction(0)
 
 
 @dataclass(frozen=True)
 class Potential:
-    """Vertex function; feasible when it changes by at most 1 along any edge."""
+    """Vertex function; feasible when it changes by at most 1 along any edge.
+    Values are Fractions, or ints for the levels of :func:`good_potential`."""
 
-    values: tuple[Fraction, ...]
+    values: tuple[Fraction | int, ...]
 
-    def value(self, v: int) -> Fraction:
-        return self.values[v]
-
-    def __getitem__(self, v: int) -> Fraction:
+    def value(self, v: int) -> Fraction | int:
         return self.values[v]
 
     def is_edge_lipschitz(self, graph: _HasEdges) -> bool:
@@ -239,13 +273,21 @@ class Potential:
 
 
 def assignment_from(mu: Measure, nu: Measure) -> Assignment:
-    """Difference of two measures with equal totals."""
-    if mu.total() != nu.total():
-        raise MassMismatch(f"total masses differ: {mu.total()} vs {nu.total()}")
-    charges: dict[int, Fraction] = dict(mu.masses)
-    for v, m in nu.masses.items():
-        charges[v] = charges.get(v, Fraction(0)) - m
-    return Assignment(charges)
+    """Difference of two measures with equal totals, as integers over L, the
+    lcm of all their mass denominators; each mass is scaled once."""
+    denominators = {m.denominator for m in mu.masses.values()}
+    denominators.update(m.denominator for m in nu.masses.values())
+    scale = _common_scale(denominators, len(mu.masses) + len(nu.masses))
+    factor = {d: scale // d for d in denominators}
+    num, take = ({v: m.numerator * factor[m.denominator] for v, m in side.masses.items()}
+                 for side in (mu, nu))
+    given, taken = sum(num.values()), sum(take.values())
+    if given != taken:
+        raise MassMismatch(f"total masses differ: {Fraction(given, scale)} vs "
+                           f"{Fraction(taken, scale)}")
+    for v, x in take.items():
+        num[v] = num.get(v, 0) - x
+    return Assignment(num, scale)
 
 
 def unique_flow(tree: Tree, rho: Assignment) -> Flow:
@@ -253,12 +295,13 @@ def unique_flow(tree: Tree, rho: Assignment) -> Flow:
 
     Across each edge the flow carries the net charge of the side cut off by
     removing that edge; one sweep up the tree's BFS order accumulates those
-    subtree sums in O(n) exact operations. The root's sum is the total
-    charge, which is 0.
+    subtree sums in O(n) integer additions over ``rho.scale``. The root's sum
+    is the total charge, which is 0. The charge budget is checked first.
     """
     n = tree.num_vertices
-    subtree = [Fraction(0)] * n
-    for v, c in rho.charges.items():
+    _common_scale((rho.scale,), n)
+    subtree = [0] * n
+    for v, c in rho.num.items():
         if not 0 <= v < n:
             raise ValueError(f"assignment references vertex {v} outside the tree")
         subtree[v] = c
@@ -266,7 +309,7 @@ def unique_flow(tree: Tree, rho: Assignment) -> Flow:
     for v in reversed(tree.order[1:]):
         if subtree[v]:
             subtree[parent[v]] += subtree[v]
-    return Flow(parent, tuple(subtree))
+    return Flow(parent, tuple(subtree), rho.scale)
 
 
 def divergence(tree: Tree, flow: Flow) -> tuple[Fraction, ...]:
@@ -274,20 +317,20 @@ def divergence(tree: Tree, flow: Flow) -> tuple[Fraction, ...]:
     div = list(flow.up)
     for v in tree.order[1:]:
         div[flow.parent[v]] -= flow.up[v]
-    return tuple(div)
+    return tuple(Fraction(x, flow.scale) for x in div)
 
 
 def flow_cost(flow: Flow) -> Fraction:
-    """Total size of the flow: the sum of |flow| over all edges."""
-    return sum((abs(x) for x in flow.up if x), Fraction(0))
+    """Total size of the flow: the sum of |flow| over all edges, divided by the scale once."""
+    return Fraction(sum(map(abs, flow.up)), flow.scale)
 
 
 def good_potential(tree: Tree, flow: Flow, root: int = 0) -> Potential:
     """Potential adapted to ``flow``: drops by 1 along each flow-carrying edge
     (in the flow direction) and stays constant across flowless edges.
 
-    The result is pinned to 0 at ``root``; any other choice differs by a
-    constant and pairs identically with zero-sum assignments.
+    The result holds integer levels pinned to 0 at ``root``; any other choice
+    differs by a constant and pairs identically with zero-sum assignments.
     """
     parent, up = flow.parent, flow.up
     level = [0] * tree.num_vertices
@@ -295,12 +338,14 @@ def good_potential(tree: Tree, flow: Flow, root: int = 0) -> Potential:
         x = up[v]
         level[v] = level[parent[v]] + (x > 0) - (x < 0)
     base = level[root]
-    return Potential(tuple(Fraction(h - base) for h in level))
+    return Potential(tuple(h - base for h in level) if base else tuple(level))
 
 
 def potential_value(rho: Assignment, phi: Potential) -> Fraction:
-    """Pairing sum(phi(v) * rho(v)); equals the flow cost for adapted phi."""
-    return sum((phi.value(v) * c for v, c in rho.charges.items()), Fraction(0))
+    """Pairing sum(phi(v) * rho(v)), summed over rho's common denominator and
+    divided once; equals the flow cost for adapted phi."""
+    values = phi.values
+    return Fraction(sum(values[v] * x for v, x in rho.num.items()), rho.scale)
 
 
 def w1_tree(tree: Tree, mu: Measure, nu: Measure) -> Fraction:

@@ -210,6 +210,22 @@ class TestW1Command:
         assert doc["agree"] is True and "lp_skipped" in doc
         assert doc["w1"] == str(w1_tree(*load_instance(path)))
 
+    def test_charge_budget_refusal_exits_2(self, capsys, tmp_path):
+        # 2^p - 1 for distinct primes p are pairwise coprime, so L is their
+        # product: about 282,000 bits, times 5,000 vertices, over the budget.
+        exponents = [p for p in range(14200, 13000, -1)
+                     if all(p % k for k in range(2, int(p ** 0.5) + 1))][:20]
+        dens = [str(2 ** p - 1) for p in exponents]
+        n = 5000
+        path = tmp_path / "coprime.json"
+        path.write_text(json.dumps({
+            "vertices": list(range(n)), "edges": [[i, i + 1] for i in range(n - 1)],
+            "mu": {str(i): f"1/{d}" for i, d in enumerate(dens)},
+            "nu": {str(n - 1 - i): f"1/{d}" for i, d in enumerate(dens)}}))
+        code, out, err = run_cli(capsys, "w1", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "charge cap" in err and "5000 values" in err
+
 
 class TestSweepCommand:
     def test_sphere_adjacent_residuals_vanish(self, capsys):
@@ -327,6 +343,23 @@ class TestRadialW1Mode:
         value = json.loads(out)["w1"]
         tree, mu, nu = load_instance(path)
         assert str(w1_tree(tree, mu, nu)) == value
+
+    def test_root_center_reuses_the_validation_bfs(self, capsys, monkeypatch):
+        import treeot.tree
+
+        calls = []
+        bfs = treeot.tree._bfs
+
+        def spy(adjacency, root):
+            calls.append(root)
+            return bfs(adjacency, root)
+
+        monkeypatch.setattr(treeot.tree, "_bfs", spy)
+        code, out, _ = run_cli(capsys, "w1", "--radial", "srw:alpha=1/2,n=4",
+                               "--q", "3", "--d", "2", "--json")
+        assert code == 0 and json.loads(out)["agree"] is True
+        # One BFS validates the truncation; only the center Y = 2 needs another.
+        assert calls == [0, 2]
 
     def test_radial_needs_geometry(self, capsys):
         code, _, err = run_cli(capsys, "w1", "--radial", "sphere:r=2")

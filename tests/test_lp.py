@@ -107,6 +107,14 @@ class TestW1LP:
         with pytest.raises(TooLarge):
             w1_lp(g, mu, nu)
 
+    def test_cap_refuses_before_totals_are_compared(self):
+        n = 45
+        g = FiniteGraph.build(range(n), [(i, i + 1) for i in range(n - 1)])
+        mu = Measure({v: 1 for v in range(41)})
+        nu = Measure({v: 1 for v in range(n)})
+        with pytest.raises(TooLarge):
+            w1_lp(g, mu, nu)
+
     def test_empty_measures(self):
         g = FiniteGraph.build(range(2), [(0, 1)])
         value, plan = w1_lp(g, Measure({}), Measure({}))

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeot import (Assignment, HasCycle, MassMismatch, Measure, NotConnected,
-                    RadialProfile, Series, assignment_from, divergence, flow_cost,
-                    good_potential, potential_value, unique_flow, validate_tree, w1_tree)
+from treeot import (Assignment, FiniteGraph, HasCycle, MassMismatch, Measure, NotConnected,
+                    RadialProfile, Series, TooLarge, assignment_from, divergence, flow_cost,
+                    good_potential, potential_value, unique_flow, validate_tree, w1_lp,
+                    w1_tree)
 from treeot.instances import demo_instance, instance_from_dict
 
 from conftest import random_measure_pair, random_tree, rng_for
@@ -63,7 +66,7 @@ class TestValidateTree:
 @pytest.mark.parametrize("value", [0.1, True])
 @pytest.mark.parametrize("build", [
     lambda x: Measure({0: x}),
-    lambda x: Assignment({0: x, 1: -1}),
+    lambda x: Assignment.of({0: x, 1: -1}),
     lambda x: RadialProfile((x,)),
     lambda x: Series((x,)),
 ], ids=["Measure", "Assignment", "RadialProfile", "Series"])
@@ -97,7 +100,7 @@ class TestAssignment:
 class TestUniqueFlow:
     def test_zero_assignment_zero_flow(self):
         tree = validate_tree(range(3), [(0, 1), (1, 2)])
-        flow = unique_flow(tree, Assignment({}))
+        flow = unique_flow(tree, Assignment.of({}))
         assert {(u, v): flow.signed(u, v) for u, v in tree.edges if flow.signed(u, v)} == {}
         assert flow_cost(flow) == 0
 
@@ -128,7 +131,7 @@ class TestUniqueFlow:
             tree = random_tree(rng, n)
             charges = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for v in range(n - 1)}
             charges[n - 1] = -sum(charges.values(), Fraction(0))
-            rho = Assignment(charges)
+            rho = Assignment.of(charges)
             flow = unique_flow(tree, rho)
             assert list(divergence(tree, flow)) == [rho.value(v) for v in range(n)]
 
@@ -136,7 +139,7 @@ class TestUniqueFlow:
 class TestGoodPotential:
     def test_zero_flow_constant_potential(self):
         tree = validate_tree(range(4), [(0, 1), (1, 2), (2, 3)])
-        phi = good_potential(tree, unique_flow(tree, Assignment({})))
+        phi = good_potential(tree, unique_flow(tree, Assignment.of({})))
         assert set(phi.values) == {Fraction(0)}
 
     def test_demo_potential_reference_values(self):
@@ -181,7 +184,7 @@ class TestGoodPotential:
 class TestPotentialValue:
     def test_zero_assignment(self):
         tree = validate_tree(range(2), [(0, 1)])
-        rho = Assignment({})
+        rho = Assignment.of({})
         phi = good_potential(tree, unique_flow(tree, rho))
         assert potential_value(rho, phi) == 0
 
@@ -252,7 +255,7 @@ def test_flow_divergence_property(seed):
     tree = random_tree(rng, n)
     charges = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for v in range(n - 1)}
     charges[n - 1] = -sum(charges.values(), Fraction(0))
-    rho = Assignment(charges)
+    rho = Assignment.of(charges)
     flow = unique_flow(tree, rho)
     assert list(divergence(tree, flow)) == [rho.value(v) for v in range(n)]
 
@@ -267,3 +270,59 @@ def test_flow_cost_equals_potential_pairing_property(seed):
     rho = assignment_from(mu, nu)
     flow = unique_flow(tree, rho)
     assert flow_cost(flow) == potential_value(rho, good_potential(tree, flow))
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_routes_agree_over_a_product_of_coprime_denominators(seed):
+    """Each mass but one balancing mass has its own prime denominator, so L is
+    a product of distinct primes, not a small number as in random_measure_pair."""
+    rng = rng_for(seed)
+    n = rng.randint(2, 10)
+    tree = random_tree(rng, n)
+    primes = iter(rng.sample(PRIMES, 2 * n))
+    mu, nu = ({v: Fraction(rng.randint(1, 9), next(primes))
+               for v in rng.sample(range(n), rng.randint(1, n))} for _ in range(2))
+    gap = sum(mu.values()) - sum(nu.values())
+    light, v = (nu if gap > 0 else mu), rng.randrange(n)
+    light[v] = light.get(v, 0) + abs(gap)
+    mu, nu = Measure(mu), Measure(nu)
+    rho = assignment_from(mu, nu)
+    via_flow = w1_tree(tree, mu, nu)
+    via_potential = potential_value(rho, good_potential(tree, unique_flow(tree, rho)))
+    via_lp, _ = w1_lp(FiniteGraph.from_tree(tree), mu, nu)
+    assert via_flow == via_potential == via_lp
+
+
+#: Fermat numbers 2^(2^i) + 1 are pairwise coprime: their lcm has 2^20 bits.
+FERMAT = tuple(2 ** (2 ** i) + 1 for i in range(20))
+
+
+class TestChargeBudget:
+    def test_assignment_refused_before_scaling(self):
+        n = 2000
+        masses = {v: Fraction(1, FERMAT[v % 20]) for v in range(n)}
+        mu = Measure(masses)
+        nu = Measure({(v + 1) % n: m for v, m in masses.items()})
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="over 4000 values exceeds the 1073741824-bit"):
+            assignment_from(mu, nu)
+        assert time.perf_counter() - start < 1.0
+
+    def test_flow_refused_before_allocating(self):
+        n = 2000
+        tree = validate_tree(range(n), [(i, i + 1) for i in range(n - 1)])
+        rho = Assignment({0: 1, n - 1: -1}, math.prod(FERMAT))
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="1048576 bits over 2000 values"):
+            unique_flow(tree, rho)
+        assert time.perf_counter() - start < 1.0
+
+    def test_scaled_charges_read_back_as_reduced_fractions(self):
+        rho = assignment_from(Measure({0: Fraction(1, 6), 1: Fraction(1, 4)}),
+                              Measure({2: Fraction(5, 12)}))
+        assert rho.scale == 12 and rho.num == {0: 2, 1: 3, 2: -5}
+        assert rho.charges == {0: Fraction(1, 6), 1: Fraction(1, 4), 2: Fraction(-5, 12)}
