@@ -7,9 +7,10 @@ balls), their generating functions, and the rational coefficients of their
 linear large-time asymptotics.
 """
 
-from .errors import (DuplicateEdge, HasCycle, InfeasiblePotential, InvalidAlpha,
-                     InvalidParams, MassMismatch, NonSquareConstantTerm, NonUnitDivisor,
-                     NotConnected, OrderExceeded, TooLarge, TreeOTError, TruncationTooSmall)
+from .errors import (DuplicateEdge, HasCycle, InexactDivision, InfeasiblePotential,
+                     InvalidAlpha, InvalidParams, MassMismatch, NonSquareConstantTerm,
+                     NonUnitDivisor, NotConnected, OrderExceeded, TooLarge, TreeOTError,
+                     TruncationTooSmall)
 from .rational import decimal_string, format_rational, parse_rational
 from .tree import (Assignment, Flow, Measure, Potential, Tree, assignment_from, divergence,
                    flow_cost, good_potential, potential_value, unique_flow, validate_tree,
@@ -24,9 +25,9 @@ from .regular import (BasepointCoord, PairGeometry, RadialProfile, TruncatedRegu
                       w1_radial_formula)
 from .series import Series
 from .families import (GFBundle, GTable, ball_g_table, ball_gf, bundle_from_table,
-                       check_functional_equation, functional_equation_residuals,
-                       sphere_g_table, sphere_gf, srw_closed_form, srw_closed_form_rows,
-                       srw_g_table, srw_profile, srw_return_sequence, w1_via_genfun)
+                       check_functional_equation, sphere_g_table, sphere_gf, srw_closed_form,
+                       srw_closed_form_rows, srw_g_table, srw_profile, srw_return_sequence,
+                       w1_via_genfun)
 from .asymptotics import (ChiValues, CurvatureValue, GammaAsymptotic, HValues,
                           InequalityReport, LinearAsymptotic, ball_AB, ball_d1_exact,
                           chi_tree, gamma_asymptotic, h_values, interval_contains,

@@ -33,8 +33,8 @@ from .regular import (PairGeometry, RadialProfile, ball_profile, build_truncated
                       radial_measure, sphere_profile, w1_radial_flow_formula,
                       w1_radial_formula)
 from .suites import DEFAULT_SEED, INEQUALITY_GRID, SUITE_NAMES, inequality_cell, run_suite
-from .tree import (assignment_from, flow_cost, good_potential, potential_value,
-                   unique_flow, w1_tree)
+from .tree import (MAX_SERIES_BITS, assignment_from, flow_cost, good_potential,
+                   potential_value, unique_flow, w1_tree)
 
 SWEEP_HEADER = ("family", "alpha", "d", "q", "n", "w1_exact", "w1_decimal", "asym", "residual")
 
@@ -166,6 +166,17 @@ def _cmd_w1_radial(args: argparse.Namespace) -> int:
     return 0 if agree else 1
 
 
+def _check_series_size(knob: str, size: int, alphas: list, qs: list[int]) -> None:
+    """Refuse, before any work, a family run whose denominators could pass
+    :data:`MAX_SERIES_BITS`: bits(S) * size, S = den(alpha) * (q+1)."""
+    scale = max((1 if alpha is None else alpha.denominator) * (q + 1)
+                for alpha in alphas for q in qs)
+    if scale.bit_length() * size > MAX_SERIES_BITS:
+        raise TooLarge(f"{knob} {size} with a {scale.bit_length()}-bit per-step scale "
+                       f"needs {scale.bit_length() * size}-bit denominators, over the "
+                       f"{MAX_SERIES_BITS}-bit series cap")
+
+
 def _sweep_rows(args: argparse.Namespace) -> list[dict]:
     family = args.family
     d_list = _parse_int_range(args.d)
@@ -173,6 +184,7 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
     n_list = _parse_int_range(args.n)
     alphas = _parse_alpha_list(args.alpha) if family == "srw" else [None]
     max_n = max(n_list)
+    _check_series_size("--n", max_n, alphas, q_list)
     rows = []
     for q in sorted(set(q_list)):
         tables = {}
@@ -230,8 +242,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     order = args.order
+    alpha = parse_rational(args.alpha) if args.family == "srw" else None
+    _check_series_size("--order", order, [alpha], [args.q])
     if args.family == "srw":
-        bundle = srw_closed_form(parse_rational(args.alpha), args.q, order)
+        bundle = srw_closed_form(alpha, args.q, order)
     elif args.family == "sphere":
         bundle = sphere_gf(args.q, order)
     else:

@@ -23,7 +23,8 @@ class MassMismatch(TreeOTError):
 
 class TooLarge(TreeOTError):
     """An instance exceeds a stated size cap: the support cap of the exact LP
-    oracle, or the bit budget of the tree route's integer charges."""
+    oracle, the bit budget of the tree route's integer charges, or the size of
+    a family's series."""
 
 
 class InfeasiblePotential(TreeOTError):
@@ -44,6 +45,11 @@ class InvalidAlpha(TreeOTError):
 
 class NonUnitDivisor(TreeOTError):
     """Series division or square root requires a nonzero constant term."""
+
+
+class InexactDivision(TreeOTError):
+    """An integer-scaled series step would have to round: the base does not
+    clear the denominators of the result."""
 
 
 class NonSquareConstantTerm(TreeOTError):

@@ -17,17 +17,23 @@ recurrence; the equivalent closed form is
 with G(x, y) a geometric extension of gamma in x. Both routes are
 implemented; their agreement (and the defining functional equation) is
 checked in the test suite.
+
+With S = den(alpha) (q+1), every walk series is an integer series in t = S y,
+so both routes run on integers over S^n; a Fraction is formed only when a
+coefficient is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import InvalidAlpha, InvalidParams, OrderExceeded
-from .rational import RationalLike, _frac, _qpow
-from .regular import PairGeometry, RadialProfile
+from .rational import RationalLike, _frac, _over_lcm, _qpow
+from .regular import PairGeometry, RadialProfile, ball_size, profile_total_mass, sphere_size
 from .series import Series
 
 #: Default truncation order; enough for time steps up to ~60.
@@ -54,74 +60,80 @@ def _check_alpha(alpha: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class GTable:
-    """Exact masses g(l, n) for 0 <= l, n <= order (zero above the diagonal
-    for the families built here)."""
+    """Exact masses g(l, n) = columns[n][l] / scales[n] for 0 <= l, n <= order
+    (zero above the diagonal for the families built here): integer columns,
+    each over its own scale, read as reduced Fractions."""
 
     q: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
+
+    @classmethod
+    def of(cls, q: int, rows: Sequence[Sequence[RationalLike]]) -> "GTable":
+        """The table of rational entries ``rows[l][n]``, each column over its lcm."""
+        columns, scales = zip(*(_over_lcm(col) for col in zip(*rows)))
+        return cls(q, tuple(map(tuple, columns)), scales)
 
     @property
     def order(self) -> int:
-        return len(self.rows) - 1
+        return len(self.scales) - 1
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(map(Fraction, row, self.scales)) for row in zip(*self.columns))
 
     def value(self, ell: int, n: int) -> Fraction:
-        return self.rows[ell][n]
+        return Fraction(self.columns[n][ell], self.scales[n])
 
     def column(self, n: int) -> tuple[Fraction, ...]:
-        return tuple(row[n] for row in self.rows)
+        return tuple(Fraction(x, self.scales[n]) for x in self.columns[n])
 
     def column_profile(self, n: int) -> RadialProfile:
         """The time-n column as a radial profile."""
-        return RadialProfile(self.column(n))
+        return RadialProfile(self.columns[n], self.scales[n])
 
     def column_mass(self, n: int) -> Fraction:
         """Total mass of the time-n measure under sphere-size weights."""
-        total = self.rows[0][n]
-        for ell in range(1, self.order + 1):
-            g = self.rows[ell][n]
-            if g:
-                total += (self.q + 1) * self.q ** (ell - 1) * g
-        return total
+        return profile_total_mass(self.q, self.column_profile(n))
 
     def row_series(self, ell: int) -> Series:
-        return Series(self.rows[ell])
+        return Series.over([col[ell] for col in self.columns], self.scales)
 
 
-def _srw_scaled_columns(num: int, den: int, q: int, order: int) -> Iterator[list[int]]:
-    """Integer columns f(l, n) = (den*(q+1))^n * g(l, n) for the walk family,
-    for n = 0..order; entries l = 0..order + 1, the last one always zero.
+def _srw_scaled_columns(alpha: RationalLike, q: int,
+                        order: int) -> tuple[Iterator[list[int]], int]:
+    """The walk's integer columns f(l, n) = S^n g(l, n) for n = 0..order, with
+    entries l = 0..order + 1 (the last one always zero), and S = den*(q+1).
 
-    Column step: f(0, n+1) = num*(q+1)*f(0, n) + (den-num)*(q+1)*f(1, n) and
-    f(l, n+1) = num*(q+1)*f(l, n) + q*(den-num)*f(l+1, n) + (den-num)*f(l-1, n).
-    Only the current and the next column are alive inside the generator.
+    Column step, alpha = num/den: f(0, n+1) = num*(q+1)*f(0, n) +
+    (den-num)*(q+1)*f(1, n) and f(l, n+1) = num*(q+1)*f(l, n) +
+    q*(den-num)*f(l+1, n) + (den-num)*f(l-1, n). Only the current and the next
+    column are alive inside the generator.
     """
-    a_step = num * (q + 1)
-    move = den - num
-    col = [0] * (order + 2)
-    col[0] = 1
-    yield col
-    for _ in range(order):
-        nxt = [0] * (order + 2)
-        nxt[0] = a_step * col[0] + move * (q + 1) * col[1]
-        for ell in range(1, order + 1):
-            nxt[ell] = a_step * col[ell] + q * move * col[ell + 1] + move * col[ell - 1]
-        col = nxt
-        yield col
-
-
-def srw_g_table(alpha: RationalLike, q: int, order: int = DEFAULT_ORDER) -> GTable:
-    """Lazy-walk mass table from the three-term recurrence, exact rationals."""
     alpha = _check_alpha(alpha)
     _check_family_params(q, order)
     num, den = alpha.numerator, alpha.denominator
-    columns = list(_srw_scaled_columns(num, den, q, order))
-    base = den * (q + 1)
-    scales = [base ** n for n in range(order + 1)]
-    rows = tuple(
-        tuple(Fraction(columns[n][ell], scales[n]) for n in range(order + 1))
-        for ell in range(order + 1)
-    )
-    return GTable(q=q, rows=rows)
+    a_step, move = num * (q + 1), den - num
+
+    def columns() -> Iterator[list[int]]:
+        col = [1] + [0] * (order + 1)
+        yield col
+        for _ in range(order):
+            nxt = [a_step * col[0] + move * (q + 1) * col[1]] + [0] * (order + 1)
+            for ell in range(1, order + 1):
+                nxt[ell] = a_step * col[ell] + q * move * col[ell + 1] + move * col[ell - 1]
+            col = nxt
+            yield col
+
+    return columns(), den * (q + 1)
+
+
+def srw_g_table(alpha: RationalLike, q: int, order: int = DEFAULT_ORDER) -> GTable:
+    """Lazy-walk mass table from the three-term recurrence: column n is the
+    integer column f(., n) over S^n."""
+    columns, base = _srw_scaled_columns(alpha, q, order)
+    return GTable(q, tuple(tuple(col[:-1]) for col in columns),
+                  tuple(base ** n for n in range(order + 1)))
 
 
 def srw_return_sequence(alpha: RationalLike, q: int,
@@ -131,39 +143,23 @@ def srw_return_sequence(alpha: RationalLike, q: int,
     Cheaper than the full table for large orders; only two columns are alive
     at a time.
     """
-    alpha = _check_alpha(alpha)
-    _check_family_params(q, order)
-    num, den = alpha.numerator, alpha.denominator
-    returns = [col[0] for col in _srw_scaled_columns(num, den, q, order)]
-    return returns, den * (q + 1)
+    columns, base = _srw_scaled_columns(alpha, q, order)
+    return [col[0] for col in columns], base
 
 
 def sphere_g_table(q: int, order: int = DEFAULT_ORDER) -> GTable:
     """Uniform-sphere masses: 1 at the origin for n = 0, (q+1)^-1 q^(1-n) on
     the diagonal l = n >= 1, zero elsewhere."""
     _check_family_params(q, order)
-    zero = Fraction(0)
-    rows = []
-    for ell in range(order + 1):
-        row = [zero] * (order + 1)
-        if ell == 0:
-            row[0] = Fraction(1)
-        else:
-            row[ell] = Fraction(1, (q + 1) * q ** (ell - 1))
-        rows.append(tuple(row))
-    return GTable(q=q, rows=tuple(rows))
+    columns = tuple((0,) * n + (1,) + (0,) * (order - n) for n in range(order + 1))
+    return GTable(q, columns, tuple(sphere_size(q, n) for n in range(order + 1)))
 
 
 def ball_g_table(q: int, order: int = DEFAULT_ORDER) -> GTable:
     """Uniform-ball masses: (q-1)/(q^(n+1)+q^n-2) for l <= n, zero above."""
     _check_family_params(q, order)
-    zero = Fraction(0)
-    level = [Fraction(q - 1, q ** (n + 1) + q ** n - 2) for n in range(order + 1)]
-    rows = tuple(
-        tuple(level[n] if ell <= n else zero for n in range(order + 1))
-        for ell in range(order + 1)
-    )
-    return GTable(q=q, rows=rows)
+    columns = tuple((1,) * (n + 1) + (0,) * (order - n) for n in range(order + 1))
+    return GTable(q, columns, tuple(ball_size(q, n) for n in range(order + 1)))
 
 
 @dataclass(frozen=True)
@@ -185,30 +181,36 @@ class GFBundle:
 
 
 def bundle_from_table(table: GTable) -> GFBundle:
-    """Evaluate the bundle directly from a mass table (the ground truth)."""
+    """Evaluate the bundle directly from a mass table (the ground truth): one
+    integer Horner pass per column gives the column's polynomial and its
+    derivative at q, each over the column's scale."""
     q = table.q
-    order = table.order
-    g_at_q = []
-    g1_at_q = []
-    for n in range(order + 1):
-        col = table.column(n)
-        g_at_q.append(sum((col[ell] * q ** ell for ell in range(order + 1)), Fraction(0)))
-        g1_at_q.append(sum((ell * col[ell] * _qpow(q, ell - 1) for ell in range(1, order + 1)),
-                           Fraction(0)))
-    gammas = tuple(table.row_series(ell) for ell in range(order + 1))
-    return GFBundle(q=q, g_at_q=Series(g_at_q), g1_at_q=Series(g1_at_q), gammas=gammas)
+    g_num, g1_num = [], []
+    for col in table.columns:
+        value = slope = 0
+        for x in reversed(col):
+            slope = slope * q + value
+            value = value * q + x
+        g_num.append(value)
+        g1_num.append(slope)
+    gammas = tuple(Series.over(row, table.scales) for row in zip(*table.columns))
+    return GFBundle(q=q, g_at_q=Series.over(g_num, table.scales),
+                    g1_at_q=Series.over(g1_num, table.scales), gammas=gammas)
 
 
-def _srw_phi_parts(alpha: Fraction, q: int, order: int):
-    """Shared building blocks of the walk closed form at truncation ``order``."""
-    one_minus_ay = Series([1, -alpha], order=order)
-    y2 = Series.monomial(2, order)
-    disc = (Fraction((q + 1) ** 2, 4) * one_minus_ay * one_minus_ay
-            - q * (1 - alpha) ** 2 * y2)
-    root = disc.sqrt()  # constant term (q+1)/2, all coefficients rational
-    phi1 = Fraction(q - 1, 2) * one_minus_ay + root
-    phi2 = Fraction(q + 1, 2) * one_minus_ay + root
-    return phi1, phi2
+def _srw_closed_parts(alpha: RationalLike, q: int, order: int) -> tuple[Series, ...]:
+    """gamma, 2 phi2 and 2 (1-alpha) y of the walk closed form, as integer
+    series over S. Doubling phi1 = (q-1)/2 (1-alpha y) + sqrt(D) and phi2 =
+    (q+1)/2 (1-alpha y) + sqrt(D) clears their halves: 2 sqrt(D) is the root
+    of 4D = (q+1)^2 (1-alpha y)^2 - 4q (1-alpha)^2 y^2."""
+    alpha = _check_alpha(alpha)
+    _check_family_params(q, order)
+    base = alpha.denominator * (q + 1)
+    line = Series.scaled([1, -alpha], base, order)
+    root = (line * line * (q + 1) ** 2
+            - Series.scaled([0, 0, 4 * q * (1 - alpha) ** 2], base, order)).sqrt()
+    gamma = Series.scaled([2 * q], base, order) / (line * (q - 1) + root)
+    return gamma, line * (q + 1) + root, Series.scaled([0, 2 * (1 - alpha)], base, order)
 
 
 def srw_closed_form(alpha: RationalLike, q: int, order: int = DEFAULT_ORDER) -> GFBundle:
@@ -217,14 +219,10 @@ def srw_closed_form(alpha: RationalLike, q: int, order: int = DEFAULT_ORDER) -> 
     ``gammas`` holds only the return series gamma = gamma_0; higher rows come
     from :func:`srw_closed_form_rows` or the table route.
     """
-    alpha = _check_alpha(alpha)
-    _check_family_params(q, order)
-    phi1, phi2 = _srw_phi_parts(alpha, q, order)
-    gamma = Fraction(q) / phi1
-    # phi3 at x = q: phi2 - (1-alpha) q y
-    phi3_at_q = phi2 - Series.monomial(1, order, (1 - alpha) * q)
+    gamma, phi2, step = _srw_closed_parts(alpha, q, order)
+    phi3_at_q = phi2 - step * q  # 2 phi3 at x = q: 2 phi2 - 2 (1-alpha) q y
     g_at_q = phi2 * gamma / phi3_at_q
-    g1_at_q = ((1 - alpha) * g_at_q / phi3_at_q).shifted(1)
+    g1_at_q = step * g_at_q / phi3_at_q  # (1-alpha) y G(q, y) / phi3
     return GFBundle(q=q, g_at_q=g_at_q, g1_at_q=g1_at_q, gammas=(gamma,))
 
 
@@ -234,86 +232,50 @@ def srw_closed_form_rows(alpha: RationalLike, q: int, order: int, count: int) ->
     The bivariate function is geometric in x with ratio (1-alpha) y / phi2,
     so row l equals gamma times the l-th power of that ratio.
     """
-    alpha = _check_alpha(alpha)
-    _check_family_params(q, order)
-    phi1, phi2 = _srw_phi_parts(alpha, q, order)
-    gamma = Fraction(q) / phi1
-    ratio = Series.monomial(1, order, 1 - alpha) / phi2
-    rows = [gamma]
-    for _ in range(count - 1):
-        rows.append(rows[-1] * ratio)
-    return rows
+    gamma, phi2, step = _srw_closed_parts(alpha, q, order)
+    return list(accumulate([step / phi2] * (count - 1), mul, initial=gamma))
 
 
 def sphere_gf(q: int, order: int = DEFAULT_ORDER) -> GFBundle:
-    """Sphere-family bundle from its closed coefficient values.
+    """Sphere-family bundle, evaluated termwise from the one-shell masses.
 
     Coefficient of y^n in the x = q evaluation is 1 for n = 0 and q/(q+1)
     for n >= 1; in the x-derivative it is n/(q+1). Row i is supported at
     n = i only.
     """
-    _check_family_params(q, order)
-    g_at_q = Series([Fraction(1)] + [Fraction(q, q + 1)] * order)
-    g1_at_q = Series([Fraction(n, q + 1) for n in range(order + 1)])
-    gammas = []
-    for i in range(order + 1):
-        value = Fraction(1) if i == 0 else Fraction(1, (q + 1) * q ** (i - 1))
-        gammas.append(Series.monomial(i, order, value))
-    return GFBundle(q=q, g_at_q=g_at_q, g1_at_q=g1_at_q, gammas=tuple(gammas))
+    return bundle_from_table(sphere_g_table(q, order))
 
 
 def ball_gf(q: int, order: int = DEFAULT_ORDER) -> GFBundle:
     """Ball-family bundle, evaluated termwise from the flat level masses."""
-    _check_family_params(q, order)
     return bundle_from_table(ball_g_table(q, order))
 
 
-def functional_equation_residuals(rows: Sequence[Series], gamma: Series,
-                                  alpha: RationalLike, q: int) -> list[Series]:
-    """Residual series, per x-degree, of the defining walk-family identity.
+def check_functional_equation(source: GTable | Sequence[Series], alpha: RationalLike,
+                              q: int) -> bool:
+    """True iff the defining walk-family identity holds for the given rows.
 
-    With C_l(y) the distance-l row, the identity q*x = ((q+1)(x - alpha*x*y)
+    ``source`` may be a mass table (rows read off it) or an explicit row list,
+    e.g. from :func:`srw_closed_form_rows`; gamma is the first row. With
+    C_l(y) the distance-l row, the identity q*x = ((q+1)(x - alpha*x*y)
     - q(1-alpha)y - (1-alpha)x^2 y) G + (-x + alpha*x*y + q(1-alpha)y) gamma
     splits over powers of x into one univariate identity per degree; a valid
-    (rows, gamma) pair makes every residual vanish identically.
+    row list makes every residual vanish identically.
     """
     alpha = _check_alpha(alpha)
-    order = gamma.order
+    rows = ([source.row_series(ell) for ell in range(source.order + 1)]
+            if isinstance(source, GTable) else list(source))
+    gamma, order = rows[0], rows[0].order
     one_minus_ay = Series([1, -alpha], order=order)
-    y = Series.monomial(1, order)
-    zero = Series.zero(order)
-
-    residuals = []
-    for k in range(len(rows)):
-        acc = zero
-        if k >= 1:
-            acc = acc + (q + 1) * one_minus_ay * rows[k - 1]
-        acc = acc - q * (1 - alpha) * y * rows[k]
-        if k >= 2:
-            acc = acc - (1 - alpha) * y * rows[k - 2]
-        if k == 0:
-            acc = acc + q * (1 - alpha) * y * gamma
-        elif k == 1:
-            acc = acc - one_minus_ay * gamma
-            acc = acc - Series.constant(q, order)
-        residuals.append(acc)
-    return residuals
-
-
-def check_functional_equation(source: GTable | Sequence[Series], alpha: RationalLike,
-                              q: int, gamma: Series | None = None) -> bool:
-    """True iff the walk-family identity holds for the given rows.
-
-    ``source`` may be a mass table (rows and gamma read off it) or an explicit
-    row list, e.g. from :func:`srw_closed_form_rows`.
-    """
-    if isinstance(source, GTable):
-        rows: Sequence[Series] = [source.row_series(ell) for ell in range(source.order + 1)]
-    else:
-        rows = list(source)
-    if gamma is None:
-        gamma = rows[0]
-    return all(res.is_zero() for res in functional_equation_residuals(rows, gamma, alpha, q))
+    y = Series([0, 1], order=order)
+    zero = Series([0], order=order)
+    padded = [zero, zero, *rows]
+    residuals = [(q + 1) * one_minus_ay * padded[k + 1] - q * (1 - alpha) * y * padded[k + 2]
+                 - (1 - alpha) * y * padded[k] for k in range(len(rows))]
+    residuals[0] = residuals[0] + q * (1 - alpha) * y * gamma
+    if len(rows) > 1:
+        residuals[1] = residuals[1] - one_minus_ay * gamma - q
+    return all(res.is_zero() for res in residuals)
 
 
 def w1_via_genfun(bundle: GFBundle, geometry: PairGeometry, n: int) -> Fraction:
@@ -345,12 +307,14 @@ def w1_via_genfun(bundle: GFBundle, geometry: PairGeometry, n: int) -> Fraction:
                + (2 * i - 2 * delta_p - Fraction(2, q - 1)) * _qpow(q, i - delta_p)
                + (Fraction(2 * i, q) - Fraction(2 * delta, q) - Fraction(2, q - 1))
                * _qpow(q, i - delta))
-        gamma_i = bundle.gammas[i][n]
-        if gamma_i:
-            total += w_i * gamma_i
+        total += w_i * bundle.gammas[i][n]
     return total
 
 
 def srw_profile(alpha: RationalLike, q: int, n: int) -> RadialProfile:
-    """Time-n walk distribution as a radial profile."""
-    return srw_g_table(alpha, q, n).column_profile(n)
+    """Time-n walk distribution as a radial profile: the last column of the
+    recurrence, over S^n."""
+    columns, base = _srw_scaled_columns(alpha, q, n)
+    for col in columns:
+        pass
+    return RadialProfile(col[:-1], base ** n)

@@ -16,7 +16,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .rational import format_rational, parse_rational
+from .rational import _shown, format_rational, parse_rational
 from .tree import Measure, Tree, validate_tree
 
 
@@ -71,7 +71,10 @@ def instance_from_dict(doc: dict) -> tuple[Tree, Measure, Measure]:
         for name, raw in doc[field].items():
             if name not in by_name:
                 raise ValueError(f"{field}[{name!r}] references an unknown vertex")
-            masses[by_name[name]] = parse_rational(raw)
+            try:
+                masses[by_name[name]] = parse_rational(raw)
+            except ValueError as exc:
+                raise ValueError(f"{field}[{_shown(name)}]: {exc}") from None
         return Measure(masses)
 
     return tree, read_measure("mu"), read_measure("nu")

@@ -16,9 +16,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from typing import Sequence
 
 from .errors import InvalidParams, TruncationTooSmall
-from .rational import _frac
+from .rational import RationalLike, _over_lcm
 from .tree import Flow, Measure, Potential, Tree, validate_tree
 
 
@@ -63,31 +65,45 @@ class BasepointCoord:
     h: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RadialProfile:
-    """Nonnegative masses by distance from the center; finite support."""
+    """Nonnegative masses s(l) = num[l] / scale by distance from the center;
+    finite support, some mass.
 
-    values: tuple[Fraction, ...]
+    Built from rational ``values``, or from integer numerators over a given
+    ``scale`` (a walk column over S^n). Kept in lowest terms, so equal
+    profiles compare equal.
+    """
 
-    def __post_init__(self) -> None:
-        vals = tuple(_frac(x) for x in self.values)
-        if any(x < 0 for x in vals):
+    num: tuple[int, ...]
+    scale: int
+
+    def __init__(self, values: Sequence[RationalLike], scale: int | None = None):
+        if scale is None:
+            values, scale = _over_lcm(values)
+        if any(x < 0 for x in values):
             raise ValueError("profile entries must be nonnegative")
-        if not any(vals):
+        if not any(values):
             raise ValueError("profile must carry some mass")
-        object.__setattr__(self, "values", vals)
+        common = gcd(scale, *values)
+        object.__setattr__(self, "num", tuple(x // common for x in values))
+        object.__setattr__(self, "scale", scale // common)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.scale) for x in self.num)
 
     @property
     def support_radius(self) -> int:
         last = 0
-        for ell, x in enumerate(self.values):
+        for ell, x in enumerate(self.num):
             if x:
                 last = ell
         return last
 
     def value(self, ell: int) -> Fraction:
-        if 0 <= ell < len(self.values):
-            return self.values[ell]
+        if 0 <= ell < len(self.num):
+            return Fraction(self.num[ell], self.scale)
         return Fraction(0)
 
 
@@ -104,28 +120,23 @@ def ball_size(q: int, radius: int) -> int:
 
 
 def point_mass_profile() -> RadialProfile:
-    return RadialProfile((Fraction(1),))
+    return RadialProfile((1,), 1)
 
 
 def sphere_profile(q: int, radius: int) -> RadialProfile:
     """Uniform distribution on the radius-``radius`` sphere."""
-    if radius == 0:
-        return point_mass_profile()
-    values = [Fraction(0)] * (radius + 1)
-    values[radius] = Fraction(1, sphere_size(q, radius))
-    return RadialProfile(tuple(values))
+    return RadialProfile((0,) * radius + (1,), sphere_size(q, radius))
 
 
 def ball_profile(q: int, radius: int) -> RadialProfile:
     """Uniform distribution on the radius-``radius`` ball."""
-    mass = Fraction(1, ball_size(q, radius))
-    return RadialProfile((mass,) * (radius + 1))
+    return RadialProfile((1,) * (radius + 1), ball_size(q, radius))
 
 
 def profile_total_mass(q: int, profile: RadialProfile) -> Fraction:
     """Total mass of a radial measure: sum of s(l) times the sphere size."""
-    return sum((profile.value(ell) * sphere_size(q, ell)
-                for ell in range(profile.support_radius + 1)), Fraction(0))
+    return Fraction(sum(x * sphere_size(q, ell) for ell, x in enumerate(profile.num)),
+                    profile.scale)
 
 
 @dataclass(frozen=True)
@@ -197,12 +208,13 @@ def radial_measure(truncation: TruncatedRegularTree, center: int, profile: Radia
     q = truncation.geometry.q
     dist = truncation.tree.bfs_distances(center)
     top = profile.support_radius
+    shells = profile.values
     counts = [0] * (top + 1)
     masses: dict[int, Fraction] = {}
     for v, ell in enumerate(dist):
         if ell <= top:
             counts[ell] += 1
-            mass = profile.value(ell)
+            mass = shells[ell]
             if mass:
                 masses[v] = mass
     for ell in range(top + 1):
@@ -230,26 +242,31 @@ def radial_potential_field(truncation: TruncatedRegularTree) -> Potential:
     return Potential(tuple(radial_potential(c, geom) for c in truncation.coords))
 
 
+def _padded(profile: RadialProfile, d: int) -> tuple[int, ...]:
+    """The profile's numerators to its support radius, then d zeros: every
+    index the formulas read."""
+    return profile.num[:profile.support_radius + 1] + (0,) * d
+
+
 def w1_radial_formula(profile: RadialProfile, geometry: PairGeometry) -> Fraction:
     """Transport distance between the X- and Y-centered copies of a profile,
     as the potential-weighted sum over vertex classes.
 
     Three blocks: vertices hanging above X or Y, path vertices strictly
-    between them, and vertices hanging above interior path vertices.
+    between them, and vertices hanging above interior path vertices. The sums
+    run on the profile's integer numerators with the potential doubled (so
+    d/2 - i + h becomes d - 2i + 2h), then divide once by the scale.
     """
     q, d = geometry.q, geometry.d
-    s = profile.value
+    s = _padded(profile, d)
     top = profile.support_radius
-    half_d = geometry.half_d
+    inner = range(1, geometry.delta + 1)
 
-    s1 = 2 * sum((q ** h * (s(h) - s(h + d)) * (half_d + h)
-                  for h in range(top + 1)), Fraction(0))
-    s2 = 2 * sum(((s(i) - s(d - i)) * (half_d - i)
-                  for i in range(1, geometry.delta + 1)), Fraction(0))
-    s3 = 2 * sum(((q - 1) * q ** (h - 1) * (s(i + h) - s(d - i + h)) * (half_d - i + h)
-                  for i in range(1, geometry.delta + 1)
-                  for h in range(1, top + 1)), Fraction(0))
-    return s1 + s2 + s3
+    s1 = sum(q ** h * (s[h] - s[h + d]) * (d + 2 * h) for h in range(top + 1))
+    s2 = sum((s[i] - s[d - i]) * (d - 2 * i) for i in inner)
+    s3 = sum((q - 1) * q ** (h - 1) * (s[i + h] - s[d - i + h]) * (d - 2 * i + 2 * h)
+             for i in inner for h in range(1, top + 1))
+    return Fraction(s1 + s2 + s3, profile.scale)
 
 
 def w1_radial_flow_formula(profile: RadialProfile, geometry: PairGeometry) -> Fraction:
@@ -258,29 +275,30 @@ def w1_radial_flow_formula(profile: RadialProfile, geometry: PairGeometry) -> Fr
 
     Edge classes: edges above X or Y, edges above interior path vertices, and
     the d path edges themselves. All inner sums terminate at the profile's
-    support radius because every further term vanishes.
+    support radius because every further term vanishes. The sums run on the
+    integer numerators and divide once by the scale.
     """
     q, d = geometry.q, geometry.d
-    s = profile.value
+    s = _padded(profile, d)
     top = profile.support_radius
 
-    e1 = 2 * sum((q ** (h + i) * (s(h + i) - s(d + h + i))
-                  for h in range(top + 1)
-                  for i in range(1, top - h + 1)), Fraction(0))
+    e1 = 2 * sum(q ** (h + i) * (s[h + i] - s[d + h + i])
+                 for h in range(top + 1)
+                 for i in range(1, top - h + 1))
 
-    e2 = 2 * sum(((q - 1) * q ** (h + i - 1) * (s(b + h + i) - s(d - b + h + i))
-                  for b in range(1, (d - 1) // 2 + 1)
-                  for h in range(top + 1)
-                  for i in range(1, top - b - h + 1)), Fraction(0))
+    e2 = 2 * sum((q - 1) * q ** (h + i - 1) * (s[b + h + i] - s[d - b + h + i])
+                 for b in range(1, (d - 1) // 2 + 1)
+                 for h in range(top + 1)
+                 for i in range(1, top - b - h + 1))
 
-    e3 = Fraction(0)
+    e3 = 0
     for a in range(d):
-        e3 += sum((q ** h * (s(h) - s(d + h)) for h in range(top + 1)), Fraction(0))
-        e3 += sum((s(i) - s(d - i) for i in range(1, a + 1)), Fraction(0))
-        e3 += sum(((q - 1) * q ** (h - 1) * (s(i + h) - s(d - i + h))
-                   for i in range(1, a + 1)
-                   for h in range(1, top + 1)), Fraction(0))
-    return e1 + e2 + e3
+        e3 += sum(q ** h * (s[h] - s[d + h]) for h in range(top + 1))
+        e3 += sum(s[i] - s[d - i] for i in range(1, a + 1))
+        e3 += sum((q - 1) * q ** (h - 1) * (s[i + h] - s[d - i + h])
+                  for i in range(1, a + 1)
+                  for h in range(1, top + 1))
+    return Fraction(e1 + e2 + e3, profile.scale)
 
 
 def flow_direction_check(truncation: TruncatedRegularTree, flow: Flow) -> bool:

@@ -206,7 +206,7 @@ def suite_series(seed: int = DEFAULT_SEED, order: int = 24) -> RunReport:
             # A perturbed table must be rejected.
             rows = [list(row) for row in table.rows]
             rows[1][2] += Fraction(1, 7)
-            broken = GTable(q=q, rows=tuple(tuple(r) for r in rows))
+            broken = GTable.of(q, rows)
             report.add({"alpha": str(alpha), "q": q, "order": order, "check": "perturbation"},
                        "genfun", not check_functional_equation(broken, alpha, q))
     return report

@@ -24,6 +24,14 @@ from .rational import RationalLike, _frac
 #: over L (about 128 MiB of digits). Larger instances raise :class:`TooLarge`.
 MAX_CHARGE_BITS = 2 ** 30
 
+#: Cap on bits(S) * order for the families' size knobs (``series --order``,
+#: ``sweep --n``), where S is the per-step scale: den(alpha) * (q+1) for the
+#: walk, q + 1 for spheres and balls. A time-n coefficient has a denominator of
+#: about n * bits(S) bits at most, so every printed rational stays near 620
+#: digits, far under Python's 4,300-digit limit, and one series runs in under
+#: a second. Larger requests raise :class:`TooLarge`.
+MAX_SERIES_BITS = 2 ** 11
+
 
 def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, dict, tuple, tuple]:
     """Map labels to dense indices, check the edges, and build the sorted adjacency.

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -104,6 +106,19 @@ class TestW1Command:
         code, out, err = run_cli(capsys, "w1", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and repr(mass) in err
+
+    def test_overlong_mass_is_an_input_error(self, capsys, tmp_path):
+        # Python refuses to read integers of more than 4,300 digits; the
+        # refusal must name the field and the vertex, and not echo the value.
+        path = tmp_path / "mass.json"
+        mass = "1/" + "7" * 5000
+        path.write_text(json.dumps({
+            "vertices": ["a", "b"], "edges": [["a", "b"]],
+            "mu": {"a": mass}, "nu": {"b": mass}}))
+        code, out, err = run_cli(capsys, "w1", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: mu['a']: ") and "5000-digit" in err
+        assert len(err) < 200
 
     @pytest.mark.parametrize("doc, message", [
         ({"vertices": [1, "1"], "edges": [[1, "1"]], "mu": {"1": "1"}, "nu": {"1": "1"}},
@@ -284,6 +299,48 @@ class TestSeriesCommand:
                                "--order", "5", "--emit", "json")
         rows = json.loads(out)
         assert rows[5]["g1_at_q"] == "5/3"
+
+
+    # sha256 of the stdout, recorded before the walk family moved to integers.
+    @pytest.mark.parametrize("argv, digest", [
+        (("--family", "srw", "--alpha", "1/2", "--q", "3", "--order", "256"),
+         "46460e4d14ca56293ddde6d12ff8a189a0558cd00922067499daa5f5258f7a3e"),
+        (("--family", "ball", "--q", "3", "--order", "128"),
+         "7c0d0a9457bcbb2c0abe370ece14b7496a8849a3690bd802b83518ac1d1281c3"),
+    ], ids=["srw-256", "ball-128"])
+    def test_json_dump_is_byte_identical(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "series", *argv, "--emit", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestSeriesSizeCap:
+    @pytest.mark.parametrize("argv", [
+        ("series", "--family", "srw", "--alpha", "1/" + "1" + "0" * 27, "--q", "3",
+         "--order", "150"),
+        ("series", "--family", "srw", "--alpha", "1/2", "--q", "3", "--order", "2000"),
+        ("series", "--family", "ball", "--q", "3", "--order", "2000"),
+    ], ids=["srw-long-alpha", "srw-order", "ball-order"])
+    def test_series_order_refused_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: --order ") and "2048-bit series cap" in err
+
+    @pytest.mark.parametrize("family", ["srw", "sphere"])
+    def test_sweep_n_refused_fast(self, capsys, family):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sweep", "--family", family, "--alpha", "1/2",
+                                 "--q", "3", "--d", "1", "--n", "3000..3000")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: --n 3000 ") and "series cap" in err
+
+    def test_paper_sizes_fit_under_the_cap(self, capsys):
+        from treeot.tree import MAX_SERIES_BITS
+        assert 256 * (2 * 4).bit_length() <= MAX_SERIES_BITS  # series order 256, alpha 1/2, q 3
+        assert 240 * (2 * 4).bit_length() <= MAX_SERIES_BITS  # criterion 8's order
 
 
 class TestAsymCommand:

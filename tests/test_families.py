@@ -6,6 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeot import (GTable, InvalidAlpha, OrderExceeded, PairGeometry, Series,
                     ball_g_table, ball_gf, build_truncated_tree, bundle_from_table,
@@ -110,6 +112,22 @@ class TestClosedForm:
         assert all(gamma[k] == 0 for k in range(1, 2 * order, 2))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda r: st.tuples(st.integers(0, r - 1), st.just(r))),
+       st.integers(2, 7), st.integers(0, 40))
+def test_closed_form_equals_table(pr, q, order):
+    alpha = Fraction(*pr)
+    table = srw_g_table(alpha, q, order)
+    tabled = bundle_from_table(table)
+    closed = srw_closed_form(alpha, q, order)
+    assert closed.gammas[0] == tabled.gammas[0]
+    assert closed.g_at_q == tabled.g_at_q
+    assert closed.g1_at_q == tabled.g1_at_q
+    count = min(order + 1, 4)
+    rows = srw_closed_form_rows(alpha, q, order, count)
+    assert rows == [table.row_series(ell) for ell in range(count)]
+
+
 class TestFunctionalEquation:
     @pytest.mark.parametrize("alpha,q", [(Fraction(1, 2), 2), (Fraction(0), 3)])
     def test_table_satisfies_identity(self, alpha, q):
@@ -125,7 +143,7 @@ class TestFunctionalEquation:
         table = srw_g_table(alpha, q, 10)
         rows = [list(row) for row in table.rows]
         rows[2][4] += Fraction(1, 1000)
-        broken = GTable(q=q, rows=tuple(tuple(r) for r in rows))
+        broken = GTable.of(q, rows)
         assert not check_functional_equation(broken, alpha, q)
 
 
@@ -241,6 +259,20 @@ class TestGammaSmallness:
         for i in range(3):
             for n in range(i, 13):
                 assert bundle.gammas[i][n] <= table.value(0, n)
+
+
+def test_profile_reads_the_last_recurrence_column(monkeypatch):
+    import treeot.families as families
+    expected = {(alpha, q, n): srw_g_table(alpha, q, n).column_profile(n)
+                for alpha in (Fraction(0), Fraction(2, 7)) for q in (2, 5) for n in (0, 1, 6)}
+
+    def no_table(*args):
+        raise AssertionError("srw_profile built the whole table")
+
+    monkeypatch.setattr(families, "srw_g_table", no_table)
+    for (alpha, q, n), profile in expected.items():
+        assert srw_profile(alpha, q, n) == profile
+        assert srw_profile(alpha, q, n).values == profile.values
 
 
 def test_profile_column_total_is_one():

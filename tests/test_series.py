@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeot import NonSquareConstantTerm, NonUnitDivisor, OrderExceeded, Series
+from treeot import (InexactDivision, NonSquareConstantTerm, NonUnitDivisor, OrderExceeded,
+                    Series)
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
@@ -102,3 +103,39 @@ def test_ring_axioms(a, b, c):
     assert f * g == g * f
     assert f * (g + h) == f * g + f * h
     assert (f + g) + h == f + (g + h)
+
+
+class TestScaled:
+    """Integer series over a base: coefficient k is num[k] / base**k."""
+
+    def test_walk_discriminant_root_needs_the_walk_base(self):
+        # 4D for alpha = 0, q = 3 is 16 - 12 y^2. Over base 4 = den(alpha)(q+1)
+        # its root has integer numerators; over base 1 the y^2 step, -12 / 8,
+        # is not an integer and must raise rather than round.
+        q, order = 3, 12
+        disc = [(q + 1) ** 2, 0, -4 * q]
+        root = Series.scaled(disc, q + 1, order).sqrt()
+        assert root == Series(disc, order=order).sqrt()
+        with pytest.raises(InexactDivision):
+            Series.scaled(disc, 1, order).sqrt()
+
+    def test_inexact_quotient_raises(self):
+        one, two_plus_y = Series.scaled([1], 1, 4), Series.scaled([2, 1], 1, 4)
+        with pytest.raises(InexactDivision):
+            one / two_plus_y
+        half_step = [1, Fraction(-1, 2)]
+        exact = Series.scaled([1], 2, 4) / Series.scaled(half_step, 2, 4)
+        assert exact.base == 2
+        assert exact == 1 / Series(half_step, order=4)
+
+    def test_coefficients_the_base_cannot_clear_are_refused(self):
+        with pytest.raises(InexactDivision):
+            Series.scaled([1, Fraction(1, 3)], 2, 3)
+
+    def test_mixed_bases_fall_back_to_fractions(self):
+        f = Series.scaled([1, Fraction(1, 2)], 2, 5)
+        g = Series.scaled([1, Fraction(1, 3)], 3, 5)
+        assert (f * f).base == 2
+        assert f * g == Series([1, Fraction(1, 2)], order=5) * Series([1, Fraction(1, 3)], order=5)
+        assert (f * g).base is None
+        assert f.base is None  # reading its coefficients left f with the Fractions only
