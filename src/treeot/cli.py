@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -30,8 +31,8 @@ from .instances import dump_instance, load_instance
 from .lp import FiniteGraph, verify_duality
 from .rational import decimal_string, format_rational, parse_rational
 from .regular import (PairGeometry, RadialProfile, ball_profile, build_truncated_tree,
-                      radial_measure, sphere_profile, w1_radial_flow_formula,
-                      w1_radial_formula)
+                      radial_measure, sphere_profile, truncation_size,
+                      w1_radial_flow_formula, w1_radial_formula)
 from .suites import DEFAULT_SEED, INEQUALITY_GRID, SUITE_NAMES, inequality_cell, run_suite
 from .tree import (MAX_SERIES_BITS, assignment_from, flow_cost, good_potential,
                    potential_value, unique_flow, w1_tree)
@@ -56,9 +57,21 @@ def _parse_alpha_list(text: str) -> list[Fraction]:
     return [parse_rational(chunk.strip()) for chunk in text.split(",")]
 
 
-def parse_profile_spec(spec: str, q: int) -> tuple[str, Fraction | None, int, RadialProfile]:
+def _support_radius(fields: dict, key: str, q: int, d: int | None) -> int:
+    """A named profile's support radius ``fields[key]``; given ``d``, refuses
+    its truncation over the size cap before the profile is built."""
+    radius = int(fields.get(key, "1"))
+    if d is not None:
+        truncation_size(q, d, radius + d)
+    return radius
+
+
+def parse_profile_spec(spec: str, q: int,
+                       d: int | None = None) -> tuple[str, Fraction | None, int, RadialProfile]:
     """Profile mini-language: ``srw:alpha=1/2,n=6`` | ``sphere:r=6`` |
-    ``ball:r=6`` | ``custom:[1/2,0,1/3]``."""
+    ``ball:r=6`` | ``custom:[1/2,0,1/3]``. Given the center distance ``d``,
+    an ``srw``, ``sphere`` or ``ball`` profile is sized against the truncation
+    cap first."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "custom":
@@ -75,13 +88,13 @@ def parse_profile_spec(spec: str, q: int) -> tuple[str, Fraction | None, int, Ra
         fields[key.strip()] = value.strip()
     if kind == "srw":
         alpha = parse_rational(fields.get("alpha", "0"))
-        n = int(fields.get("n", "1"))
+        n = _support_radius(fields, "n", q, d)
         return "srw", alpha, n, srw_profile(alpha, q, n)
     if kind == "sphere":
-        r = int(fields.get("r", "1"))
+        r = _support_radius(fields, "r", q, d)
         return "sphere", None, r, sphere_profile(q, r)
     if kind == "ball":
-        r = int(fields.get("r", "1"))
+        r = _support_radius(fields, "r", q, d)
         return "ball", None, r, ball_profile(q, r)
     raise ValueError(f"unknown profile kind {kind!r}")
 
@@ -140,7 +153,7 @@ def _cmd_w1_radial(args: argparse.Namespace) -> int:
     if args.q is None or args.d is None:
         raise ValueError("--radial needs --q and --d")
     geometry = PairGeometry(args.q, args.d)
-    kind, _, _, profile = parse_profile_spec(args.radial, args.q)
+    kind, _, _, profile = parse_profile_spec(args.radial, args.q, args.d)
     truncation = build_truncated_tree(args.q, args.d, profile.support_radius + args.d)
     mu = radial_measure(truncation, truncation.x, profile)
     nu = radial_measure(truncation, truncation.y, profile)
@@ -369,9 +382,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first :func:`main` call and kept for the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (TreeOTError, ValueError, OSError) as exc:

@@ -13,6 +13,7 @@ exactness survives the round trip.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,6 +97,12 @@ def load_instance(path: str | Path) -> tuple[Tree, Measure, Measure]:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, "
                              f"column {exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:  # the one left: an integer past Python's digit limit
+            raise ValueError(f"{path}: a JSON number has over {sys.get_int_max_str_digits()} "
+                             f"digits, Python's limit for integer strings; masses travel "
+                             f"as \"p/q\" strings") from exc
     return instance_from_dict(doc)
 
 

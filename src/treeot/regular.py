@@ -13,15 +13,14 @@ the infinite-tree answer exactly.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .errors import InvalidParams, TruncationTooSmall
+from .errors import InvalidParams, TooLarge, TruncationTooSmall
 from .rational import RationalLike, _over_lcm
-from .tree import Flow, Measure, Potential, Tree, validate_tree
+from .tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, Flow, Measure, Potential, Tree
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,10 @@ class PairGeometry:
             raise InvalidParams(f"branching number q must be >= 2, got {self.q}")
         if self.d < 1:
             raise InvalidParams(f"center distance d must be >= 1, got {self.d}")
+        bits = self.q.bit_length() * self.delta_prime
+        if bits > MAX_SERIES_BITS:
+            raise TooLarge(f"q^(d/2) for q = {self.q}, d = {self.d} takes {bits} bits, over "
+                           f"the {MAX_SERIES_BITS}-bit cap on bits(q) * ceil(d/2)")
 
     @property
     def delta(self) -> int:
@@ -95,11 +98,7 @@ class RadialProfile:
 
     @property
     def support_radius(self) -> int:
-        last = 0
-        for ell, x in enumerate(self.num):
-            if x:
-                last = ell
-        return last
+        return max(ell for ell, x in enumerate(self.num) if x)
 
     def value(self, ell: int) -> Fraction:
         if 0 <= ell < len(self.num):
@@ -139,12 +138,28 @@ def profile_total_mass(q: int, profile: RadialProfile) -> Fraction:
                     profile.scale)
 
 
+def truncation_size(q: int, d: int, radius: int) -> int:
+    """Vertex count of :func:`build_truncated_tree`, summed level by level; raises
+    :class:`TooLarge` once a partial sum passes :data:`MAX_TRUNCATION_VERTICES`."""
+    total = d + 1
+    for i in range(d + 1):
+        level = q if i in (0, d) else q - 1
+        for _ in range(radius - min(i, d - i)):
+            total, level = total + level, level * q
+            if total > MAX_TRUNCATION_VERTICES:
+                raise TooLarge(f"the radius-{radius} truncation for q = {q}, d = {d} has over "
+                               f"{MAX_TRUNCATION_VERTICES:,} vertices (at least {q}^{radius}), "
+                               f"over the truncation cap; the closed formulas "
+                               f"(w1_radial_formula, treeot sweep) need no truncation")
+    return total
+
+
 @dataclass(frozen=True)
 class TruncatedRegularTree:
-    """Finite piece of the regular tree holding centers X and Y.
+    """Finite piece of the regular tree holding centers X and Y, rooted at X.
 
-    Every vertex within ``radius`` of X or Y is present with full degree
-    q + 1 unless it sits on the truncation boundary.
+    Every vertex within ``radius`` of X or Y is present with full degree q + 1
+    unless it sits on the truncation boundary; vertex v sits at (i[v], h[v]).
     """
 
     geometry: PairGeometry
@@ -153,70 +168,61 @@ class TruncatedRegularTree:
     x: int
     y: int
     path: tuple[int, ...]
-    coords: tuple[BasepointCoord, ...]
+    i: tuple[int, ...]
+    h: tuple[int, ...]
 
     def coord(self, v: int) -> BasepointCoord:
-        return self.coords[v]
+        return BasepointCoord(self.i[v], self.h[v])
 
 
 def build_truncated_tree(q: int, d: int, radius: int) -> TruncatedRegularTree:
-    """Truncation of the regular tree containing balls of ``radius`` around X and Y."""
+    """Truncation of the regular tree containing balls of ``radius`` around X and Y.
+
+    The path X = 0, ..., d = Y comes first; then each vertex, in id order, gets
+    its missing children while they stay within ``radius`` of a center. Every
+    parent precedes its children, so the tree comes from the parent array with
+    no BFS. Raises :class:`TooLarge`, before any work, over the size cap.
+    """
     geometry = PairGeometry(q, d)
     if radius < 0:
         raise InvalidParams(f"truncation radius must be >= 0, got {radius}")
-
-    edges: list[tuple[int, int]] = [(i, i + 1) for i in range(d)]
-    coords: list[BasepointCoord] = [BasepointCoord(i, 0) for i in range(d + 1)]
-    queue: deque[int] = deque()
-
-    def want_child(i: int, child_h: int) -> bool:
-        return min(i + child_h, d - i + child_h) <= radius
-
-    next_id = d + 1
-    for i in range(d + 1):
-        missing = q if i in (0, d) else q - 1
-        if not want_child(i, 1):
-            continue
-        for _ in range(missing):
-            coords.append(BasepointCoord(i, 1))
-            edges.append((i, next_id))
-            queue.append(next_id)
-            next_id += 1
-    while queue:
-        v = queue.popleft()
-        c = coords[v]
-        if not want_child(c.i, c.h + 1):
-            continue
-        for _ in range(q):
-            coords.append(BasepointCoord(c.i, c.h + 1))
-            edges.append((v, next_id))
-            queue.append(next_id)
-            next_id += 1
-
-    tree = validate_tree(range(next_id), edges)
-    return TruncatedRegularTree(geometry=geometry, radius=radius, tree=tree,
-                                x=0, y=d, path=tuple(range(d + 1)),
-                                coords=tuple(coords))
+    truncation_size(q, d, radius)
+    parent = [-1, *range(d)]
+    path_i = list(range(d + 1))
+    height = [0] * (d + 1)
+    # The loop also visits the vertices it appends.
+    for v, (i, h) in enumerate(zip(path_i, height)):
+        if min(i, d - i) + h < radius:
+            children = q - 1 if h == 0 and 0 < i < d else q
+            parent += [v] * children
+            path_i += [i] * children
+            height += [h + 1] * children
+    return TruncatedRegularTree(geometry=geometry, radius=radius,
+                                tree=Tree._from_parents(parent), x=0, y=d,
+                                path=tuple(range(d + 1)), i=tuple(path_i), h=tuple(height))
 
 
 def radial_measure(truncation: TruncatedRegularTree, center: int, profile: RadialProfile) -> Measure:
-    """Measure assigning mass s(dist(center, v)) to every vertex v.
+    """Measure assigning mass s(dist(center, v)) to every vertex v, for the
+    center X or Y; the distance is |i(center) - i| + h.
 
     Raises :class:`TruncationTooSmall` when the truncation clips any sphere
-    inside the profile's support.
+    inside the profile's support, and :class:`ValueError` for another center.
     """
+    if center not in (truncation.x, truncation.y):
+        raise ValueError(f"center must be X = {truncation.x} or Y = {truncation.y}, not {center}")
     q = truncation.geometry.q
-    dist = truncation.tree.bfs_distances(center)
+    to_path = [abs(truncation.i[center] - j) for j in truncation.path]  # path ids are 0..d
     top = profile.support_radius
     shells = profile.values
     counts = [0] * (top + 1)
     masses: dict[int, Fraction] = {}
-    for v, ell in enumerate(dist):
+    for v, (i, h) in enumerate(zip(truncation.i, truncation.h)):
+        ell = to_path[i] + h
         if ell <= top:
             counts[ell] += 1
-            mass = shells[ell]
-            if mass:
-                masses[v] = mass
+            if shells[ell]:
+                masses[v] = shells[ell]
     for ell in range(top + 1):
         if counts[ell] != sphere_size(q, ell):
             raise TruncationTooSmall(
@@ -239,7 +245,8 @@ def radial_potential(coord: BasepointCoord, geometry: PairGeometry) -> Fraction:
 def radial_potential_field(truncation: TruncatedRegularTree) -> Potential:
     """The closed-form potential evaluated at every vertex of a truncation."""
     geom = truncation.geometry
-    return Potential(tuple(radial_potential(c, geom) for c in truncation.coords))
+    return Potential(tuple(radial_potential(c, geom)
+                           for c in map(BasepointCoord, truncation.i, truncation.h)))
 
 
 def _padded(profile: RadialProfile, d: int) -> tuple[int, ...]:
@@ -291,9 +298,8 @@ def w1_radial_flow_formula(profile: RadialProfile, geometry: PairGeometry) -> Fr
                  for h in range(top + 1)
                  for i in range(1, top - b - h + 1))
 
-    e3 = 0
+    e3 = d * sum(q ** h * (s[h] - s[d + h]) for h in range(top + 1))
     for a in range(d):
-        e3 += sum(q ** h * (s[h] - s[d + h]) for h in range(top + 1))
         e3 += sum(s[i] - s[d - i] for i in range(1, a + 1))
         e3 += sum((q - 1) * q ** (h - 1) * (s[i + h] - s[d - i + h])
                   for i in range(1, a + 1)
@@ -309,21 +315,14 @@ def flow_direction_check(truncation: TruncatedRegularTree, flow: Flow) -> bool:
     the path it travels strictly from X to Y.
     """
     d = truncation.geometry.d
-    coords = truncation.coords
-    for u, v in truncation.tree.edges:
-        cu, cv = coords[u], coords[v]
-        if cu.h == 0 and cv.h == 0:
-            lo = min(cu.i, cv.i)
-            if flow.signed(truncation.path[lo], truncation.path[lo + 1]) <= 0:
+    parent = truncation.tree.parent
+    for v in range(1, len(parent)):
+        if truncation.h[v] == 0:  # a path edge, from the path vertex before v
+            if flow.signed(parent[v], v) <= 0:
                 return False
             continue
-        child, parent = (u, v) if cu.h > cv.h else (v, u)
-        toward_path = flow.signed(child, parent)
-        i2 = 2 * coords[child].i
-        if i2 < d and toward_path < 0:
-            return False
-        if i2 == d and toward_path != 0:
-            return False
-        if i2 > d and toward_path > 0:
+        toward_path = flow.signed(v, parent[v])
+        side = 2 * truncation.i[v] - d  # < 0 on the X half, 0 at the midpoint
+        if toward_path * side > 0 or (side == 0 and toward_path != 0):
             return False
     return True

@@ -29,8 +29,15 @@ MAX_CHARGE_BITS = 2 ** 30
 #: walk, q + 1 for spheres and balls. A time-n coefficient has a denominator of
 #: about n * bits(S) bits at most, so every printed rational stays near 620
 #: digits, far under Python's 4,300-digit limit, and one series runs in under
-#: a second. Larger requests raise :class:`TooLarge`.
+#: a second. Larger requests raise :class:`TooLarge`. The same cap bounds
+#: bits(q) * ceil(d / 2) for a center distance d, which sets the size of
+#: q^(d/2) in the asymptotes.
 MAX_SERIES_BITS = 2 ** 11
+
+#: Cap on the vertex count of a regular-tree truncation (``w1 --radial``).
+#: One at 10^6 vertices takes a few seconds; larger ones raise
+#: :class:`TooLarge`, and the closed formulas need no truncation.
+MAX_TRUNCATION_VERTICES = 10 ** 6
 
 
 def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, dict, tuple, tuple]:
@@ -67,13 +74,16 @@ def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, 
             raise DuplicateEdge(f"edge ({a!r}, {b!r}) appears more than once")
         seen.add(key)
         dense_edges.append(key)
+    return labels, index, tuple(dense_edges), _adjacency(len(labels), dense_edges)
 
-    neighbor_lists: list[list[int]] = [[] for _ in labels]
-    for u, v in dense_edges:
+
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbor tuples of vertices ``0..n-1`` from dense edges."""
+    neighbor_lists: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
         neighbor_lists[u].append(v)
         neighbor_lists[v].append(u)
-    adjacency = tuple(tuple(sorted(ns)) for ns in neighbor_lists)
-    return labels, index, tuple(dense_edges), adjacency
+    return tuple(tuple(sorted(ns)) for ns in neighbor_lists)
 
 
 def _bfs(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
@@ -90,18 +100,14 @@ def _bfs(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list
     return order, parent
 
 
-def _depths(order: Sequence[int], parent: Sequence[int]) -> list[int]:
-    """Hop distances from ``order[0]`` along a parent-before-child order; -1 where unreached."""
-    dist = [-1] * len(parent)
-    dist[order[0]] = 0
+def _hop_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
+    """Hop distances from ``source`` to every vertex; -1 where unreached."""
+    order, parent = _bfs(adjacency, source)
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
     for v in order[1:]:
         dist[v] = dist[parent[v]] + 1
     return dist
-
-
-def _hop_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
-    """Hop distances from ``source`` to every vertex; -1 where unreached."""
-    return _depths(*_bfs(adjacency, source))
 
 
 def _require_connected(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -124,9 +130,10 @@ class Tree:
     """Finite connected acyclic graph over dense vertex indices ``0..n-1``.
 
     ``labels`` preserves the caller's vertex identifiers; all other structures
-    (and all measures/flows/potentials) use the dense indices. ``order`` and
-    ``parent`` are the BFS from vertex 0 that validation ran: the tree rooted
-    at 0, with ``parent`` -1 at the root.
+    (and all measures/flows/potentials) use the dense indices. ``parent``
+    roots the tree at vertex 0 (-1 there), and ``order`` lists every vertex
+    after its parent, starting at 0: the BFS that :func:`validate_tree` ran,
+    or ``0..n-1`` for a tree built from a generator's parent array.
     """
 
     labels: tuple[Hashable, ...]
@@ -151,10 +158,26 @@ class Tree:
         return len(self.adjacency[v])
 
     def bfs_distances(self, source: int) -> list[int]:
-        """Hop distances from ``source``; from the root, read off the stored BFS."""
-        if source == self.order[0]:
-            return _depths(self.order, self.parent)
+        """Hop distances from ``source``, by one BFS."""
         return _hop_distances(self.adjacency, source)
+
+    @classmethod
+    def _from_parents(cls, parent: Sequence[int]) -> "Tree":
+        """The tree on ``0..n-1`` joining each vertex v > 0 to ``parent[v]``.
+
+        The generator numbers every parent before its children: ``parent[0]``
+        is -1 and ``0 <= parent[v] < v`` otherwise, so the n - 1 edges reach
+        vertex 0 from everywhere, there is no cycle, and ``0..n-1`` is the
+        order. No BFS runs. Raises :class:`ValueError` for any other array.
+        """
+        n = len(parent)
+        if not n or parent[0] != -1 or not all(0 <= parent[v] < v for v in range(1, n)):
+            raise ValueError("a parent array needs -1 at vertex 0 and "
+                             "0 <= parent[v] < v at every other vertex")
+        labels = tuple(range(n))
+        edges = tuple(zip(parent[1:], labels[1:]))
+        return cls(labels=labels, index=dict(zip(labels, labels)), edges=edges,
+                   adjacency=_adjacency(n, edges), order=labels, parent=tuple(parent))
 
 
 def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
@@ -302,7 +325,7 @@ def unique_flow(tree: Tree, rho: Assignment) -> Flow:
     """The one flow whose divergence equals ``rho``.
 
     Across each edge the flow carries the net charge of the side cut off by
-    removing that edge; one sweep up the tree's BFS order accumulates those
+    removing that edge; one sweep back along the tree's order accumulates those
     subtree sums in O(n) integer additions over ``rho.scale``. The root's sum
     is the total charge, which is 0. The charge budget is checked first.
     """

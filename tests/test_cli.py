@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import re
 import sys
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeot import Measure, parse_rational, validate_tree, w1_tree
-from treeot.cli import main, parse_profile_spec
+from treeot.cli import build_parser, main, parse_profile_spec
 from treeot.instances import (demo_instance, dump_instance, instance_from_dict,
                               instance_to_dict, load_instance)
 
@@ -106,6 +111,18 @@ class TestW1Command:
         code, out, err = run_cli(capsys, "w1", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and repr(mass) in err
+
+    def test_overlong_json_number_is_an_input_error(self, capsys, tmp_path):
+        # json.load itself refuses an integer of more than 4,300 digits.
+        path = tmp_path / "number.json"
+        path.write_text('{"vertices": ["a", "b"], "edges": [["a", "b"]], '
+                        '"mu": {"a": ' + "1" * 5001 + '}, "nu": {"b": "1"}}')
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "w1", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: a JSON number has over 4300 digits")
+        assert '"p/q" strings' in err
 
     def test_overlong_mass_is_an_input_error(self, capsys, tmp_path):
         # Python refuses to read integers of more than 4,300 digits; the
@@ -240,6 +257,40 @@ class TestW1Command:
         code, out, err = run_cli(capsys, "w1", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "charge cap" in err and "5000 values" in err
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 10 ** 30) | st.text(max_size=4)
+            | st.floats(allow_nan=False, allow_infinity=False))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
+_NAMES = st.sampled_from(["a", "b", "c", "1", "x"])
+_MASSES = st.dictionaries(_NAMES, st.sampled_from(["1", "1/2", "2/4", "0", "-1", "1/0", "0.5"])
+                          | _SCALARS, max_size=3)
+_DOCUMENTS = (_JSON
+              | st.fixed_dictionaries({"vertices": st.lists(_NAMES | _SCALARS, max_size=4) | _JSON,
+                                       "edges": st.lists(st.lists(_NAMES, max_size=3), max_size=4)
+                                       | _JSON,
+                                       "mu": _MASSES | _JSON, "nu": _MASSES | _JSON})
+              | st.fixed_dictionaries({"vertices": st.just(["a", "b", "c"]),
+                                       "edges": st.just([["a", "b"], ["b", "c"]]),
+                                       "mu": _MASSES, "nu": _MASSES}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_DOCUMENTS)
+def test_any_document_exits_2_or_answers(doc):
+    """On any JSON document, ``w1`` either answers with agreeing routes or
+    exits 2 with one ``error:`` line; never a traceback, never exit 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["w1", str(path), "--json"])
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        assert code == 0 and json.loads(out.getvalue())["agree"] is True
 
 
 class TestSweepCommand:
@@ -401,7 +452,7 @@ class TestRadialW1Mode:
         tree, mu, nu = load_instance(path)
         assert str(w1_tree(tree, mu, nu)) == value
 
-    def test_root_center_reuses_the_validation_bfs(self, capsys, monkeypatch):
+    def test_radial_run_needs_no_bfs(self, capsys, monkeypatch):
         import treeot.tree
 
         calls = []
@@ -415,8 +466,43 @@ class TestRadialW1Mode:
         code, out, _ = run_cli(capsys, "w1", "--radial", "srw:alpha=1/2,n=4",
                                "--q", "3", "--d", "2", "--json")
         assert code == 0 and json.loads(out)["agree"] is True
-        # One BFS validates the truncation; only the center Y = 2 needs another.
-        assert calls == [0, 2]
+        # The truncation is rooted as it is generated, and both measures read
+        # their distances from the coordinates (i, h).
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ("--radial", "sphere:r=14", "--q", "3", "--d", "2"),
+        ("--radial", "custom:[" + "0," * 30 + "1]", "--q", "2", "--d", "1"),
+        ("--radial", "srw:alpha=1/2,n=1000000", "--q", "3", "--d", "2"),
+        ("--radial", "ball:r=4", "--q", "3", "--d", "2000"),
+    ], ids=["sphere", "custom", "srw", "long-path"])
+    def test_truncation_size_refused_fast(self, capsys, monkeypatch, argv):
+        import treeot.cli
+
+        def no_profile(*args):
+            raise AssertionError("the profile was built before the size check")
+
+        monkeypatch.setattr(treeot.cli, "srw_profile", no_profile)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "w1", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: the radius-") and "over 1,000,000 vertices" in err
+        assert "closed formulas" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("asym", "--family", "srw", "--alpha", "1/2", "--d", "20000", "--q", "3"),
+        ("asym", "--family", "srw", "--alpha", "1/2", "--d", "100000000", "--q", "3"),
+        ("w1", "--radial", "srw:alpha=1/2,n=1", "--q", "3", "--d", "100000000"),
+        ("sweep", "--family", "sphere", "--q", "3", "--d", "5000", "--n", "1"),
+        ("verify-ineq", "--grid", "alpha=1/2", "d=5000", "q=3"),
+    ], ids=["asym", "asym-1e8", "w1-radial", "sweep", "verify-ineq"])
+    def test_center_distance_refused_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "error: q^(d/2) for q = 3" in err and "2048-bit cap on bits(q) * ceil(d/2)" in err
 
     def test_radial_needs_geometry(self, capsys):
         code, _, err = run_cli(capsys, "w1", "--radial", "sphere:r=2")
@@ -425,6 +511,26 @@ class TestRadialW1Mode:
     def test_no_arguments_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "w1")
         assert code == 2 and "error" in err
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        import treeot.cli
+
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        treeot.cli._parser.cache_clear()
+        monkeypatch.setattr(treeot.cli, "build_parser", counting)
+        try:
+            assert run_cli(capsys, "asym", "--family", "ball", "--d", "2", "--q", "3")[0] == 0
+            assert run_cli(capsys, "asym", "--family", "sphere", "--d", "1", "--q", "2")[0] == 0
+        finally:
+            treeot.cli._parser.cache_clear()
+        assert built == [1]
 
 
 class TestProfileSpecs:

@@ -6,16 +6,21 @@ from fractions import Fraction
 
 import pytest
 
-from treeot import (InvalidParams, PairGeometry, TruncationTooSmall, assignment_from,
-                    ball_profile, build_truncated_tree, flow_cost,
+from treeot import (InvalidParams, PairGeometry, TooLarge, TruncationTooSmall,
+                    assignment_from, ball_profile, build_truncated_tree, flow_cost,
                     flow_direction_check, point_mass_profile, profile_total_mass,
                     radial_measure, radial_potential, radial_potential_field,
-                    sphere_profile, unique_flow, w1_radial_flow_formula,
+                    sphere_profile, unique_flow, validate_tree, w1_radial_flow_formula,
                     w1_radial_formula, w1_tree)
 from treeot.families import srw_profile
-from treeot.regular import BasepointCoord, RadialProfile
+from treeot.regular import BasepointCoord, RadialProfile, truncation_size
+from treeot.tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES
 
 from conftest import random_profile, rng_for
+
+
+#: (q, d, radius) of the truncations whose coordinates are checked against BFS.
+COORD_CASES = [(2, 2, 3), (3, 3, 2), (2, 1, 4), (2, 3, 3), (3, 2, 3), (4, 1, 2), (3, 4, 2)]
 
 
 def expected_truncation_size(q: int, d: int, radius: int) -> int:
@@ -42,6 +47,19 @@ class TestGeometry:
     def test_d_zero_rejected(self):
         with pytest.raises(InvalidParams):
             PairGeometry(2, 0)
+
+    @pytest.mark.parametrize("q,d", [(3, 20000), (3, 10 ** 8), (2 ** 2048, 1)])
+    def test_center_distance_cap(self, q, d):
+        with pytest.raises(TooLarge, match="cap on bits"):
+            PairGeometry(q, d)
+
+    def test_center_distance_cap_admits_the_inequality_grid(self):
+        for q in range(2, 11):
+            for d in range(1, 7):
+                PairGeometry(q, d)
+        PairGeometry(3, MAX_SERIES_BITS)  # bits(3) * ceil(2048 / 2) = 2048, at the cap
+        with pytest.raises(TooLarge):
+            PairGeometry(3, MAX_SERIES_BITS + 1)
 
     def test_half_splits(self):
         g = PairGeometry(2, 5)
@@ -72,6 +90,35 @@ class TestTruncation:
     def test_vertex_count_matches_class_sizes(self, q, d, radius):
         tt = build_truncated_tree(q, d, radius)
         assert tt.tree.num_vertices == expected_truncation_size(q, d, radius)
+        assert truncation_size(q, d, radius) == tt.tree.num_vertices
+
+    def test_largest_size_under_the_cap(self):
+        assert truncation_size(5, 1, 8) == expected_truncation_size(5, 1, 8) == 976_562
+
+    @pytest.mark.parametrize("q,d,radius", [(5, 1, 9), (3, 2, 12), (2, 1, 10 ** 9),
+                                            (10 ** 30, 2, 6), (3, 2048, 2048)])
+    def test_size_cap_refuses_before_any_work(self, q, d, radius):
+        with pytest.raises(TooLarge, match=f"over {MAX_TRUNCATION_VERTICES:,} vertices"):
+            build_truncated_tree(q, d, radius)
+
+    @pytest.mark.parametrize("q,d,radius", COORD_CASES)
+    def test_rooted_tree_matches_validation(self, q, d, radius):
+        tt = build_truncated_tree(q, d, radius)
+        n = tt.tree.num_vertices
+        checked = validate_tree(range(n), tt.tree.edges)
+        assert checked.parent == tt.tree.parent
+        assert checked.adjacency == tt.tree.adjacency
+        assert tt.tree.order == tuple(range(n))
+
+    def test_built_without_graph_checks_or_bfs(self, monkeypatch):
+        import treeot.tree
+
+        def refuse(*args):
+            raise AssertionError("the truncation ran a graph check or a BFS")
+
+        monkeypatch.setattr(treeot.tree, "_build_graph", refuse)
+        monkeypatch.setattr(treeot.tree, "_bfs", refuse)
+        assert build_truncated_tree(3, 2, 4).tree.num_vertices == expected_truncation_size(3, 2, 4)
 
     @pytest.mark.parametrize("q,d,radius", [(2, 2, 3), (3, 1, 2)])
     def test_interior_vertices_have_full_degree(self, q, d, radius):
@@ -91,7 +138,7 @@ class TestCoordinates:
         for j, z in enumerate(tt.path):
             assert tt.coord(z) == BasepointCoord(j, 0)
 
-    @pytest.mark.parametrize("q,d,radius", [(2, 2, 3), (3, 3, 2)])
+    @pytest.mark.parametrize("q,d,radius", COORD_CASES)
     def test_distance_identity(self, q, d, radius):
         tt = build_truncated_tree(q, d, radius)
         dx = tt.tree.bfs_distances(tt.x)
@@ -119,6 +166,23 @@ class TestRadialMeasure:
         mu = radial_measure(tt, tt.x, sphere_profile(2, 2))
         assert len(mu.masses) == 6
         assert set(mu.masses.values()) == {Fraction(1, 6)}
+
+    @pytest.mark.parametrize("q,d,radius", COORD_CASES)
+    def test_equals_the_bfs_defined_measure(self, q, d, radius):
+        rng = rng_for(q * 100 + d * 10 + radius)
+        tt = build_truncated_tree(q, d, radius)
+        for center in (tt.x, tt.y):
+            profile = random_profile(rng, radius)
+            dist = tt.tree.bfs_distances(center)
+            expected = {v: profile.value(ell) for v, ell in enumerate(dist)
+                        if profile.value(ell)}
+            assert radial_measure(tt, center, profile).masses == expected
+
+    def test_refuses_a_third_center(self):
+        tt = build_truncated_tree(2, 2, 3)
+        for v in (tt.path[1], tt.tree.num_vertices - 1):
+            with pytest.raises(ValueError, match="center must be X = 0 or Y = 2"):
+                radial_measure(tt, v, point_mass_profile())
 
     def test_truncation_too_small(self):
         tt = build_truncated_tree(2, 1, 1)

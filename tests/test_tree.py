@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeot import (Assignment, FiniteGraph, HasCycle, MassMismatch, Measure, NotConnected,
-                    RadialProfile, Series, TooLarge, assignment_from, divergence, flow_cost,
+                    RadialProfile, Series, TooLarge, Tree, assignment_from, divergence, flow_cost,
                     good_potential, potential_value, unique_flow, validate_tree, w1_lp,
                     w1_tree)
 from treeot.instances import demo_instance, instance_from_dict
@@ -57,6 +57,26 @@ class TestValidateTree:
         tree = validate_tree(["only"], [])
         assert tree.num_vertices == 1
         assert w1_tree(tree, Measure({0: 1}), Measure({0: 1})) == 0
+
+    def test_parent_array_builds_the_validated_tree(self):
+        parent = [-1, 0, 0, 1, 1, 2]
+        tree = Tree._from_parents(parent)
+        checked = validate_tree(range(6), [(p, v) for v, p in enumerate(parent) if v])
+        assert (tree.edges, tree.adjacency, tree.parent) == (
+            checked.edges, checked.adjacency, checked.parent)
+        assert tree.order == (0, 1, 2, 3, 4, 5)
+        assert tree.bfs_distances(0) == [0, 1, 1, 2, 2, 2]
+
+    @pytest.mark.parametrize("parent", [
+        [-1, 0, 2],       # a parent after its child
+        [-1, 1],          # a vertex its own parent
+        [-1, 0, -1],      # a second root
+        [0, 0],           # no root at vertex 0
+        [],
+    ])
+    def test_parent_array_refuses_any_other_order(self, parent):
+        with pytest.raises(ValueError, match="parent array"):
+            Tree._from_parents(parent)
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
