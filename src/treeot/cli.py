@@ -34,8 +34,8 @@ from .regular import (PairGeometry, RadialProfile, ball_profile, build_truncated
                       radial_measure, sphere_profile, truncation_size,
                       w1_radial_flow_formula, w1_radial_formula)
 from .suites import DEFAULT_SEED, INEQUALITY_GRID, SUITE_NAMES, inequality_cell, run_suite
-from .tree import (MAX_SERIES_BITS, assignment_from, flow_cost, good_potential,
-                   potential_value, unique_flow, w1_tree)
+from .tree import (MAX_SERIES_BITS, MAX_SWEEP_STEPS, assignment_from, flow_cost,
+                   good_potential, potential_value, unique_flow, w1_tree)
 
 SWEEP_HEADER = ("family", "alpha", "d", "q", "n", "w1_exact", "w1_decimal", "asym", "residual")
 
@@ -198,6 +198,11 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
     alphas = _parse_alpha_list(args.alpha) if family == "srw" else [None]
     max_n = max(n_list)
     _check_series_size("--n", max_n, alphas, q_list)
+    steps = (len(alphas) * len(set(q_list)) * sum(d // 2 + 1 for d in set(d_list))
+             * sum(n + 1 for n in set(n_list)))
+    if steps > MAX_SWEEP_STEPS:
+        raise TooLarge(f"the sweep grid needs {steps:,} class-sum steps, (d // 2 + 1)(n + 1) "
+                       f"per cell, over the {MAX_SWEEP_STEPS:,}-step sweep cap")
     rows = []
     for q in sorted(set(q_list)):
         tables = {}

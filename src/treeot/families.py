@@ -32,7 +32,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import InvalidAlpha, InvalidParams, OrderExceeded
-from .rational import RationalLike, _frac, _over_lcm, _qpow
+from .rational import RationalLike, _frac, _qpow
 from .regular import PairGeometry, RadialProfile, ball_size, profile_total_mass, sphere_size
 from .series import Series
 
@@ -68,12 +68,6 @@ class GTable:
     columns: tuple[tuple[int, ...], ...]
     scales: tuple[int, ...]
 
-    @classmethod
-    def of(cls, q: int, rows: Sequence[Sequence[RationalLike]]) -> "GTable":
-        """The table of rational entries ``rows[l][n]``, each column over its lcm."""
-        columns, scales = zip(*(_over_lcm(col) for col in zip(*rows)))
-        return cls(q, tuple(map(tuple, columns)), scales)
-
     @property
     def order(self) -> int:
         return len(self.scales) - 1
@@ -85,9 +79,6 @@ class GTable:
     def value(self, ell: int, n: int) -> Fraction:
         return Fraction(self.columns[n][ell], self.scales[n])
 
-    def column(self, n: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.scales[n]) for x in self.columns[n])
-
     def column_profile(self, n: int) -> RadialProfile:
         """The time-n column as a radial profile."""
         return RadialProfile(self.columns[n], self.scales[n])
@@ -95,9 +86,6 @@ class GTable:
     def column_mass(self, n: int) -> Fraction:
         """Total mass of the time-n measure under sphere-size weights."""
         return profile_total_mass(self.q, self.column_profile(n))
-
-    def row_series(self, ell: int) -> Series:
-        return Series.over([col[ell] for col in self.columns], self.scales)
 
 
 def _srw_scaled_columns(alpha: RationalLike, q: int,
@@ -107,8 +95,9 @@ def _srw_scaled_columns(alpha: RationalLike, q: int,
 
     Column step, alpha = num/den: f(0, n+1) = num*(q+1)*f(0, n) +
     (den-num)*(q+1)*f(1, n) and f(l, n+1) = num*(q+1)*f(l, n) +
-    q*(den-num)*f(l+1, n) + (den-num)*f(l-1, n). Only the current and the next
-    column are alive inside the generator.
+    q*(den-num)*f(l+1, n) + (den-num)*f(l-1, n), computed for l <= n+1 only,
+    since f(l, n+1) = 0 above. Only the current and the next column are alive
+    inside the generator.
     """
     alpha = _check_alpha(alpha)
     _check_family_params(q, order)
@@ -118,9 +107,9 @@ def _srw_scaled_columns(alpha: RationalLike, q: int,
     def columns() -> Iterator[list[int]]:
         col = [1] + [0] * (order + 1)
         yield col
-        for _ in range(order):
+        for n in range(order):
             nxt = [a_step * col[0] + move * (q + 1) * col[1]] + [0] * (order + 1)
-            for ell in range(1, order + 1):
+            for ell in range(1, n + 2):
                 nxt[ell] = a_step * col[ell] + q * move * col[ell + 1] + move * col[ell - 1]
             col = nxt
             yield col
@@ -251,31 +240,37 @@ def ball_gf(q: int, order: int = DEFAULT_ORDER) -> GFBundle:
     return bundle_from_table(ball_g_table(q, order))
 
 
-def check_functional_equation(source: GTable | Sequence[Series], alpha: RationalLike,
+def check_functional_equation(rows: Sequence[Sequence[RationalLike]], alpha: RationalLike,
                               q: int) -> bool:
     """True iff the defining walk-family identity holds for the given rows.
 
-    ``source`` may be a mass table (rows read off it) or an explicit row list,
-    e.g. from :func:`srw_closed_form_rows`; gamma is the first row. With
-    C_l(y) the distance-l row, the identity q*x = ((q+1)(x - alpha*x*y)
-    - q(1-alpha)y - (1-alpha)x^2 y) G + (-x + alpha*x*y + q(1-alpha)y) gamma
-    splits over powers of x into one univariate identity per degree; a valid
-    row list makes every residual vanish identically.
+    ``rows[l][n]`` is the y^n coefficient of the distance-l row C_l, e.g.
+    ``table.rows``; gamma is the first row. The identity q*x = ((q+1)(x -
+    alpha*x*y) - q(1-alpha)y - (1-alpha)x^2 y) G + (-x + alpha*x*y +
+    q(1-alpha)y) gamma, G = sum_l C_l x^l, leaves at x^k y^n the residual
+    (q+1)(C_{k-1}[n] - alpha C_{k-1}[n-1]) - q(1-alpha) C_k[n-1] - (1-alpha)
+    C_{k-2}[n-1], less gamma[n] - alpha gamma[n-1] + q[n = 0] at k = 1; at
+    k = 0 it cancels for any rows. Raises :class:`ValueError` for empty or
+    ragged rows.
     """
     alpha = _check_alpha(alpha)
-    rows = ([source.row_series(ell) for ell in range(source.order + 1)]
-            if isinstance(source, GTable) else list(source))
-    gamma, order = rows[0], rows[0].order
-    one_minus_ay = Series([1, -alpha], order=order)
-    y = Series([0, 1], order=order)
-    zero = Series([0], order=order)
-    padded = [zero, zero, *rows]
-    residuals = [(q + 1) * one_minus_ay * padded[k + 1] - q * (1 - alpha) * y * padded[k + 2]
-                 - (1 - alpha) * y * padded[k] for k in range(len(rows))]
-    residuals[0] = residuals[0] + q * (1 - alpha) * y * gamma
-    if len(rows) > 1:
-        residuals[1] = residuals[1] - one_minus_ay * gamma - q
-    return all(res.is_zero() for res in residuals)
+    width = len(rows[0]) if rows else 0
+    if not width or any(len(row) != width for row in rows):
+        raise ValueError("rows must be nonempty and of one length")
+    blank = (0,) * (width + 1)
+    # Entry n + 1 of a padded row is C[n] and entry n is C[n-1].
+    padded = [blank, blank, *((0, *map(_frac, row)) for row in rows)]
+    gamma = padded[2]
+    for k in range(1, len(rows)):
+        low, mid, high = padded[k:k + 3]
+        for n in range(width):
+            residual = ((q + 1) * (mid[n + 1] - alpha * mid[n]) - q * (1 - alpha) * high[n]
+                        - (1 - alpha) * low[n])
+            if k == 1:
+                residual -= gamma[n + 1] - alpha * gamma[n] + (q if n == 0 else 0)
+            if residual:
+                return False
+    return True
 
 
 def w1_via_genfun(bundle: GFBundle, geometry: PairGeometry, n: int) -> Fraction:

@@ -34,6 +34,12 @@ MAX_CHARGE_BITS = 2 ** 30
 #: q^(d/2) in the asymptotes.
 MAX_SERIES_BITS = 2 ** 11
 
+#: Cap on the work of one ``sweep``: the class-sum formula takes about
+#: (floor(d/2) + 1)(n + 1) big-integer steps per cell, summed over every cell
+#: of the grid. A step costs about a microsecond at d = 2,048, so a grid at the
+#: cap runs in a few seconds; larger grids raise :class:`TooLarge`.
+MAX_SWEEP_STEPS = 2 ** 21
+
 #: Cap on the vertex count of a regular-tree truncation (``w1 --radial``).
 #: One at 10^6 vertices takes a few seconds; larger ones raise
 #: :class:`TooLarge`, and the closed formulas need no truncation.
@@ -41,7 +47,7 @@ MAX_TRUNCATION_VERTICES = 10 ** 6
 
 
 def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, dict, tuple, tuple]:
-    """Map labels to dense indices, check the edges, and build the sorted adjacency.
+    """Map labels to dense indices, check the edges, and build the adjacency.
 
     Returns ``(labels, index, edges, adjacency)`` with every edge stored once
     as a ``(lo, hi)`` pair. Raises :class:`ValueError` for an empty vertex
@@ -78,12 +84,12 @@ def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, 
 
 
 def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    """Sorted neighbor tuples of vertices ``0..n-1`` from dense edges."""
+    """Neighbor tuples of vertices ``0..n-1`` from dense edges, in edge order."""
     neighbor_lists: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         neighbor_lists[u].append(v)
         neighbor_lists[v].append(u)
-    return tuple(tuple(sorted(ns)) for ns in neighbor_lists)
+    return tuple(map(tuple, neighbor_lists))
 
 
 def _bfs(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:

@@ -124,6 +124,16 @@ class TestW1Command:
         assert err.startswith(f"error: {path}: a JSON number has over 4300 digits")
         assert '"p/q" strings' in err
 
+    def test_non_utf8_file_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "w1", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+        assert "must be UTF-8 JSON" in err
+
     def test_overlong_mass_is_an_input_error(self, capsys, tmp_path):
         # Python refuses to read integers of more than 4,300 digits; the
         # refusal must name the field and the vertex, and not echo the value.
@@ -387,6 +397,36 @@ class TestSeriesSizeCap:
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert err.startswith("error: --n 3000 ") and "series cap" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "sphere", "--q", "2", "--d", "2048", "--n", "0..1000"),
+        ("--family", "sphere", "--q", "2", "--d", "1..2047", "--n", "1"),
+        ("--family", "srw", "--alpha", "0,1/2", "--q", "2", "--d", "1..2046", "--n", "1"),
+        ("--family", "ball", "--q", "2,3", "--d", "1..2046", "--n", "1"),
+    ], ids=["one-cell-row", "d-list", "alpha-list", "q-list"])
+    def test_sweep_grid_refused_fast(self, capsys, monkeypatch, argv):
+        import treeot.cli
+
+        def no_work(*args):
+            raise AssertionError("a table or a cell was computed before the grid check")
+
+        monkeypatch.setattr(treeot.cli, "srw_g_table", no_work)
+        monkeypatch.setattr(treeot.cli, "w1_radial_formula", no_work)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: the sweep grid needs ")
+        assert "over the 2,097,152-step sweep cap" in err
+
+    def test_sweep_grid_just_under_the_cap_answers(self, capsys):
+        # 2 * sum over d = 1..2046 of (d // 2 + 1) = 2,097,150 steps; d = 2047
+        # would add 2,048 and pass the 2^21 cap.
+        code, out, _ = run_cli(capsys, "sweep", "--family", "sphere", "--q", "2",
+                               "--d", "1..2046", "--n", "1")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [int(r["d"]) for r in rows] == list(range(1, 2047))
 
     def test_paper_sizes_fit_under_the_cap(self, capsys):
         from treeot.tree import MAX_SERIES_BITS

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeot import (GTable, InvalidAlpha, OrderExceeded, PairGeometry, Series,
+from treeot import (InvalidAlpha, OrderExceeded, PairGeometry, Series,
                     ball_g_table, ball_gf, build_truncated_tree, bundle_from_table,
                     check_functional_equation, radial_measure, sphere_g_table, sphere_gf,
                     srw_closed_form, srw_closed_form_rows, srw_g_table, srw_profile,
@@ -88,7 +88,7 @@ class TestClosedForm:
         table = srw_g_table(alpha, q, order)
         rows = srw_closed_form_rows(alpha, q, order, 5)
         for ell in range(5):
-            assert rows[ell] == table.row_series(ell)
+            assert rows[ell].coefficients == table.rows[ell]
 
     def test_float_alpha_rejected(self):
         with pytest.raises(InvalidAlpha):
@@ -125,26 +125,56 @@ def test_closed_form_equals_table(pr, q, order):
     assert closed.g1_at_q == tabled.g1_at_q
     count = min(order + 1, 4)
     rows = srw_closed_form_rows(alpha, q, order, count)
-    assert rows == [table.row_series(ell) for ell in range(count)]
+    assert [row.coefficients for row in rows] == list(table.rows[:count])
 
 
 class TestFunctionalEquation:
     @pytest.mark.parametrize("alpha,q", [(Fraction(1, 2), 2), (Fraction(0), 3)])
     def test_table_satisfies_identity(self, alpha, q):
-        assert check_functional_equation(srw_g_table(alpha, q, 20), alpha, q)
+        assert check_functional_equation(srw_g_table(alpha, q, 20).rows, alpha, q)
 
     def test_closed_form_rows_satisfy_identity(self):
         alpha, q, order = Fraction(1, 2), 2, 20
         rows = srw_closed_form_rows(alpha, q, order, order + 1)
-        assert check_functional_equation(rows, alpha, q)
+        assert check_functional_equation([row.coefficients for row in rows], alpha, q)
 
     def test_perturbed_table_rejected(self):
         alpha, q = Fraction(1, 2), 2
         table = srw_g_table(alpha, q, 10)
         rows = [list(row) for row in table.rows]
         rows[2][4] += Fraction(1, 1000)
-        broken = GTable.of(q, rows)
-        assert not check_functional_equation(broken, alpha, q)
+        assert not check_functional_equation(rows, alpha, q)
+
+
+    def test_ragged_or_empty_rows_refused(self):
+        rows = [list(row) for row in srw_g_table(Fraction(1, 2), 2, 4).rows]
+        rows[3].pop()
+        with pytest.raises(ValueError, match="one length"):
+            check_functional_equation(rows, Fraction(1, 2), 2)
+        with pytest.raises(ValueError, match="nonempty"):
+            check_functional_equation([], Fraction(1, 2), 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda r: st.tuples(st.integers(0, r - 1), st.just(r))),
+       st.integers(2, 5), st.integers(1, 12), st.data())
+def test_functional_equation_reads_every_entry(pr, q, order, data):
+    alpha = Fraction(*pr)
+    rows = [list(row) for row in srw_g_table(alpha, q, order).rows]
+    closed = srw_closed_form_rows(alpha, q, order, order + 1)
+    assert check_functional_equation(rows, alpha, q)
+    assert check_functional_equation([row.coefficients for row in closed], alpha, q)
+    # The last row C_order enters the identity only as y C_order at x^order,
+    # and the rows stop at y^order, so its y^order coefficient enters no
+    # residual: no truncated check can see it. Every other entry is read.
+    unread = [list(row) for row in rows]
+    unread[order][order] += 1
+    assert check_functional_equation(unread, alpha, q)
+    ell = data.draw(st.integers(0, order), label="row")
+    n = data.draw(st.integers(0, order - 1 if ell == order else order), label="time")
+    rows[ell][n] += data.draw(st.fractions(max_denominator=10 ** 6).filter(bool),
+                              label="shift")
+    assert not check_functional_equation(rows, alpha, q)
 
 
 class TestSphereBundle:
