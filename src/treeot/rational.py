@@ -77,10 +77,10 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def decimal_string(value: Fraction, digits: int = 12) -> str:
-    """Decimal rendering with the given number of significant digits."""
+def decimal_string(value: Fraction) -> str:
+    """Decimal rendering with 12 significant digits."""
     value = Fraction(value)
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 12
         rendered = Decimal(value.numerator) / Decimal(value.denominator)
     return str(rendered)

@@ -107,14 +107,20 @@ class RadialProfile:
 
 
 def sphere_size(q: int, radius: int) -> int:
-    """Number of vertices at exact distance ``radius`` from a vertex."""
+    """Number of vertices at exact distance ``radius`` from a vertex;
+    raises :class:`InvalidParams` for a negative radius."""
+    if radius < 0:
+        raise InvalidParams(f"sphere radius must be >= 0, got {radius}")
     if radius == 0:
         return 1
     return (q + 1) * q ** (radius - 1)
 
 
 def ball_size(q: int, radius: int) -> int:
-    """Number of vertices within distance ``radius`` of a vertex."""
+    """Number of vertices within distance ``radius`` of a vertex;
+    raises :class:`InvalidParams` for a negative radius."""
+    if radius < 0:
+        raise InvalidParams(f"ball radius must be >= 0, got {radius}")
     return (q ** (radius + 1) + q ** radius - 2) // (q - 1)
 
 

@@ -212,6 +212,3 @@ class Series:
         if k < 0:
             raise ValueError("shift must be >= 0")
         return Series([Fraction(0)] * k + list(self.coefficients), order=self.order)
-
-    def is_zero(self) -> bool:
-        return not any(self.coefficients)

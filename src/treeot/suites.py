@@ -15,13 +15,14 @@ from typing import Callable
 from .asymptotics import InequalityReport, gamma_asymptotic, interval_mid, verify_inequalities
 from .families import (bundle_from_table, check_functional_equation, srw_closed_form,
                        srw_g_table, srw_return_sequence)
-from .lp import FiniteGraph, check_complementary_slackness, verify_duality
+from .errors import TooLarge
+from .lp import DualityReport, FiniteGraph, check_complementary_slackness, verify_duality
 from .rational import decimal_string, format_rational
-from .regular import (PairGeometry, RadialProfile, build_truncated_tree, radial_measure,
-                      w1_radial_flow_formula, w1_radial_formula)
+from .regular import (PairGeometry, RadialProfile, TruncatedRegularTree, build_truncated_tree,
+                      radial_measure, w1_radial_flow_formula, w1_radial_formula)
 from .series import Series
-from .tree import (Measure, assignment_from, good_potential, unique_flow, validate_tree,
-                   w1_tree)
+from .tree import (Measure, Tree, assignment_from, flow_cost, good_potential, potential_value,
+                   unique_flow, validate_tree, w1_tree)
 
 DEFAULT_SEED = 20260808
 
@@ -141,6 +142,29 @@ def random_profile(rng: random.Random, max_radius: int) -> RadialProfile:
             return RadialProfile(tuple(values))
 
 
+def duality_cell(tree: Tree, mu: Measure,
+                 nu: Measure) -> tuple[dict[str, Fraction], DualityReport | str, bool]:
+    """The tree routes on one instance: flow, potential and, under the LP's
+    support cap, lp; the duality report, or the LP's refusal text; and whether
+    they agree. With the LP, agreement also needs an optimal certificate,
+    complementary slackness and a plan with exact marginals."""
+    rho = assignment_from(mu, nu)
+    flow = unique_flow(tree, rho)
+    paths = {"flow": flow_cost(flow)}
+    phi = good_potential(tree, flow)
+    paths["potential"] = potential_value(rho, phi)
+    graph = FiniteGraph.from_tree(tree)
+    try:
+        duality = verify_duality(graph, mu, nu, phi)
+    except TooLarge as exc:
+        return paths, str(exc), paths["flow"] == paths["potential"]
+    paths["lp"] = duality.primal
+    ok = (len(set(paths.values())) == 1 and duality.optimal_certificate
+          and check_complementary_slackness(graph, duality.plan, phi)
+          and duality.plan.satisfies_marginals(mu, nu))
+    return paths, duality, ok
+
+
 def suite_duality(seed: int = DEFAULT_SEED) -> RunReport:
     """Tree route == LP route, optimality certificates, complementary slackness."""
     report = RunReport("duality", seed)
@@ -149,18 +173,25 @@ def suite_duality(seed: int = DEFAULT_SEED) -> RunReport:
         n = rng.randint(2, 12)
         tree = random_tree(rng, n)
         mu, nu = random_measure_pair(rng, n)
-        graph = FiniteGraph.from_tree(tree)
-        tree_value = w1_tree(tree, mu, nu)
-        phi = good_potential(tree, unique_flow(tree, assignment_from(mu, nu)))
-        duality = verify_duality(graph, mu, nu, phi)
-        lp_value = duality.primal
-        slack = check_complementary_slackness(graph, duality.plan, phi)
-        ok = (tree_value == lp_value and duality.optimal_certificate and slack
-              and duality.plan.satisfies_marginals(mu, nu))
-        report.add({"case": case, "vertices": n}, "lp", ok, w1=lp_value,
-                   detail="" if ok else f"tree={tree_value} lp={lp_value} "
-                                        f"cert={duality.optimal_certificate} cs={slack}")
+        paths, duality, ok = duality_cell(tree, mu, nu)
+        report.add({"case": case, "vertices": n}, "lp", ok, w1=paths["lp"],
+                   detail="" if ok else f"{paths} {duality.as_dict()}")
     return report
+
+
+def triple_cell(profile: RadialProfile, geometry: PairGeometry
+                ) -> tuple[dict[str, Fraction], TruncatedRegularTree, Measure, Measure, bool]:
+    """The radial routes for one profile: vertex-class sum (formula), edge-class
+    sum (flow-sum) and tree flow on the smallest exact truncation; that
+    truncation and its X- and Y-centered measures; and whether the routes agree."""
+    d = geometry.d
+    truncation = build_truncated_tree(geometry.q, d, profile.support_radius + d)
+    mu = radial_measure(truncation, truncation.x, profile)
+    nu = radial_measure(truncation, truncation.y, profile)
+    paths = {"formula": w1_radial_formula(profile, geometry),
+             "flow-sum": w1_radial_flow_formula(profile, geometry),
+             "tree": w1_tree(truncation.tree, mu, nu)}
+    return paths, truncation, mu, nu, len(set(paths.values())) == 1
 
 
 def suite_triple(seed: int = DEFAULT_SEED) -> RunReport:
@@ -172,18 +203,10 @@ def suite_triple(seed: int = DEFAULT_SEED) -> RunReport:
             geom = PairGeometry(q, d)
             for case in range(8):
                 profile = random_profile(rng, max_radius=4 if q == 2 else 3)
-                radius = profile.support_radius + d
-                truncation = build_truncated_tree(q, d, radius)
-                mu = radial_measure(truncation, truncation.x, profile)
-                nu = radial_measure(truncation, truncation.y, profile)
-                w_tree = w1_tree(truncation.tree, mu, nu)
-                w_classes = w1_radial_formula(profile, geom)
-                w_edges = w1_radial_flow_formula(profile, geom)
-                ok = w_tree == w_classes == w_edges
+                paths, *_, ok = triple_cell(profile, geom)
                 report.add({"q": q, "d": d, "case": case,
                             "profile": [str(x) for x in profile.values]},
-                           "formula", ok, w1=w_classes,
-                           detail="" if ok else f"tree={w_tree} classes={w_classes} edges={w_edges}")
+                           "formula", ok, w1=paths["formula"], detail="" if ok else str(paths))
     return report
 
 

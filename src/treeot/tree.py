@@ -362,20 +362,20 @@ def flow_cost(flow: Flow) -> Fraction:
     return Fraction(sum(map(abs, flow.up)), flow.scale)
 
 
-def good_potential(tree: Tree, flow: Flow, root: int = 0) -> Potential:
+def good_potential(tree: Tree, flow: Flow) -> Potential:
     """Potential adapted to ``flow``: drops by 1 along each flow-carrying edge
     (in the flow direction) and stays constant across flowless edges.
 
-    The result holds integer levels pinned to 0 at ``root``; any other choice
-    differs by a constant and pairs identically with zero-sum assignments.
+    The result holds integer levels pinned to 0 at vertex 0, where the tree's
+    order starts; any other pin differs by a constant and pairs identically
+    with zero-sum assignments.
     """
     parent, up = flow.parent, flow.up
     level = [0] * tree.num_vertices
     for v in tree.order[1:]:
         x = up[v]
         level[v] = level[parent[v]] + (x > 0) - (x < 0)
-    base = level[root]
-    return Potential(tuple(h - base for h in level) if base else tuple(level))
+    return Potential(tuple(level))
 
 
 def potential_value(rho: Assignment, phi: Potential) -> Fraction:

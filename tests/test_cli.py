@@ -11,6 +11,7 @@ import re
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeot import Measure, parse_rational, validate_tree, w1_tree
+from treeot import Measure, TooLarge, parse_rational, validate_tree, w1_tree
 from treeot.cli import build_parser, main, parse_profile_spec
 from treeot.instances import (demo_instance, dump_instance, instance_from_dict,
                               instance_to_dict, load_instance)
@@ -343,6 +344,15 @@ class TestSweepCommand:
         assert len(rows) == 6
         assert rows == sorted(rows, key=lambda r: (r["family"], r["alpha"], r["d"], r["q"], r["n"]))
 
+    @pytest.mark.parametrize("alpha", ["1/2,1/2", "1/2,2/4"])
+    def test_repeated_values_print_each_row_once(self, capsys, alpha):
+        code, out, _ = run_cli(capsys, "sweep", "--family", "srw", "--alpha", alpha,
+                               "--q", "2,2", "--d", "1,1..2", "--n", "0..2,1")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["alpha"], r["d"], r["q"], r["n"]) for r in rows] == [
+            ("1/2", str(d), "2", str(n)) for d in (1, 2) for n in range(3)]
+
 
 class TestSeriesCommand:
     def test_csv_shape(self, capsys):
@@ -419,6 +429,37 @@ class TestSeriesSizeCap:
         assert err.startswith("error: the sweep grid needs ")
         assert "over the 2,097,152-step sweep cap" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--family", "sphere", "--n", "0..100000000000"),
+        ("verify-ineq", "--grid", "q=2..100000000000"),
+    ], ids=["sweep-n", "verify-ineq-q"])
+    def test_long_list_refused_fast(self, capsys, argv):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert peak < 2 ** 20  # bytes: the range is counted, never built
+        assert code == 2 and out == ""
+        text = argv[-1].split("=")[-1]
+        assert err == (f"error: the list '{text}' spells out more than 2,097,152 entries, "
+                       f"the cap on a grid list\n")
+
+    def test_list_cap_counts_entries_as_written(self, monkeypatch):
+        import treeot.cli
+        from treeot.cli import _parse_list
+
+        monkeypatch.setattr(treeot.cli, "MAX_SWEEP_STEPS", 10)
+        assert _parse_list("0..9") == list(range(10))
+        assert _parse_list("3,0..7,3") == [3, 0, 1, 2, 4, 5, 6, 7]
+        assert _parse_list("1/2,0,2/4,0/3", parse_rational) == [Fraction(1, 2), 0]
+        for text in ("0..10", "0..4,0..5", "5,5,5,5,5,5,5,5,5,5,5"):
+            with pytest.raises(TooLarge, match="more than 10 entries"):
+                _parse_list(text)
+
     def test_sweep_grid_just_under_the_cap_answers(self, capsys):
         # 2 * sum over d = 1..2046 of (d // 2 + 1) = 2,097,150 steps; d = 2047
         # would add 2,048 and pass the 2^21 cap.
@@ -455,6 +496,13 @@ class TestVerifyCommands:
         assert len(rows) == 2 * 3 * 3
         assert all(r["passed"] == "True" for r in rows)
 
+    @pytest.mark.parametrize("grid", [("alpha=0", "d=1,1", "q=2"),
+                                      ("alpha=0,0/3", "d=1", "q=2,2..2")])
+    def test_verify_ineq_repeated_values_print_each_row_once(self, capsys, grid):
+        code, out, _ = run_cli(capsys, "verify-ineq", "--grid", *grid)
+        assert code == 0
+        assert out.splitlines()[1:] == ["0,1,2,True,True,True,True"]
+
     def test_verify_oeis_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "oeis")
         assert code == 0
@@ -471,6 +519,52 @@ class TestVerifyCommands:
         code1, out1, _ = run_cli(capsys, "verify", "triple", "--seed", "5")
         code2, out2, _ = run_cli(capsys, "verify", "triple", "--seed", "5")
         assert (code1, out1) == (code2, out2)
+
+
+def _break_everywhere(monkeypatch, name, broken):
+    """Replace every binding of the package function ``name`` with ``broken(original)``,
+    so a caller that imported it is seen too."""
+    import treeot
+
+    original = getattr(treeot, name)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "treeot" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, broken(original))
+
+
+class TestOneAgreementCheck:
+    """``treeot w1`` and ``treeot verify`` decide agreement by the same check
+    per route family, so a route broken alone fails both commands."""
+
+    def assert_both_fail(self, capsys, w1_argv, suite):
+        code, out, _ = run_cli(capsys, "w1", *w1_argv)
+        assert code == 1 and out.endswith("agreement: MISMATCH\n")
+        code, out, _ = run_cli(capsys, "verify", suite)
+        doc = json.loads(out)
+        assert code == 1 and doc["passed"] is False
+        assert doc["suites"][0]["cases_passed"] == 0
+
+    @pytest.mark.parametrize("name, broken", [
+        ("check_complementary_slackness", lambda original: lambda *args: False),
+        ("potential_value", lambda original: lambda *args: original(*args) + Fraction(1, 1000)),
+    ], ids=["slackness", "pairing"])
+    def test_a_broken_tree_route_fails_both_commands(self, capsys, monkeypatch,
+                                                     demo_instance_path, name, broken):
+        _break_everywhere(monkeypatch, name, broken)
+        self.assert_both_fail(capsys, [str(demo_instance_path)], "duality")
+
+    def test_plan_marginals_are_checked_by_both_commands(self, capsys, monkeypatch,
+                                                         demo_instance_path):
+        from treeot import TransportPlan
+
+        monkeypatch.setattr(TransportPlan, "satisfies_marginals", lambda self, mu, nu: False)
+        self.assert_both_fail(capsys, [str(demo_instance_path)], "duality")
+
+    def test_a_broken_radial_route_fails_both_commands(self, capsys, monkeypatch):
+        _break_everywhere(monkeypatch, "w1_radial_flow_formula",
+                          lambda original: lambda *args: original(*args) + Fraction(1, 1000))
+        self.assert_both_fail(capsys, ["--radial", "sphere:r=2", "--q", "2", "--d", "1"],
+                              "triple")
 
 
 class TestRadialW1Mode:
@@ -543,6 +637,19 @@ class TestRadialW1Mode:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert "error: q^(d/2) for q = 3" in err and "2048-bit cap on bits(q) * ceil(d/2)" in err
+
+    @pytest.mark.parametrize("argv, kind", [
+        (("w1", "--radial", "sphere:r=-1", "--q", "3", "--d", "2"), "sphere"),
+        (("w1", "--radial", "ball:r=-1", "--q", "3", "--d", "2"), "ball"),
+        (("sweep", "--family", "sphere", "--n=-1"), "sphere"),
+        (("sweep", "--family", "ball", "--n=-1"), "ball"),
+    ], ids=["w1-sphere", "w1-ball", "sweep-sphere", "sweep-ball"])
+    def test_negative_radius_is_an_input_error(self, capsys, argv, kind):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: {kind} radius must be >= 0, got -1\n"
 
     def test_radial_needs_geometry(self, capsys):
         code, _, err = run_cli(capsys, "w1", "--radial", "sphere:r=2")

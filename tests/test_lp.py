@@ -134,7 +134,8 @@ class TestDualSide:
         tree, mu, nu = instance_from_dict(demo_instance())
         g = FiniteGraph.from_tree(tree)
         rho = assignment_from(mu, nu)
-        phi = good_potential(tree, unique_flow(tree, rho), root=tree.index["v4"])
+        levels = good_potential(tree, unique_flow(tree, rho)).values
+        phi = Potential(tuple(h - levels[tree.index["v4"]] for h in levels))
         assert phi.is_edge_lipschitz(g)
         report = verify_duality(g, mu, nu, phi)
         assert report.primal == report.dual == 12

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from treeot import (InvalidParams, PairGeometry, TooLarge, TruncationTooSmall,
-                    assignment_from, ball_profile, build_truncated_tree, flow_cost,
+                    assignment_from, ball_profile, ball_size, build_truncated_tree, flow_cost,
                     flow_direction_check, point_mass_profile, profile_total_mass,
                     radial_measure, radial_potential, radial_potential_field,
-                    sphere_profile, unique_flow, validate_tree, w1_radial_flow_formula,
-                    w1_radial_formula, w1_tree)
+                    sphere_profile, sphere_size, unique_flow, validate_tree,
+                    w1_radial_flow_formula, w1_radial_formula, w1_tree)
 from treeot.families import srw_profile
 from treeot.regular import BasepointCoord, RadialProfile, truncation_size
 from treeot.tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES
@@ -73,6 +73,15 @@ class TestGeometry:
     def test_negative_profile_rejected(self):
         with pytest.raises(ValueError):
             RadialProfile((Fraction(1), Fraction(-1, 2)))
+
+    @pytest.mark.parametrize("size, kind, at_one", [(sphere_size, "sphere", 4),
+                                                     (ball_size, "ball", 5)])
+    def test_negative_radius_rejected(self, size, kind, at_one):
+        assert (size(3, 0), size(3, 1)) == (1, at_one)
+        with pytest.raises(InvalidParams, match=f"^{kind} radius must be >= 0, got -1$"):
+            size(3, -1)
+        with pytest.raises(InvalidParams, match="got -2$"):
+            size(2, -2)
 
 
 class TestTruncation:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeot import (Assignment, FiniteGraph, HasCycle, MassMismatch, Measure, NotConnected,
-                    RadialProfile, Series, TooLarge, Tree, assignment_from, divergence, flow_cost,
+                    Potential, RadialProfile, Series, TooLarge, Tree, assignment_from, divergence, flow_cost,
                     good_potential, potential_value, unique_flow, validate_tree, w1_lp,
                     w1_tree)
 from treeot.instances import demo_instance, instance_from_dict
@@ -165,10 +165,12 @@ class TestGoodPotential:
     def test_demo_potential_reference_values(self):
         tree, mu, nu = demo_tree()
         flow = unique_flow(tree, assignment_from(mu, nu))
-        phi = good_potential(tree, flow, root=tree.index["v4"])
+        phi = good_potential(tree, flow)
+        assert phi.value(0) == 0
+        base = phi.value(tree.index["v4"])
         expected = {"v1": 4, "v2": 3, "v3": 3, "v4": 0, "v5": 3, "v6": 2,
                     "v7": 1, "v8": 2, "v9": 3, "v10": 4, "v11": 4}
-        assert {label: phi.value(tree.index[label]) for label in expected} == expected
+        assert {label: phi.value(tree.index[label]) - base for label in expected} == expected
 
     def test_adapted_and_lipschitz_random(self):
         rng = rng_for(777)
@@ -197,7 +199,9 @@ class TestGoodPotential:
             mu, nu = random_measure_pair(rng, n)
             rho = assignment_from(mu, nu)
             flow = unique_flow(tree, rho)
-            values = {potential_value(rho, good_potential(tree, flow, root=r)) for r in range(n)}
+            levels = good_potential(tree, flow).values
+            values = {potential_value(rho, Potential(tuple(h - levels[r] for h in levels)))
+                      for r in range(n)}
             assert len(values) == 1
 
 
