@@ -34,7 +34,7 @@ from .regular import (PairGeometry, RadialProfile, ball_profile, sphere_profile,
                       truncation_size, w1_radial_formula)
 from .suites import (DEFAULT_SEED, INEQUALITY_GRID, SUITE_NAMES, duality_cell,
                      inequality_cell, run_suite, triple_cell)
-from .tree import MAX_SERIES_BITS, MAX_SWEEP_STEPS
+from .tree import MAX_INEQUALITY_CELLS, MAX_SERIES_BITS, MAX_SWEEP_STEPS
 # Never called here: the benchmark's tracer test checks its rewiring through
 # the binding ``treeot.cli.unique_flow``, so the name stays importable.
 from .tree import unique_flow  # noqa: F401
@@ -42,11 +42,11 @@ from .tree import unique_flow  # noqa: F401
 SWEEP_HEADER = ("family", "alpha", "d", "q", "n", "w1_exact", "w1_decimal", "asym", "residual")
 
 
-def _parse_list(text: str, read=int) -> list:
-    """``"2"``, ``"1,3,5"`` or, for ints, ``"1..6"`` into its distinct values
-    in first-seen order, compared by value. Each ``lo..hi`` chunk is counted
-    before it is built: a list spelling out more than :data:`MAX_SWEEP_STEPS`
-    entries, repeats included, raises :class:`TooLarge`."""
+def _list_chunks(text: str, read=int) -> list:
+    """``"2"``, ``"1,3,5"`` or, for ints, ``"1..6"`` as its chunks: a
+    ``range`` for each ``lo..hi`` and a 1-tuple for each value, none of them
+    built. Each chunk is counted as it is read: a list spelling out more than
+    :data:`MAX_SWEEP_STEPS` entries, repeats included, raises :class:`TooLarge`."""
     chunks: list = []
     count = 0
     for chunk in text.split(","):
@@ -60,7 +60,18 @@ def _parse_list(text: str, read=int) -> list:
         if count > MAX_SWEEP_STEPS:
             raise TooLarge(f"the list {_shown(text)} spells out more than "
                            f"{MAX_SWEEP_STEPS:,} entries, the cap on a grid list")
+    return chunks
+
+
+def _distinct(chunks: list) -> list:
+    """The values of :func:`_list_chunks`' chunks, each once, in first-seen
+    order, compared by value."""
     return list(dict.fromkeys(itertools.chain.from_iterable(chunks)))
+
+
+def _parse_list(text: str, read=int) -> list:
+    """The distinct values of a list (see :func:`_list_chunks`)."""
+    return _distinct(_list_chunks(text, read))
 
 
 def _support_radius(fields: dict, key: str, q: int, d: int | None) -> int:
@@ -167,10 +178,12 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
     family = args.family
     d_list = _parse_list(args.d)
     q_list = _parse_list(args.q)
-    n_list = _parse_list(args.n)
+    n_chunks = _list_chunks(args.n)
     alphas = _parse_list(args.alpha, parse_rational) if family == "srw" else [None]
-    max_n = max(n_list)
+    # Each chunk ascends, so its last entry is its largest: the cap reads no list.
+    max_n = max(chunk[-1] for chunk in n_chunks if chunk)
     _check_series_size("--n", max_n, alphas, q_list)
+    n_list = _distinct(n_chunks)
     steps = (len(alphas) * len(q_list) * sum(d // 2 + 1 for d in d_list)
              * sum(n + 1 for n in n_list))
     if steps > MAX_SWEEP_STEPS:
@@ -283,6 +296,10 @@ def _parse_grid(tokens: list[str]) -> dict:
 
 def _cmd_verify_ineq(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid or [])
+    cells = len(grid["alpha"]) * len(grid["d"]) * len(grid["q"])
+    if cells > MAX_INEQUALITY_CELLS:
+        raise TooLarge(f"the grid has {cells:,} cells, over the {MAX_INEQUALITY_CELLS:,}-cell "
+                       f"cap on verify-ineq")
     writer = csv.writer(sys.stdout)
     writer.writerow(["alpha", "d", "q", "chain_a", "chain_b", "ball_floor_equality", "passed"])
     all_ok = True

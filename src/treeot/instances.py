@@ -17,7 +17,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .rational import _shown, format_rational, parse_rational
+from .errors import TreeOTError
+from .rational import _mass_pair, _shown, format_rational
 from .tree import Measure, Tree, validate_tree
 
 
@@ -44,7 +45,9 @@ def instance_from_dict(doc: dict) -> tuple[Tree, Measure, Measure]:
     Raises :class:`ValueError` naming the field or the vertex id when the
     document is not an object, lacks a field, or has a field of the wrong
     shape: ``vertices`` and ``edges`` must be lists, ``mu`` and ``nu``
-    objects, and every vertex id a JSON scalar.
+    objects, and every vertex id a JSON scalar. The edge ids are checked one
+    by one only when :func:`validate_tree` refuses the graph, and the masses
+    are read straight to reduced integer pairs.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"an instance document must be a JSON object, got {type(doc).__name__}")
@@ -55,10 +58,14 @@ def instance_from_dict(doc: dict) -> tuple[Tree, Measure, Measure]:
             raise ValueError(f"the {key!r} field must be {expected}, "
                              f"got {type(doc[key]).__name__}")
     _check_ids("vertices", doc["vertices"])
-    for edge in doc["edges"]:
-        if isinstance(edge, (list, tuple)):
-            _check_ids("edges", edge)
-    tree = validate_tree(doc["vertices"], doc["edges"])
+    try:
+        tree = validate_tree(doc["vertices"], doc["edges"])
+    except (TreeOTError, ValueError, TypeError):
+        # An id that is not a scalar is named first, as no graph check reads it.
+        for edge in doc["edges"]:
+            if isinstance(edge, (list, tuple)):
+                _check_ids("edges", edge)
+        raise
     by_name: dict[str, int] = {}
     for label, idx in tree.index.items():
         name = str(label)
@@ -68,15 +75,23 @@ def instance_from_dict(doc: dict) -> tuple[Tree, Measure, Measure]:
         by_name[name] = idx
 
     def read_measure(field: str) -> Measure:
-        masses: dict[int, Fraction] = {}
+        pairs: dict[int, tuple[int, int]] = {}
+        negative = None
         for name, raw in doc[field].items():
             if name not in by_name:
                 raise ValueError(f"{field}[{name!r}] references an unknown vertex")
             try:
-                masses[by_name[name]] = parse_rational(raw)
+                p, q = _mass_pair(raw)
             except ValueError as exc:
                 raise ValueError(f"{field}[{_shown(name)}]: {exc}") from None
-        return Measure(masses)
+            if p > 0:
+                pairs[by_name[name]] = p, q
+            elif p < 0 and negative is None:
+                negative = by_name[name], p, q
+        if negative is not None:
+            v, p, q = negative
+            raise ValueError(f"negative mass {Fraction(p, q)} at vertex {v}")
+        return Measure._from_pairs(pairs)
 
     return tree, read_measure("mu"), read_measure("nu")
 

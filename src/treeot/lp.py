@@ -51,7 +51,8 @@ class FiniteGraph:
 
     @classmethod
     def from_tree(cls, tree: Tree) -> "FiniteGraph":
-        """The tree as a graph, sharing its already validated structures."""
+        """The tree as a graph, sharing its validated structures; the tree
+        builds its edges and adjacency here, on their first read."""
         return cls(labels=tree.labels, index=tree.index, edges=tree.edges,
                    adjacency=tree.adjacency)
 
@@ -88,13 +89,18 @@ class TransportPlan:
         return rows == dict(mu.masses) and cols == dict(nu.masses)
 
 
+def _check_support(mu: Measure, nu: Measure) -> None:
+    """Raises :class:`TooLarge` when either support passes :data:`MAX_SUPPORT`."""
+    if len(mu.pairs) > MAX_SUPPORT or len(nu.pairs) > MAX_SUPPORT:
+        raise TooLarge(f"supports of size {len(mu.pairs)}x{len(nu.pairs)} exceed the "
+                       f"{MAX_SUPPORT}-point oracle cap")
+
+
 def w1_lp(graph: FiniteGraph, mu: Measure, nu: Measure) -> tuple[Fraction, TransportPlan]:
     """Exact optimum of the transportation LP plus one optimal plan."""
+    _check_support(mu, nu)
     sources = mu.support()
     sinks = nu.support()
-    if len(sources) > MAX_SUPPORT or len(sinks) > MAX_SUPPORT:
-        raise TooLarge(f"supports of size {len(sources)}x{len(sinks)} exceed the "
-                       f"{MAX_SUPPORT}-point oracle cap")
     given, taken = mu.total(), nu.total()
     if given != taken:
         raise MassMismatch(f"total masses differ: {given} vs {taken}")

@@ -10,10 +10,17 @@ import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable
 
+from .errors import TooLarge
+
 RationalLike = Fraction | int | str
+
+#: Budget for integers held over one common denominator L: bits(L) times the
+#: number of values held over L (about 128 MiB of digits). Larger sets raise
+#: :class:`TooLarge`.
+MAX_CHARGE_BITS = 2 ** 30
 
 
 def _frac(value: RationalLike) -> Fraction:
@@ -21,11 +28,16 @@ def _frac(value: RationalLike) -> Fraction:
     return value if isinstance(value, Fraction) else parse_rational(value)
 
 
-def _over_lcm(values: Iterable[RationalLike]) -> tuple[list[int], int]:
-    """The numerators of ``values`` over L, the lcm of their denominators, and L."""
-    fracs = [_frac(x) for x in values]
-    scale = lcm(*(x.denominator for x in fracs))
-    return [x.numerator * (scale // x.denominator) for x in fracs], scale
+def _common_scale(denominators: Iterable[int], count: int) -> int:
+    """L, the lcm of ``denominators``, grown one at a time; raises :class:`TooLarge`
+    as soon as ``count`` integers over L would pass :data:`MAX_CHARGE_BITS`."""
+    scale = 1
+    for d in denominators:
+        scale = lcm(scale, d)
+        if scale.bit_length() * count > MAX_CHARGE_BITS:
+            raise TooLarge(f"a common denominator of {scale.bit_length()} bits over {count} "
+                           f"values exceeds the {MAX_CHARGE_BITS}-bit charge cap")
+    return scale
 
 
 def _qpow(q: int, e: int) -> Fraction:
@@ -70,6 +82,27 @@ def parse_rational(value: str | int | Fraction) -> Fraction:
     except ValueError:
         raise ValueError(f"cannot interpret {_shown(value)} as an exact rational; "
                          f"give an int or a \"p/q\" string") from None
+
+
+def _mass_pair(value: RationalLike) -> tuple[int, int]:
+    """``value`` as a reduced ``(numerator, denominator)`` pair, under the rules
+    of :func:`parse_rational`.
+
+    A string of ASCII digits, ``"p"`` or ``"p/q"``, no longer than the
+    integer-string limit, is read with two ``int`` calls and one ``gcd``;
+    a zero denominator and everything else go through :func:`parse_rational`,
+    so every refusal keeps its message.
+    """
+    if type(value) is str and value.isascii():
+        p, slash, q = value.partition("/")
+        limit = sys.get_int_max_str_digits()
+        if p.isdigit() and (q.isdigit() or not slash) and not 0 < limit < len(value):
+            p, q = int(p), int(q) if slash else 1
+            if q:
+                g = gcd(p, q)
+                return p // g, q // g
+    m = parse_rational(value)
+    return m.numerator, m.denominator
 
 
 def format_rational(value: Fraction) -> str:

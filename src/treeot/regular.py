@@ -19,7 +19,7 @@ from math import gcd
 from typing import Sequence
 
 from .errors import InvalidParams, TooLarge, TruncationTooSmall
-from .rational import RationalLike, _over_lcm
+from .rational import RationalLike, _common_scale, _frac
 from .tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, Flow, Measure, Potential, Tree
 
 
@@ -83,7 +83,9 @@ class RadialProfile:
 
     def __init__(self, values: Sequence[RationalLike], scale: int | None = None):
         if scale is None:
-            values, scale = _over_lcm(values)
+            fracs = [_frac(x) for x in values]
+            scale = _common_scale({x.denominator for x in fracs}, len(fracs))
+            values = [x.numerator * (scale // x.denominator) for x in fracs]
         if any(x < 0 for x in values):
             raise ValueError("profile entries must be nonnegative")
         if not any(values):
@@ -220,9 +222,10 @@ def radial_measure(truncation: TruncatedRegularTree, center: int, profile: Radia
     q = truncation.geometry.q
     to_path = [abs(truncation.i[center] - j) for j in truncation.path]  # path ids are 0..d
     top = profile.support_radius
-    shells = profile.values
+    # Each shell's mass as one reduced pair, shared by every vertex of the shell.
+    shells = [(m.numerator, m.denominator) if m else None for m in profile.values]
     counts = [0] * (top + 1)
-    masses: dict[int, Fraction] = {}
+    masses: dict[int, tuple[int, int]] = {}
     for v, (i, h) in enumerate(zip(truncation.i, truncation.h)):
         ell = to_path[i] + h
         if ell <= top:
@@ -234,7 +237,7 @@ def radial_measure(truncation: TruncatedRegularTree, center: int, profile: Radia
             raise TruncationTooSmall(
                 f"distance-{ell} sphere around vertex {center} has {counts[ell]} "
                 f"vertices, expected {sphere_size(q, ell)}; enlarge the truncation")
-    return Measure(masses)
+    return Measure._from_pairs(masses)
 
 
 def radial_potential(coord: BasepointCoord, geometry: PairGeometry) -> Fraction:

@@ -16,7 +16,8 @@ from .asymptotics import InequalityReport, gamma_asymptotic, interval_mid, verif
 from .families import (bundle_from_table, check_functional_equation, srw_closed_form,
                        srw_g_table, srw_return_sequence)
 from .errors import TooLarge
-from .lp import DualityReport, FiniteGraph, check_complementary_slackness, verify_duality
+from .lp import (DualityReport, FiniteGraph, _check_support, check_complementary_slackness,
+                 verify_duality)
 from .rational import decimal_string, format_rational
 from .regular import (PairGeometry, RadialProfile, TruncatedRegularTree, build_truncated_tree,
                       radial_measure, w1_radial_flow_formula, w1_radial_formula)
@@ -153,11 +154,13 @@ def duality_cell(tree: Tree, mu: Measure,
     paths = {"flow": flow_cost(flow)}
     phi = good_potential(tree, flow)
     paths["potential"] = potential_value(rho, phi)
-    graph = FiniteGraph.from_tree(tree)
     try:
-        duality = verify_duality(graph, mu, nu, phi)
+        # Before the graph: a tree builds its edges and adjacency only when read.
+        _check_support(mu, nu)
     except TooLarge as exc:
         return paths, str(exc), paths["flow"] == paths["potential"]
+    graph = FiniteGraph.from_tree(tree)
+    duality = verify_duality(graph, mu, nu, phi)
     paths["lp"] = duality.primal
     ok = (len(set(paths.values())) == 1 and duality.optimal_certificate
           and check_complementary_slackness(graph, duality.plan, phi)

@@ -1,6 +1,6 @@
 """Exact 1-Wasserstein distance on finite trees.
 
-Costs are hop counts and masses are Fractions. The tree route scales every
+Costs are hop counts and masses are exact rationals. The tree route scales every
 mass once by L, the lcm of the denominators, runs the flow and the pairing
 in integers over L, and divides by L once, so all identities hold exactly.
 The backbone facts: on a tree there is exactly one flow whose divergence
@@ -12,17 +12,15 @@ same number.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Protocol, Sequence
 
-from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected, TooLarge
-from .rational import RationalLike, _frac
-
-#: Budget for the integer charges: bits(L) times the number of values held
-#: over L (about 128 MiB of digits). Larger instances raise :class:`TooLarge`.
-MAX_CHARGE_BITS = 2 ** 30
+from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected
+from .rational import RationalLike, _common_scale, _frac
+# The charge cap sits beside the scaling helper; it is read here with the other caps.
+from .rational import MAX_CHARGE_BITS  # noqa: F401
 
 #: Cap on bits(S) * order for the families' size knobs (``series --order``,
 #: ``sweep --n``), where S is the per-step scale: den(alpha) * (q+1) for the
@@ -39,6 +37,12 @@ MAX_SERIES_BITS = 2 ** 11
 #: of the grid. A step costs about a microsecond at d = 2,048, so a grid at the
 #: cap runs in a few seconds; larger grids raise :class:`TooLarge`.
 MAX_SWEEP_STEPS = 2 ** 21
+
+#: Cap on the cells of one ``verify-ineq`` grid, the product of its list
+#: lengths. A cell checks the coefficient chain in about 0.2 ms (0.5 ms at a
+#: 2,000-bit q), so a grid at the cap runs in about a second; larger grids raise
+#: :class:`TooLarge`. The default grid has 216 cells.
+MAX_INEQUALITY_CELLS = 2 ** 12
 
 #: Cap on the vertex count of a regular-tree truncation (``w1 --radial``).
 #: One at 10^6 vertices takes a few seconds; larger ones raise
@@ -83,13 +87,18 @@ def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, 
     return labels, index, tuple(dense_edges), _adjacency(len(labels), dense_edges)
 
 
-def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    """Neighbor tuples of vertices ``0..n-1`` from dense edges, in edge order."""
+def _neighbor_lists(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Neighbor lists of vertices ``0..n-1`` from dense edges, in edge order."""
     neighbor_lists: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         neighbor_lists[u].append(v)
         neighbor_lists[v].append(u)
-    return tuple(map(tuple, neighbor_lists))
+    return neighbor_lists
+
+
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Neighbor tuples of vertices ``0..n-1`` from dense edges, in edge order."""
+    return tuple(map(tuple, _neighbor_lists(n, edges)))
 
 
 def _bfs(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
@@ -139,33 +148,33 @@ class Tree:
     (and all measures/flows/potentials) use the dense indices. ``parent``
     roots the tree at vertex 0 (-1 there), and ``order`` lists every vertex
     after its parent, starting at 0: the BFS that :func:`validate_tree` ran,
-    or ``0..n-1`` for a tree built from a generator's parent array.
+    or ``0..n-1`` for a tree built from a generator's parent array. The flow
+    route reads only these two. ``edges`` and ``adjacency``, which the LP
+    oracle and the instance writer read, are built from the edge endpoints on
+    first read.
     """
 
     labels: tuple[Hashable, ...]
     index: dict
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
     order: tuple[int, ...]
     parent: tuple[int, ...]
+    #: The dense endpoints of edge k, in input order, at ``_ends[0][k]`` and ``_ends[1][k]``.
+    _ends: tuple[Sequence[int], Sequence[int]] = field(repr=False, compare=False)
 
     @property
     def num_vertices(self) -> int:
         return len(self.labels)
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge once, as a ``(lo, hi)`` pair, in input order."""
+        us, vs = self._ends
+        return tuple(zip(map(min, us, vs), map(max, us, vs)))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def bfs_distances(self, source: int) -> list[int]:
-        """Hop distances from ``source``, by one BFS."""
-        return _hop_distances(self.adjacency, source)
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The neighbors of each vertex, in edge order."""
+        return _adjacency(len(self.labels), zip(*self._ends))
 
     @classmethod
     def _from_parents(cls, parent: Sequence[int]) -> "Tree":
@@ -181,9 +190,8 @@ class Tree:
             raise ValueError("a parent array needs -1 at vertex 0 and "
                              "0 <= parent[v] < v at every other vertex")
         labels = tuple(range(n))
-        edges = tuple(zip(parent[1:], labels[1:]))
-        return cls(labels=labels, index=dict(zip(labels, labels)), edges=edges,
-                   adjacency=_adjacency(n, edges), order=labels, parent=tuple(parent))
+        return cls(labels=labels, index=dict(zip(labels, labels)), order=labels,
+                   parent=tuple(parent), _ends=(parent[1:], labels[1:]))
 
 
 def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
@@ -191,59 +199,85 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
 
     Raises :class:`DuplicateEdge`, :class:`HasCycle`, or :class:`NotConnected`
     when the input is not a simple connected acyclic graph.
+
+    A valid tree pays for counts and one BFS: n distinct labels, n - 1 edges
+    and a BFS from vertex 0 that reaches all n vertices leave no room for a
+    self-loop, a repeated edge or a cycle. Only when one of these fails does
+    the full check of :func:`_build_graph` run, to name the fault.
     """
-    labels, index, dense_edges, adjacency = _build_graph(vertices, edges)
+    labels = tuple(vertices)
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)  # read again when a check fails
     n = len(labels)
+    index = dict(zip(labels, range(n)))
+    if len(index) == n == len(edges) + 1 and set(map(type, edges)) <= {list, tuple}:
+        try:  # an unknown id, an unhashable id or an edge that is not a pair fails here
+            ends = [index[a] for a, _ in edges], [index[b] for _, b in edges]
+        except (KeyError, TypeError, ValueError):
+            pass
+        else:
+            order, parent = _bfs(_neighbor_lists(n, zip(*ends)), 0)
+            if len(order) == n:
+                return Tree(labels=labels, index=index, order=tuple(order),
+                            parent=tuple(parent), _ends=ends)
+    labels, index, dense_edges, adjacency = _build_graph(labels, edges)
     if len(dense_edges) > n - 1:
         raise HasCycle(f"{len(dense_edges)} edges on {n} vertices force a cycle")
     if len(dense_edges) < n - 1:
         raise NotConnected(f"{len(dense_edges)} edges cannot connect {n} vertices")
     # |E| = |V| - 1, so connectivity also rules out cycles.
     order, parent = _require_connected(adjacency)
-    return Tree(labels=labels, index=index, edges=dense_edges, adjacency=adjacency,
-                order=tuple(order), parent=tuple(parent))
+    # Reached only for edges the fast read refuses but the full check accepts,
+    # such as a subclass of tuple.
+    return Tree(labels=labels, index=index, order=tuple(order), parent=tuple(parent),
+                _ends=([u for u, _ in dense_edges], [v for _, v in dense_edges]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Measure:
-    """Finitely supported nonnegative mass function on dense vertex indices."""
+    """Finitely supported nonnegative mass function on dense vertex indices.
 
-    masses: Mapping[int, Fraction]
+    Built from rational masses; held as ``pairs``, the reduced
+    ``(numerator, denominator)`` of every positive mass. Fractions are built
+    only when ``masses``, :meth:`value` or :meth:`total` is read.
+    """
 
-    def __post_init__(self) -> None:
-        cleaned: dict[int, Fraction] = {}
-        for v, raw in self.masses.items():
+    pairs: Mapping[int, tuple[int, int]]
+
+    def __init__(self, masses: Mapping[int, RationalLike]):
+        pairs: dict[int, tuple[int, int]] = {}
+        for v, raw in masses.items():
             m = _frac(raw)
             if m.numerator < 0:
                 raise ValueError(f"negative mass {m} at vertex {v}")
             if m.numerator:
-                cleaned[int(v)] = m
-        object.__setattr__(self, "masses", cleaned)
+                pairs[int(v)] = (m.numerator, m.denominator)
+        object.__setattr__(self, "pairs", pairs)
+
+    @classmethod
+    def _from_pairs(cls, pairs: dict[int, tuple[int, int]]) -> "Measure":
+        """The measure of reduced pairs with positive numerators, taken as given."""
+        measure = cls.__new__(cls)
+        object.__setattr__(measure, "pairs", pairs)
+        return measure
+
+    @property
+    def masses(self) -> dict[int, Fraction]:
+        """The positive masses as Fractions, built on each read."""
+        return {v: Fraction(p, q) for v, (p, q) in self.pairs.items()}
 
     def total(self) -> Fraction:
         return sum(self.masses.values(), Fraction(0))
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.masses))
+        return tuple(sorted(self.pairs))
 
     def value(self, v: int) -> Fraction:
-        return self.masses.get(v, Fraction(0))
+        return Fraction(*self.pairs.get(v, (0, 1)))
 
     def scaled(self, c: RationalLike) -> "Measure":
         c = _frac(c)
         return Measure({v: c * m for v, m in self.masses.items()})
-
-
-def _common_scale(denominators: Iterable[int], count: int) -> int:
-    """L, the lcm of ``denominators``, grown one at a time; raises :class:`TooLarge`
-    as soon as ``count`` integers over L would pass :data:`MAX_CHARGE_BITS`."""
-    scale = 1
-    for d in denominators:
-        scale = math.lcm(scale, d)
-        if scale.bit_length() * count > MAX_CHARGE_BITS:
-            raise TooLarge(f"a common denominator of {scale.bit_length()} bits over {count} "
-                           f"values exceeds the {MAX_CHARGE_BITS}-bit charge cap")
-    return scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,12 +346,11 @@ class Potential:
 def assignment_from(mu: Measure, nu: Measure) -> Assignment:
     """Difference of two measures with equal totals, as integers over L, the
     lcm of all their mass denominators; each mass is scaled once."""
-    denominators = {m.denominator for m in mu.masses.values()}
-    denominators.update(m.denominator for m in nu.masses.values())
-    scale = _common_scale(denominators, len(mu.masses) + len(nu.masses))
+    denominators = {q for _, q in mu.pairs.values()}
+    denominators.update(q for _, q in nu.pairs.values())
+    scale = _common_scale(denominators, len(mu.pairs) + len(nu.pairs))
     factor = {d: scale // d for d in denominators}
-    num, take = ({v: m.numerator * factor[m.denominator] for v, m in side.masses.items()}
-                 for side in (mu, nu))
+    num, take = ({v: p * factor[q] for v, (p, q) in side.pairs.items()} for side in (mu, nu))
     given, taken = sum(num.values()), sum(take.values())
     if given != taken:
         raise MassMismatch(f"total masses differ: {Fraction(given, scale)} vs "

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import hashlib
 import io
 import json
+import random
 import re
 import sys
 import tempfile
@@ -19,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeot import Measure, TooLarge, parse_rational, validate_tree, w1_tree
+from treeot import (DuplicateEdge, HasCycle, Measure, NotConnected, TooLarge, parse_rational,
+                    validate_tree, w1_tree)
 from treeot.cli import build_parser, main, parse_profile_spec
 from treeot.instances import (demo_instance, dump_instance, instance_from_dict,
                               instance_to_dict, load_instance)
@@ -74,6 +77,117 @@ class TestInstances:
         tree, mu, nu = instance_from_dict(doc)
         rebuilt = instance_to_dict(tree, mu, nu)
         assert rebuilt["mu"]["0"] == "22/7"
+
+
+#: (vertices, edges, error type, message): each fault as the full check names it.
+GRAPH_FAULTS = [
+    (["a", "b", "a"], [["a", "b"], ["b", "a"]], ValueError, "duplicate vertex id 'a'"),
+    ([0, 1, 2], [[0, 1], [2, 2]], HasCycle, "self-loop at vertex 2"),
+    ([0, 1, 2], [[0, 1], [1, 0]], DuplicateEdge, "edge (1, 0) appears more than once"),
+    ([0, 1, 2], [[0, 1], [1, 2], [2, 0]], HasCycle, "3 edges on 3 vertices force a cycle"),
+    ([0, 1, 2, 3], [[1, 2], [2, 3], [3, 1]], NotConnected,
+     "only 1 of 4 vertices reachable from vertex 0"),
+    ([0, 1, 2], [[0, 1]], NotConnected, "1 edges cannot connect 3 vertices"),
+    ([0, 1], [[0]], ValueError, "edge [0] is not a pair of vertex ids"),
+    ([0, 1, 2], [[0, 1], [1, 2, 0]], ValueError, "edge [1, 2, 0] is not a pair of vertex ids"),
+    (["a", "b"], ["ab"], ValueError, "edge 'ab' is not a pair of vertex ids"),
+    (["a", "b"], [{"a": 0, "b": 1}], ValueError,
+     "edge {'a': 0, 'b': 1} is not a pair of vertex ids"),
+    ([0, 1], [[0, 5]], ValueError, "edge (0, 5) references an unknown vertex"),
+    ([], [], ValueError, "a graph needs at least one vertex"),
+]
+GRAPH_FAULT_IDS = ["repeated-id", "self-loop", "repeated-edge", "n-edges", "cycle-and-isolated",
+                   "too-few-edges", "short-edge", "long-edge", "string-edge", "object-edge",
+                   "unknown-endpoint", "no-vertices"]
+
+#: Mass spellings: each must load as parse_rational reads it, or fail as it does.
+MASS_SPELLINGS = ["1/2", "2/4", "01/02", "0", "0/5", " 1/2 ", "0.5", "1_0/30", "\u0663/4",
+                  "\u00b2/4", 3, "-1/2", "1/0", "1e3", "1/" + "7" * 5000, True, 0.5]
+
+
+class TestLoaderFastPaths:
+    """A valid instance skips the full graph check and Fraction parsing; every
+    fault must still be named exactly as the full check names it."""
+
+    @pytest.mark.parametrize("vertices, edges, kind, message", GRAPH_FAULTS, ids=GRAPH_FAULT_IDS)
+    def test_graph_faults_keep_their_type_and_message(self, tmp_path, vertices, edges, kind,
+                                                      message):
+        for given in (edges, (edge for edge in edges)):
+            with pytest.raises(kind) as caught:
+                validate_tree(vertices, given)
+            assert type(caught.value) is kind and str(caught.value) == message
+        path = tmp_path / "fault.json"
+        path.write_text(json.dumps({"vertices": vertices, "edges": edges, "mu": {}, "nu": {}}))
+        with pytest.raises(kind) as caught:
+            load_instance(path)
+        assert type(caught.value) is kind and str(caught.value) == message
+
+    def test_list_edge_id_is_named_by_the_loader(self, tmp_path):
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            validate_tree([0, 1], [[[0], 1]])
+        path = tmp_path / "fault.json"
+        path.write_text(json.dumps({"vertices": [0, 1], "edges": [[[0], 1]], "mu": {}, "nu": {}}))
+        with pytest.raises(ValueError) as caught:
+            load_instance(path)
+        assert str(caught.value) == ("'edges' holds the vertex id [0]; "
+                                     "a vertex id must be a JSON scalar")
+
+    def test_generator_edges_build_the_same_tree(self):
+        edges = [("c", "a"), ("a", "b"), ("d", "a")]
+        from_list = validate_tree("abcd", edges)
+        from_generator = validate_tree("abcd", (edge for edge in edges))
+        assert from_generator == from_list
+        assert from_generator.edges == from_list.edges == ((0, 2), (0, 1), (0, 3))
+        assert from_generator.adjacency == from_list.adjacency == ((2, 1, 3), (0,), (0,), (0,))
+
+    def test_tuple_subclass_edges_pass_the_full_check(self):
+        edge = collections.namedtuple("Edge", "a b")
+        tree = validate_tree("abc", [edge("b", "c"), edge("b", "a")])
+        plain = validate_tree("abc", [("b", "c"), ("b", "a")])
+        assert tree == plain
+        assert tree.edges == plain.edges == ((1, 2), (0, 1))
+        assert tree.adjacency == plain.adjacency
+
+    def test_valid_tree_runs_no_full_check(self, monkeypatch):
+        import treeot.tree
+
+        def refuse(*args):
+            raise AssertionError("a valid tree ran the full graph check")
+
+        monkeypatch.setattr(treeot.tree, "_build_graph", refuse)
+        monkeypatch.setattr(treeot.tree, "_adjacency", refuse)
+        tree, mu, nu = instance_from_dict(demo_instance())
+        assert tree.num_vertices == 11 and w1_tree(tree, mu, nu) == 12
+
+    def test_lazy_structures_equal_the_full_check(self):
+        from treeot.tree import _build_graph
+
+        rng = random.Random(11)
+        for _ in range(50):
+            n = rng.randint(1, 40)
+            labels = [f"v{k}" for k in range(n)]
+            rng.shuffle(labels)
+            edges = [[labels[rng.randrange(k)], labels[k]] for k in range(1, n)]
+            rng.shuffle(edges)
+            edges = [edge[::-1] if rng.random() < 0.5 else edge for edge in edges]
+            tree = validate_tree(labels, edges)
+            assert (tree.labels, tree.index, tree.edges, tree.adjacency) == _build_graph(
+                labels, edges)
+
+    @pytest.mark.parametrize("mass", MASS_SPELLINGS,
+                             ids=lambda m: repr(m) if len(repr(m)) < 20 else "5000-digits")
+    def test_mass_spellings_read_as_parse_rational_reads_them(self, mass):
+        doc = {"vertices": ["a", "b"], "edges": [["a", "b"]], "mu": {"a": mass}, "nu": {"b": "1"}}
+        try:
+            expected = Measure({0: parse_rational(mass)})
+        except ValueError as exc:
+            message = (f"mu['a']: {exc}" if "negative" not in str(exc) else str(exc))
+            with pytest.raises(ValueError) as caught:
+                instance_from_dict(doc)
+            assert str(caught.value) == message
+            return
+        _, mu, _ = instance_from_dict(doc)
+        assert mu.masses == expected.masses and mu == expected
 
 
 class TestW1Command:
@@ -252,6 +366,24 @@ class TestW1Command:
         doc = json.loads(out)
         assert doc["agree"] is True and "lp_skipped" in doc
         assert doc["w1"] == str(w1_tree(*load_instance(path)))
+
+    def test_no_adjacency_built_over_the_lp_cap(self, capsys, tmp_path, monkeypatch):
+        import treeot.tree
+
+        def refuse(*args):
+            raise AssertionError("the adjacency was built for an LP that cannot run")
+
+        n = 100
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({
+            "vertices": list(range(n)), "edges": [[i, i + 1] for i in range(n - 1)],
+            "mu": {str(v): "1/41" for v in range(41)},
+            "nu": {str(v): "1/41" for v in range(n - 41, n)}}))
+        monkeypatch.setattr(treeot.tree, "_adjacency", refuse)
+        code, out, _ = run_cli(capsys, "w1", str(path), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["agree"] is True and doc["lp_skipped"].startswith("supports of size 41x41")
 
     def test_charge_budget_refusal_exits_2(self, capsys, tmp_path):
         # 2^p - 1 for distinct primes p are pairwise coprime, so L is their
@@ -447,6 +579,43 @@ class TestSeriesSizeCap:
         text = argv[-1].split("=")[-1]
         assert err == (f"error: the list '{text}' spells out more than 2,097,152 entries, "
                        f"the cap on a grid list\n")
+
+    @pytest.mark.parametrize("n, top", [("0..2097151", 2097151),
+                                        ("0..1000,1001..2097150", 2097150)])
+    def test_sweep_series_cap_reads_no_n_list(self, capsys, n, top):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "sweep", "--family", "sphere", "--n", n)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # bytes: the cap reads each range's top, never the list
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --n {top} ") and "series cap" in err
+
+    def test_verify_ineq_grid_refused_fast(self, capsys, monkeypatch):
+        import treeot.cli
+
+        def no_work(*args):
+            raise AssertionError("a cell was checked before the grid check")
+
+        monkeypatch.setattr(treeot.cli, "inequality_cell", no_work)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify-ineq", "--grid", "q=2..401", "d=1..6",
+                                 "alpha=0,1/4,1/2,9/10")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == "error: the grid has 9,600 cells, over the 4,096-cell cap on verify-ineq\n"
+
+    def test_verify_ineq_grid_at_the_cap_answers(self, capsys, monkeypatch):
+        import treeot.cli
+
+        monkeypatch.setattr(treeot.cli, "MAX_INEQUALITY_CELLS", 18)
+        code, out, _ = run_cli(capsys, "verify-ineq", "--grid", "alpha=0,1/2", "d=1..3", "q=2..4")
+        assert code == 0 and len(out.splitlines()) == 1 + 18
+        code, out, err = run_cli(capsys, "verify-ineq", "--grid", "alpha=0,1/2", "d=1..3",
+                                 "q=2..5")
+        assert code == 2 and out == "" and "24 cells, over the 18-cell cap" in err
 
     def test_list_cap_counts_entries_as_written(self, monkeypatch):
         import treeot.cli

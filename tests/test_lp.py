@@ -11,6 +11,7 @@ from treeot import (FiniteGraph, InfeasiblePotential, MassMismatch, Measure, Pot
                     check_complementary_slackness, good_potential,
                     unique_flow, verify_duality, w1_lp, w1_tree)
 from treeot.instances import demo_instance, instance_from_dict
+from treeot.tree import _hop_distances
 
 from conftest import random_measure_pair, random_tree, rng_for
 
@@ -52,7 +53,7 @@ class TestDistances:
                       FiniteGraph.build(tree.labels,
                                         [(tree.labels[u], tree.labels[v]) for u, v in tree.edges])):
                 for u in range(n):
-                    assert [g.distance(u, v) for v in range(n)] == tree.bfs_distances(u)
+                    assert [g.distance(u, v) for v in range(n)] == _hop_distances(tree.adjacency, u)
 
     def test_rows_on_the_four_cycle(self):
         g = FiniteGraph.build(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])

@@ -14,7 +14,7 @@ from treeot import (InvalidParams, PairGeometry, TooLarge, TruncationTooSmall,
                     w1_radial_flow_formula, w1_radial_formula, w1_tree)
 from treeot.families import srw_profile
 from treeot.regular import BasepointCoord, RadialProfile, truncation_size
-from treeot.tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES
+from treeot.tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, _hop_distances
 
 from conftest import random_profile, rng_for
 
@@ -93,7 +93,7 @@ class TestTruncation:
     def test_six_vertices(self):
         tt = build_truncated_tree(2, 1, 1)
         assert tt.tree.num_vertices == 6
-        assert tt.tree.degree(tt.x) == 3 and tt.tree.degree(tt.y) == 3
+        assert len(tt.tree.adjacency[tt.x]) == 3 and len(tt.tree.adjacency[tt.y]) == 3
 
     @pytest.mark.parametrize("q,d,radius", [(3, 2, 2), (2, 3, 3), (2, 1, 4), (3, 4, 3)])
     def test_vertex_count_matches_class_sizes(self, q, d, radius):
@@ -132,11 +132,11 @@ class TestTruncation:
     @pytest.mark.parametrize("q,d,radius", [(2, 2, 3), (3, 1, 2)])
     def test_interior_vertices_have_full_degree(self, q, d, radius):
         tt = build_truncated_tree(q, d, radius)
-        dx = tt.tree.bfs_distances(tt.x)
-        dy = tt.tree.bfs_distances(tt.y)
+        dx = _hop_distances(tt.tree.adjacency, tt.x)
+        dy = _hop_distances(tt.tree.adjacency, tt.y)
         for v in range(tt.tree.num_vertices):
             if min(dx[v], dy[v]) < radius:
-                assert tt.tree.degree(v) == q + 1
+                assert len(tt.tree.adjacency[v]) == q + 1
 
 
 class TestCoordinates:
@@ -150,8 +150,8 @@ class TestCoordinates:
     @pytest.mark.parametrize("q,d,radius", COORD_CASES)
     def test_distance_identity(self, q, d, radius):
         tt = build_truncated_tree(q, d, radius)
-        dx = tt.tree.bfs_distances(tt.x)
-        dy = tt.tree.bfs_distances(tt.y)
+        dx = _hop_distances(tt.tree.adjacency, tt.x)
+        dy = _hop_distances(tt.tree.adjacency, tt.y)
         for v in range(tt.tree.num_vertices):
             c = tt.coord(v)
             assert dx[v] == c.i + c.h
@@ -167,7 +167,7 @@ class TestRadialMeasure:
     def test_one_step_walk(self):
         tt = build_truncated_tree(2, 1, 1)
         mu = radial_measure(tt, tt.x, srw_profile(Fraction(0), 2, 1))
-        neighbors = tt.tree.neighbors(tt.x)
+        neighbors = tt.tree.adjacency[tt.x]
         assert mu.masses == {w: Fraction(1, 3) for w in neighbors}
 
     def test_sphere_measure(self):
@@ -182,7 +182,7 @@ class TestRadialMeasure:
         tt = build_truncated_tree(q, d, radius)
         for center in (tt.x, tt.y):
             profile = random_profile(rng, radius)
-            dist = tt.tree.bfs_distances(center)
+            dist = _hop_distances(tt.tree.adjacency, center)
             expected = {v: profile.value(ell) for v, ell in enumerate(dist)
                         if profile.value(ell)}
             assert radial_measure(tt, center, profile).masses == expected
@@ -315,6 +315,6 @@ class TestFlowDirections:
         flow = unique_flow(tt.tree, assignment_from(
             radial_measure(tt, tt.x, profile), radial_measure(tt, tt.y, profile)))
         mid = tt.path[1]
-        for w in tt.tree.neighbors(mid):
+        for w in tt.tree.adjacency[mid]:
             if tt.coord(w).h > 0:
                 assert flow.signed(mid, w) == 0

@@ -16,6 +16,7 @@ from treeot import (Assignment, FiniteGraph, HasCycle, MassMismatch, Measure, No
                     good_potential, potential_value, unique_flow, validate_tree, w1_lp,
                     w1_tree)
 from treeot.instances import demo_instance, instance_from_dict
+from treeot.tree import _hop_distances
 
 from conftest import random_measure_pair, random_tree, rng_for
 
@@ -28,8 +29,8 @@ class TestValidateTree:
     def test_path_on_three_vertices(self):
         tree = validate_tree(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert tree.num_vertices == 3
-        assert tree.num_edges == 2
-        assert tree.degree(tree.index["b"]) == 2
+        assert len(tree.edges) == 2
+        assert len(tree.adjacency[tree.index["b"]]) == 2
 
     def test_triangle_has_cycle(self):
         with pytest.raises(HasCycle):
@@ -51,7 +52,7 @@ class TestValidateTree:
     def test_demo_tree_is_valid(self):
         tree, _, _ = demo_tree()
         assert tree.num_vertices == 11
-        assert tree.num_edges == 10
+        assert len(tree.edges) == 10
 
     def test_single_vertex_tree(self):
         tree = validate_tree(["only"], [])
@@ -65,7 +66,7 @@ class TestValidateTree:
         assert (tree.edges, tree.adjacency, tree.parent) == (
             checked.edges, checked.adjacency, checked.parent)
         assert tree.order == (0, 1, 2, 3, 4, 5)
-        assert tree.bfs_distances(0) == [0, 1, 1, 2, 2, 2]
+        assert _hop_distances(tree.adjacency, 0) == [0, 1, 1, 2, 2, 2]
 
     @pytest.mark.parametrize("parent", [
         [-1, 0, 2],       # a parent after its child
