@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 from .errors import InvalidAlpha, InvalidParams, OrderExceeded
 from .rational import RationalLike, _frac, _qpow
-from .regular import PairGeometry, RadialProfile, ball_size, profile_total_mass, sphere_size
+from .regular import PairGeometry, RadialProfile, ball_size, sphere_size
 from .series import Series
 
 #: Default truncation order; enough for time steps up to ~60.
@@ -82,10 +82,6 @@ class GTable:
     def column_profile(self, n: int) -> RadialProfile:
         """The time-n column as a radial profile."""
         return RadialProfile(self.columns[n], self.scales[n])
-
-    def column_mass(self, n: int) -> Fraction:
-        """Total mass of the time-n measure under sphere-size weights."""
-        return profile_total_mass(self.q, self.column_profile(n))
 
 
 def _srw_scaled_columns(alpha: RationalLike, q: int,

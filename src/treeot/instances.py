@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from .errors import TreeOTError
-from .rational import _mass_pair, _shown, format_rational
+from .rational import _common_scale, _shown, format_rational, parse_rational
 from .tree import Measure, Tree, validate_tree
 
 
@@ -46,8 +46,11 @@ def instance_from_dict(doc: dict) -> tuple[Tree, Measure, Measure]:
     document is not an object, lacks a field, or has a field of the wrong
     shape: ``vertices`` and ``edges`` must be lists, ``mu`` and ``nu``
     objects, and every vertex id a JSON scalar. The edge ids are checked one
-    by one only when :func:`validate_tree` refuses the graph, and the masses
-    are read straight to reduced integer pairs.
+    by one only when :func:`validate_tree` refuses the graph. The masses of
+    each side are grouped by denominator and read straight to integers over
+    one scale; every spelling other than ASCII ``"p"`` or ``"p/q"`` goes to
+    :func:`parse_rational`. Parse errors are named in document order, and
+    then the first negative mass.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"an instance document must be a JSON object, got {type(doc).__name__}")
@@ -66,34 +69,72 @@ def instance_from_dict(doc: dict) -> tuple[Tree, Measure, Measure]:
             if isinstance(edge, (list, tuple)):
                 _check_ids("edges", edge)
         raise
-    by_name: dict[str, int] = {}
-    for label, idx in tree.index.items():
-        name = str(label)
-        if name in by_name:
-            raise ValueError(f"vertex ids {tree.labels[by_name[name]]!r} and {label!r} "
-                             f"share the measure key {name!r}")
-        by_name[name] = idx
+    if set(map(type, tree.labels)) == {str}:
+        by_name = tree.index  # a str id is its own measure key
+    else:
+        by_name = {}
+        for label, idx in tree.index.items():
+            name = str(label)
+            if name in by_name:
+                raise ValueError(f"vertex ids {tree.labels[by_name[name]]!r} and {label!r} "
+                                 f"share the measure key {name!r}")
+            by_name[name] = idx
+    digit_limit = sys.get_int_max_str_digits() or float("inf")
 
     def read_measure(field: str) -> Measure:
-        pairs: dict[int, tuple[int, int]] = {}
+        # Vertices and numerators grouped by denominator: its spelling for a
+        # mass of ASCII digits ("" for "p"), its int for one parse_rational read.
+        groups: dict[str | int, tuple[list[int], list[str | int]]] = {}
         negative = None
         for name, raw in doc[field].items():
-            if name not in by_name:
+            v = by_name.get(name)
+            if v is None:
                 raise ValueError(f"{field}[{name!r}] references an unknown vertex")
+            if type(raw) is str and raw.isascii() and len(raw) <= digit_limit:
+                p, slash, q = raw.partition("/")
+                if p.isdigit() and (q.isdigit() or not slash):
+                    group = groups.get(q)
+                    if group is None and int(q or 1):  # a zero denominator reads below
+                        group = groups[q] = [], []
+                    if group is not None:
+                        group[0].append(v)
+                        group[1].append(p)
+                        continue
             try:
-                p, q = _mass_pair(raw)
+                m = parse_rational(raw)
             except ValueError as exc:
                 raise ValueError(f"{field}[{_shown(name)}]: {exc}") from None
-            if p > 0:
-                pairs[by_name[name]] = p, q
-            elif p < 0 and negative is None:
-                negative = by_name[name], p, q
-        if negative is not None:
-            v, p, q = negative
-            raise ValueError(f"negative mass {Fraction(p, q)} at vertex {v}")
-        return Measure._from_pairs(pairs)
+            if m < 0:
+                negative = negative or f"{field}[{_shown(name)}]: negative mass {m}"
+            else:
+                group = groups.setdefault(m.denominator, ([], []))
+                group[0].append(v)
+                group[1].append(m.numerator)
+        if negative:
+            raise ValueError(negative)
+        return _grouped_measure(groups)
 
     return tree, read_measure("mu"), read_measure("nu")
+
+
+def _grouped_measure(groups: dict[str | int, tuple[list[int], list[str | int]]]) -> Measure:
+    """The measure of masses p / q, grouped by q: each group reads its q and
+    numerators once and reduces them by one gcd, since the lcm of the reduced
+    denominators q / gcd(p_i, q) over a group is q / gcd(q, p_1, ..., p_k)."""
+    reduced = []
+    count = 0
+    for q, (vs, ps) in groups.items():
+        q, ps = int(q or 1), list(map(int, ps))
+        g = gcd(q, *ps)
+        reduced.append((q // g, vs, [p // g for p in ps] if g > 1 else ps))
+        count += len(ps) - ps.count(0)
+    scale = _common_scale({q for q, _, _ in reduced}, count)
+    num: dict[int, int] = {}
+    for q, vs, ps in reduced:
+        num.update(zip(vs, map((scale // q).__mul__, ps)))
+    if count < len(num):  # some mass is zero
+        num = {v: x for v, x in num.items() if x}
+    return Measure._of(num, scale)
 
 
 def instance_to_dict(tree: Tree, mu: Measure, nu: Measure) -> dict:

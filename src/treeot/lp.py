@@ -91,8 +91,8 @@ class TransportPlan:
 
 def _check_support(mu: Measure, nu: Measure) -> None:
     """Raises :class:`TooLarge` when either support passes :data:`MAX_SUPPORT`."""
-    if len(mu.pairs) > MAX_SUPPORT or len(nu.pairs) > MAX_SUPPORT:
-        raise TooLarge(f"supports of size {len(mu.pairs)}x{len(nu.pairs)} exceed the "
+    if len(mu) > MAX_SUPPORT or len(nu) > MAX_SUPPORT:
+        raise TooLarge(f"supports of size {len(mu)}x{len(nu)} exceed the "
                        f"{MAX_SUPPORT}-point oracle cap")
 
 

@@ -10,7 +10,7 @@ import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable
 
 from .errors import TooLarge
@@ -82,27 +82,6 @@ def parse_rational(value: str | int | Fraction) -> Fraction:
     except ValueError:
         raise ValueError(f"cannot interpret {_shown(value)} as an exact rational; "
                          f"give an int or a \"p/q\" string") from None
-
-
-def _mass_pair(value: RationalLike) -> tuple[int, int]:
-    """``value`` as a reduced ``(numerator, denominator)`` pair, under the rules
-    of :func:`parse_rational`.
-
-    A string of ASCII digits, ``"p"`` or ``"p/q"``, no longer than the
-    integer-string limit, is read with two ``int`` calls and one ``gcd``;
-    a zero denominator and everything else go through :func:`parse_rational`,
-    so every refusal keeps its message.
-    """
-    if type(value) is str and value.isascii():
-        p, slash, q = value.partition("/")
-        limit = sys.get_int_max_str_digits()
-        if p.isdigit() and (q.isdigit() or not slash) and not 0 < limit < len(value):
-            p, q = int(p), int(q) if slash else 1
-            if q:
-                g = gcd(p, q)
-                return p // g, q // g
-    m = parse_rational(value)
-    return m.numerator, m.denominator
 
 
 def format_rational(value: Fraction) -> str:

@@ -222,22 +222,24 @@ def radial_measure(truncation: TruncatedRegularTree, center: int, profile: Radia
     q = truncation.geometry.q
     to_path = [abs(truncation.i[center] - j) for j in truncation.path]  # path ids are 0..d
     top = profile.support_radius
-    # Each shell's mass as one reduced pair, shared by every vertex of the shell.
-    shells = [(m.numerator, m.denominator) if m else None for m in profile.values]
+    # Each shell's integer over the profile's scale, shared by every vertex of
+    # the shell. The profile is in lowest terms, so its scale is the lcm of the
+    # reduced denominators of the positive shell masses: the measure's scale.
+    shells = profile.num
     counts = [0] * (top + 1)
-    masses: dict[int, tuple[int, int]] = {}
+    num: dict[int, int] = {}
     for v, (i, h) in enumerate(zip(truncation.i, truncation.h)):
         ell = to_path[i] + h
         if ell <= top:
             counts[ell] += 1
             if shells[ell]:
-                masses[v] = shells[ell]
+                num[v] = shells[ell]
     for ell in range(top + 1):
         if counts[ell] != sphere_size(q, ell):
             raise TruncationTooSmall(
                 f"distance-{ell} sphere around vertex {center} has {counts[ell]} "
                 f"vertices, expected {sphere_size(q, ell)}; enlarge the truncation")
-    return Measure._from_pairs(masses)
+    return Measure._of(num, profile.scale)
 
 
 def radial_potential(coord: BasepointCoord, geometry: PairGeometry) -> Fraction:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Hashable, Iterable, Mapping, Protocol, Sequence
 
 from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected
@@ -87,18 +88,54 @@ def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, 
     return labels, index, tuple(dense_edges), _adjacency(len(labels), dense_edges)
 
 
-def _neighbor_lists(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Neighbor lists of vertices ``0..n-1`` from dense edges, in edge order."""
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Neighbor tuples of vertices ``0..n-1`` from dense edges, in edge order."""
     neighbor_lists: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         neighbor_lists[u].append(v)
         neighbor_lists[v].append(u)
-    return neighbor_lists
+    return tuple(map(tuple, neighbor_lists))
 
 
-def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
-    """Neighbor tuples of vertices ``0..n-1`` from dense edges, in edge order."""
-    return tuple(map(tuple, _neighbor_lists(n, edges)))
+def _peel(ids: Sequence[int], us: Sequence[int],
+          vs: Sequence[int]) -> tuple[list[int], list[int]] | None:
+    """Root the graph on ``ids``, the indices ``0..n-1``, with edges
+    ``(us[k], vs[k])`` at vertex 0 by peeling leaves; ``(order, parent)`` when
+    the n - 1 edges form a tree, else None. Both hold the int objects of
+    ``ids``, so they share them with the label map.
+
+    Each vertex keeps its degree and the XOR of its neighbors' indices, so a
+    leaf's one remaining neighbor, its parent, is that XOR. Popping a leaf
+    other than 0 removes its edge; a neighbor whose degree falls to 1 becomes
+    a leaf. A popped vertex of degree 0 lost its last edge to a leaf peeled
+    before it, so its component misses vertex 0. Peeling all n - 1 other
+    vertices removes n - 1 distinct edges, so no self-loop, repeated edge or
+    cycle is left, and each parent is peeled after its child: ``order`` is 0
+    followed by the peels in reverse.
+    """
+    n = len(ids)
+    degree = [0] * n
+    link = [0] * n
+    for u, v in zip(us, vs):
+        degree[u] += 1
+        degree[v] += 1
+        link[u] ^= v
+        link[v] ^= u
+    parent = [-1] * n
+    peeled = [v for v in ids if v and degree[v] == 1]
+    for v in peeled:  # the loop also visits the leaves it appends
+        if not degree[v]:
+            return None
+        p = parent[v] = ids[link[v]]
+        link[p] ^= v
+        degree[p] -= 1
+        if degree[p] == 1 and p:
+            peeled.append(p)
+    if len(peeled) != n - 1:
+        return None
+    peeled.append(0)
+    peeled.reverse()
+    return peeled, parent
 
 
 def _bfs(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
@@ -147,11 +184,11 @@ class Tree:
     ``labels`` preserves the caller's vertex identifiers; all other structures
     (and all measures/flows/potentials) use the dense indices. ``parent``
     roots the tree at vertex 0 (-1 there), and ``order`` lists every vertex
-    after its parent, starting at 0: the BFS that :func:`validate_tree` ran,
-    or ``0..n-1`` for a tree built from a generator's parent array. The flow
-    route reads only these two. ``edges`` and ``adjacency``, which the LP
-    oracle and the instance writer read, are built from the edge endpoints on
-    first read.
+    after its parent, starting at 0: the reverse of the leaf peeling that
+    :func:`validate_tree` ran, or ``0..n-1`` for a tree built from a
+    generator's parent array. The flow route reads only these two. ``edges``
+    and ``adjacency``, which the LP oracle and the instance writer read, are
+    built from the edge endpoints on first read.
     """
 
     labels: tuple[Hashable, ...]
@@ -200,9 +237,10 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
     Raises :class:`DuplicateEdge`, :class:`HasCycle`, or :class:`NotConnected`
     when the input is not a simple connected acyclic graph.
 
-    A valid tree pays for counts and one BFS: n distinct labels, n - 1 edges
-    and a BFS from vertex 0 that reaches all n vertices leave no room for a
-    self-loop, a repeated edge or a cycle. Only when one of these fails does
+    A valid tree pays for counts and one leaf peeling (:func:`_peel`): n
+    distinct labels, n - 1 edges and n - 1 peels toward vertex 0 leave no room
+    for a self-loop, a repeated edge or a cycle, and the peel gives the one
+    parent array of the tree rooted at 0. Only when one of these fails does
     the full check of :func:`_build_graph` run, to name the fault.
     """
     labels = tuple(vertices)
@@ -216,8 +254,9 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
         except (KeyError, TypeError, ValueError):
             pass
         else:
-            order, parent = _bfs(_neighbor_lists(n, zip(*ends)), 0)
-            if len(order) == n:
+            rooted = _peel(list(index.values()), *ends)
+            if rooted is not None:
+                order, parent = rooted
                 return Tree(labels=labels, index=index, order=tuple(order),
                             parent=tuple(parent), _ends=ends)
     labels, index, dense_edges, adjacency = _build_graph(labels, edges)
@@ -233,47 +272,74 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
                 _ends=([u for u, _ in dense_edges], [v for _, v in dense_edges]))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Measure:
-    """Finitely supported nonnegative mass function on dense vertex indices.
+    """Finitely supported nonnegative mass function on dense vertex indices,
+    held as integers over one scale: the mass at ``v`` is ``num[v] / scale``.
 
-    Built from rational masses; held as ``pairs``, the reduced
-    ``(numerator, denominator)`` of every positive mass. Fractions are built
-    only when ``masses``, :meth:`value` or :meth:`total` is read.
+    ``scale`` is the lcm of the reduced denominators of the positive masses,
+    and ``num`` holds the positive masses only, so equal measures hold equal
+    integers and compare equal. Fractions are built only when ``masses``,
+    :meth:`value` or :meth:`total` is read. ``Measure({v: RationalLike})``
+    reduces each mass and takes the lcm at once, but scales the numerators on
+    the first read of ``num``: :func:`assignment_from` checks the charge
+    budget first. The loader and ``radial_measure`` hold integers from the
+    start (:meth:`_of`).
     """
 
-    pairs: Mapping[int, tuple[int, int]]
+    scale: int
+    #: Each support vertex with its reduced mass, which ``num`` scales on first
+    #: read; a measure built by :meth:`_of` keeps ``num`` here.
+    _support: Mapping[int, Fraction | int] = field(repr=False)
 
     def __init__(self, masses: Mapping[int, RationalLike]):
-        pairs: dict[int, tuple[int, int]] = {}
+        reduced: dict[int, Fraction] = {}
         for v, raw in masses.items():
             m = _frac(raw)
             if m.numerator < 0:
                 raise ValueError(f"negative mass {m} at vertex {v}")
             if m.numerator:
-                pairs[int(v)] = (m.numerator, m.denominator)
-        object.__setattr__(self, "pairs", pairs)
+                reduced[int(v)] = m
+        object.__setattr__(self, "scale", lcm(*{m.denominator for m in reduced.values()}))
+        object.__setattr__(self, "_support", reduced)
 
     @classmethod
-    def _from_pairs(cls, pairs: dict[int, tuple[int, int]]) -> "Measure":
-        """The measure of reduced pairs with positive numerators, taken as given."""
+    def _of(cls, num: dict[int, int], scale: int) -> "Measure":
+        """The measure ``num[v] / scale``, taken as given: positive integers over
+        the lcm of the reduced denominators of the masses they stand for."""
         measure = cls.__new__(cls)
-        object.__setattr__(measure, "pairs", pairs)
+        object.__setattr__(measure, "scale", scale)
+        object.__setattr__(measure, "_support", num)
+        measure.__dict__["num"] = num
         return measure
+
+    @cached_property
+    def num(self) -> dict[int, int]:
+        """The integer numerator of each positive mass over ``scale``."""
+        return {v: m.numerator * (self.scale // m.denominator) for v, m in self._support.items()}
+
+    def __len__(self) -> int:
+        """The size of the support."""
+        return len(self._support)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Measure):
+            return NotImplemented
+        return self.scale == other.scale and self.num == other.num
 
     @property
     def masses(self) -> dict[int, Fraction]:
         """The positive masses as Fractions, built on each read."""
-        return {v: Fraction(p, q) for v, (p, q) in self.pairs.items()}
+        return {v: Fraction(x, self.scale) for v, x in self.num.items()}
 
     def total(self) -> Fraction:
-        return sum(self.masses.values(), Fraction(0))
+        return Fraction(sum(self.num.values()), self.scale)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.pairs))
+        return tuple(sorted(self._support))
 
     def value(self, v: int) -> Fraction:
-        return Fraction(*self.pairs.get(v, (0, 1)))
+        return Fraction(self.num.get(v, 0), self.scale)
 
     def scaled(self, c: RationalLike) -> "Measure":
         c = _frac(c)
@@ -345,18 +411,19 @@ class Potential:
 
 def assignment_from(mu: Measure, nu: Measure) -> Assignment:
     """Difference of two measures with equal totals, as integers over L, the
-    lcm of all their mass denominators; each mass is scaled once."""
-    denominators = {q for _, q in mu.pairs.values()}
-    denominators.update(q for _, q in nu.pairs.values())
-    scale = _common_scale(denominators, len(mu.pairs) + len(nu.pairs))
-    factor = {d: scale // d for d in denominators}
-    num, take = ({v: p * factor[q] for v, (p, q) in side.pairs.items()} for side in (mu, nu))
-    given, taken = sum(num.values()), sum(take.values())
+    lcm of their scales and so of all their mass denominators. The charge
+    budget is checked first; then each side is scaled once by L / scale."""
+    scale = _common_scale((mu.scale, nu.scale), len(mu) + len(nu))
+    up, down = scale // mu.scale, scale // nu.scale
+    num = {v: x * up for v, x in mu.num.items()}
+    given, taken = sum(num.values()), 0
+    for v, x in nu.num.items():
+        x *= down
+        taken += x
+        num[v] = num.get(v, 0) - x
     if given != taken:
         raise MassMismatch(f"total masses differ: {Fraction(given, scale)} vs "
                            f"{Fraction(taken, scale)}")
-    for v, x in take.items():
-        num[v] = num.get(v, 0) - x
     return Assignment(num, scale)
 
 

@@ -8,6 +8,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import random
 import re
 import sys
@@ -21,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeot import (DuplicateEdge, HasCycle, Measure, NotConnected, TooLarge, parse_rational,
-                    validate_tree, w1_tree)
+from treeot import (DuplicateEdge, HasCycle, Measure, NotConnected, TooLarge, assignment_from,
+                    parse_rational, validate_tree, w1_tree)
 from treeot.cli import build_parser, main, parse_profile_spec
 from treeot.instances import (demo_instance, dump_instance, instance_from_dict,
                               instance_to_dict, load_instance)
@@ -95,10 +96,15 @@ GRAPH_FAULTS = [
      "edge {'a': 0, 'b': 1} is not a pair of vertex ids"),
     ([0, 1], [[0, 5]], ValueError, "edge (0, 5) references an unknown vertex"),
     ([], [], ValueError, "a graph needs at least one vertex"),
+    # In each, a component without vertex 0 peels away and leaves a self-loop
+    # or a doubled edge at 0; a peel without its degree-0 guard passes the first.
+    ([0, 1, 2], [[0, 0], [1, 2]], HasCycle, "self-loop at vertex 0"),
+    ([0, 1, 2, 3], [[0, 1], [0, 1], [2, 3]], DuplicateEdge, "edge (0, 1) appears more than once"),
 ]
 GRAPH_FAULT_IDS = ["repeated-id", "self-loop", "repeated-edge", "n-edges", "cycle-and-isolated",
                    "too-few-edges", "short-edge", "long-edge", "string-edge", "object-edge",
-                   "unknown-endpoint", "no-vertices"]
+                   "unknown-endpoint", "no-vertices", "root-self-loop-and-edge",
+                   "root-double-edge-and-edge"]
 
 #: Mass spellings: each must load as parse_rational reads it, or fail as it does.
 MASS_SPELLINGS = ["1/2", "2/4", "01/02", "0", "0/5", " 1/2 ", "0.5", "1_0/30", "\u0663/4",
@@ -156,8 +162,37 @@ class TestLoaderFastPaths:
 
         monkeypatch.setattr(treeot.tree, "_build_graph", refuse)
         monkeypatch.setattr(treeot.tree, "_adjacency", refuse)
+        monkeypatch.setattr(treeot.tree, "_bfs", refuse)
         tree, mu, nu = instance_from_dict(demo_instance())
         assert tree.num_vertices == 11 and w1_tree(tree, mu, nu) == 12
+
+    def test_peeling_roots_as_the_bfs_does(self):
+        from treeot.tree import _adjacency, _bfs
+
+        rng = random.Random(12)
+        for k in range(200):
+            n = (1, 2)[k] if k < 2 else rng.randint(3, 60)
+            shape = k % 4
+            if shape == 0:  # a star centred on a random vertex
+                centre = rng.randrange(n)
+                pairs = [(centre, v) for v in range(n) if v != centre]
+            elif shape == 1:  # a path in random order
+                walk = rng.sample(range(n), n)
+                pairs = list(zip(walk, walk[1:]))
+            else:
+                pairs = [(rng.randrange(v), v) for v in range(1, n)]
+            labels = [f"v{v}" for v in range(n)]
+            rng.shuffle(labels)
+            rng.shuffle(pairs)
+            edges = [[labels[b], labels[a]] if rng.random() < 0.5 else [labels[a], labels[b]]
+                     for a, b in pairs]
+            tree = validate_tree(labels, edges)
+            ends = [[tree.index[a] for a, b in edges], [tree.index[b] for a, b in edges]]
+            _, parent = _bfs(_adjacency(n, zip(*ends)), 0)
+            assert tree.parent == tuple(parent)
+            assert sorted(tree.order) == list(range(n)) and tree.order[0] == 0
+            position = {v: i for i, v in enumerate(tree.order)}
+            assert all(position[tree.parent[v]] < position[v] for v in tree.order[1:])
 
     def test_lazy_structures_equal_the_full_check(self):
         from treeot.tree import _build_graph
@@ -181,13 +216,26 @@ class TestLoaderFastPaths:
         try:
             expected = Measure({0: parse_rational(mass)})
         except ValueError as exc:
-            message = (f"mu['a']: {exc}" if "negative" not in str(exc) else str(exc))
+            message = f"mu['a']: {exc}".removesuffix(" at vertex 0")
             with pytest.raises(ValueError) as caught:
                 instance_from_dict(doc)
             assert str(caught.value) == message
             return
         _, mu, _ = instance_from_dict(doc)
         assert mu.masses == expected.masses and mu == expected
+
+    def test_measure_is_canonical_over_one_scale(self):
+        spellings = {"a": "1/2", "b": "2/4", "c": "5/10", "d": "0/7", "e": "3/8", "f": "4/6",
+                     "g": "7", "h": "0.25", "i": "10/15"}
+        labels = list(spellings)
+        doc = {"vertices": labels, "edges": [[labels[0], v] for v in labels[1:]],
+               "mu": spellings, "nu": {"a": "251/24"}}
+        _, mu, nu = instance_from_dict(doc)
+        expected = Measure({labels.index(v): parse_rational(m) for v, m in spellings.items()})
+        assert mu == expected and mu.masses == expected.masses and mu.total() == nu.total()
+        assert mu.scale == 24 and labels.index("d") not in mu.num
+        reduced = {parse_rational(m).denominator for m in spellings.values() if parse_rational(m)}
+        assert assignment_from(mu, nu).scale == math.lcm(*reduced) == 24  # 7 would make it 168
 
 
 class TestW1Command:
@@ -216,6 +264,15 @@ class TestW1Command:
         code, _, err = run_cli(capsys, "w1", str(path))
         assert code == 2
         assert "error" in err
+
+    def test_negative_mass_names_the_field_and_key(self, capsys, tmp_path):
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({
+            "vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]],
+            "mu": {"a": "1", "c": "-1/2", "b": "-1"}, "nu": {"b": "1/2"}}))
+        code, out, err = run_cli(capsys, "w1", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: mu['c']: negative mass -1/2\n"
 
     @pytest.mark.parametrize("mass", [0.5, "1/0", True, None, [1, 2], "1e3", "2E-1"])
     def test_inexact_or_broken_mass_is_an_input_error(self, capsys, tmp_path, mass):
@@ -343,7 +400,7 @@ class TestW1Command:
         assert code == 0 and "w1 via lp: 12" in out
         assert len(calls) == 1
 
-    def test_one_bfs_when_supports_exceed_the_lp_cap(self, capsys, tmp_path, monkeypatch):
+    def test_no_bfs_when_supports_exceed_the_lp_cap(self, capsys, tmp_path, monkeypatch):
         import treeot.tree
 
         n = 100
@@ -361,7 +418,7 @@ class TestW1Command:
 
         monkeypatch.setattr(treeot.tree, "_bfs", spy)
         code, out, _ = run_cli(capsys, "w1", str(path), "--json")
-        assert calls == [0]
+        assert calls == []  # the leaf peeling roots the tree
         assert code == 0
         doc = json.loads(out)
         assert doc["agree"] is True and "lp_skipped" in doc
