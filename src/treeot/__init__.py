@@ -31,8 +31,7 @@ from .families import (GFBundle, GTable, ball_g_table, ball_gf, bundle_from_tabl
 from .asymptotics import (ChiValues, CurvatureValue, GammaAsymptotic, HValues,
                           InequalityReport, LinearAsymptotic, ball_AB, ball_d1_exact,
                           chi_tree, gamma_asymptotic, h_values, interval_contains,
-                          interval_mid, kappa_curvature, line_w1, sphere_AB, srw_AB,
-                          verify_inequalities)
+                          interval_mid, kappa_curvature, sphere_AB, srw_AB, verify_inequalities)
 from .instances import (demo_instance, dump_instance, instance_from_dict, instance_to_dict,
                         load_instance)
 

@@ -5,34 +5,22 @@ A*n + B + o(1); A and B are explicit rationals in (alpha, d, q). The six
 coefficients satisfy a strict ordering chain, the four walk statistics of
 the regular tree are specializations of A, and the n-scale curvature is an
 affine repackaging of the distance. The growth of the walk's return-mass
-coefficients is also quantified, with algebraic constants kept as certified
-high-precision intervals.
+coefficients is also quantified, with its algebraic constants kept as exact
+rational enclosures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
-import mpmath
-from mpmath import iv
+from math import ceil, floor, isqrt
+from operator import mul
+from typing import Callable, Optional
 
 from .errors import InvalidParams
 from .families import GFBundle, bundle_from_table, srw_g_table, w1_via_genfun, _check_alpha
 from .rational import RationalLike, _qpow
 from .regular import PairGeometry
-
-#: Working precision (decimal digits) for interval-valued algebraic constants.
-INTERVAL_DPS = 60
-
-
-def line_w1(d: int) -> Fraction:
-    """Convenience value for q = 1 (the two-sided line): the distance between
-    the two copies of any radial profile equals dist(X, Y) at every time."""
-    if d < 1:
-        raise InvalidParams(f"center distance d must be >= 1, got {d}")
-    return Fraction(d)
 
 
 @dataclass(frozen=True)
@@ -234,6 +222,78 @@ def kappa_curvature(alpha: RationalLike, d: int, q: int, n: int,
     return CurvatureValue(exact=1 - Fraction(w1, d), linear=1 - asym.at(n) / d)
 
 
+#: Significant bits kept on each endpoint of an enclosure (60 decimal digits).
+#: The growth constants are held to a width under 10^-50, about 2^-166. Each
+#: rounding moves an endpoint below 2^(e+1) by less than one grid step of
+#: 2^(e - INTERVAL_BITS), so a constant below 2^16 that went through a dozen
+#: roundings stays narrower than 2^-180 < 10^-54.
+INTERVAL_BITS = 200
+
+#: An interval [lo, hi] of exact rationals.
+Enclosure = tuple[Fraction, Fraction]
+
+
+def _step(exponent: int) -> Fraction:
+    """The grid step for values below 2^(exponent + 1)."""
+    return Fraction(2) ** (exponent - INTERVAL_BITS)
+
+
+def _exponent(x: Fraction) -> int:
+    """e with 2^(e-1) < x < 2^(e+1), for x > 0."""
+    return x.numerator.bit_length() - x.denominator.bit_length()
+
+
+def _outward(lo: Fraction, hi: Fraction) -> Enclosure:
+    """[lo, hi] widened to the grid points around it, at the step of hi > 0, so
+    that endpoint sizes stay bounded however many operations follow."""
+    step = _step(_exponent(hi))
+    return floor(lo / step) * step, ceil(hi / step) * step
+
+
+def _image(f: Callable[..., Fraction], *boxes: Enclosure) -> Enclosure:
+    """Enclosure of f over the box, for f nondecreasing in every argument: f at
+    the low corner and at the high corner, rounded outward."""
+    return _outward(f(*(lo for lo, _ in boxes)), f(*(hi for _, hi in boxes)))
+
+
+def _sqrt(x: Enclosure) -> Enclosure:
+    """Square roots of positive endpoints by math.isqrt on integers scaled by the
+    output step s: floor(sqrt(lo) / s) = isqrt(floor(lo / s^2)), and
+    ceil(sqrt(hi) / s) <= isqrt(ceil(hi / s^2) - 1) + 1."""
+    lo, hi = x
+    step = _step(_exponent(hi) // 2)
+    square = step * step
+    return isqrt(floor(lo / square)) * step, (isqrt(ceil(hi / square) - 1) + 1) * step
+
+
+def _power(x: Enclosure, n: int) -> Enclosure:
+    """x^n for n >= 1 by repeated squaring, rounded outward after every product."""
+    result = x
+    for bit in bin(n)[3:]:
+        result = _image(mul, result, result)
+        if bit == "1":
+            result = _image(mul, result, x)
+    return result
+
+
+def _pi() -> Enclosure:
+    """pi = 16 arctan(1/5) - 4 arctan(1/239) (Machin), each arctan summed as its
+    alternating series in integers over 2^bits. Each term is floored, so it is
+    off by less than 1; the sum stops at the first term whose power floors to
+    0, so the omitted tail, at most that term, is below 1 as well."""
+    bits = INTERVAL_BITS + 16
+    total = slack = 0
+    for weight, x in ((16, 5), (-4, 239)):
+        power, k = (1 << bits) // x, 1  # power = floor(2^bits / x^k)
+        while power:
+            total += weight * (power // k if k % 4 == 1 else -(power // k))
+            slack += abs(weight)
+            power //= x * x
+            k += 2
+        slack += abs(weight)
+    return _outward(Fraction(total - slack, 1 << bits), Fraction(total + slack, 1 << bits))
+
+
 @dataclass(frozen=True)
 class GammaAsymptotic:
     """Leading growth of the walk's return-mass coefficients.
@@ -241,55 +301,41 @@ class GammaAsymptotic:
     The n-th coefficient behaves like constant * base^n * n^(-3/2); for the
     non-lazy walk only even steps return, and the even-step subsequence obeys
     the same shape in the half index. ``growth_base`` and ``leading_constant``
-    are mpmath intervals at >= 50 significant digits.
+    are enclosures: (lo, hi) pairs of Fractions around the algebraic value,
+    with lo <= value <= hi and hi - lo under 10^-50 of the value.
     """
 
     alpha: Fraction
     q: int
     period: int
     power: Fraction
-    growth_base: object
-    leading_constant: object
+    growth_base: Enclosure
+    leading_constant: Enclosure
 
-    def leading_term(self, n: int):
-        """Interval value of the leading term at coefficient index n >= 1."""
-        old_dps = iv.dps
-        iv.dps = max(old_dps, INTERVAL_DPS)
-        try:
-            if self.period == 2:
-                if n % 2:
-                    return iv.mpf(0)
-                half = n // 2
-                if half < 1:
-                    raise InvalidParams("leading term needs index >= 2 for the even-step form")
-                return self.leading_constant * self.growth_base ** half * _iv_npow32(half)
-            if n < 1:
-                raise InvalidParams("leading term needs index >= 1")
-            return self.leading_constant * self.growth_base ** n * _iv_npow32(n)
-        finally:
-            iv.dps = old_dps
+    def leading_term(self, n: int) -> Enclosure:
+        """Enclosure of the leading term at coefficient index n >= 1."""
+        if self.period == 2:
+            if n % 2:
+                return Fraction(0), Fraction(0)
+            if n < 2:
+                raise InvalidParams("leading term needs index >= 2 for the even-step form")
+            n //= 2
+        elif n < 1:
+            raise InvalidParams("leading term needs index >= 1")
+        return _image(lambda c, b, r: c * b * r / n, self.leading_constant,
+                      _power(self.growth_base, n), _sqrt((Fraction(1, n),) * 2))
 
 
-def _iv_npow32(n: int):
-    """n^(-3/2) as an interval."""
-    nn = iv.mpf(n)
-    return 1 / (nn * iv.sqrt(nn))
+def interval_mid(x: Enclosure) -> Fraction:
+    """Midpoint of an enclosure."""
+    lo, hi = x
+    return (lo + hi) / 2
 
 
-def interval_mid(x) -> mpmath.mpf:
-    """Midpoint of an mpmath interval as a plain high-precision float."""
-    lo, hi = x._mpi_
-    return (mpmath.mpf(lo) + mpmath.mpf(hi)) / 2
-
-
-def interval_contains(x, value) -> bool:
-    """True iff ``value`` lies inside the interval ``x`` (endpoints included)."""
-    lo, hi = x._mpi_
-    return mpmath.mpf(lo) <= value <= mpmath.mpf(hi)
-
-
-def _iv_frac(x: Fraction):
-    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+def interval_contains(x: Enclosure, value) -> bool:
+    """True iff ``value`` lies inside the enclosure ``x`` (endpoints included)."""
+    lo, hi = x
+    return lo <= value <= hi
 
 
 def gamma_asymptotic(alpha: RationalLike, q: int) -> GammaAsymptotic:
@@ -298,26 +344,24 @@ def gamma_asymptotic(alpha: RationalLike, q: int) -> GammaAsymptotic:
     alpha > 0: base (alpha (q+1) + (1-alpha) 2 sqrt(q)) / (q+1) and constant
     ((alpha/(1-alpha))(q+1) + 2 sqrt(q))^(3/2) (q+1) q^(1/4)
     / ((q-1)^2 sqrt(4 pi)). alpha = 0: even-index base 4q/(q+1)^2 with
-    constant q(q+1) / (sqrt(pi) (q-1)^2).
+    constant q(q+1) / (sqrt(pi) (q-1)^2). Each is increasing in the square
+    roots and decreasing in pi, so its endpoints come from theirs.
     """
     alpha = _check_alpha(alpha)
     if q < 2:
         raise InvalidParams(f"branching number q must be >= 2, got {q}")
-    old_dps = iv.dps
-    iv.dps = max(old_dps, INTERVAL_DPS)
-    try:
-        qq = iv.mpf(q)
-        if alpha == 0:
-            base = 4 * qq / (qq + 1) ** 2
-            constant = qq * (qq + 1) / (iv.sqrt(iv.pi) * (qq - 1) ** 2)
-            return GammaAsymptotic(alpha=alpha, q=q, period=2, power=Fraction(-3, 2),
-                                   growth_base=base, leading_constant=constant)
-        a = _iv_frac(alpha)
-        base = (a * (qq + 1) + (1 - a) * 2 * iv.sqrt(qq)) / (qq + 1)
-        t = (a / (1 - a)) * (qq + 1) + 2 * iv.sqrt(qq)
-        constant = (t * iv.sqrt(t)) * (qq + 1) * iv.sqrt(iv.sqrt(qq)) \
-            / ((qq - 1) ** 2 * iv.sqrt(4 * iv.pi))
-        return GammaAsymptotic(alpha=alpha, q=q, period=1, power=Fraction(-3, 2),
-                               growth_base=base, leading_constant=constant)
-    finally:
-        iv.dps = old_dps
+    lo, hi = _sqrt(_pi())
+    inverse_root_pi = _outward(1 / hi, 1 / lo)
+    if alpha == 0:
+        base = Fraction(4 * q, (q + 1) ** 2)
+        constant = _image(lambda r: Fraction(q * (q + 1), (q - 1) ** 2) * r, inverse_root_pi)
+        return GammaAsymptotic(alpha=alpha, q=q, period=2, power=Fraction(-3, 2),
+                               growth_base=(base, base), leading_constant=constant)
+    root_q = _sqrt((Fraction(q),) * 2)
+    base = _image(lambda r: (alpha * (q + 1) + (1 - alpha) * 2 * r) / (q + 1), root_q)
+    t = _image(lambda r: alpha / (1 - alpha) * (q + 1) + 2 * r, root_q)
+    constant = _image(lambda t, root_t, fourth_root_q, r:
+                      t * root_t * (q + 1) * fourth_root_q * r / (2 * (q - 1) ** 2),
+                      t, _sqrt(t), _sqrt(root_q), inverse_root_pi)
+    return GammaAsymptotic(alpha=alpha, q=q, period=1, power=Fraction(-3, 2),
+                           growth_base=base, leading_constant=constant)

@@ -35,7 +35,7 @@ class PairGeometry:
             raise InvalidParams(
                 "q = 1 is the two-sided line, where the transport distance between "
                 "the two copies of any radial profile equals dist(X, Y) for every "
-                "time step; nothing to compute (see asymptotics.line_w1)")
+                "time step; nothing to compute")
         if self.q < 2:
             raise InvalidParams(f"branching number q must be >= 2, got {self.q}")
         if self.d < 1:

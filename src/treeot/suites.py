@@ -286,27 +286,23 @@ def suite_oeis(seed: int = DEFAULT_SEED) -> RunReport:
 
 def suite_gamma(seed: int = DEFAULT_SEED) -> RunReport:
     """Return-mass coefficients track their predicted growth within 10%."""
-    import mpmath
-
     report = RunReport("gamma", seed)
     order = 512
-    with mpmath.workdps(60):
-        for alpha, q in ((Fraction(1, 5), 2), (Fraction(1, 5), 3),
-                         (Fraction(0), 2), (Fraction(0), 3)):
-            seq, base = srw_return_sequence(alpha, q, order)
-            growth = gamma_asymptotic(alpha, q)
-            if alpha == 0:
-                odd_ok = all(seq[k] == 0 for k in range(1, order, 2))
-                report.add({"alpha": str(alpha), "q": q, "check": "odd-zero"}, "genfun", odd_ok)
-            deviations = []
-            for n in (100, 400):
-                exact = mpmath.mpf(seq[n]) / mpmath.mpf(base) ** n
-                ratio = exact / interval_mid(growth.leading_term(n))
-                deviations.append(abs(ratio - 1))
-            ok = deviations[-1] < mpmath.mpf("0.1") and deviations[0] > deviations[-1]
-            report.add({"alpha": str(alpha), "q": q, "check": "ratio"}, "genfun", ok,
-                       detail=f"|ratio-1| at 100/400 = {float(deviations[0]):.4f}/"
-                              f"{float(deviations[1]):.4f}")
+    for alpha, q in ((Fraction(1, 5), 2), (Fraction(1, 5), 3),
+                     (Fraction(0), 2), (Fraction(0), 3)):
+        seq, base = srw_return_sequence(alpha, q, order)
+        growth = gamma_asymptotic(alpha, q)
+        if alpha == 0:
+            odd_ok = all(seq[k] == 0 for k in range(1, order, 2))
+            report.add({"alpha": str(alpha), "q": q, "check": "odd-zero"}, "genfun", odd_ok)
+        deviations = []
+        for n in (100, 400):
+            ratio = Fraction(seq[n], base ** n) / interval_mid(growth.leading_term(n))
+            deviations.append(abs(ratio - 1))
+        ok = deviations[-1] < Fraction(1, 10) and deviations[0] > deviations[-1]
+        report.add({"alpha": str(alpha), "q": q, "check": "ratio"}, "genfun", ok,
+                   detail=f"|ratio-1| at 100/400 = {float(deviations[0]):.4f}/"
+                          f"{float(deviations[1]):.4f}")
     return report
 
 

@@ -367,6 +367,15 @@ class Assignment:
         scale = _common_scale({c.denominator for c in fracs.values()}, len(fracs))
         return cls({v: c.numerator * (scale // c.denominator) for v, c in fracs.items()}, scale)
 
+    @classmethod
+    def _of(cls, num: dict[int, int], scale: int) -> "Assignment":
+        """The charges ``num[v] / scale``, taken as given: nonzero integers that
+        sum to zero."""
+        rho = cls.__new__(cls)
+        object.__setattr__(rho, "num", num)
+        object.__setattr__(rho, "scale", scale)
+        return rho
+
     @property
     def charges(self) -> dict[int, Fraction]:
         """The nonzero charges as reduced Fractions, built on each read."""
@@ -412,7 +421,8 @@ class Potential:
 def assignment_from(mu: Measure, nu: Measure) -> Assignment:
     """Difference of two measures with equal totals, as integers over L, the
     lcm of their scales and so of all their mass denominators. The charge
-    budget is checked first; then each side is scaled once by L / scale."""
+    budget is checked first; then each side is scaled once by L / scale, and
+    vertices where the two cancel are dropped."""
     scale = _common_scale((mu.scale, nu.scale), len(mu) + len(nu))
     up, down = scale // mu.scale, scale // nu.scale
     num = {v: x * up for v, x in mu.num.items()}
@@ -420,11 +430,15 @@ def assignment_from(mu: Measure, nu: Measure) -> Assignment:
     for v, x in nu.num.items():
         x *= down
         taken += x
-        num[v] = num.get(v, 0) - x
+        left = num.get(v, 0) - x
+        if left:
+            num[v] = left
+        else:  # mu and nu cancel at v
+            del num[v]
     if given != taken:
         raise MassMismatch(f"total masses differ: {Fraction(given, scale)} vs "
                            f"{Fraction(taken, scale)}")
-    return Assignment(num, scale)
+    return Assignment._of(num, scale)
 
 
 def unique_flow(tree: Tree, rho: Assignment) -> Flow:

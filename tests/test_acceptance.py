@@ -25,7 +25,8 @@ from treeot import (FiniteGraph, PairGeometry, Series, assignment_from, ball_AB,
 from treeot.asymptotics import ball_d1_exact
 from treeot.instances import load_instance
 
-from conftest import FIXTURES, random_measure_pair, random_profile, random_tree, rng_for
+from conftest import (FIXTURES, random_measure_pair, random_profile, random_tree, rng_for,
+                      to_mpf)
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -208,7 +209,7 @@ def test_criterion_08_walk_asymptote_convergence():
         for q in (2, 3):
             bundle = bundle_from_table(srw_g_table(alpha, q, checkpoints[q][-1]))
             growth = gamma_asymptotic(alpha, q)
-            decay = interval_mid(growth.growth_base)
+            decay = to_mpf(interval_mid(growth.growth_base))
             if growth.period == 2:
                 decay = mpmath.sqrt(decay)
             for d in (1, 2, 3):
@@ -311,7 +312,7 @@ def test_criterion_11_gamma_coefficient_growth():
             deviations = []
             for n in (100, 400):
                 exact = mpmath.mpf(sequence[n]) / mpmath.mpf(base) ** n
-                ratio = exact / interval_mid(growth.leading_term(n))
+                ratio = exact / to_mpf(interval_mid(growth.leading_term(n)))
                 deviations.append(abs(ratio - 1))
             if not deviations[1] < mpmath.mpf("0.1"):
                 problems.append(("tolerance", str(alpha), q, float(deviations[1])))

@@ -10,9 +10,10 @@ import pytest
 
 from treeot import (ChiValues, InvalidParams, PairGeometry, ball_AB, ball_d1_exact,
                     bundle_from_table, chi_tree, gamma_asymptotic, h_values,
-                    interval_contains, interval_mid, kappa_curvature, line_w1, sphere_AB,
-                    srw_AB, srw_g_table, srw_return_sequence, verify_inequalities,
-                    w1_via_genfun)
+                    interval_contains, interval_mid, kappa_curvature, sphere_AB, srw_AB,
+                    srw_g_table, srw_return_sequence, verify_inequalities, w1_via_genfun)
+
+from conftest import mpf_pair, to_mpf
 
 
 class TestWalkCoefficients:
@@ -194,11 +195,6 @@ class TestLimitsAndBounds:
             ab = make()
             assert all(ab.at(n) <= 2 * n + d for n in range(1, 50))
 
-    def test_line_value(self):
-        assert line_w1(4) == 4
-        with pytest.raises(InvalidParams):
-            line_w1(0)
-
 
 class TestChi:
     def test_closed_values(self):
@@ -266,32 +262,32 @@ class TestGammaGrowth:
         ga = gamma_asymptotic(Fraction(1, 5), 3)
         assert ga.period == 1
         with mpmath.workdps(60):
-            assert interval_contains(ga.growth_base, (1 + 2 * mpmath.sqrt(3)) / 5)
+            assert interval_contains(mpf_pair(ga.growth_base), (1 + 2 * mpmath.sqrt(3)) / 5)
             assert interval_contains(
-                ga.leading_constant,
+                mpf_pair(ga.leading_constant),
                 mpmath.sqrt((90 + 37 * mpmath.sqrt(3)) / (4 * mpmath.pi)))
 
     def test_second_noncommutative_expansion_constants(self):
         ga = gamma_asymptotic(Fraction(1, 7), 5)
         with mpmath.workdps(60):
-            assert interval_contains(ga.growth_base, (1 + 2 * mpmath.sqrt(5)) / 7)
+            assert interval_contains(mpf_pair(ga.growth_base), (1 + 2 * mpmath.sqrt(5)) / 7)
             assert interval_contains(
-                ga.leading_constant,
+                mpf_pair(ga.leading_constant),
                 mpmath.mpf(3) / 16 * mpmath.sqrt((230 + 61 * mpmath.sqrt(5)) / mpmath.pi))
 
     def test_nonlazy_period_two_base(self):
         ga = gamma_asymptotic(Fraction(0), 2)
         assert ga.period == 2
         with mpmath.workdps(60):
-            assert interval_contains(ga.growth_base, mpmath.mpf(8) / 9)
+            assert interval_contains(mpf_pair(ga.growth_base), mpmath.mpf(8) / 9)
             assert interval_contains(
-                ga.leading_constant, 2 * 3 / (mpmath.sqrt(mpmath.pi) * 1))
+                mpf_pair(ga.leading_constant), 2 * 3 / (mpmath.sqrt(mpmath.pi) * 1))
         assert interval_mid(ga.leading_term(7)) == 0
 
     def test_interval_precision(self):
         ga = gamma_asymptotic(Fraction(1, 5), 2)
-        lo, hi = (mpmath.mpf(x) for x in ga.growth_base._mpi_)
-        assert hi - lo < mpmath.mpf(10) ** (-50)
+        lo, hi = ga.growth_base
+        assert hi - lo < Fraction(1, 10 ** 50)
 
     def test_ratio_tracks_leading_term(self):
         alpha, q = Fraction(1, 5), 2
@@ -301,5 +297,75 @@ class TestGammaGrowth:
             ratios = []
             for n in (64, 256):
                 exact = mpmath.mpf(seq[n]) / mpmath.mpf(base) ** n
-                ratios.append(exact / interval_mid(ga.leading_term(n)))
+                ratios.append(exact / to_mpf(interval_mid(ga.leading_term(n))))
             assert abs(ratios[1] - 1) < abs(ratios[0] - 1)
+
+
+class TestEnclosures:
+    """The integer square roots, the Machin series for pi and the outward
+    rounding, checked exactly and against mpmath at 100 digits."""
+
+    WIDTH = Fraction(1, 10 ** 50)
+
+    def test_square_and_fourth_roots_of_integers(self):
+        from treeot.asymptotics import _sqrt
+        with mpmath.workdps(100):
+            for q in range(2, 51):
+                root = _sqrt((Fraction(q),) * 2)
+                lo, hi = root
+                assert lo <= hi and lo ** 2 <= q <= hi ** 2 and hi - lo < self.WIDTH
+                assert interval_contains(mpf_pair(root), mpmath.sqrt(q))
+                fourth = _sqrt(root)
+                lo, hi = fourth
+                assert lo <= hi and lo ** 4 <= q <= hi ** 4 and hi - lo < self.WIDTH
+                assert interval_contains(mpf_pair(fourth), mpmath.root(q, 4))
+
+    @pytest.mark.parametrize("x", [(Fraction(2, 3), Fraction(5, 7)),
+                                   (Fraction(1, 10 ** 80),) * 2,
+                                   (Fraction(10 ** 80 + 1),) * 2, (Fraction(49, 4),) * 2])
+    def test_square_roots_of_rational_endpoints(self, x):
+        from treeot.asymptotics import _sqrt
+        lo, hi = _sqrt(x)
+        assert 0 < lo <= hi and lo ** 2 <= x[0] and x[1] <= hi ** 2
+        if x[0] == x[1]:
+            assert hi - lo < hi * Fraction(1, 2 ** 190)
+
+    def test_pi(self):
+        from treeot.asymptotics import _pi
+        lo, hi = _pi()
+        assert Fraction(333, 106) < lo <= hi < Fraction(355, 113) and hi - lo < self.WIDTH
+        with mpmath.workdps(100):
+            assert interval_contains(mpf_pair((lo, hi)), mpmath.pi)
+
+    def test_power_encloses_the_exact_power_at_bounded_size(self):
+        from treeot.asymptotics import INTERVAL_BITS, _power
+        x = Fraction(9, 10)
+        for n in (1, 2, 3, 7, 64, 1000):
+            lo, hi = _power((x, x), n)
+            assert lo <= x ** n <= hi and hi - lo < x ** n * Fraction(n + 1, 2 ** 190)
+        for end in _power((x, x), 10 ** 6):
+            assert end.numerator.bit_length() <= INTERVAL_BITS + 2
+            assert end.denominator & (end.denominator - 1) == 0
+
+    @pytest.mark.parametrize("alpha,q", [(Fraction(1, 5), 2), (Fraction(0), 3),
+                                         (Fraction(999, 1000), 50)])
+    def test_leading_term_contains_the_100_digit_value(self, alpha, q):
+        ga = gamma_asymptotic(alpha, q)
+        with mpmath.workdps(100):
+            a, qq = to_mpf(alpha), mpmath.mpf(q)
+            if alpha:
+                base = (a * (qq + 1) + (1 - a) * 2 * mpmath.sqrt(qq)) / (qq + 1)
+                t = a / (1 - a) * (qq + 1) + 2 * mpmath.sqrt(qq)
+                constant = (t ** 1.5 * (qq + 1) * mpmath.root(qq, 4)
+                            / ((qq - 1) ** 2 * mpmath.sqrt(4 * mpmath.pi)))
+            else:
+                base = 4 * qq / (qq + 1) ** 2
+                constant = qq * (qq + 1) / (mpmath.sqrt(mpmath.pi) * (qq - 1) ** 2)
+            assert interval_contains(mpf_pair(ga.growth_base), base)
+            assert interval_contains(mpf_pair(ga.leading_constant), constant)
+            for n in (2, 100, 400, 10 ** 5):
+                k = n // ga.period
+                term = ga.leading_term(n)
+                assert interval_contains(mpf_pair(term), constant * base ** k * mpmath.mpf(k) ** -1.5)
+                lo, hi = term
+                assert hi - lo < hi * Fraction(k + 10, 2 ** 190)

@@ -11,6 +11,7 @@ import json
 import math
 import random
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treeot
 from treeot import (DuplicateEdge, HasCycle, Measure, NotConnected, TooLarge, assignment_from,
                     parse_rational, validate_tree, w1_tree)
 from treeot.cli import build_parser, main, parse_profile_spec
@@ -33,6 +35,29 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter, with this treeot first on its path."""
+    src = str(Path(treeot.__file__).parents[1])
+    return subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestStartup:
+    def test_cli_imports_only_the_standard_library(self):
+        # Site hooks may load modules at startup, so only what the import adds is read.
+        done = run_python("import sys; before = set(sys.modules); import treeot.cli; "
+                          "print(*sorted({name.partition('.')[0] for name in sys.modules} "
+                          "- before - set(sys.stdlib_module_names)))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["treeot"]
+
+    def test_gamma_suite_runs_with_mpmath_blocked(self):
+        done = run_python("import sys; sys.modules['mpmath'] = None; "
+                          "from treeot.cli import main; raise SystemExit(main(['verify', 'gamma']))")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["passed"] is True
 
 
 class TestInstances:

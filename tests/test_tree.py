@@ -110,6 +110,15 @@ class TestAssignment:
         with pytest.raises(MassMismatch):
             assignment_from(Measure({0: 1}), Measure({1: Fraction(1, 2)}))
 
+    def test_partial_cancellation_drops_the_vertex(self):
+        half = Fraction(1, 2)
+        rho = assignment_from(Measure({0: half, 1: half}), Measure({0: half, 2: half}))
+        assert rho.num == {1: 1, 2: -1} and rho.scale == 2
+
+    def test_public_constructor_checks_the_sum(self):
+        with pytest.raises(ValueError, match="sum to zero"):
+            Assignment({0: 1, 1: -2}, 3)
+
     def test_demo_charges(self):
         tree, mu, nu = demo_tree()
         rho = assignment_from(mu, nu)
