@@ -44,7 +44,8 @@ class InvalidAlpha(TreeOTError):
 
 
 class NonUnitDivisor(TreeOTError):
-    """Series division or square root requires a nonzero constant term."""
+    """Series division needs a dividend that vanishes below the divisor's
+    lowest power of y; a square root needs a nonzero constant term."""
 
 
 class InexactDivision(TreeOTError):

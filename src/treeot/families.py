@@ -18,6 +18,25 @@ with G(x, y) a geometric extension of gamma in x. Both routes are
 implemented; their agreement (and the defining functional equation) is
 checked in the test suite.
 
+The closed form runs in time linear in the order: with L = 1 - alpha y,
+Delta = 4D, R = sqrt(Delta) (a square root of a quadratic), P = (q+1) L,
+M = P - 2 (1-alpha) q y and E = 2 (y-1) (1 + (1-2 alpha) y), each walk series
+is (a - b R) / c for polynomials a, b and c, so every step is a product with
+or a quotient by a polynomial:
+
+    gamma    = ((q-1) L - R) / E,
+    G(q, y)  = (P + R) ((q-1) L - R) (M - R) / (E (M^2 - Delta)),
+    G_x(q, y) = G(q, y) (M - R) / (2 q (q+1) (y-1)).
+
+They rest on two polynomial identities,
+
+    (q-1)^2 L^2 - Delta = 4 q (y-1) (1 + (1-2 alpha) y),
+    M^2 - Delta = 4 q (q+1) (1-alpha) y (y-1).
+
+All three are divided by multiples of c = E (M^2 - Delta), gamma as
+((q-1) L - R) (M^2 - Delta) / c. Series division cancels the factor y of
+c, so each is built at one order more than it keeps.
+
 With S = den(alpha) (q+1), every walk series is an integer series in t = S y,
 so both routes run on integers over S^n; a Fraction is formed only when a
 coefficient is read.
@@ -121,17 +140,6 @@ def srw_g_table(alpha: RationalLike, q: int, order: int = DEFAULT_ORDER) -> GTab
                   tuple(base ** n for n in range(order + 1)))
 
 
-def srw_return_sequence(alpha: RationalLike, q: int,
-                        order: int = DEFAULT_ORDER) -> tuple[list[int], int]:
-    """Scaled return masses: integers c_n with g(0, n) = c_n / base^n.
-
-    Cheaper than the full table for large orders; only two columns are alive
-    at a time.
-    """
-    columns, base = _srw_scaled_columns(alpha, q, order)
-    return [col[0] for col in columns], base
-
-
 def sphere_g_table(q: int, order: int = DEFAULT_ORDER) -> GTable:
     """Uniform-sphere masses: 1 at the origin for n = 0, (q+1)^-1 q^(1-n) on
     the diagonal l = n >= 1, zero elsewhere."""
@@ -183,42 +191,79 @@ def bundle_from_table(table: GTable) -> GFBundle:
                     g1_at_q=Series.over(g1_num, table.scales), gammas=gammas)
 
 
-def _srw_closed_parts(alpha: RationalLike, q: int, order: int) -> tuple[Series, ...]:
-    """gamma, 2 phi2 and 2 (1-alpha) y of the walk closed form, as integer
-    series over S. Doubling phi1 = (q-1)/2 (1-alpha y) + sqrt(D) and phi2 =
-    (q+1)/2 (1-alpha y) + sqrt(D) clears their halves: 2 sqrt(D) is the root
-    of 4D = (q+1)^2 (1-alpha y)^2 - 4q (1-alpha)^2 y^2."""
+def _walk(alpha: Fraction, q: int, order: int) -> tuple:
+    """The builder poly(c0, c1, ...) of c0 + c1 y + ..., L, M, Delta, R, the
+    common divisor c = E (M^2 - Delta), and gamma = ((q-1) L - R) (M^2 -
+    Delta) / c. All are integer series over S built at order + 1; c starts
+    at y, so gamma and every other quotient by c end at ``order``."""
+    base = alpha.denominator * (q + 1)
+
+    def poly(*coeffs: RationalLike) -> Series:
+        return Series.scaled(coeffs, base, order + 1)
+
+    line = poly(1, -alpha)
+    # (q+1)^2 L^2 - 4 q (1-alpha)^2 y^2, and M = (q+1) L - 2 (1-alpha) q y
+    disc = poly((q + 1) ** 2, -2 * alpha * (q + 1) ** 2,
+                (alpha * (q + 1)) ** 2 - 4 * q * (1 - alpha) ** 2)
+    mix = poly(q + 1, -alpha * (q + 1) - 2 * (1 - alpha) * q)
+    root = disc.sqrt()
+    cut = mix * mix - disc
+    divisor = poly(-2, 4 * alpha, 2 - 4 * alpha) * cut  # E = 2 (y-1) (1 + (1-2 alpha) y)
+    gamma = (line * (q - 1) - root) * cut / divisor
+    return poly, line, mix, disc, root, divisor, gamma
+
+
+def srw_return_sequence(alpha: RationalLike, q: int,
+                        order: int = DEFAULT_ORDER) -> tuple[list[int], int]:
+    """Scaled return masses: integers c_n with g(0, n) = c_n / base^n.
+
+    Read from the closed form of gamma, in time linear in the order; the
+    table route gives the same integers in quadratic time.
+    """
     alpha = _check_alpha(alpha)
     _check_family_params(q, order)
-    base = alpha.denominator * (q + 1)
-    line = Series.scaled([1, -alpha], base, order)
-    root = (line * line * (q + 1) ** 2
-            - Series.scaled([0, 0, 4 * q * (1 - alpha) ** 2], base, order)).sqrt()
-    gamma = Series.scaled([2 * q], base, order) / (line * (q - 1) + root)
-    return gamma, line * (q + 1) + root, Series.scaled([0, 2 * (1 - alpha)], base, order)
+    *_, gamma = _walk(alpha, q, order)
+    return gamma._num, gamma.base  # fresh from an integer quotient, so unread
 
 
 def srw_closed_form(alpha: RationalLike, q: int, order: int = DEFAULT_ORDER) -> GFBundle:
-    """Walk-family bundle from the algebraic closed form (series square root).
+    """Walk-family bundle from the algebraic closed form (module docstring),
+    in time linear in the order.
 
-    ``gammas`` holds only the return series gamma = gamma_0; higher rows come
-    from :func:`srw_closed_form_rows` or the table route.
+    G(q, .) = (P + R) gamma / (M + R) and G_x(q, .) = 2 (1-alpha) y G(q, .) /
+    (M + R) become (a - b R) / c on multiplying by the conjugates (q-1) L - R
+    and M - R. ``gammas`` holds only the return series gamma = gamma_0;
+    higher rows come from :func:`srw_closed_form_rows` or the table route.
     """
-    gamma, phi2, step = _srw_closed_parts(alpha, q, order)
-    phi3_at_q = phi2 - step * q  # 2 phi3 at x = q: 2 phi2 - 2 (1-alpha) q y
-    g_at_q = phi2 * gamma / phi3_at_q
-    g1_at_q = step * g_at_q / phi3_at_q  # (1-alpha) y G(q, y) / phi3
-    return GFBundle(q=q, g_at_q=g_at_q, g1_at_q=g1_at_q, gammas=(gamma,))
+    alpha = _check_alpha(alpha)
+    _check_family_params(q, order)
+    poly, line, mix, disc, root, divisor, gamma = _walk(alpha, q, order)
+
+    def conjugate(a: Series, b: Series) -> tuple[Series, Series]:
+        # (a - b R)(M - R) = (a M + b Delta) - (a + b M) R
+        return a * mix + b * disc, a + b * mix
+
+    # (P + R)((q-1) L - R) = (q^2 - 1) L^2 - Delta - 2 L R
+    g_a, g_b = conjugate(line * line * (q * q - 1) - disc, line * 2)
+    g1_a, g1_b = conjugate(g_a, g_b)
+    # c 2 q (q+1) (y-1), where 2 q (q+1) (y-1) = (M^2 - Delta) / (2 (1-alpha) y)
+    g1_divisor = divisor * poly(-1, 1) * (2 * q * (q + 1))
+    return GFBundle(q=q, g_at_q=(g_a - g_b * root) / divisor,
+                    g1_at_q=(g1_a - g1_b * root) / g1_divisor, gammas=(gamma,))
 
 
 def srw_closed_form_rows(alpha: RationalLike, q: int, order: int, count: int) -> list[Series]:
     """First ``count`` distance rows of the closed form.
 
-    The bivariate function is geometric in x with ratio (1-alpha) y / phi2,
-    so row l equals gamma times the l-th power of that ratio.
+    The bivariate function is geometric in x with ratio 2 (1-alpha) y / (P +
+    R) = (P - R) / (2 q (1-alpha) y), so row l equals gamma times the l-th
+    power of that ratio.
     """
-    gamma, phi2, step = _srw_closed_parts(alpha, q, order)
-    return list(accumulate([step / phi2] * (count - 1), mul, initial=gamma))
+    alpha = _check_alpha(alpha)
+    _check_family_params(q, order)
+    poly, line, _, _, root, _, gamma = _walk(alpha, q, order)
+    ratio = (line * (q + 1) - root) / poly(0, 2 * q * (1 - alpha))
+    return list(accumulate([ratio] * (count - 1), mul, initial=gamma))
 
 
 def sphere_gf(q: int, order: int = DEFAULT_ORDER) -> GFBundle:

@@ -1,19 +1,22 @@
 """Truncated univariate formal power series with exact coefficients.
 
 A ``Series`` holds coefficients a_0 .. a_N and supports ring arithmetic,
-division and square root when the constant term permits, differentiation,
-and coefficient extraction. Everything is exact up to the truncation order.
-A series from :meth:`Series.scaled` holds integers num[k] / base**k (a series
-in t = base * y): two over one base compute on the numerators alone, each
-division by a constant term must be exact (:func:`_exact`), and a first read
-of the coefficients leaves only the Fractions.
+division, square root when the constant term permits, differentiation, and
+coefficient extraction. Everything is exact up to the truncation order. A
+divisor that starts at y^v needs a dividend that starts there too; both drop
+y^v, and the quotient ends at order N - v. A series from
+:meth:`Series.scaled` holds integers num[k] / base**k (a series in t = base *
+y): two over one base compute on the numerators alone, each division by a
+leading coefficient must be exact (:func:`_exact`), and a first read of the
+coefficients leaves only the Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import isqrt
-from operator import add, truediv
+from operator import add, mul, truediv
 from typing import Callable, Iterable, Sequence
 
 from .errors import InexactDivision, NonSquareConstantTerm, NonUnitDivisor, OrderExceeded
@@ -44,23 +47,32 @@ def _product(a: Sequence, b: Sequence) -> list:
 
 
 def _quotient(a: Sequence, b: Sequence, divide: Callable) -> list:
-    """Coefficients of a / b; each step divides by b[0] through ``divide``."""
-    if not b[0]:
-        raise NonUnitDivisor("series division needs a nonzero constant term")
-    terms = [(i, bi) for i, bi in enumerate(b) if i and bi]
+    """Coefficients of a / b. If b starts at y^v, a must vanish below y^v
+    too: both drop y^v, and the quotient ends at order N - v. Each step
+    divides by b[v] through ``divide``, and costs one term per nonzero b[i]."""
+    v = next((i for i, bi in enumerate(b) if bi), None)
+    if v is None:
+        raise NonUnitDivisor("series division by the zero series")
+    if any(a[:v]):
+        raise NonUnitDivisor(f"the divisor starts at y^{v}, so the dividend must vanish below it")
+    lead = b[v]
+    terms = [(i - v, bi) for i, bi in enumerate(b) if i > v and bi]
     out: list = []
-    for k, acc in enumerate(a):
+    for k, acc in enumerate(a[v:]):
         for i, bi in terms:
             if i > k:
                 break
             acc -= bi * out[k - i]
-        out.append(divide(acc, b[0]))
+        out.append(divide(acc, lead))
     return out
 
 
 def _root(a: Sequence, divide: Callable) -> list:
-    """Coefficients of the square root of a, whose constant term must be a
-    positive rational square; each step divides by twice the root's."""
+    """Coefficients of the square root f of a, whose constant term must be a
+    positive rational square. From 2 a f' = a' f, 2 m a_0 f_m is the sum of
+    (3i - 2m) a_i f_(m-i) over the nonzero a_i with 1 <= i <= m: one term per
+    nonzero a_i, so linear in the order for a polynomial a. Each step divides
+    by 2 m a_0 through ``divide``."""
     a0 = a[0]
     if not a0:
         raise NonUnitDivisor("series square root needs a nonzero constant term")
@@ -70,12 +82,14 @@ def _root(a: Sequence, divide: Callable) -> list:
     if pn * pn != a0.numerator or pd * pd != a0.denominator:
         raise NonSquareConstantTerm(f"constant term {a0} is not a rational square")
     out = [pn if pd == 1 else Fraction(pn, pd)]
-    for k in range(1, len(a)):
-        acc = a[k]
-        for i in range(1, k):
-            if out[i] and out[k - i]:
-                acc -= out[i] * out[k - i]
-        out.append(divide(acc, 2 * out[0]))
+    terms = [(i, ai) for i, ai in enumerate(a) if i and ai]
+    for m in range(1, len(a)):
+        acc = 0
+        for i, ai in terms:
+            if i > m:
+                break
+            acc += (3 * i - 2 * m) * ai * out[m - i]
+        out.append(divide(acc, 2 * m * a0))
     return out
 
 
@@ -106,10 +120,11 @@ class Series:
         """The series of ``coeffs``, zero-padded to ``order``, held as integers
         over base**k; raises :class:`InexactDivision` where base**k does not
         clear the denominator of coefficient k."""
-        powers = [base ** k for k in range(order + 1)]
-        vals = cls(coeffs, order=order).coefficients
-        return cls.over([_exact(c.numerator * p, c.denominator) for c, p in zip(vals, powers)],
-                        powers, base)
+        coeffs = list(coeffs)
+        vals = cls(coeffs, order=order).coefficients[: len(coeffs)]
+        powers = list(accumulate(repeat(base, order), mul, initial=1))
+        num = [_exact(c.numerator * p, c.denominator) for c, p in zip(vals, powers)]
+        return cls.over(num + [0] * (order + 1 - len(num)), powers, base)
 
     @property
     def order(self) -> int:
@@ -190,8 +205,9 @@ class Series:
         if not isinstance(other, Series):
             return self * (1 / _frac(other))
         if self._same_base(other):
-            return self._on_ints(_quotient(self._num, other._num, _exact))
-        return self._wrap(_quotient(self.coefficients, other.coefficients, truediv))
+            num = _quotient(self._num, other._num, _exact)
+            return Series.over(num, self._den[:len(num)], self.base)
+        return Series(_quotient(self.coefficients, other.coefficients, truediv))
 
     def __rtruediv__(self, other: RationalLike) -> "Series":
         return Series([other], order=self.order) / self
@@ -206,9 +222,3 @@ class Series:
         """Formal derivative, truncated at the same order (top coefficient 0)."""
         vals = [k * self.coefficients[k] for k in range(1, self.order + 1)]
         return Series(vals, order=self.order)
-
-    def shifted(self, k: int = 1) -> "Series":
-        """Multiplication by y^k at fixed truncation order."""
-        if k < 0:
-            raise ValueError("shift must be >= 0")
-        return Series([Fraction(0)] * k + list(self.coefficients), order=self.order)

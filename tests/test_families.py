@@ -118,6 +118,35 @@ class TestClosedForm:
         assert all(gamma[k] == 0 for k in range(1, 2 * order, 2))
 
 
+WALK_ALPHAS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)]
+
+
+class TestClosedFormAgainstTable:
+    """The closed form's return masses and bundle against the column
+    recurrence. alpha = 1/2 drops the y^2 term of E = 2 (y-1)(1 + (1-2 alpha) y)
+    and alpha > 1/2 makes it negative."""
+
+    @pytest.mark.parametrize("alpha", WALK_ALPHAS)
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_return_sequence_is_the_tables_first_row(self, alpha, q):
+        order = 160
+        seq, base = srw_return_sequence(alpha, q, order)
+        table = srw_g_table(alpha, q, order)
+        assert seq == [col[0] for col in table.columns]
+        assert table.scales == tuple(base ** n for n in range(order + 1))
+        assert all(type(c) is int for c in seq)
+
+    @pytest.mark.parametrize("alpha", WALK_ALPHAS)
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_bundle_is_the_tables_bundle(self, alpha, q):
+        order = 96
+        table = bundle_from_table(srw_g_table(alpha, q, order))
+        closed = srw_closed_form(alpha, q, order)
+        assert closed.gammas[0] == table.gammas[0]
+        assert closed.g_at_q == table.g_at_q
+        assert closed.g1_at_q == table.g1_at_q
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda r: st.tuples(st.integers(0, r - 1), st.just(r))),
        st.integers(2, 7), st.integers(0, 40))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -37,9 +37,49 @@ class TestBasics:
         s = Series([5, 1, 3, 2], order=3).derivative()
         assert s.coefficients == (Fraction(1), Fraction(6), Fraction(6), Fraction(0))
 
-    def test_shift(self):
-        s = Series([1, 2], order=3).shifted(2)
-        assert s.coefficients == (Fraction(0), Fraction(0), Fraction(1), Fraction(2))
+
+class TestDivideByY:
+    """A divisor that starts at y^v: the dividend must start there too, both
+    drop y^v, and the quotient ends v orders earlier."""
+
+    def test_shared_power_cancels(self):
+        dividend, divisor = Series([0, 1, 2], order=4), Series([0, 2, 1], order=4)
+        quotient = dividend / divisor
+        assert quotient.order == 3
+        # (1 + 2y) / (2 + y)
+        assert quotient.coefficients == (Fraction(1, 2), Fraction(3, 4), Fraction(-3, 8),
+                                         Fraction(3, 16))
+        # y^4 of quotient * divisor reads quotient[0..3] only, so a zero pad is exact.
+        assert Series(quotient.coefficients, order=4) * divisor == dividend
+
+    def test_scaled_quotient_stays_on_integers(self):
+        # (2 + y/3) / (1 + 2y/3) = 2 - y + 2/3 y^2 - 4/9 y^3, integers over 3^k.
+        dividend = Series.scaled([0, 2, Fraction(1, 3)], 3, 4)
+        divisor = Series.scaled([0, 1, Fraction(2, 3)], 3, 4)
+        quotient = dividend / divisor
+        assert quotient.base == 3 and quotient.order == 3
+        assert quotient == Series(dividend.coefficients) / Series(divisor.coefficients)
+        assert quotient.coefficients == (2, -1, Fraction(2, 3), Fraction(-4, 9))
+        assert Series(quotient.coefficients, order=4) * divisor == dividend
+
+    def test_scaled_quotient_the_base_cannot_clear_raises(self):
+        # The quotient's constant term is 1/2, which no power of the base clears.
+        with pytest.raises(InexactDivision):
+            Series.scaled([0, 1, 2], 2, 4) / Series.scaled([0, 2, 1], 2, 4)
+
+    def test_dividend_below_the_divisors_power_raises(self):
+        with pytest.raises(NonUnitDivisor):
+            Series([0, 1, 2], order=4) / Series([0, 0, 1], order=4)
+        with pytest.raises(NonUnitDivisor):
+            Series.scaled([0, 1], 2, 4) / Series.scaled([0, 0, 1], 2, 4)
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(NonUnitDivisor):
+            Series([1, 2], order=3) / Series([0], order=3)
+        with pytest.raises(NonUnitDivisor):
+            Series([0], order=3) / Series([0], order=3)
+        with pytest.raises(NonUnitDivisor):
+            Series.scaled([0], 2, 3) / Series.scaled([0], 2, 3)
 
 
 class TestSqrt:
@@ -93,6 +133,44 @@ def test_square_then_sqrt_roundtrip(a):
     assert (f * f).sqrt() == f
 
 
+def convolution_root(a):
+    """The square root by f_k = (a_k - sum_{0<i<k} f_i f_(k-i)) / (2 f_0): an
+    independent quadratic-time oracle for the recurrence in ``Series.sqrt``."""
+    out = [Fraction(isqrt(a[0].numerator), isqrt(a[0].denominator))]
+    for k in range(1, len(a)):
+        acc = a[k] - sum(out[i] * out[k - i] for i in range(1, k))
+        out.append(acc / (2 * out[0]))
+    return tuple(out)
+
+
+square_constants = st.builds(lambda n, d: Fraction(n * n, d * d), st.integers(1, 7),
+                             st.integers(1, 7))
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_constants, st.lists(small_rationals, max_size=14), st.integers(0, 16))
+def test_root_recurrence_matches_convolution(a0, rest, order):
+    radicand = Series([a0, *rest], order=order)
+    assert radicand.sqrt().coefficients == convolution_root(radicand.coefficients)
+
+
+@pytest.mark.parametrize("alpha,q", [(Fraction(1, 3), 3), (Fraction(9, 10), 2),
+                                     (Fraction(0), 7)])
+def test_walk_discriminant_root_at_order_200(alpha, q):
+    # Delta = 4D = (q+1)^2 (1 - alpha y)^2 - 4q (1-alpha)^2 y^2, over Fractions and
+    # over the walk base S = den(alpha)(q+1).
+    order = 200
+    disc = [(q + 1) ** 2, -2 * alpha * (q + 1) ** 2,
+            alpha ** 2 * (q + 1) ** 2 - 4 * q * (1 - alpha) ** 2]
+    base = alpha.denominator * (q + 1)
+    exact, scaled = Series(disc, order=order), Series.scaled(disc, base, order)
+    exact_root, scaled_root = exact.sqrt(), scaled.sqrt()
+    assert scaled_root.base == base
+    assert scaled_root * scaled_root == exact
+    assert scaled_root == exact_root
+    assert exact_root * exact_root == exact
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_rationals, min_size=1, max_size=6),
        st.lists(small_rationals, min_size=1, max_size=6),
@@ -118,6 +196,9 @@ class TestScaled:
         assert root == Series(disc, order=order).sqrt()
         with pytest.raises(InexactDivision):
             Series.scaled(disc, 1, order).sqrt()
+        assert Series.scaled(disc, 1, 1).sqrt() == Series([q + 1, 0], order=1)
+        with pytest.raises(InexactDivision):
+            Series.scaled(disc, 1, 2).sqrt()
 
     def test_inexact_quotient_raises(self):
         one, two_plus_y = Series.scaled([1], 1, 4), Series.scaled([2, 1], 1, 4)
