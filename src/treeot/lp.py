@@ -1,20 +1,31 @@
 """Independent exact oracle for transport distances on small finite graphs.
 
 Solves the primal transportation linear program with an exact simplex over
-rationals (costs stay integers, so dual values and reduced costs are integers
-too), and provides the dual-side checks: 1-Lipschitz feasibility, duality-gap
-certificates, and complementary slackness.
+the integers, and provides the dual-side checks: 1-Lipschitz feasibility,
+duality-gap certificates, and complementary slackness.
+
+The masses enter as integers over L, the lcm of the two measures' scales.
+The transportation matrix is totally unimodular, so with integer supplies
+and demands every basic solution is integral; the costs are hop counts, so
+dual prices and reduced costs are integers too. Only the value and the plan
+entries become Fractions over L, once, at the end. The basis is one rooted
+spanning tree kept across pivots: a pivot re-hangs and re-prices only the
+subtree that the leaving cell cuts off. Bland's rule and its tie-break pick
+the entering and leaving cells, so the pivots and the plan do not depend on
+how the tree is stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InfeasiblePotential, MassMismatch, TooLarge
 from .rational import _frac
-from .tree import (Measure, Potential, Tree, _bfs, _build_graph, _hop_distances,
+from .tree import (Measure, Potential, Tree, _build_graph, _hop_distances,
                    _require_connected)
 
 #: Supports larger than this are refused; the exact simplex is for desk-scale
@@ -96,14 +107,27 @@ def _check_support(mu: Measure, nu: Measure) -> None:
                        f"{MAX_SUPPORT}-point oracle cap")
 
 
+def _joint_scale(mu: Measure, nu: Measure) -> tuple[int, int, int]:
+    """L = lcm(mu.scale, nu.scale), and the factors L / mu.scale and L / nu.scale
+    that put each side's numerators over L."""
+    scale = lcm(mu.scale, nu.scale)
+    return scale, scale // mu.scale, scale // nu.scale
+
+
 def w1_lp(graph: FiniteGraph, mu: Measure, nu: Measure) -> tuple[Fraction, TransportPlan]:
-    """Exact optimum of the transportation LP plus one optimal plan."""
+    """Exact optimum of the transportation LP plus one optimal plan.
+
+    The simplex runs on the masses as integers over L, the lcm of the two
+    scales; the value and each plan entry become a Fraction over L at the end.
+    """
     _check_support(mu, nu)
     sources = mu.support()
     sinks = nu.support()
-    given, taken = mu.total(), nu.total()
-    if given != taken:
-        raise MassMismatch(f"total masses differ: {given} vs {taken}")
+    scale, up, down = _joint_scale(mu, nu)
+    supply = [mu.num[u] * up for u in sources]
+    demand = [nu.num[v] * down for v in sinks]
+    if sum(supply) != sum(demand):
+        raise MassMismatch(f"total masses differ: {mu.total()} vs {nu.total()}")
     for v in (*sources, *sinks):
         if not 0 <= v < graph.num_vertices:
             raise ValueError(f"measure references vertex {v} outside the graph")
@@ -111,34 +135,45 @@ def w1_lp(graph: FiniteGraph, mu: Measure, nu: Measure) -> tuple[Fraction, Trans
         return Fraction(0), TransportPlan({})
 
     costs = [[graph.distance(u, v) for v in sinks] for u in sources]
-    supply = [mu.value(u) for u in sources]
-    demand = [nu.value(v) for v in sinks]
     value, cells = _transportation_simplex(costs, supply, demand)
-    plan = TransportPlan({(sources[i], sinks[j]): x for (i, j), x in cells.items() if x})
-    return value, plan
+    plan = TransportPlan({(sources[i], sinks[j]): Fraction(x, scale)
+                          for (i, j), x in cells.items() if x})
+    return Fraction(value, scale), plan
 
 
 def _transportation_simplex(
-    costs: list[list[int]], supply: list[Fraction], demand: list[Fraction]
-) -> tuple[Fraction, dict[tuple[int, int], Fraction]]:
-    """Primal simplex on the transportation polytope, exact over rationals.
+    costs: list[list[int]], supply: list[int], demand: list[int]
+) -> tuple[int, dict[tuple[int, int], int]]:
+    """Primal simplex on the transportation polytope, exact over the integers.
 
-    The basis is always a spanning tree of the bipartite supply/demand graph.
-    Bland's rule (lexicographically smallest entering cell with negative
-    reduced cost, smallest leaving cell among ties) rules out cycling.
+    Supplies and demands are integers with equal totals. The constraint matrix
+    is totally unimodular, so every basic solution is integral, and the duals
+    are integers because the costs are. Returns the optimal value and the
+    allocation of every basic cell, zero-valued ones included.
+
+    The basis is a spanning tree of the bipartite supply/demand graph (rows
+    are nodes 0..m-1, columns m..m+n-1), kept rooted at row 0 with its
+    parent, depth and dual price across pivots. A pivot closes the entering
+    cell's cycle by climbing from both of its ends to their common ancestor.
+    The leaving cell cuts off the subtree under it; the entering cell's end
+    inside that subtree is hung from its other end, and only that subtree is
+    re-priced. Bland's rule (lexicographically smallest entering cell with
+    negative reduced cost, smallest leaving cell among ties) rules out
+    cycling.
     """
     m, n = len(supply), len(demand)
 
     # Northwest-corner start: a staircase spanning tree with m+n-1 cells.
-    alloc: dict[tuple[int, int], Fraction] = {}
-    basis: set[tuple[int, int]] = set()
+    alloc: dict[tuple[int, int], int] = {}
+    adjacency: list[set[int]] = [set() for _ in range(m + n)]
     ra = list(supply)
     cb = list(demand)
     i = j = 0
     while True:
         x = min(ra[i], cb[j])
         alloc[(i, j)] = x
-        basis.add((i, j))
+        adjacency[i].add(m + j)
+        adjacency[m + j].add(i)
         ra[i] -= x
         cb[j] -= x
         if i == m - 1 and j == n - 1:
@@ -148,24 +183,44 @@ def _transportation_simplex(
         else:
             j += 1
 
+    # Row 0 is the root, priced 0; u = price[:m] and v = price[m:].
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    price = [0] * (m + n)
+    _hang(costs, m, adjacency, parent, depth, price, 0)
+
     max_pivots = 50 * (m + n + 1) ** 2
     for _ in range(max_pivots):
-        u, v = _duals(costs, basis, m, n)
+        # Basic cells price to exactly 0, so the first negative one is nonbasic.
+        v = price[m:]
         entering = None
         for ii in range(m):
-            row_cost = costs[ii]
-            ui = u[ii]
-            for jj in range(n):
-                if (ii, jj) not in basis and row_cost[jj] - ui - v[jj] < 0:
-                    entering = (ii, jj)
-                    break
-            if entering:
+            row, ui = costs[ii], price[ii]
+            if min(map(sub, row, v)) < ui:
+                entering = (ii, next(jj for jj in range(n) if row[jj] - v[jj] < ui))
                 break
         if entering is None:
-            value = sum((costs[ii][jj] * x for (ii, jj), x in alloc.items()), Fraction(0))
-            return value, alloc
+            return sum(costs[ii][jj] * x for (ii, jj), x in alloc.items()), alloc
 
-        path = _basis_path(basis, entering, m, n)
+        # The basis path from the entering cell's row end to its column end:
+        # each climbed node stands for the cell to its parent.
+        i0, j0 = entering
+        a, b = i0, m + j0
+        left: list[int] = []
+        right: list[int] = []
+        while depth[a] > depth[b]:
+            left.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            right.append(b)
+            b = parent[b]
+        while a != b:
+            left.append(a)
+            right.append(b)
+            a = parent[a]
+            b = parent[b]
+        nodes = left + right[::-1]
+        path = [(x, parent[x] - m) if x < m else (parent[x], x - m) for x in nodes]
         minus = path[0::2]  # cells whose allocation decreases
         plus = path[1::2]
         theta = min(alloc[c] for c in minus)
@@ -175,49 +230,41 @@ def _transportation_simplex(
         for c in plus:
             alloc[c] += theta
         alloc[entering] = theta
-        basis.add(entering)
-        basis.discard(leaving)
         del alloc[leaving]
+
+        # Cut the leaving cell, then hang the cut-off side from the entering cell.
+        k = path.index(leaving)
+        low = nodes[k]
+        adjacency[low].discard(parent[low])
+        adjacency[parent[low]].discard(low)
+        adjacency[i0].add(m + j0)
+        adjacency[m + j0].add(i0)
+        top, other = (i0, m + j0) if k < len(left) else (m + j0, i0)
+        parent[top] = other
+        depth[top] = depth[other] + 1
+        price[top] = costs[i0][j0] - price[other]
+        _hang(costs, m, adjacency, parent, depth, price, top)
     raise RuntimeError("transportation simplex failed to terminate")
 
 
-def _basis_tree(basis, m, n):
-    """The basis as an adjacency list: rows are nodes 0..m-1, columns m..m+n-1."""
-    adjacency: list[list[int]] = [[] for _ in range(m + n)]
-    for i, j in basis:
-        adjacency[i].append(m + j)
-        adjacency[m + j].append(i)
-    return adjacency
-
-
-def _duals(costs, basis, m, n):
-    """Dual prices from the basis tree, rooted at supply node 0."""
-    order, parent = _bfs(_basis_tree(basis, m, n), 0)
-    price = [0] * (m + n)
-    for node in order[1:]:
-        p = parent[node]
-        if node >= m:
-            price[node] = costs[p][node - m] - price[p]
+def _hang(costs, m, adjacency, parent, depth, price, top) -> None:
+    """Parent, depth and price of every basis-tree node below ``top``, whose
+    own are already set; a cell's two end prices add up to its cost."""
+    order = [top]
+    for node in order:  # the loop also visits the nodes it appends
+        p, d, pn = parent[node], depth[node] + 1, price[node]
+        if node < m:
+            row = costs[node]
+            for w in adjacency[node]:
+                if w != p:
+                    parent[w], depth[w], price[w] = node, d, row[w - m] - pn
+                    order.append(w)
         else:
-            price[node] = costs[node][p - m] - price[p]
-    return price[:m], price[m:]
-
-
-def _basis_path(basis, entering, m, n):
-    """Cells along the unique basis-tree path closing the entering cell's cycle.
-
-    Returned in order from the entering cell's row end to its column end, so
-    cells at even positions lose allocation when the entering cell gains.
-    """
-    i0, j0 = entering
-    _, parent = _bfs(_basis_tree(basis, m, n), i0)
-    cells = []
-    node = m + j0
-    while node != i0:
-        p = parent[node]
-        cells.append((p, node - m) if node >= m else (node, p - m))
-        node = p
-    return cells[::-1]
+            col = node - m
+            for w in adjacency[node]:
+                if w != p:
+                    parent[w], depth[w], price[w] = node, d, costs[w][col] - pn
+                    order.append(w)
 
 
 @dataclass(frozen=True)
@@ -244,8 +291,9 @@ def verify_duality(graph: FiniteGraph, mu: Measure, nu: Measure, phi: Potential)
     primal, plan = w1_lp(graph, mu, nu)  # refuses supports over the cap before any O(n) pass
     if not phi.is_edge_lipschitz(graph):
         raise InfeasiblePotential("potential jumps by more than 1 across an edge")
-    dual = sum(((mu.value(v) - nu.value(v)) * phi.value(v)
-                for v in set(mu.support()) | set(nu.support())), Fraction(0))
+    scale, up, down = _joint_scale(mu, nu)
+    dual = Fraction(sum((mu.num.get(v, 0) * up - nu.num.get(v, 0) * down) * phi.value(v)
+                        for v in mu.num.keys() | nu.num.keys()), scale)
     return DualityReport(primal=primal, dual=dual,
                          optimal_certificate=(primal == dual), plan=plan)
 

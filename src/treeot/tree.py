@@ -153,12 +153,20 @@ def _bfs(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list
 
 
 def _hop_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
-    """Hop distances from ``source`` to every vertex; -1 where unreached."""
-    order, parent = _bfs(adjacency, source)
+    """Hop distances from ``source`` to every vertex; -1 where unreached. One
+    level-order BFS writes each distance as it reaches the vertex."""
     dist = [-1] * len(adjacency)
     dist[source] = 0
-    for v in order[1:]:
-        dist[v] = dist[parent[v]] + 1
+    level, hops = [source], 0
+    while level:
+        hops += 1
+        reached = []
+        for u in level:
+            for w in adjacency[u]:
+                if dist[w] < 0:
+                    dist[w] = hops
+                    reached.append(w)
+        level = reached
     return dist
 
 

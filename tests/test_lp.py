@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -11,7 +12,8 @@ from treeot import (FiniteGraph, InfeasiblePotential, MassMismatch, Measure, Pot
                     check_complementary_slackness, good_potential,
                     unique_flow, verify_duality, w1_lp, w1_tree)
 from treeot.instances import demo_instance, instance_from_dict
-from treeot.tree import _hop_distances
+from treeot.lp import _transportation_simplex
+from treeot.tree import _bfs, _hop_distances
 
 from conftest import random_measure_pair, random_tree, rng_for
 
@@ -60,6 +62,12 @@ class TestDistances:
         for u in range(4):
             assert [g.distance(u, v) for v in range(4)] == [min((v - u) % 4, (u - v) % 4)
                                                             for v in range(4)]
+
+    def test_unreached_vertices_read_minus_one(self):
+        adjacency = [[1], [0, 2], [1], [4], [3], []]
+        assert _hop_distances(adjacency, 0) == [0, 1, 2, -1, -1, -1]
+        assert _hop_distances(adjacency, 4) == [-1, -1, -1, 1, 0, -1]
+        assert _hop_distances(adjacency, 5) == [-1, -1, -1, -1, -1, 0]
 
     def test_matrix_symmetric_zero_diagonal(self):
         g = FiniteGraph.build(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -121,6 +129,25 @@ class TestW1LP:
         value, plan = w1_lp(g, Measure({}), Measure({}))
         assert value == 0 and plan.entries == {}
 
+    def test_scales_merge_over_their_lcm(self):
+        # Sixths against tenths: the simplex runs over L = 30, which is neither scale.
+        g = FiniteGraph.build(range(4), [(0, 1), (1, 2), (2, 3)])
+        mu = Measure({0: Fraction(1, 6), 1: Fraction(5, 6)})
+        nu = Measure({2: Fraction(3, 10), 3: Fraction(7, 10)})
+        assert (mu.scale, nu.scale) == (6, 10)
+        value, plan = w1_lp(g, mu, nu)
+        # On a path, W1 sums the CDF gaps across the edges: 1/6 + 1 + 7/10.
+        assert type(value) is Fraction and value == Fraction(28, 15)
+        _, cells = _reference_simplex([[g.distance(u, v) for v in nu.support()]
+                                       for u in mu.support()],
+                                      [mu.value(u) for u in mu.support()],
+                                      [nu.value(v) for v in nu.support()])
+        assert plan.entries == {(mu.support()[i], nu.support()[j]): x
+                                for (i, j), x in cells.items() if x}
+        for x in plan.entries.values():
+            assert type(x) is Fraction and gcd(x.numerator, x.denominator) == 1
+        assert plan.satisfies_marginals(mu, nu)
+
 
 class TestDualSide:
     def test_constant_potential_feasible(self):
@@ -159,6 +186,24 @@ class TestDualSide:
         assert not check_complementary_slackness(g, plan, Potential((Fraction(0),) * 3))
 
 
+class TestDualOverCommonScale:
+    def test_dual_matches_the_per_vertex_fraction_sum(self):
+        rng = rng_for(77)
+        for _ in range(30):
+            n = rng.randint(2, 10)
+            tree = random_tree(rng, n)
+            g = FiniteGraph.from_tree(tree)
+            mu, nu = random_measure_pair(rng, n)
+            shift = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+            levels = good_potential(tree, unique_flow(tree, assignment_from(mu, nu))).values
+            for phi in (Potential(tuple(h + shift for h in levels)), Potential(tuple(levels))):
+                dual = sum(((mu.value(v) - nu.value(v)) * phi.value(v)
+                            for v in set(mu.support()) | set(nu.support())), Fraction(0))
+                report = verify_duality(g, mu, nu, phi)
+                assert type(report.dual) is Fraction and report.dual == dual
+                assert report.optimal_certificate
+
+
 class TestRandomizedAgreement:
     def test_tree_and_lp_agree_with_certificates(self):
         rng = rng_for(2024)
@@ -195,3 +240,155 @@ class TestRandomizedAgreement:
             dual = sum(((mu.value(v) - nu.value(v)) * phi.value(v) for v in range(n)),
                        Fraction(0))
             assert plan.cost(g) >= dual
+
+
+def _reference_simplex(costs, supply, demand):
+    """The transportation simplex as it ran over Fractions, rebuilding the
+    basis tree by BFS for the duals and again for each cycle: the oracle for
+    the integer, incremental one."""
+    m, n = len(supply), len(demand)
+    alloc = {}
+    basis = set()
+    ra = list(supply)
+    cb = list(demand)
+    i = j = 0
+    while True:
+        x = min(ra[i], cb[j])
+        alloc[(i, j)] = x
+        basis.add((i, j))
+        ra[i] -= x
+        cb[j] -= x
+        if i == m - 1 and j == n - 1:
+            break
+        if ra[i] == 0 and i < m - 1:
+            i += 1
+        else:
+            j += 1
+
+    max_pivots = 50 * (m + n + 1) ** 2
+    for _ in range(max_pivots):
+        u, v = _reference_duals(costs, basis, m, n)
+        entering = None
+        for ii in range(m):
+            for jj in range(n):
+                if (ii, jj) not in basis and costs[ii][jj] - u[ii] - v[jj] < 0:
+                    entering = (ii, jj)
+                    break
+            if entering:
+                break
+        if entering is None:
+            value = sum((costs[ii][jj] * x for (ii, jj), x in alloc.items()), Fraction(0))
+            return value, alloc
+
+        path = _reference_basis_path(basis, entering, m, n)
+        minus = path[0::2]
+        plus = path[1::2]
+        theta = min(alloc[c] for c in minus)
+        leaving = min(c for c in minus if alloc[c] == theta)
+        for c in minus:
+            alloc[c] -= theta
+        for c in plus:
+            alloc[c] += theta
+        alloc[entering] = theta
+        basis.add(entering)
+        basis.discard(leaving)
+        del alloc[leaving]
+    raise RuntimeError("transportation simplex failed to terminate")
+
+
+def _reference_basis_tree(basis, m, n):
+    adjacency = [[] for _ in range(m + n)]
+    for i, j in basis:
+        adjacency[i].append(m + j)
+        adjacency[m + j].append(i)
+    return adjacency
+
+
+def _reference_duals(costs, basis, m, n):
+    order, parent = _bfs(_reference_basis_tree(basis, m, n), 0)
+    price = [0] * (m + n)
+    for node in order[1:]:
+        p = parent[node]
+        if node >= m:
+            price[node] = costs[p][node - m] - price[p]
+        else:
+            price[node] = costs[node][p - m] - price[p]
+    return price[:m], price[m:]
+
+
+def _reference_basis_path(basis, entering, m, n):
+    i0, j0 = entering
+    _, parent = _bfs(_reference_basis_tree(basis, m, n), i0)
+    cells = []
+    node = m + j0
+    while node != i0:
+        p = parent[node]
+        cells.append((p, node - m) if node >= m else (node, p - m))
+        node = p
+    return cells[::-1]
+
+
+def _split(rng, total, parts, zeros=False):
+    """``parts`` integers summing to ``total``: positive, or some zero."""
+    low = 0 if zeros else 1
+    cuts = sorted(rng.randint(0, total - parts * low) for _ in range(parts - 1))
+    return [b - a + low for a, b in zip([0, *cuts], [*cuts, total - parts * low])]
+
+
+class TestSimplexAgainstFractionOracle:
+    """The integer simplex makes the pivots of the Fraction one it replaced:
+    the same value and the same allocation on every basic cell, zeros included."""
+
+    @staticmethod
+    def _agree(costs, supply, demand):
+        value, alloc = _transportation_simplex(costs, supply, demand)
+        ref_value, ref_alloc = _reference_simplex(costs, [Fraction(x) for x in supply],
+                                                  [Fraction(x) for x in demand])
+        assert type(value) is int and all(type(x) is int for x in alloc.values())
+        assert value == ref_value
+        assert alloc == ref_alloc
+        assert len(alloc) == len(supply) + len(demand) - 1
+
+    def test_random_cost_matrices(self):
+        rng = rng_for(15)
+        for k in range(80):
+            m, n = (rng.randint(1, 40), rng.randint(1, 40)) if k % 8 == 0 else \
+                (rng.randint(1, 12), rng.randint(1, 12))
+            top = rng.choice((0, 1, 2, 5, 30))  # top 0: all costs zero; small tops tie often
+            costs = [[rng.randint(0, top) for _ in range(n)] for _ in range(m)]
+            total = rng.randint(max(m, n), 4 * max(m, n) + 20)
+            self._agree(costs, _split(rng, total, m), _split(rng, total, n))
+
+    def test_degenerate_supplies(self):
+        rng = rng_for(16)
+        for k in range(60):
+            m, n = rng.randint(1, 15), rng.randint(1, 15)
+            costs = [[rng.randint(0, 4) for _ in range(n)] for _ in range(m)]
+            shape = k % 3
+            if shape == 0:  # equal splits of a common total
+                total = m * n * rng.randint(1, 3)
+                supply, demand = [total // m] * m, [total // n] * n
+            elif shape == 1:  # zero entries on both sides
+                total = rng.randint(1, 3 * (m + n))
+                supply, demand = _split(rng, total, m, zeros=True), _split(rng, total, n, zeros=True)
+            else:  # single-unit demands
+                supply, demand = _split(rng, n, min(m, n)), [1] * n
+            self._agree(costs, supply, demand)
+
+    def test_bench_shaped_tree(self):
+        rng = rng_for(17)
+        tree = random_tree(rng, 2000)
+        g = FiniteGraph.from_tree(tree)
+        for _ in range(2):
+            sides = []
+            for _ in range(2):
+                chosen = rng.sample(range(2000), 40)
+                raw = [Fraction(rng.randint(1, 64), rng.randint(1, 64)) for _ in chosen]
+                total = sum(raw, Fraction(0))
+                sides.append(Measure({v: x / total for v, x in zip(chosen, raw)}))
+            mu, nu = sides
+            scale = lcm(mu.scale, nu.scale)
+            costs = [[g.distance(u, v) for v in nu.support()] for u in mu.support()]
+            self._agree(costs, [mu.num[u] * (scale // mu.scale) for u in mu.support()],
+                        [nu.num[v] * (scale // nu.scale) for v in nu.support()])
+            assert w1_lp(g, mu, nu)[0] == w1_tree(tree, mu, nu)
