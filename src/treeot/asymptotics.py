@@ -20,7 +20,7 @@ from typing import Callable, Optional
 from .errors import InvalidParams
 from .families import GFBundle, bundle_from_table, srw_g_table, w1_via_genfun, _check_alpha
 from .rational import RationalLike, _qpow
-from .regular import PairGeometry
+from .regular import PairGeometry, _check_q
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,7 @@ def ball_AB(d: int, q: int) -> LinearAsymptotic:
 
 def ball_d1_exact(q: int, n: int) -> Fraction:
     """Exact ball distance for adjacent centers: (q-1)(2n+1)/(q+1-2q^-n)."""
-    if q < 2:
-        raise InvalidParams(f"branching number q must be >= 2, got {q}")
+    _check_q(q)
     if n < 0:
         raise InvalidParams(f"radius must be >= 0, got {n}")
     return Fraction(q - 1) * (2 * n + 1) / (q + 1 - 2 * _qpow(q, -n))
@@ -109,8 +108,7 @@ class HValues:
 
 def h_values(alpha: RationalLike, q: int) -> HValues:
     alpha = _check_alpha(alpha)
-    if q < 2:
-        raise InvalidParams(f"branching number q must be >= 2, got {q}")
+    _check_q(q)
     h1 = (1 - alpha) * Fraction(q - 1, (q + 1) ** 2)
     h1_prime = h1 - Fraction(2 * q, (q - 1) * (q + 1) ** 2)
     return HValues(h1_at_1=h1, h1_prime_at_1=h1_prime, h_at_1=Fraction(q, q + 1))
@@ -192,8 +190,7 @@ def chi_tree(alpha: RationalLike, q: int) -> ChiValues:
     """Closed values on the regular tree: the sup pair is the d -> infinity
     limit of the walk slope, the inf pair its value at d = 1."""
     alpha = _check_alpha(alpha)
-    if q < 2:
-        raise InvalidParams(f"branching number q must be >= 2, got {q}")
+    _check_q(q)
     up = 2 * (1 - alpha) * Fraction(q - 1, q + 1)
     down = 2 * (1 - alpha) * Fraction(q - 1, q + 1) ** 2
     return ChiValues(up_up=up, up_down=up, down_up=down, down_down=down)
@@ -348,8 +345,7 @@ def gamma_asymptotic(alpha: RationalLike, q: int) -> GammaAsymptotic:
     roots and decreasing in pi, so its endpoints come from theirs.
     """
     alpha = _check_alpha(alpha)
-    if q < 2:
-        raise InvalidParams(f"branching number q must be >= 2, got {q}")
+    _check_q(q)
     lo, hi = _sqrt(_pi())
     inverse_root_pi = _outward(1 / hi, 1 / lo)
     if alpha == 0:

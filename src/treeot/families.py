@@ -52,7 +52,7 @@ from typing import Iterator, Sequence
 
 from .errors import InvalidAlpha, InvalidParams, OrderExceeded
 from .rational import RationalLike, _frac, _qpow
-from .regular import PairGeometry, RadialProfile, ball_size, sphere_size
+from .regular import PairGeometry, RadialProfile, _check_q, ball_size, sphere_size
 from .series import Series
 
 #: Default truncation order; enough for time steps up to ~60.
@@ -60,8 +60,7 @@ DEFAULT_ORDER = 64
 
 
 def _check_family_params(q: int, order: int) -> None:
-    if q < 2:
-        raise InvalidParams(f"branching number q must be >= 2, got {q}")
+    _check_q(q)
     if order < 0:
         raise InvalidParams(f"truncation order must be >= 0, got {order}")
 

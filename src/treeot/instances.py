@@ -156,6 +156,9 @@ def load_instance(path: str | Path) -> tuple[Tree, Measure, Measure]:
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start}); "
                              f"an instance file must be UTF-8 JSON") from exc
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON arrays or objects nested too deeply to read "
+                             f"(Python's recursion limit is {sys.getrecursionlimit()})") from exc
         except ValueError as exc:  # the one left: an integer past Python's digit limit
             raise ValueError(f"{path}: a JSON number has over {sys.get_int_max_str_digits()} "
                              f"digits, Python's limit for integer strings; masses travel "

@@ -23,6 +23,12 @@ from .rational import RationalLike, _common_scale, _frac
 from .tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, Flow, Measure, Potential, Tree
 
 
+def _check_q(q: int) -> None:
+    """Raises :class:`InvalidParams` unless the branching number q is >= 2."""
+    if q < 2:
+        raise InvalidParams(f"branching number q must be >= 2, got {q}")
+
+
 @dataclass(frozen=True)
 class PairGeometry:
     """Branching number q >= 2 and center separation d >= 1."""
@@ -36,8 +42,7 @@ class PairGeometry:
                 "q = 1 is the two-sided line, where the transport distance between "
                 "the two copies of any radial profile equals dist(X, Y) for every "
                 "time step; nothing to compute")
-        if self.q < 2:
-            raise InvalidParams(f"branching number q must be >= 2, got {self.q}")
+        _check_q(self.q)
         if self.d < 1:
             raise InvalidParams(f"center distance d must be >= 1, got {self.d}")
         bits = self.q.bit_length() * self.delta_prime

@@ -42,8 +42,6 @@ class CaseRecord:
     passed: bool
     w1: str | None = None
     w1_decimal: str | None = None
-    asym: str | None = None
-    residual: str | None = None
     detail: str = ""
 
     def as_dict(self) -> dict:
@@ -51,9 +49,6 @@ class CaseRecord:
         if self.w1 is not None:
             doc["w1"] = self.w1
             doc["w1_decimal"] = self.w1_decimal
-        if self.asym is not None:
-            doc["asym"] = self.asym
-            doc["residual"] = self.residual
         if self.detail:
             doc["detail"] = self.detail
         return doc
@@ -75,14 +70,11 @@ class RunReport:
         return ok, len(self.records)
 
     def add(self, params: dict, provenance: str, passed: bool,
-            w1: Fraction | None = None, asym: Fraction | None = None,
-            detail: str = "") -> None:
+            w1: Fraction | None = None, detail: str = "") -> None:
         self.records.append(CaseRecord(
             params=params, provenance=provenance, passed=passed,
             w1=None if w1 is None else format_rational(w1),
             w1_decimal=None if w1 is None else decimal_string(w1),
-            asym=None if asym is None else decimal_string(asym),
-            residual=None if asym is None or w1 is None else decimal_string(w1 - asym),
             detail=detail))
 
     def as_dict(self) -> dict:
@@ -260,18 +252,16 @@ def suite_inequalities(seed: int = DEFAULT_SEED) -> RunReport:
 def suite_oeis(seed: int = DEFAULT_SEED) -> RunReport:
     """Scaled return-mass integer sequences against their catalogued values."""
     report = RunReport("oeis", seed)
-    seq, _ = srw_return_sequence(Fraction(1, 5), 3, 6)
-    got = [seq[n] // 4 ** n for n in range(5)]
-    rem = all(seq[n] % 4 ** n == 0 for n in range(5))
-    ok = rem and got == [1, 1, 5, 13, 53]
-    report.add({"alpha": "1/5", "q": 3, "scale": "5^n"}, "genfun", ok,
-               detail=f"got {got}")
-    seq, _ = srw_return_sequence(Fraction(1, 7), 5, 8)
-    got = [seq[n] // 6 ** n for n in range(7)]
-    rem = all(seq[n] % 6 ** n == 0 for n in range(7))
-    ok = rem and got == [1, 1, 7, 19, 103, 391, 1957]
-    report.add({"alpha": "1/7", "q": 5, "scale": "7^n"}, "genfun", ok,
-               detail=f"got {got}")
+    # The return masses scaled by den(alpha)^n, that is c_n / (q + 1)^n, are
+    # catalogued integer sequences.
+    for alpha, q, catalogued in ((Fraction(1, 5), 3, [1, 1, 5, 13, 53]),
+                                 (Fraction(1, 7), 5, [1, 1, 7, 19, 103, 391, 1957])):
+        terms, unit = len(catalogued), q + 1
+        seq, _ = srw_return_sequence(alpha, q, terms + 1)
+        got = [seq[n] // unit ** n for n in range(terms)]
+        rem = all(seq[n] % unit ** n == 0 for n in range(terms))
+        report.add({"alpha": str(alpha), "q": q, "scale": f"{alpha.denominator}^n"}, "genfun",
+                   rem and got == catalogued, detail=f"got {got}")
     # Non-lazy q=2 even steps against the closed generating function in x.
     order = 15
     root = Series([1, -8], order=order).sqrt()

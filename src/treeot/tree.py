@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import lcm
-from typing import Hashable, Iterable, Mapping, Protocol, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected
 from .rational import RationalLike, _common_scale, _frac
@@ -138,20 +139,6 @@ def _peel(ids: Sequence[int], us: Sequence[int],
     return peeled, parent
 
 
-def _bfs(adjacency: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
-    """Vertices reachable from ``root`` in BFS order, plus the parent of each
-    vertex: -1 at the root and -2 where unreached."""
-    parent = [-2] * len(adjacency)
-    parent[root] = -1
-    order = [root]
-    for u in order:  # the loop also visits the vertices it appends
-        for w in adjacency[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                order.append(w)
-    return order, parent
-
-
 def _hop_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
     """Hop distances from ``source`` to every vertex; -1 where unreached. One
     level-order BFS writes each distance as it reaches the vertex."""
@@ -170,19 +157,12 @@ def _hop_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]
     return dist
 
 
-def _require_connected(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """The BFS from vertex 0; raises :class:`NotConnected` unless it reaches every vertex."""
-    order, parent = _bfs(adjacency, 0)
-    if len(order) != len(adjacency):
-        raise NotConnected(f"only {len(order)} of {len(adjacency)} vertices reachable from vertex 0")
-    return order, parent
-
-
-class _HasEdges(Protocol):
-    """Any graph over dense indices: a :class:`Tree` or an ``lp.FiniteGraph``."""
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]: ...
+def _require_connected(adjacency: Sequence[Sequence[int]]) -> None:
+    """Raises :class:`NotConnected` unless vertex 0 reaches every vertex."""
+    n = len(adjacency)
+    reached = n - _hop_distances(adjacency, 0).count(-1)
+    if reached != n:
+        raise NotConnected(f"only {reached} of {n} vertices reachable from vertex 0")
 
 
 @dataclass(frozen=True)
@@ -245,18 +225,19 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
     Raises :class:`DuplicateEdge`, :class:`HasCycle`, or :class:`NotConnected`
     when the input is not a simple connected acyclic graph.
 
-    A valid tree pays for counts and one leaf peeling (:func:`_peel`): n
+    Every valid tree pays for counts and one leaf peeling (:func:`_peel`): n
     distinct labels, n - 1 edges and n - 1 peels toward vertex 0 leave no room
     for a self-loop, a repeated edge or a cycle, and the peel gives the one
-    parent array of the tree rooted at 0. Only when one of these fails does
-    the full check of :func:`_build_graph` run, to name the fault.
+    parent array of the tree rooted at 0. The full check of
+    :func:`_build_graph` runs only when one of these fails, and only to name
+    the fault: it ends in a raise on every path.
     """
     labels = tuple(vertices)
     if not isinstance(edges, (list, tuple)):
         edges = list(edges)  # read again when a check fails
     n = len(labels)
     index = dict(zip(labels, range(n)))
-    if len(index) == n == len(edges) + 1 and set(map(type, edges)) <= {list, tuple}:
+    if len(index) == n == len(edges) + 1 and all(map(isinstance, edges, repeat((list, tuple)))):
         try:  # an unknown id, an unhashable id or an edge that is not a pair fails here
             ends = [index[a] for a, _ in edges], [index[b] for _, b in edges]
         except (KeyError, TypeError, ValueError):
@@ -267,17 +248,15 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
                 order, parent = rooted
                 return Tree(labels=labels, index=index, order=tuple(order),
                             parent=tuple(parent), _ends=ends)
-    labels, index, dense_edges, adjacency = _build_graph(labels, edges)
+    _, _, dense_edges, adjacency = _build_graph(labels, edges)
     if len(dense_edges) > n - 1:
         raise HasCycle(f"{len(dense_edges)} edges on {n} vertices force a cycle")
     if len(dense_edges) < n - 1:
         raise NotConnected(f"{len(dense_edges)} edges cannot connect {n} vertices")
-    # |E| = |V| - 1, so connectivity also rules out cycles.
-    order, parent = _require_connected(adjacency)
-    # Reached only for edges the fast read refuses but the full check accepts,
-    # such as a subclass of tuple.
-    return Tree(labels=labels, index=index, order=tuple(order), parent=tuple(parent),
-                _ends=([u for u, _ in dense_edges], [v for _, v in dense_edges]))
+    # n - 1 distinct edges and no self-loop, yet the peel failed: some vertex
+    # misses vertex 0.
+    _require_connected(adjacency)
+    raise AssertionError("the leaf peeling refused a connected graph with n - 1 edges")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -421,8 +400,9 @@ class Potential:
     def value(self, v: int) -> Fraction | int:
         return self.values[v]
 
-    def is_edge_lipschitz(self, graph: _HasEdges) -> bool:
-        """True iff the potential changes by at most 1 along every edge."""
+    def is_edge_lipschitz(self, graph) -> bool:
+        """True iff the potential changes by at most 1 along every edge of
+        ``graph``, a :class:`Tree` or an ``lp.FiniteGraph``."""
         return all(abs(self.values[u] - self.values[v]) <= 1 for u, v in graph.edges)
 
 

@@ -369,3 +369,17 @@ class TestEnclosures:
                 assert interval_contains(mpf_pair(term), constant * base ** k * mpmath.mpf(k) ** -1.5)
                 lo, hi = term
                 assert hi - lo < hi * Fraction(k + 10, 2 ** 190)
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: srw_return_sequence(Fraction(1, 2), q, 4),
+    lambda q: PairGeometry(q, 1),
+    lambda q: ball_d1_exact(q, 1),
+    lambda q: h_values(Fraction(1, 2), q),
+    lambda q: chi_tree(Fraction(1, 2), q),
+    lambda q: gamma_asymptotic(Fraction(1, 2), q),
+], ids=["family-params", "pair-geometry", "ball-d1-exact", "h-values", "chi-tree",
+        "gamma-asymptotic"])
+def test_branching_number_zero_refused(call):
+    with pytest.raises(InvalidParams, match="^branching number q must be >= 2, got 0$"):
+        call(0)

@@ -171,6 +171,14 @@ class TestLoaderFastPaths:
         assert from_generator.edges == from_list.edges == ((0, 2), (0, 1), (0, 3))
         assert from_generator.adjacency == from_list.adjacency == ((2, 1, 3), (0,), (0,), (0,))
 
+    def test_tuple_subclass_edges_are_rooted_as_list_edges(self):
+        edge = collections.namedtuple("Edge", "a b")
+        pairs = [(0, 1), (0, 2), (0, 3), (2, 4)]
+        named = validate_tree(range(5), [edge(a, b) for a, b in pairs])
+        listed = validate_tree(range(5), [[a, b] for a, b in pairs])
+        assert named.order == listed.order == (0, 2, 4, 3, 1)
+        assert named.parent == listed.parent == (-1, 0, 0, 0, 2)
+
     def test_tuple_subclass_edges_pass_the_full_check(self):
         edge = collections.namedtuple("Edge", "a b")
         tree = validate_tree("abc", [edge("b", "c"), edge("b", "a")])
@@ -180,6 +188,7 @@ class TestLoaderFastPaths:
         assert tree.adjacency == plain.adjacency
 
     def test_valid_tree_runs_no_full_check(self, monkeypatch):
+        import treeot.lp
         import treeot.tree
 
         def refuse(*args):
@@ -187,12 +196,13 @@ class TestLoaderFastPaths:
 
         monkeypatch.setattr(treeot.tree, "_build_graph", refuse)
         monkeypatch.setattr(treeot.tree, "_adjacency", refuse)
-        monkeypatch.setattr(treeot.tree, "_bfs", refuse)
+        monkeypatch.setattr(treeot.tree, "_hop_distances", refuse)
+        monkeypatch.setattr(treeot.lp, "_hop_distances", refuse)
         tree, mu, nu = instance_from_dict(demo_instance())
         assert tree.num_vertices == 11 and w1_tree(tree, mu, nu) == 12
 
     def test_peeling_roots_as_the_bfs_does(self):
-        from treeot.tree import _adjacency, _bfs
+        from treeot.tree import _adjacency, _hop_distances
 
         rng = random.Random(12)
         for k in range(200):
@@ -213,7 +223,11 @@ class TestLoaderFastPaths:
                      for a, b in pairs]
             tree = validate_tree(labels, edges)
             ends = [[tree.index[a] for a, b in edges], [tree.index[b] for a, b in edges]]
-            _, parent = _bfs(_adjacency(n, zip(*ends)), 0)
+            adjacency = _adjacency(n, zip(*ends))
+            depth = _hop_distances(adjacency, 0)
+            # On a tree, the parent toward vertex 0 is the one neighbor a hop closer.
+            parent = [-1] + [next(w for w in adjacency[v] if depth[w] == depth[v] - 1)
+                             for v in range(1, n)]
             assert tree.parent == tuple(parent)
             assert sorted(tree.order) == list(range(n)) and tree.order[0] == 0
             position = {v: i for i, v in enumerate(tree.order)}
@@ -331,6 +345,19 @@ class TestW1Command:
         assert err.startswith(f"error: {path}: not UTF-8 text")
         assert "must be UTF-8 JSON" in err
 
+    def test_deeply_nested_json_is_an_input_error(self, tmp_path):
+        # json.load recurses once per nesting level, so an unread field nested
+        # 1,100 deep passes Python's recursion limit.
+        path = tmp_path / "deep.json"
+        path.write_text('{"vertices": ["a", "b"], "edges": [["a", "b"]], '
+                        '"mu": {"a": "1"}, "nu": {"b": "1"}, '
+                        '"extra": ' + "[" * 1100 + "]" * 1100 + "}")
+        done = run_python(f"import sys; from treeot.cli import main; "
+                          f"sys.exit(main(['w1', {str(path)!r}]))")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith(f"error: {path}: JSON arrays or objects nested too deeply")
+        assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
+
     def test_overlong_mass_is_an_input_error(self, capsys, tmp_path):
         # Python refuses to read integers of more than 4,300 digits; the
         # refusal must name the field and the vertex, and not echo the value.
@@ -426,6 +453,7 @@ class TestW1Command:
         assert len(calls) == 1
 
     def test_no_bfs_when_supports_exceed_the_lp_cap(self, capsys, tmp_path, monkeypatch):
+        import treeot.lp
         import treeot.tree
 
         n = 100
@@ -435,13 +463,14 @@ class TestW1Command:
             "mu": {str(v): "1/41" for v in range(41)},
             "nu": {str(v): "1/41" for v in range(n - 41, n)}}))
         calls = []
-        bfs = treeot.tree._bfs
+        hop_distances = treeot.tree._hop_distances
 
-        def spy(adjacency, root):
-            calls.append(root)
-            return bfs(adjacency, root)
+        def spy(adjacency, source):
+            calls.append(source)
+            return hop_distances(adjacency, source)
 
-        monkeypatch.setattr(treeot.tree, "_bfs", spy)
+        monkeypatch.setattr(treeot.tree, "_hop_distances", spy)
+        monkeypatch.setattr(treeot.lp, "_hop_distances", spy)
         code, out, _ = run_cli(capsys, "w1", str(path), "--json")
         assert calls == []  # the leaf peeling roots the tree
         assert code == 0
@@ -838,16 +867,18 @@ class TestRadialW1Mode:
         assert str(w1_tree(tree, mu, nu)) == value
 
     def test_radial_run_needs_no_bfs(self, capsys, monkeypatch):
+        import treeot.lp
         import treeot.tree
 
         calls = []
-        bfs = treeot.tree._bfs
+        hop_distances = treeot.tree._hop_distances
 
-        def spy(adjacency, root):
-            calls.append(root)
-            return bfs(adjacency, root)
+        def spy(adjacency, source):
+            calls.append(source)
+            return hop_distances(adjacency, source)
 
-        monkeypatch.setattr(treeot.tree, "_bfs", spy)
+        monkeypatch.setattr(treeot.tree, "_hop_distances", spy)
+        monkeypatch.setattr(treeot.lp, "_hop_distances", spy)
         code, out, _ = run_cli(capsys, "w1", "--radial", "srw:alpha=1/2,n=4",
                                "--q", "3", "--d", "2", "--json")
         assert code == 0 and json.loads(out)["agree"] is True

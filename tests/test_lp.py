@@ -13,7 +13,7 @@ from treeot import (FiniteGraph, InfeasiblePotential, MassMismatch, Measure, Pot
                     unique_flow, verify_duality, w1_lp, w1_tree)
 from treeot.instances import demo_instance, instance_from_dict
 from treeot.lp import _transportation_simplex
-from treeot.tree import _bfs, _hop_distances
+from treeot.tree import _hop_distances
 
 from conftest import random_measure_pair, random_tree, rng_for
 
@@ -296,6 +296,20 @@ def _reference_simplex(costs, supply, demand):
     raise RuntimeError("transportation simplex failed to terminate")
 
 
+def _reference_bfs(adjacency, root):
+    """Vertices reachable from ``root`` in BFS order, plus the parent of each
+    vertex: -1 at the root and -2 where unreached."""
+    parent = [-2] * len(adjacency)
+    parent[root] = -1
+    order = [root]
+    for u in order:  # the loop also visits the vertices it appends
+        for w in adjacency[u]:
+            if parent[w] == -2:
+                parent[w] = u
+                order.append(w)
+    return order, parent
+
+
 def _reference_basis_tree(basis, m, n):
     adjacency = [[] for _ in range(m + n)]
     for i, j in basis:
@@ -305,7 +319,7 @@ def _reference_basis_tree(basis, m, n):
 
 
 def _reference_duals(costs, basis, m, n):
-    order, parent = _bfs(_reference_basis_tree(basis, m, n), 0)
+    order, parent = _reference_bfs(_reference_basis_tree(basis, m, n), 0)
     price = [0] * (m + n)
     for node in order[1:]:
         p = parent[node]
@@ -318,7 +332,7 @@ def _reference_duals(costs, basis, m, n):
 
 def _reference_basis_path(basis, entering, m, n):
     i0, j0 = entering
-    _, parent = _bfs(_reference_basis_tree(basis, m, n), i0)
+    _, parent = _reference_bfs(_reference_basis_tree(basis, m, n), i0)
     cells = []
     node = m + j0
     while node != i0:

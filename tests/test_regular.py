@@ -120,13 +120,15 @@ class TestTruncation:
         assert tt.tree.order == tuple(range(n))
 
     def test_built_without_graph_checks_or_bfs(self, monkeypatch):
+        import treeot.lp
         import treeot.tree
 
         def refuse(*args):
             raise AssertionError("the truncation ran a graph check or a BFS")
 
         monkeypatch.setattr(treeot.tree, "_build_graph", refuse)
-        monkeypatch.setattr(treeot.tree, "_bfs", refuse)
+        monkeypatch.setattr(treeot.tree, "_hop_distances", refuse)
+        monkeypatch.setattr(treeot.lp, "_hop_distances", refuse)
         assert build_truncated_tree(3, 2, 4).tree.num_vertices == expected_truncation_size(3, 2, 4)
 
     @pytest.mark.parametrize("q,d,radius", [(2, 2, 3), (3, 1, 2)])
