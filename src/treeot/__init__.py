@@ -19,7 +19,7 @@ from .lp import (DualityReport, FiniteGraph, TransportPlan, check_complementary_
                  verify_duality, w1_lp)
 from .regular import (BasepointCoord, PairGeometry, RadialProfile, TruncatedRegularTree,
                       ball_profile, ball_size, build_truncated_tree,
-                      flow_direction_check, point_mass_profile, profile_total_mass,
+                      flow_direction_check, profile_total_mass,
                       radial_measure, radial_potential, radial_potential_field,
                       sphere_profile, sphere_size, w1_radial_flow_formula,
                       w1_radial_formula)
@@ -32,7 +32,6 @@ from .asymptotics import (ChiValues, CurvatureValue, GammaAsymptotic, HValues,
                           InequalityReport, LinearAsymptotic, ball_AB, ball_d1_exact,
                           chi_tree, gamma_asymptotic, h_values, interval_contains,
                           interval_mid, kappa_curvature, sphere_AB, srw_AB, verify_inequalities)
-from .instances import (demo_instance, dump_instance, instance_from_dict, instance_to_dict,
-                        load_instance)
+from .instances import dump_instance, instance_from_dict, instance_to_dict, load_instance
 
 __version__ = "0.1.0"

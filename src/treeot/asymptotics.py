@@ -18,7 +18,7 @@ from operator import mul
 from typing import Callable, Optional
 
 from .errors import InvalidParams
-from .families import GFBundle, bundle_from_table, srw_g_table, w1_via_genfun, _check_alpha
+from .families import bundle_from_table, srw_g_table, w1_via_genfun, _check_alpha
 from .rational import RationalLike, _qpow
 from .regular import PairGeometry, _check_q
 
@@ -204,16 +204,14 @@ class CurvatureValue:
     linear: Fraction
 
 
-def kappa_curvature(alpha: RationalLike, d: int, q: int, n: int,
-                    bundle: GFBundle | None = None) -> CurvatureValue:
+def kappa_curvature(alpha: RationalLike, d: int, q: int, n: int) -> CurvatureValue:
     """Curvature of the lazy walk at scale n, from the exact distance."""
     alpha = _check_alpha(alpha)
     geometry = PairGeometry(q, d)
     if n < 0:
         raise InvalidParams(f"time step must be >= 0, got {n}")
-    if bundle is None:
-        # Order floor(d/2) guarantees enough distance rows for the weights.
-        bundle = bundle_from_table(srw_g_table(alpha, q, max(n, geometry.delta)))
+    # Order floor(d/2) guarantees enough distance rows for the weights.
+    bundle = bundle_from_table(srw_g_table(alpha, q, max(n, geometry.delta)))
     w1 = w1_via_genfun(bundle, geometry, n)
     asym = srw_AB(alpha, d, q)
     return CurvatureValue(exact=1 - Fraction(w1, d), linear=1 - asym.at(n) / d)

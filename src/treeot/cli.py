@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from .asymptotics import ball_AB, sphere_AB, srw_AB
 from .errors import TreeOTError, TooLarge
-from .families import ball_gf, sphere_gf, srw_closed_form, srw_g_table, srw_profile
+from .families import (DEFAULT_ORDER, ball_gf, sphere_gf, srw_closed_form, srw_g_table,
+                       srw_profile)
 from .instances import dump_instance, load_instance
 from .rational import _shown, decimal_string, format_rational, parse_rational
 from .regular import (PairGeometry, RadialProfile, ball_profile, sphere_profile,
@@ -41,12 +42,16 @@ from .tree import unique_flow  # noqa: F401
 
 SWEEP_HEADER = ("family", "alpha", "d", "q", "n", "w1_exact", "w1_decimal", "asym", "residual")
 
+#: The ``--family`` choices of ``sweep``, ``series`` and ``asym``.
+FAMILIES = ("srw", "sphere", "ball")
+
 
 def _list_chunks(text: str, read=int) -> list:
     """``"2"``, ``"1,3,5"`` or, for ints, ``"1..6"`` as its chunks: a
     ``range`` for each ``lo..hi`` and a 1-tuple for each value, none of them
     built. Each chunk is counted as it is read: a list spelling out more than
-    :data:`MAX_SWEEP_STEPS` entries, repeats included, raises :class:`TooLarge`."""
+    :data:`MAX_SWEEP_STEPS` entries, repeats included, raises :class:`TooLarge`,
+    and one spelling out none (``"5..1"``) raises :class:`ValueError`."""
     chunks: list = []
     count = 0
     for chunk in text.split(","):
@@ -60,6 +65,8 @@ def _list_chunks(text: str, read=int) -> list:
         if count > MAX_SWEEP_STEPS:
             raise TooLarge(f"the list {_shown(text)} spells out more than "
                            f"{MAX_SWEEP_STEPS:,} entries, the cap on a grid list")
+    if not count:
+        raise ValueError(f"the list {_shown(text)} spells out no entries")
     return chunks
 
 
@@ -74,21 +81,19 @@ def _parse_list(text: str, read=int) -> list:
     return _distinct(_list_chunks(text, read))
 
 
-def _support_radius(fields: dict, key: str, q: int, d: int | None) -> int:
-    """A named profile's support radius ``fields[key]``; given ``d``, refuses
-    its truncation over the size cap before the profile is built."""
+def _support_radius(fields: dict, key: str, q: int, d: int) -> int:
+    """A named profile's support radius ``fields[key]``; refuses its truncation
+    at center distance ``d`` over the size cap before the profile is built."""
     radius = int(fields.get(key, "1"))
-    if d is not None:
-        truncation_size(q, d, radius + d)
+    truncation_size(q, d, radius + d)
     return radius
 
 
 def parse_profile_spec(spec: str, q: int,
-                       d: int | None = None) -> tuple[str, Fraction | None, int, RadialProfile]:
+                       d: int) -> tuple[str, Fraction | None, int, RadialProfile]:
     """Profile mini-language: ``srw:alpha=1/2,n=6`` | ``sphere:r=6`` |
-    ``ball:r=6`` | ``custom:[1/2,0,1/3]``. Given the center distance ``d``,
-    an ``srw``, ``sphere`` or ``ball`` profile is sized against the truncation
-    cap first."""
+    ``ball:r=6`` | ``custom:[1/2,0,1/3]``. An ``srw``, ``sphere`` or ``ball``
+    profile is sized against the truncation cap at center distance ``d`` first."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "custom":
@@ -340,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_w1.set_defaults(func=_cmd_w1)
 
     p_sweep = sub.add_parser("sweep", help="exact distances vs asymptote over a grid")
-    p_sweep.add_argument("--family", choices=("srw", "sphere", "ball"), required=True)
+    p_sweep.add_argument("--family", choices=FAMILIES, required=True)
     p_sweep.add_argument("--alpha", default="0", help="comma list of rationals (srw only)")
     p_sweep.add_argument("--d", default="1", help="int, comma list, or lo..hi")
     p_sweep.add_argument("--q", default="2", help="int, comma list, or lo..hi")
@@ -350,15 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_series = sub.add_parser("series", help="generating-function coefficient dump")
-    p_series.add_argument("--family", choices=("srw", "sphere", "ball"), required=True)
+    p_series.add_argument("--family", choices=FAMILIES, required=True)
     p_series.add_argument("--alpha", default="0", help="laziness (srw only)")
     p_series.add_argument("--q", type=int, required=True)
-    p_series.add_argument("--order", type=int, default=64)
+    p_series.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p_series.add_argument("--emit", choices=("csv", "json"), default="csv")
     p_series.set_defaults(func=_cmd_series)
 
     p_asym = sub.add_parser("asym", help="linear asymptote coefficients A, B")
-    p_asym.add_argument("--family", choices=("srw", "sphere", "ball"), required=True)
+    p_asym.add_argument("--family", choices=FAMILIES, required=True)
     p_asym.add_argument("--alpha", default="0", help="laziness (srw only)")
     p_asym.add_argument("--d", type=int, required=True)
     p_asym.add_argument("--q", type=int, required=True)

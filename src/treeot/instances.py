@@ -13,13 +13,15 @@ exactness survives the round trip.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
 from math import gcd
 from pathlib import Path
 
-from .errors import TreeOTError
+from .errors import TooLarge, TreeOTError
 from .rational import _common_scale, _shown, format_rational, parse_rational
-from .tree import Measure, Tree, validate_tree
+from .tree import MAX_INSTANCE_BYTES, Measure, Tree, validate_tree
 
 
 #: The JSON scalars a vertex id may be; lists and objects are refused.
@@ -147,9 +149,22 @@ def instance_to_dict(tree: Tree, mu: Measure, nu: Measure) -> dict:
 
 
 def load_instance(path: str | Path) -> tuple[Tree, Measure, Measure]:
+    """The instance in the JSON file at ``path``; a file over
+    :data:`MAX_INSTANCE_BYTES` raises :class:`TooLarge` before it is parsed."""
     with open(path, "r", encoding="utf-8") as fh:
+        st = os.fstat(fh.fileno())
+        if st.st_size > MAX_INSTANCE_BYTES:
+            raise TooLarge(f"{path}: {st.st_size:,} bytes exceed the {MAX_INSTANCE_BYTES:,}-byte "
+                           f"cap on an instance file")
         try:
-            doc = json.load(fh)
+            if stat.S_ISREG(st.st_mode):
+                doc = json.load(fh)
+            else:  # a pipe has no size to read: take at most one byte past the cap
+                data = fh.buffer.read(MAX_INSTANCE_BYTES + 1)
+                if len(data) > MAX_INSTANCE_BYTES:
+                    raise TooLarge(f"{path}: more than the {MAX_INSTANCE_BYTES:,} bytes "
+                                   f"allowed in an instance file")
+                doc = json.loads(data.decode("utf-8"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, "
                              f"column {exc.colno}: {exc.msg}") from exc
@@ -171,20 +186,3 @@ def dump_instance(tree: Tree, mu: Measure, nu: Measure, path: str | Path) -> Non
         json.dump(instance_to_dict(tree, mu, nu), fh, indent=2, sort_keys=False)
         fh.write("\n")
 
-
-def demo_instance() -> dict:
-    """The bundled 11-vertex worked example.
-
-    Unit surpluses sit at the five mu vertices and deficits of total size 5 at
-    the three nu vertices; the transport distance is exactly 12, reachable by
-    flow, potential, and LP alike.
-    """
-    return {
-        "vertices": ["v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9", "v10", "v11"],
-        "edges": [
-            ["v1", "v3"], ["v2", "v3"], ["v3", "v6"], ["v5", "v6"], ["v6", "v8"],
-            ["v4", "v7"], ["v7", "v8"], ["v8", "v9"], ["v9", "v10"], ["v9", "v11"],
-        ],
-        "mu": {"v1": "1", "v5": "1", "v9": "1", "v10": "1", "v11": "1"},
-        "nu": {"v4": "1", "v6": "2", "v7": "2"},
-    }

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InfeasiblePotential, MassMismatch, TooLarge
 from .rational import _frac
-from .tree import (Measure, Potential, Tree, _build_graph, _hop_distances,
-                   _require_connected)
+from .tree import (Measure, Potential, Tree, _build_graph, _hop_distances, _pair_scale,
+                   _require_connected, assignment_from, potential_value)
 
 #: Supports larger than this are refused; the exact simplex is for desk-scale
 #: verification, not production-scale solving.
@@ -107,13 +106,6 @@ def _check_support(mu: Measure, nu: Measure) -> None:
                        f"{MAX_SUPPORT}-point oracle cap")
 
 
-def _joint_scale(mu: Measure, nu: Measure) -> tuple[int, int, int]:
-    """L = lcm(mu.scale, nu.scale), and the factors L / mu.scale and L / nu.scale
-    that put each side's numerators over L."""
-    scale = lcm(mu.scale, nu.scale)
-    return scale, scale // mu.scale, scale // nu.scale
-
-
 def w1_lp(graph: FiniteGraph, mu: Measure, nu: Measure) -> tuple[Fraction, TransportPlan]:
     """Exact optimum of the transportation LP plus one optimal plan.
 
@@ -123,7 +115,7 @@ def w1_lp(graph: FiniteGraph, mu: Measure, nu: Measure) -> tuple[Fraction, Trans
     _check_support(mu, nu)
     sources = mu.support()
     sinks = nu.support()
-    scale, up, down = _joint_scale(mu, nu)
+    scale, up, down = _pair_scale(mu, nu)
     supply = [mu.num[u] * up for u in sources]
     demand = [nu.num[v] * down for v in sinks]
     if sum(supply) != sum(demand):
@@ -203,22 +195,23 @@ def _transportation_simplex(
             return sum(costs[ii][jj] * x for (ii, jj), x in alloc.items()), alloc
 
         # The basis path from the entering cell's row end to its column end:
-        # each climbed node stands for the cell to its parent.
+        # each climbed node stands for the cell to its parent. A tree path has
+        # at most m + n - 1 cells, so a longer climb means parent and depth disagree.
         i0, j0 = entering
         a, b = i0, m + j0
         left: list[int] = []
         right: list[int] = []
-        while depth[a] > depth[b]:
-            left.append(a)
-            a = parent[a]
-        while depth[b] > depth[a]:
-            right.append(b)
-            b = parent[b]
-        while a != b:
-            left.append(a)
-            right.append(b)
-            a = parent[a]
-            b = parent[b]
+        for _ in range(m + n):
+            if a == b:
+                break
+            if depth[a] >= depth[b]:
+                left.append(a)
+                a = parent[a]
+            else:
+                right.append(b)
+                b = parent[b]
+        else:
+            raise RuntimeError("transportation simplex basis tree is inconsistent")
         nodes = left + right[::-1]
         path = [(x, parent[x] - m) if x < m else (parent[x], x - m) for x in nodes]
         minus = path[0::2]  # cells whose allocation decreases
@@ -291,9 +284,7 @@ def verify_duality(graph: FiniteGraph, mu: Measure, nu: Measure, phi: Potential)
     primal, plan = w1_lp(graph, mu, nu)  # refuses supports over the cap before any O(n) pass
     if not phi.is_edge_lipschitz(graph):
         raise InfeasiblePotential("potential jumps by more than 1 across an edge")
-    scale, up, down = _joint_scale(mu, nu)
-    dual = Fraction(sum((mu.num.get(v, 0) * up - nu.num.get(v, 0) * down) * phi.value(v)
-                        for v in mu.num.keys() | nu.num.keys()), scale)
+    dual = potential_value(assignment_from(mu, nu), phi)
     return DualityReport(primal=primal, dual=dual,
                          optimal_certificate=(primal == dual), plan=plan)
 

@@ -131,10 +131,6 @@ def ball_size(q: int, radius: int) -> int:
     return (q ** (radius + 1) + q ** radius - 2) // (q - 1)
 
 
-def point_mass_profile() -> RadialProfile:
-    return RadialProfile((1,), 1)
-
-
 def sphere_profile(q: int, radius: int) -> RadialProfile:
     """Uniform distribution on the radius-``radius`` sphere."""
     return RadialProfile((0,) * radius + (1,), sphere_size(q, radius))

@@ -27,8 +27,6 @@ from .tree import (Measure, Tree, assignment_from, flow_cost, good_potential, po
 
 DEFAULT_SEED = 20260808
 
-SUITE_NAMES = ("duality", "triple", "series", "inequalities", "oeis", "gamma")
-
 #: Default (alpha, d, q) grid of the coefficient chain, for the
 #: ``inequalities`` suite and ``treeot verify-ineq``.
 INEQUALITY_GRID = {"alpha": (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)),
@@ -304,6 +302,7 @@ SUITES: dict[str, Callable[..., RunReport]] = {
     "oeis": suite_oeis,
     "gamma": suite_gamma,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[RunReport]:

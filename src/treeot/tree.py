@@ -51,6 +51,14 @@ MAX_INEQUALITY_CELLS = 2 ** 12
 #: :class:`TooLarge`, and the closed formulas need no truncation.
 MAX_TRUNCATION_VERTICES = 10 ** 6
 
+#: Cap on the size of an instance file, read from the file system before any
+#: parsing (a pipe is read to one byte past it). It admits a 10^6-vertex tree
+#: with both measures on every vertex: ``bench/gen.py``'s ``random_instance(
+#: random.Random(7), 10**6, 10**6)`` writes 180.8 MB, which ``treeot w1 --json``
+#: runs in 16 s at a 1.1 GB peak RSS; 2^28 bytes (268 MB) is the power of two
+#: above it. Larger files raise :class:`TooLarge`.
+MAX_INSTANCE_BYTES = 2 ** 28
+
 
 def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, dict, tuple, tuple]:
     """Map labels to dense indices, check the edges, and build the adjacency.
@@ -406,13 +414,18 @@ class Potential:
         return all(abs(self.values[u] - self.values[v]) <= 1 for u, v in graph.edges)
 
 
+def _pair_scale(mu: Measure, nu: Measure) -> tuple[int, int, int]:
+    """L, the lcm of the two scales under the charge cap, and L / mu.scale, L / nu.scale."""
+    scale = _common_scale((mu.scale, nu.scale), len(mu) + len(nu))
+    return scale, scale // mu.scale, scale // nu.scale
+
+
 def assignment_from(mu: Measure, nu: Measure) -> Assignment:
     """Difference of two measures with equal totals, as integers over L, the
     lcm of their scales and so of all their mass denominators. The charge
     budget is checked first; then each side is scaled once by L / scale, and
     vertices where the two cancel are dropped."""
-    scale = _common_scale((mu.scale, nu.scale), len(mu) + len(nu))
-    up, down = scale // mu.scale, scale // nu.scale
+    scale, up, down = _pair_scale(mu, nu)
     num = {v: x * up for v, x in mu.num.items()}
     given, taken = sum(num.values()), 0
     for v, x in nu.num.items():

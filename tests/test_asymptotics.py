@@ -240,17 +240,10 @@ class TestCurvature:
         kappa = kappa_curvature(alpha, d, q, n)
         assert kappa.exact == 1 - Fraction(lp_value, d)
 
-    def test_order_exceeded_with_short_bundle(self):
-        from treeot import OrderExceeded
-        bundle = bundle_from_table(srw_g_table(Fraction(0), 2, 4))
-        with pytest.raises(OrderExceeded):
-            kappa_curvature(Fraction(0), 1, 2, 9, bundle=bundle)
-
     def test_large_scale_turns_negative_linearly(self):
         alpha, d, q = Fraction(0), 1, 2
-        bundle = bundle_from_table(srw_g_table(alpha, q, 40))
-        k20 = kappa_curvature(alpha, d, q, 20, bundle=bundle)
-        k40 = kappa_curvature(alpha, d, q, 40, bundle=bundle)
+        k20 = kappa_curvature(alpha, d, q, 20)
+        k40 = kappa_curvature(alpha, d, q, 40)
         assert k40.exact < k20.exact < 0
         ab = srw_AB(alpha, d, q)
         assert k40.linear == 1 - ab.at(40) / d

@@ -9,9 +9,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
-import subprocess
 import sys
 import tempfile
 import time
@@ -27,21 +27,15 @@ import treeot
 from treeot import (DuplicateEdge, HasCycle, Measure, NotConnected, TooLarge, assignment_from,
                     parse_rational, validate_tree, w1_tree)
 from treeot.cli import build_parser, main, parse_profile_spec
-from treeot.instances import (demo_instance, dump_instance, instance_from_dict,
-                              instance_to_dict, load_instance)
+from treeot.instances import dump_instance, instance_from_dict, instance_to_dict, load_instance
+
+from conftest import demo_doc, run_python
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_python(code: str) -> subprocess.CompletedProcess:
-    """``code`` in a fresh interpreter, with this treeot first on its path."""
-    src = str(Path(treeot.__file__).parents[1])
-    return subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=60)
 
 
 class TestStartup:
@@ -72,10 +66,6 @@ class TestInstances:
         assert mu2.masses == mu.masses and nu2.masses == nu.masses
         assert w1_tree(tree2, mu2, nu2) == w1_tree(tree, mu, nu)
 
-    def test_fixture_file_matches_bundled_document(self, demo_instance_path):
-        on_disk = json.loads(demo_instance_path.read_text())
-        assert on_disk == demo_instance()
-
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"vertices": [1, 2],\n  "edges": [[1, 2]\n}')
@@ -83,7 +73,7 @@ class TestInstances:
             load_instance(path)
 
     def test_unknown_vertex_in_measure(self):
-        doc = demo_instance()
+        doc = demo_doc()
         doc["mu"]["v99"] = "1"
         with pytest.raises(ValueError, match="unknown vertex"):
             instance_from_dict(doc)
@@ -198,7 +188,7 @@ class TestLoaderFastPaths:
         monkeypatch.setattr(treeot.tree, "_adjacency", refuse)
         monkeypatch.setattr(treeot.tree, "_hop_distances", refuse)
         monkeypatch.setattr(treeot.lp, "_hop_distances", refuse)
-        tree, mu, nu = instance_from_dict(demo_instance())
+        tree, mu, nu = instance_from_dict(demo_doc())
         assert tree.num_vertices == 11 and w1_tree(tree, mu, nu) == 12
 
     def test_peeling_roots_as_the_bfs_does(self):
@@ -344,6 +334,48 @@ class TestW1Command:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}: not UTF-8 text")
         assert "must be UTF-8 JSON" in err
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_byte_cap_is_read_before_json(self, capsys, tmp_path, monkeypatch, over):
+        from treeot.tree import MAX_INSTANCE_BYTES
+
+        parsed = []
+
+        def parse(fh):
+            parsed.append(fh)
+            raise OSError("parsing stops here")
+
+        monkeypatch.setattr(json, "load", parse)
+        path = tmp_path / "big.json"
+        with open(path, "wb") as fh:
+            fh.truncate(MAX_INSTANCE_BYTES + over)  # sparse: no block is written
+        code, out, err = run_cli(capsys, "w1", str(path))
+        assert code == 2 and out == ""
+        if over:
+            assert not parsed
+            assert err == (f"error: {path}: {MAX_INSTANCE_BYTES + 1:,} bytes exceed the "
+                           f"{MAX_INSTANCE_BYTES:,}-byte cap on an instance file\n")
+        else:  # a file at the cap is handed to the parser
+            assert len(parsed) == 1 and err == "error: parsing stops here\n"
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_byte_cap_bounds_a_pipe(self, capsys, monkeypatch, over):
+        # A pipe reports size 0, so its bytes are counted as they are read.
+        doc = json.dumps(demo_doc()).encode()
+        monkeypatch.setattr("treeot.instances.MAX_INSTANCE_BYTES", len(doc) - over)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, doc)  # far below a pipe's buffer
+            os.close(write_end)
+            code, out, err = run_cli(capsys, "w1", f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        if over:
+            assert code == 2 and out == ""
+            assert err == (f"error: /dev/fd/{read_end}: more than the {len(doc) - 1:,} bytes "
+                           f"allowed in an instance file\n")
+        else:
+            assert code == 0 and err == "" and "w1 = 12 (12)\n" in out
 
     def test_deeply_nested_json_is_an_input_error(self, tmp_path):
         # json.load recurses once per nesting level, so an unread field nested
@@ -691,6 +723,19 @@ class TestSeriesSizeCap:
         assert err == (f"error: the list '{text}' spells out more than 2,097,152 entries, "
                        f"the cap on a grid list\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--family", "sphere", "--n", "5..1"),
+        ("sweep", "--family", "sphere", "--d", "3..1"),
+        ("verify-ineq", "--grid", "d=3..1"),
+    ], ids=["sweep-n", "sweep-d", "verify-ineq-d"])
+    def test_empty_list_refused(self, capsys, argv):
+        # A list with no entries would print a bare header, or pass a grid
+        # that checked no cell.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        text = argv[-1].split("=")[-1]
+        assert err == f"error: the list '{text}' spells out no entries\n"
+
     @pytest.mark.parametrize("n, top", [("0..2097151", 2097151),
                                         ("0..1000,1001..2097150", 2097150)])
     def test_sweep_series_cap_reads_no_n_list(self, capsys, n, top):
@@ -964,22 +1009,22 @@ class TestParser:
 
 class TestProfileSpecs:
     def test_srw_spec(self):
-        kind, alpha, n, profile = parse_profile_spec("srw:alpha=1/2,n=3", 2)
+        kind, alpha, n, profile = parse_profile_spec("srw:alpha=1/2,n=3", 2, 1)
         assert (kind, alpha, n) == ("srw", Fraction(1, 2), 3)
         assert profile.support_radius == 3
 
     def test_sphere_spec(self):
-        _, _, r, profile = parse_profile_spec("sphere:r=4", 3)
+        _, _, r, profile = parse_profile_spec("sphere:r=4", 3, 1)
         assert profile.value(4) == Fraction(1, 4 * 27)
 
     def test_ball_spec(self):
-        _, _, r, profile = parse_profile_spec("ball:r=2", 2)
+        _, _, r, profile = parse_profile_spec("ball:r=2", 2, 1)
         assert profile.value(0) == Fraction(1, 10)
 
     def test_custom_spec(self):
-        _, _, _, profile = parse_profile_spec("custom:[1/2, 0, 1/3]", 2)
+        _, _, _, profile = parse_profile_spec("custom:[1/2, 0, 1/3]", 2, 1)
         assert profile.values == (Fraction(1, 2), Fraction(0), Fraction(1, 3))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            parse_profile_spec("disc:r=1", 2)
+            parse_profile_spec("disc:r=1", 2, 1)

@@ -11,11 +11,11 @@ from treeot import (FiniteGraph, InfeasiblePotential, MassMismatch, Measure, Pot
                     TooLarge, TransportPlan, assignment_from,
                     check_complementary_slackness, good_potential,
                     unique_flow, verify_duality, w1_lp, w1_tree)
-from treeot.instances import demo_instance, instance_from_dict
+from treeot.instances import instance_from_dict
 from treeot.lp import _transportation_simplex
 from treeot.tree import _hop_distances
 
-from conftest import random_measure_pair, random_tree, rng_for
+from conftest import demo_doc, random_measure_pair, random_tree, rng_for, run_python
 
 
 class TestDistances:
@@ -92,7 +92,7 @@ class TestW1LP:
         assert plan.entries == {(0, 3): Fraction(1)}
 
     def test_demo_instance(self):
-        tree, mu, nu = instance_from_dict(demo_instance())
+        tree, mu, nu = instance_from_dict(demo_doc())
         value, plan = w1_lp(FiniteGraph.from_tree(tree), mu, nu)
         assert value == 12
         assert plan.satisfies_marginals(mu, nu)
@@ -159,7 +159,7 @@ class TestDualSide:
         assert not Potential((Fraction(0), Fraction(2))).is_edge_lipschitz(g)
 
     def test_demo_potential_feasible_and_optimal(self):
-        tree, mu, nu = instance_from_dict(demo_instance())
+        tree, mu, nu = instance_from_dict(demo_doc())
         g = FiniteGraph.from_tree(tree)
         rho = assignment_from(mu, nu)
         levels = good_potential(tree, unique_flow(tree, rho)).values
@@ -406,3 +406,29 @@ class TestSimplexAgainstFractionOracle:
             self._agree(costs, [mu.num[u] * (scale // mu.scale) for u in mu.support()],
                         [nu.num[v] * (scale // nu.scale) for v in nu.support()])
             assert w1_lp(g, mu, nu)[0] == w1_tree(tree, mu, nu)
+
+    def test_inconsistent_basis_tree_raises_instead_of_hanging(self):
+        # With one depth left one too low below the root, the common-ancestor
+        # climb once never met; bounded at m + n steps, it raises. A fresh
+        # process with a timeout keeps a regression from stalling the suite.
+        done = run_python(
+            "import random\n"
+            "from treeot import lp\n"
+            "from treeot.suites import random_measure_pair, random_tree\n"
+            "hang = lp._hang\n"
+            "def skewed(costs, m, adjacency, parent, depth, price, top):\n"
+            "    hang(costs, m, adjacency, parent, depth, price, top)\n"
+            "    if top:\n"
+            "        depth[top] -= 1\n"
+            "lp._hang = skewed\n"
+            "rng = random.Random(2024)\n"
+            "for _ in range(60):\n"
+            "    n = rng.randint(6, 12)\n"
+            "    tree = random_tree(rng, n)\n"
+            "    mu, nu = random_measure_pair(rng, n)\n"
+            "    try:\n"
+            "        lp.w1_lp(lp.FiniteGraph.from_tree(tree), mu, nu)\n"
+            "    except RuntimeError as exc:\n"
+            "        raise SystemExit(str(exc))\n")
+        assert done.returncode == 1
+        assert done.stderr == "transportation simplex basis tree is inconsistent\n"

@@ -8,7 +8,7 @@ import pytest
 
 from treeot import (InvalidParams, PairGeometry, TooLarge, TruncationTooSmall,
                     assignment_from, ball_profile, ball_size, build_truncated_tree, flow_cost,
-                    flow_direction_check, point_mass_profile, profile_total_mass,
+                    flow_direction_check, profile_total_mass,
                     radial_measure, radial_potential, radial_potential_field,
                     sphere_profile, sphere_size, unique_flow, validate_tree,
                     w1_radial_flow_formula, w1_radial_formula, w1_tree)
@@ -163,7 +163,7 @@ class TestCoordinates:
 class TestRadialMeasure:
     def test_point_mass(self):
         tt = build_truncated_tree(2, 1, 1)
-        mu = radial_measure(tt, tt.x, point_mass_profile())
+        mu = radial_measure(tt, tt.x, RadialProfile((1,), 1))
         assert mu.masses == {tt.x: Fraction(1)}
 
     def test_one_step_walk(self):
@@ -193,7 +193,7 @@ class TestRadialMeasure:
         tt = build_truncated_tree(2, 2, 3)
         for v in (tt.path[1], tt.tree.num_vertices - 1):
             with pytest.raises(ValueError, match="center must be X = 0 or Y = 2"):
-                radial_measure(tt, v, point_mass_profile())
+                radial_measure(tt, v, RadialProfile((1,), 1))
 
     def test_truncation_too_small(self):
         tt = build_truncated_tree(2, 1, 1)
@@ -252,8 +252,8 @@ class TestDistanceFormulas:
     def test_point_mass_gives_d(self):
         for q, d in [(2, 1), (2, 4), (3, 3)]:
             g = PairGeometry(q, d)
-            assert w1_radial_formula(point_mass_profile(), g) == d
-            assert w1_radial_flow_formula(point_mass_profile(), g) == d
+            assert w1_radial_formula(RadialProfile((1,), 1), g) == d
+            assert w1_radial_flow_formula(RadialProfile((1,), 1), g) == d
 
     def test_one_step_walk_matches_tree(self):
         q, d = 2, 1

@@ -15,14 +15,14 @@ from treeot import (Assignment, FiniteGraph, HasCycle, MassMismatch, Measure, No
                     Potential, RadialProfile, Series, TooLarge, Tree, assignment_from, divergence, flow_cost,
                     good_potential, potential_value, unique_flow, validate_tree, w1_lp,
                     w1_tree)
-from treeot.instances import demo_instance, instance_from_dict
+from treeot.instances import instance_from_dict
 from treeot.tree import _hop_distances
 
-from conftest import random_measure_pair, random_tree, rng_for
+from conftest import demo_doc, random_measure_pair, random_tree, rng_for
 
 
 def demo_tree():
-    return instance_from_dict(demo_instance())
+    return instance_from_dict(demo_doc())
 
 
 class TestValidateTree:
