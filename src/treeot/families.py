@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -280,36 +281,53 @@ def ball_gf(q: int, order: int = DEFAULT_ORDER) -> GFBundle:
     return bundle_from_table(ball_g_table(q, order))
 
 
-def check_functional_equation(rows: Sequence[Sequence[RationalLike]], alpha: RationalLike,
-                              q: int) -> bool:
+def check_functional_equation(rows: GTable | Sequence[Sequence[RationalLike]],
+                              alpha: RationalLike, q: int) -> bool:
     """True iff the defining walk-family identity holds for the given rows.
 
     ``rows[l][n]`` is the y^n coefficient of the distance-l row C_l, e.g.
-    ``table.rows``; gamma is the first row. The identity q*x = ((q+1)(x -
-    alpha*x*y) - q(1-alpha)y - (1-alpha)x^2 y) G + (-x + alpha*x*y +
-    q(1-alpha)y) gamma, G = sum_l C_l x^l, leaves at x^k y^n the residual
-    (q+1)(C_{k-1}[n] - alpha C_{k-1}[n-1]) - q(1-alpha) C_k[n-1] - (1-alpha)
-    C_{k-2}[n-1], less gamma[n] - alpha gamma[n-1] + q[n = 0] at k = 1; at
-    k = 0 it cancels for any rows. Raises :class:`ValueError` for empty or
-    ragged rows.
+    ``table.rows``; gamma is the first row. A :class:`GTable` may stand in
+    for its rows, and its integer columns are then read as they are. The
+    identity q*x = ((q+1)(x - alpha*x*y) - q(1-alpha)y - (1-alpha)x^2 y) G +
+    (-x + alpha*x*y + q(1-alpha)y) gamma, G = sum_l C_l x^l, leaves at x^k y^n
+    the residual (q+1)(C_{k-1}[n] - alpha C_{k-1}[n-1]) - q(1-alpha) C_k[n-1]
+    - (1-alpha) C_{k-2}[n-1], less gamma[n] - alpha gamma[n-1] + q[n = 0] at
+    k = 1; at k = 0 it cancels for any rows. Raises :class:`ValueError` for
+    empty or ragged rows.
+
+    The residuals are integers. Rational rows are put over one scale per
+    time n, the lcm of that column's denominators. The residual at y^n,
+    which reads columns n and n - 1, is scaled by den(alpha) and the lcm of
+    their two scales: a power of S for the walk table.
     """
     alpha = _check_alpha(alpha)
-    width = len(rows[0]) if rows else 0
-    if not width or any(len(row) != width for row in rows):
-        raise ValueError("rows must be nonempty and of one length")
-    blank = (0,) * (width + 1)
-    # Entry n + 1 of a padded row is C[n] and entry n is C[n-1].
-    padded = [blank, blank, *((0, *map(_frac, row)) for row in rows)]
-    gamma = padded[2]
-    for k in range(1, len(rows)):
-        low, mid, high = padded[k:k + 3]
-        for n in range(width):
-            residual = ((q + 1) * (mid[n + 1] - alpha * mid[n]) - q * (1 - alpha) * high[n]
-                        - (1 - alpha) * low[n])
+    if isinstance(rows, GTable):
+        columns, scales = rows.columns, rows.scales
+    else:
+        width = len(rows[0]) if rows else 0
+        if not width or any(len(row) != width for row in rows):
+            raise ValueError("rows must be nonempty and of one length")
+        columns, scales = [], []
+        for col in zip(*(map(_frac, row) for row in rows)):
+            scale = lcm(*(x.denominator for x in col))
+            columns.append([x.numerator * (scale // x.denominator) for x in col])
+            scales.append(scale)
+    a, den = alpha.numerator, alpha.denominator
+    count = len(columns[0])
+    prev, prev_scale = (0,) * count, 1  # column n - 1, zero before time 0
+    for n, (col, scale) in enumerate(zip(columns, scales)):
+        shared = gcd(scale, prev_scale)
+        now = den * (prev_scale // shared)  # den * lcm / scale, on column n
+        back = scale // shared  # lcm / prev_scale, on column n - 1, times a or den - a
+        for k in range(1, count):
+            low = prev[k - 2] if k > 1 else 0
+            residual = ((q + 1) * (now * col[k - 1] - a * back * prev[k - 1])
+                        - (den - a) * back * (q * prev[k] + low))
             if k == 1:
-                residual -= gamma[n + 1] - alpha * gamma[n] + (q if n == 0 else 0)
+                residual -= now * col[0] - a * back * prev[0] + (q * den * scale if n == 0 else 0)
             if residual:
                 return False
+        prev, prev_scale = col, scale
     return True
 
 

@@ -2,7 +2,9 @@
 
 Solves the primal transportation linear program with an exact simplex over
 the integers, and provides the dual-side checks: 1-Lipschitz feasibility,
-duality-gap certificates, and complementary slackness.
+duality-gap certificates, and complementary slackness. Every hop distance
+they read comes from the graph's core about the two supports
+(:class:`FiniteGraph`).
 
 The masses enter as integers over L, the lcm of the two measures' scales.
 The transportation matrix is totally unimodular, so with integer supplies
@@ -19,28 +21,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import sub
+from itertools import compress, count
+from operator import and_, sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InfeasiblePotential, MassMismatch, TooLarge
 from .rational import _frac
-from .tree import (Measure, Potential, Tree, _build_graph, _hop_distances, _pair_scale,
-                   _require_connected, assignment_from, potential_value)
+from .tree import (Measure, Potential, Tree, _adjacency, _build_graph, _hop_distances,
+                   _pair_scale, _peel, _require_connected, assignment_from, potential_value)
 
 #: Supports larger than this are refused; the exact simplex is for desk-scale
 #: verification, not production-scale solving.
 MAX_SUPPORT = 40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGraph:
-    """Connected simple graph; hop distances from a source vertex are computed
-    by one BFS on first use, so only the rows a caller reads are ever built."""
+    """Connected simple graph on dense indices, with its core about the
+    vertices it keeps: what is left after peeling, over and over, every leaf
+    that is not kept (:func:`_peel`). In a tree the core is the Steiner tree
+    of the kept vertices. A peeled vertex lies inside no shortest path
+    between two vertices left, so hop distances between core vertices are
+    read from the core: one BFS of the core per source, on first use, so
+    only the rows a caller reads are ever built. Graphs compare by identity."""
 
     labels: tuple[Hashable, ...]
     index: dict
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    #: The dense endpoints of edge k at ``_ends[0][k]`` and ``_ends[1][k]``.
+    _ends: tuple[Sequence[int], Sequence[int]] = field(repr=False, compare=False)
+    #: Each core vertex's position in the core, in index order.
+    _core: dict = field(repr=False, compare=False)
+    #: The core's neighbor tuples, by position.
+    _core_adjacency: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -48,23 +60,68 @@ class FiniteGraph:
         return len(self.labels)
 
     def distance(self, u: int, v: int) -> int:
-        row = self._rows.get(u)
-        if row is None:
-            row = self._rows[u] = _hop_distances(self.adjacency, u)
-        return row[v]
+        """Hop distance between two core vertices. Raises :class:`ValueError`
+        for a vertex outside the core, and :class:`RuntimeError` when the
+        core leaves ``v`` unreached from ``u``: the peeling dropped a vertex
+        that a path between them needs."""
+        core = self._core
+        try:
+            row = self._rows.get(u)
+            if row is None:
+                row = self._rows[u] = _hop_distances(self._core_adjacency, core[u])
+            hops = row[core[v]]
+        except KeyError as exc:
+            raise ValueError(f"vertex {exc.args[0]} is outside the graph's core") from None
+        if hops < 0:
+            raise RuntimeError(f"vertex {v} is unreached from vertex {u} in the graph's core")
+        return hops
 
     @classmethod
-    def build(cls, vertices: Sequence[Hashable], edges: Iterable[tuple]) -> "FiniteGraph":
+    def _over(cls, labels: tuple, index: dict, ends: tuple[Sequence[int], Sequence[int]],
+              keep: Iterable[int] | None) -> "FiniteGraph":
+        """The connected graph with edge endpoints ``ends``, and its core about
+        ``keep``, or every vertex when ``keep`` is None."""
+        n = len(labels)
+        if keep is None:
+            kept = bytearray(b"\x01") * n
+        else:
+            kept = bytearray(n)
+            for v in keep:
+                if not 0 <= v < n:
+                    raise ValueError(f"kept vertex {v} is outside the graph")
+                kept[v] = 1
+        core: dict = {}
+        edges: list = []
+        if any(kept):  # with nothing kept, every vertex peels away
+            rooted = _peel(range(n), *ends, kept)
+            if rooted is None:
+                raise RuntimeError("the peeling emptied a component that holds a kept vertex")
+            left = bytes(map((-1).__eq__, rooted[1]))  # 1 at each vertex left
+            core = dict(zip(compress(range(n), left), count()))
+            us, vs = ends
+            at = left.__getitem__
+            edges = [(core[u], core[v])
+                     for u, v in compress(zip(us, vs), map(and_, map(at, us), map(at, vs)))]
+        return cls(labels=labels, index=index, _ends=ends, _core=core,
+                   _core_adjacency=_adjacency(len(core), edges))
+
+    @classmethod
+    def build(cls, vertices: Sequence[Hashable], edges: Iterable[tuple],
+              keep: Iterable[int] | None = None) -> "FiniteGraph":
+        """The graph on ``vertices`` with ``edges``, given by label; its core
+        spans the dense indices in ``keep``, or the whole graph."""
         labels, index, dense_edges, adjacency = _build_graph(vertices, edges)
         _require_connected(adjacency)
-        return cls(labels=labels, index=index, edges=dense_edges, adjacency=adjacency)
+        ends = [u for u, _ in dense_edges], [v for _, v in dense_edges]
+        return cls._over(labels, index, ends, keep)
 
     @classmethod
-    def from_tree(cls, tree: Tree) -> "FiniteGraph":
-        """The tree as a graph, sharing its validated structures; the tree
-        builds its edges and adjacency here, on their first read."""
-        return cls(labels=tree.labels, index=tree.index, edges=tree.edges,
-                   adjacency=tree.adjacency)
+    def from_tree(cls, tree: Tree, keep: Iterable[int] | None = None) -> "FiniteGraph":
+        """The tree as a graph over its edge endpoints; its core spans the
+        vertices in ``keep``, or the whole tree. Reads neither the tree's
+        ``edges`` nor its rooting (``parent``, ``order``), so the LP stays
+        independent of the flow route."""
+        return cls._over(tree.labels, tree.index, tree._ends, keep)
 
 
 @dataclass(frozen=True)

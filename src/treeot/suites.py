@@ -145,11 +145,10 @@ def duality_cell(tree: Tree, mu: Measure,
     phi = good_potential(tree, flow)
     paths["potential"] = potential_value(rho, phi)
     try:
-        # Before the graph: a tree builds its edges and adjacency only when read.
-        _check_support(mu, nu)
+        _check_support(mu, nu)  # before the graph, so an instance over the cap peels nothing
     except TooLarge as exc:
         return paths, str(exc), paths["flow"] == paths["potential"]
-    graph = FiniteGraph.from_tree(tree)
+    graph = FiniteGraph.from_tree(tree, keep=mu.num.keys() | nu.num.keys())
     duality = verify_duality(graph, mu, nu, phi)
     paths["lp"] = duality.primal
     ok = (len(set(paths.values())) == 1 and duality.optimal_certificate
@@ -217,11 +216,11 @@ def suite_series(seed: int = DEFAULT_SEED) -> RunReport:
                     and closed.g1_at_q == bundle.g1_at_q)
             report.add({"alpha": str(alpha), "q": q, "order": order, "check": "closed-vs-table"},
                        "genfun", same)
-            rows = [list(row) for row in table.rows]
-            holds = check_functional_equation(rows, alpha, q)
+            holds = check_functional_equation(table, alpha, q)
             report.add({"alpha": str(alpha), "q": q, "order": order, "check": "functional-eq"},
                        "genfun", holds)
             # A perturbed table must be rejected.
+            rows = [list(row) for row in table.rows]
             rows[1][2] += Fraction(1, 7)
             report.add({"alpha": str(alpha), "q": q, "order": order, "check": "perturbation"},
                        "genfun", not check_functional_equation(rows, alpha, q))

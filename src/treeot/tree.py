@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import lcm
+from operator import sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected
@@ -106,21 +107,22 @@ def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...
     return tuple(map(tuple, neighbor_lists))
 
 
-def _peel(ids: Sequence[int], us: Sequence[int],
-          vs: Sequence[int]) -> tuple[list[int], list[int]] | None:
-    """Root the graph on ``ids``, the indices ``0..n-1``, with edges
-    ``(us[k], vs[k])`` at vertex 0 by peeling leaves; ``(order, parent)`` when
-    the n - 1 edges form a tree, else None. Both hold the int objects of
-    ``ids``, so they share them with the label map.
+def _peel(ids: Sequence[int], us: Sequence[int], vs: Sequence[int],
+          kept: bytearray) -> tuple[list[int], list[int]] | None:
+    """Peel, over and over, every leaf that ``kept`` does not mark from the
+    graph on ``ids``, the indices ``0..n-1``, with edges ``(us[k], vs[k])``.
+    Returns ``(peeled, parent)``: the peeled vertices in peel order, and each
+    one's last neighbor, the one it hung from when peeled (-1 at every vertex
+    left). None when a vertex is peeled with no edge left: its component
+    holds no kept vertex. ``parent`` holds the int objects of ``ids``, so it
+    shares them with the label map.
 
     Each vertex keeps its degree and the XOR of its neighbors' indices, so a
-    leaf's one remaining neighbor, its parent, is that XOR. Popping a leaf
-    other than 0 removes its edge; a neighbor whose degree falls to 1 becomes
-    a leaf. A popped vertex of degree 0 lost its last edge to a leaf peeled
-    before it, so its component misses vertex 0. Peeling all n - 1 other
-    vertices removes n - 1 distinct edges, so no self-loop, repeated edge or
-    cycle is left, and each parent is peeled after its child: ``order`` is 0
-    followed by the peels in reverse.
+    leaf's one remaining neighbor is that XOR. Popping a leaf removes its
+    edge; a neighbor whose degree falls to 1 becomes a leaf unless kept. The
+    vertices left form the graph's core about the kept ones: a leaf lies
+    inside no path between two other vertices, so every hop distance
+    between vertices left is the same in the core.
     """
     n = len(ids)
     degree = [0] * n
@@ -131,19 +133,15 @@ def _peel(ids: Sequence[int], us: Sequence[int],
         link[u] ^= v
         link[v] ^= u
     parent = [-1] * n
-    peeled = [v for v in ids if v and degree[v] == 1]
+    peeled = [v for v in ids if degree[v] == 1 and not kept[v]]
     for v in peeled:  # the loop also visits the leaves it appends
         if not degree[v]:
             return None
         p = parent[v] = ids[link[v]]
         link[p] ^= v
         degree[p] -= 1
-        if degree[p] == 1 and p:
+        if degree[p] == 1 and not kept[p]:
             peeled.append(p)
-    if len(peeled) != n - 1:
-        return None
-    peeled.append(0)
-    peeled.reverse()
     return peeled, parent
 
 
@@ -182,9 +180,9 @@ class Tree:
     roots the tree at vertex 0 (-1 there), and ``order`` lists every vertex
     after its parent, starting at 0: the reverse of the leaf peeling that
     :func:`validate_tree` ran, or ``0..n-1`` for a tree built from a
-    generator's parent array. The flow route reads only these two. ``edges``
-    and ``adjacency``, which the LP oracle and the instance writer read, are
-    built from the edge endpoints on first read.
+    generator's parent array. The flow route reads only these two. The LP
+    oracle reads the edge endpoints ``_ends``, and ``edges``, which the
+    instance writer reads, is built from them on first read.
     """
 
     labels: tuple[Hashable, ...]
@@ -203,11 +201,6 @@ class Tree:
         """Every edge once, as a ``(lo, hi)`` pair, in input order."""
         us, vs = self._ends
         return tuple(zip(map(min, us, vs), map(max, us, vs)))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """The neighbors of each vertex, in edge order."""
-        return _adjacency(len(self.labels), zip(*self._ends))
 
     @classmethod
     def _from_parents(cls, parent: Sequence[int]) -> "Tree":
@@ -233,12 +226,13 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
     Raises :class:`DuplicateEdge`, :class:`HasCycle`, or :class:`NotConnected`
     when the input is not a simple connected acyclic graph.
 
-    Every valid tree pays for counts and one leaf peeling (:func:`_peel`): n
-    distinct labels, n - 1 edges and n - 1 peels toward vertex 0 leave no room
-    for a self-loop, a repeated edge or a cycle, and the peel gives the one
-    parent array of the tree rooted at 0. The full check of
-    :func:`_build_graph` runs only when one of these fails, and only to name
-    the fault: it ends in a raise on every path.
+    Every valid tree pays for counts and one leaf peeling (:func:`_peel`)
+    that keeps vertex 0: n distinct labels, n - 1 edges and n - 1 peels leave
+    no room for a self-loop, a repeated edge or a cycle, and the peel gives
+    the one parent array of the tree rooted at 0. Each parent is peeled after
+    its child, so 0 followed by the peels in reverse is the order. The full
+    check of :func:`_build_graph` runs only when one of these fails, and only
+    to name the fault: it ends in a raise on every path.
     """
     labels = tuple(vertices)
     if not isinstance(edges, (list, tuple)):
@@ -251,9 +245,13 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
         except (KeyError, TypeError, ValueError):
             pass
         else:
-            rooted = _peel(list(index.values()), *ends)
-            if rooted is not None:
+            root = bytearray(n)
+            root[0] = 1
+            rooted = _peel(list(index.values()), *ends, root)
+            if rooted is not None and len(rooted[0]) == n - 1:
                 order, parent = rooted
+                order.append(0)
+                order.reverse()
                 return Tree(labels=labels, index=index, order=tuple(order),
                             parent=tuple(parent), _ends=ends)
     _, _, dense_edges, adjacency = _build_graph(labels, edges)
@@ -410,8 +408,11 @@ class Potential:
 
     def is_edge_lipschitz(self, graph) -> bool:
         """True iff the potential changes by at most 1 along every edge of
-        ``graph``, a :class:`Tree` or an ``lp.FiniteGraph``."""
-        return all(abs(self.values[u] - self.values[v]) <= 1 for u, v in graph.edges)
+        ``graph``, a :class:`Tree` or an ``lp.FiniteGraph``: both hold their
+        edge endpoints in ``_ends``."""
+        at = self.values.__getitem__
+        us, vs = graph._ends
+        return max(map(abs, map(sub, map(at, us), map(at, vs))), default=0) <= 1
 
 
 def _pair_scale(mu: Measure, nu: Measure) -> tuple[int, int, int]:

@@ -14,6 +14,7 @@ import pytest
 
 import treeot
 from treeot.suites import random_measure_pair, random_profile, random_tree
+from treeot.tree import _adjacency
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DEMO_INSTANCE = FIXTURES / "demo_tree_instance.json"
@@ -41,6 +42,11 @@ def run_python(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
+def adjacency_of(tree) -> tuple[tuple[int, ...], ...]:
+    """A tree's neighbor tuples, in edge order, built from its edge endpoints."""
+    return _adjacency(tree.num_vertices, zip(*tree._ends))
+
+
 def rng_for(seed: int) -> random.Random:
     return random.Random(seed)
 
@@ -55,5 +61,5 @@ def mpf_pair(enclosure: tuple[Fraction, Fraction]) -> tuple[mpmath.mpf, mpmath.m
     return to_mpf(enclosure[0]), to_mpf(enclosure[1])
 
 
-__all__ = ["FIXTURES", "demo_doc", "random_tree", "random_measure_pair", "random_profile",
-           "rng_for", "run_python", "to_mpf", "mpf_pair"]
+__all__ = ["FIXTURES", "adjacency_of", "demo_doc", "random_tree", "random_measure_pair",
+           "random_profile", "rng_for", "run_python", "to_mpf", "mpf_pair"]

@@ -29,7 +29,7 @@ from treeot import (DuplicateEdge, HasCycle, Measure, NotConnected, TooLarge, as
 from treeot.cli import build_parser, main, parse_profile_spec
 from treeot.instances import dump_instance, instance_from_dict, instance_to_dict, load_instance
 
-from conftest import demo_doc, run_python
+from conftest import adjacency_of, demo_doc, run_python
 
 
 def run_cli(capsys, *argv):
@@ -159,7 +159,8 @@ class TestLoaderFastPaths:
         from_generator = validate_tree("abcd", (edge for edge in edges))
         assert from_generator == from_list
         assert from_generator.edges == from_list.edges == ((0, 2), (0, 1), (0, 3))
-        assert from_generator.adjacency == from_list.adjacency == ((2, 1, 3), (0,), (0,), (0,))
+        assert adjacency_of(from_generator) == adjacency_of(from_list) == (
+            (2, 1, 3), (0,), (0,), (0,))
 
     def test_tuple_subclass_edges_are_rooted_as_list_edges(self):
         edge = collections.namedtuple("Edge", "a b")
@@ -175,7 +176,7 @@ class TestLoaderFastPaths:
         plain = validate_tree("abc", [("b", "c"), ("b", "a")])
         assert tree == plain
         assert tree.edges == plain.edges == ((1, 2), (0, 1))
-        assert tree.adjacency == plain.adjacency
+        assert adjacency_of(tree) == adjacency_of(plain)
 
     def test_valid_tree_runs_no_full_check(self, monkeypatch):
         import treeot.lp
@@ -235,7 +236,7 @@ class TestLoaderFastPaths:
             rng.shuffle(edges)
             edges = [edge[::-1] if rng.random() < 0.5 else edge for edge in edges]
             tree = validate_tree(labels, edges)
-            assert (tree.labels, tree.index, tree.edges, tree.adjacency) == _build_graph(
+            assert (tree.labels, tree.index, tree.edges, adjacency_of(tree)) == _build_graph(
                 labels, edges)
 
     @pytest.mark.parametrize("mass", MASS_SPELLINGS,

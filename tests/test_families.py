@@ -181,6 +181,33 @@ class TestFunctionalEquation:
         assert not check_functional_equation(rows, alpha, q)
 
 
+    @pytest.mark.parametrize("alpha,q", [(Fraction(1, 2), 2), (Fraction(0), 3),
+                                         (Fraction(2, 9), 4)])
+    def test_table_columns_read_as_integers(self, alpha, q):
+        from treeot.families import GTable
+        table = srw_g_table(alpha, q, 16)
+        assert check_functional_equation(table, alpha, q)
+        columns = [list(col) for col in table.columns]
+        scales = list(table.scales)
+        # Column 5 over 7 S^5 instead of S^5: the scales are no longer powers
+        # of one base, and the identity still holds.
+        columns[5] = [7 * x for x in columns[5]]
+        scales[5] *= 7
+        assert check_functional_equation(GTable(q, tuple(map(tuple, columns)), tuple(scales)),
+                                         alpha, q)
+        columns[5][3] += 1
+        assert not check_functional_equation(
+            GTable(q, tuple(map(tuple, columns)), tuple(scales)), alpha, q)
+
+    @pytest.mark.parametrize("table", [ball_g_table(2, 6), sphere_g_table(3, 6),
+                                       srw_g_table(Fraction(1, 3), 2, 6)],
+                             ids=["ball", "sphere", "srw"])
+    def test_table_and_its_rows_give_one_answer(self, table):
+        for alpha in (Fraction(0), Fraction(1, 3)):
+            assert (check_functional_equation(table, alpha, table.q)
+                    == check_functional_equation(table.rows, alpha, table.q)
+                    == (table == srw_g_table(alpha, table.q, 6)))
+
     def test_ragged_or_empty_rows_refused(self):
         rows = [list(row) for row in srw_g_table(Fraction(1, 2), 2, 4).rows]
         rows[3].pop()

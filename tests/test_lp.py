@@ -10,12 +10,13 @@ import pytest
 from treeot import (FiniteGraph, InfeasiblePotential, MassMismatch, Measure, Potential,
                     TooLarge, TransportPlan, assignment_from,
                     check_complementary_slackness, good_potential,
-                    unique_flow, verify_duality, w1_lp, w1_tree)
+                    unique_flow, validate_tree, verify_duality, w1_lp, w1_tree)
 from treeot.instances import instance_from_dict
 from treeot.lp import _transportation_simplex
 from treeot.tree import _hop_distances
 
-from conftest import demo_doc, random_measure_pair, random_tree, rng_for, run_python
+from conftest import (adjacency_of, demo_doc, random_measure_pair, random_tree, rng_for,
+                      run_python)
 
 
 class TestDistances:
@@ -51,11 +52,12 @@ class TestDistances:
         for _ in range(20):
             n = rng.randint(2, 40)
             tree = random_tree(rng, n)
+            adjacency = adjacency_of(tree)
             for g in (FiniteGraph.from_tree(tree),
                       FiniteGraph.build(tree.labels,
                                         [(tree.labels[u], tree.labels[v]) for u, v in tree.edges])):
                 for u in range(n):
-                    assert [g.distance(u, v) for v in range(n)] == _hop_distances(tree.adjacency, u)
+                    assert [g.distance(u, v) for v in range(n)] == _hop_distances(adjacency, u)
 
     def test_rows_on_the_four_cycle(self):
         g = FiniteGraph.build(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -75,6 +77,133 @@ class TestDistances:
             assert g.distance(u, u) == 0
             for v in range(4):
                 assert g.distance(u, v) == g.distance(v, u)
+
+
+def _supports(rng, n):
+    """Two random supports of 1 to 8 vertices each."""
+    return (rng.sample(range(n), rng.randint(1, min(n, 8))),
+            rng.sample(range(n), rng.randint(1, min(n, 8))))
+
+
+def _graph_with_cycles(rng, n):
+    """Edges of a random connected graph on ``range(n)``: a random recursive
+    tree, a few chords, and pendant paths the peeling removes."""
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(1, 4)):
+        a, b = sorted(rng.sample(range(n), 2))
+        pairs.add((a, b))
+    return sorted(pairs)
+
+
+class TestCore:
+    def test_core_distances_equal_full_rows_on_random_trees(self):
+        rng = rng_for(41)
+        for _ in range(60):
+            n = rng.randint(2, 200)
+            tree = random_tree(rng, n)
+            mu_at, nu_at = _supports(rng, n)
+            support = sorted({*mu_at, *nu_at})
+            g = FiniteGraph.from_tree(tree, keep=support)
+            adjacency = adjacency_of(tree)
+            rows = {u: _hop_distances(adjacency, u) for u in support}
+            for u in support:
+                for v in support:
+                    assert g.distance(u, v) == rows[u][v]
+            # In a tree the core is the Steiner tree of the support: every
+            # vertex on a shortest path between two support vertices.
+            steiner = {w for w in range(n) for a in support for b in support
+                       if rows[a][w] + rows[b][w] == rows[a][b]}
+            assert set(g._core) == steiner
+
+    def test_core_distances_equal_full_rows_on_graphs_with_cycles(self):
+        # Here a peeling fault would lengthen a path rather than cut it, so
+        # only a comparison with full rows would show it.
+        from treeot.tree import _build_graph
+        rng = rng_for(43)
+        for _ in range(60):
+            n = rng.randint(3, 120)
+            edges = _graph_with_cycles(rng, n)
+            mu_at, nu_at = _supports(rng, n)
+            support = sorted({*mu_at, *nu_at})
+            g = FiniteGraph.build(range(n), edges, keep=support)
+            adjacency = _build_graph(range(n), edges)[3]
+            for u in support:
+                row = _hop_distances(adjacency, u)
+                assert [g.distance(u, v) for v in support] == [row[v] for v in support]
+
+    def test_peeling_keeps_every_vertex_of_a_cycle(self):
+        # A 4-cycle with a pendant path 3-4-5: only the path peels.
+        g = FiniteGraph.build(range(6), [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)],
+                              keep=[0])
+        assert set(g._core) == {0, 1, 2, 3}
+        assert [g.distance(0, v) for v in range(4)] == [0, 1, 2, 1]
+
+    def test_vertex_outside_the_core_raises(self):
+        g = FiniteGraph.build(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)], keep=[0, 2])
+        assert set(g._core) == {0, 1, 2} and g.distance(0, 2) == 2
+        with pytest.raises(ValueError, match="vertex 4 is outside the graph's core"):
+            g.distance(0, 4)
+        with pytest.raises(ValueError, match="vertex 3 is outside the graph's core"):
+            g.distance(3, 0)
+        with pytest.raises(ValueError, match="vertex 4 is outside the graph's core"):
+            w1_lp(g, Measure({0: 1}), Measure({4: 1}))
+
+    def test_kept_vertex_outside_the_graph_raises(self):
+        with pytest.raises(ValueError, match="kept vertex 5 is outside the graph"):
+            FiniteGraph.build(range(3), [(0, 1), (1, 2)], keep=[0, 5])
+
+    def test_nothing_kept_leaves_an_empty_core(self):
+        tree = random_tree(rng_for(5), 9)
+        g = FiniteGraph.from_tree(tree, keep=())
+        assert g._core == {} and g.num_vertices == 9
+        assert w1_lp(g, Measure({}), Measure({})) == (0, TransportPlan({}))
+
+    def test_a_dropped_needed_vertex_raises_instead_of_reading_a_distance(self, monkeypatch):
+        import treeot.lp
+        peel = treeot.lp._peel
+
+        def faulty(ids, us, vs, kept):
+            peeled, parent = peel(ids, us, vs, kept)
+            parent[2] = 1  # vertex 2 lies between the kept 0 and 4, yet is dropped
+            return peeled + [2], parent
+
+        monkeypatch.setattr(treeot.lp, "_peel", faulty)
+        tree = validate_tree(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        g = FiniteGraph.from_tree(tree, keep=[0, 4])
+        assert set(g._core) == {0, 1, 3, 4}
+        assert g.distance(0, 1) == 1
+        with pytest.raises(RuntimeError, match="vertex 4 is unreached from vertex 0"):
+            g.distance(0, 4)
+        with pytest.raises(RuntimeError, match="unreached"):
+            w1_lp(g, Measure({0: 1}), Measure({4: 1}))
+
+    def test_a_peeling_that_empties_a_kept_component_raises(self, monkeypatch):
+        import treeot.lp
+        monkeypatch.setattr(treeot.lp, "_peel", lambda *args: None)
+        with pytest.raises(RuntimeError, match="emptied a component"):
+            FiniteGraph.build(range(3), [(0, 1), (1, 2)], keep=[0])
+
+    def test_core_reads_neither_the_rooting_nor_the_edge_pairs(self):
+        from dataclasses import replace
+        rng = rng_for(47)
+        for _ in range(10):
+            n = rng.randint(2, 60)
+            tree = random_tree(rng, n)
+            mu, nu = random_measure_pair(rng, n)
+            expected = w1_tree(tree, mu, nu)
+            unrooted = replace(tree, order=None, parent=None)
+            g = FiniteGraph.from_tree(unrooted, keep=mu.num.keys() | nu.num.keys())
+            if max(len(mu), len(nu)) <= 40:
+                assert w1_lp(g, mu, nu)[0] == expected
+            assert "edges" not in vars(unrooted)
+
+    def test_duality_cell_builds_no_edge_pairs(self):
+        from treeot.suites import duality_cell
+        rng = rng_for(53)
+        tree = random_tree(rng, 30)
+        mu, nu = random_measure_pair(rng, 30)
+        _, _, ok = duality_cell(tree, mu, nu)
+        assert ok and "edges" not in vars(tree)
 
 
 class TestW1LP:

@@ -16,7 +16,7 @@ from treeot.families import srw_profile
 from treeot.regular import BasepointCoord, RadialProfile, truncation_size
 from treeot.tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, _hop_distances
 
-from conftest import random_profile, rng_for
+from conftest import adjacency_of, random_profile, rng_for
 
 
 #: (q, d, radius) of the truncations whose coordinates are checked against BFS.
@@ -93,7 +93,8 @@ class TestTruncation:
     def test_six_vertices(self):
         tt = build_truncated_tree(2, 1, 1)
         assert tt.tree.num_vertices == 6
-        assert len(tt.tree.adjacency[tt.x]) == 3 and len(tt.tree.adjacency[tt.y]) == 3
+        adjacency = adjacency_of(tt.tree)
+        assert len(adjacency[tt.x]) == 3 and len(adjacency[tt.y]) == 3
 
     @pytest.mark.parametrize("q,d,radius", [(3, 2, 2), (2, 3, 3), (2, 1, 4), (3, 4, 3)])
     def test_vertex_count_matches_class_sizes(self, q, d, radius):
@@ -116,7 +117,7 @@ class TestTruncation:
         n = tt.tree.num_vertices
         checked = validate_tree(range(n), tt.tree.edges)
         assert checked.parent == tt.tree.parent
-        assert checked.adjacency == tt.tree.adjacency
+        assert adjacency_of(checked) == adjacency_of(tt.tree)
         assert tt.tree.order == tuple(range(n))
 
     def test_built_without_graph_checks_or_bfs(self, monkeypatch):
@@ -134,11 +135,12 @@ class TestTruncation:
     @pytest.mark.parametrize("q,d,radius", [(2, 2, 3), (3, 1, 2)])
     def test_interior_vertices_have_full_degree(self, q, d, radius):
         tt = build_truncated_tree(q, d, radius)
-        dx = _hop_distances(tt.tree.adjacency, tt.x)
-        dy = _hop_distances(tt.tree.adjacency, tt.y)
+        adjacency = adjacency_of(tt.tree)
+        dx = _hop_distances(adjacency, tt.x)
+        dy = _hop_distances(adjacency, tt.y)
         for v in range(tt.tree.num_vertices):
             if min(dx[v], dy[v]) < radius:
-                assert len(tt.tree.adjacency[v]) == q + 1
+                assert len(adjacency[v]) == q + 1
 
 
 class TestCoordinates:
@@ -152,8 +154,9 @@ class TestCoordinates:
     @pytest.mark.parametrize("q,d,radius", COORD_CASES)
     def test_distance_identity(self, q, d, radius):
         tt = build_truncated_tree(q, d, radius)
-        dx = _hop_distances(tt.tree.adjacency, tt.x)
-        dy = _hop_distances(tt.tree.adjacency, tt.y)
+        adjacency = adjacency_of(tt.tree)
+        dx = _hop_distances(adjacency, tt.x)
+        dy = _hop_distances(adjacency, tt.y)
         for v in range(tt.tree.num_vertices):
             c = tt.coord(v)
             assert dx[v] == c.i + c.h
@@ -169,7 +172,7 @@ class TestRadialMeasure:
     def test_one_step_walk(self):
         tt = build_truncated_tree(2, 1, 1)
         mu = radial_measure(tt, tt.x, srw_profile(Fraction(0), 2, 1))
-        neighbors = tt.tree.adjacency[tt.x]
+        neighbors = adjacency_of(tt.tree)[tt.x]
         assert mu.masses == {w: Fraction(1, 3) for w in neighbors}
 
     def test_sphere_measure(self):
@@ -182,9 +185,10 @@ class TestRadialMeasure:
     def test_equals_the_bfs_defined_measure(self, q, d, radius):
         rng = rng_for(q * 100 + d * 10 + radius)
         tt = build_truncated_tree(q, d, radius)
+        adjacency = adjacency_of(tt.tree)
         for center in (tt.x, tt.y):
             profile = random_profile(rng, radius)
-            dist = _hop_distances(tt.tree.adjacency, center)
+            dist = _hop_distances(adjacency, center)
             expected = {v: profile.value(ell) for v, ell in enumerate(dist)
                         if profile.value(ell)}
             assert radial_measure(tt, center, profile).masses == expected
@@ -317,6 +321,6 @@ class TestFlowDirections:
         flow = unique_flow(tt.tree, assignment_from(
             radial_measure(tt, tt.x, profile), radial_measure(tt, tt.y, profile)))
         mid = tt.path[1]
-        for w in tt.tree.adjacency[mid]:
+        for w in adjacency_of(tt.tree)[mid]:
             if tt.coord(w).h > 0:
                 assert flow.signed(mid, w) == 0

@@ -18,7 +18,7 @@ from treeot import (Assignment, FiniteGraph, HasCycle, MassMismatch, Measure, No
 from treeot.instances import instance_from_dict
 from treeot.tree import _hop_distances
 
-from conftest import demo_doc, random_measure_pair, random_tree, rng_for
+from conftest import adjacency_of, demo_doc, random_measure_pair, random_tree, rng_for
 
 
 def demo_tree():
@@ -30,7 +30,7 @@ class TestValidateTree:
         tree = validate_tree(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert tree.num_vertices == 3
         assert len(tree.edges) == 2
-        assert len(tree.adjacency[tree.index["b"]]) == 2
+        assert len(adjacency_of(tree)[tree.index["b"]]) == 2
 
     def test_triangle_has_cycle(self):
         with pytest.raises(HasCycle):
@@ -63,10 +63,10 @@ class TestValidateTree:
         parent = [-1, 0, 0, 1, 1, 2]
         tree = Tree._from_parents(parent)
         checked = validate_tree(range(6), [(p, v) for v, p in enumerate(parent) if v])
-        assert (tree.edges, tree.adjacency, tree.parent) == (
-            checked.edges, checked.adjacency, checked.parent)
+        assert (tree.edges, adjacency_of(tree), tree.parent) == (
+            checked.edges, adjacency_of(checked), checked.parent)
         assert tree.order == (0, 1, 2, 3, 4, 5)
-        assert _hop_distances(tree.adjacency, 0) == [0, 1, 1, 2, 2, 2]
+        assert _hop_distances(adjacency_of(tree), 0) == [0, 1, 1, 2, 2, 2]
 
     @pytest.mark.parametrize("parent", [
         [-1, 0, 2],       # a parent after its child
