@@ -305,17 +305,14 @@ def _cmd_verify_ineq(args: argparse.Namespace) -> int:
     if cells > MAX_INEQUALITY_CELLS:
         raise TooLarge(f"the grid has {cells:,} cells, over the {MAX_INEQUALITY_CELLS:,}-cell "
                        f"cap on verify-ineq")
+    # Every row is built before any is written, so a bad cell prints no partial table.
+    rows = [[format_rational(alpha), d, q, rep.chain_a, rep.chain_b, rep.ball_floor_equality, ok]
+            for alpha in grid["alpha"] for d in grid["d"] for q in grid["q"]
+            for rep, ok in [inequality_cell(alpha, d, q)]]
     writer = csv.writer(sys.stdout)
     writer.writerow(["alpha", "d", "q", "chain_a", "chain_b", "ball_floor_equality", "passed"])
-    all_ok = True
-    for alpha in grid["alpha"]:
-        for d in grid["d"]:
-            for q in grid["q"]:
-                rep, ok = inequality_cell(alpha, d, q)
-                all_ok &= ok
-                writer.writerow([format_rational(alpha), d, q,
-                                 rep.chain_a, rep.chain_b, rep.ball_floor_equality, ok])
-    return 0 if all_ok else 1
+    writer.writerows(rows)
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -45,8 +45,7 @@ class FiniteGraph:
     read from the core: one BFS of the core per source, on first use, so
     only the rows a caller reads are ever built. Graphs compare by identity."""
 
-    labels: tuple[Hashable, ...]
-    index: dict
+    num_vertices: int
     #: The dense endpoints of edge k at ``_ends[0][k]`` and ``_ends[1][k]``.
     _ends: tuple[Sequence[int], Sequence[int]] = field(repr=False, compare=False)
     #: Each core vertex's position in the core, in index order.
@@ -54,10 +53,6 @@ class FiniteGraph:
     #: The core's neighbor tuples, by position.
     _core_adjacency: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.labels)
 
     def distance(self, u: int, v: int) -> int:
         """Hop distance between two core vertices. Raises :class:`ValueError`
@@ -77,11 +72,10 @@ class FiniteGraph:
         return hops
 
     @classmethod
-    def _over(cls, labels: tuple, index: dict, ends: tuple[Sequence[int], Sequence[int]],
+    def _over(cls, n: int, ends: tuple[Sequence[int], Sequence[int]],
               keep: Iterable[int] | None) -> "FiniteGraph":
-        """The connected graph with edge endpoints ``ends``, and its core about
-        ``keep``, or every vertex when ``keep`` is None."""
-        n = len(labels)
+        """The connected graph on ``0..n-1`` with edge endpoints ``ends``, and
+        its core about ``keep``, or every vertex when ``keep`` is None."""
         if keep is None:
             kept = bytearray(b"\x01") * n
         else:
@@ -102,7 +96,7 @@ class FiniteGraph:
             at = left.__getitem__
             edges = [(core[u], core[v])
                      for u, v in compress(zip(us, vs), map(and_, map(at, us), map(at, vs)))]
-        return cls(labels=labels, index=index, _ends=ends, _core=core,
+        return cls(num_vertices=n, _ends=ends, _core=core,
                    _core_adjacency=_adjacency(len(core), edges))
 
     @classmethod
@@ -110,10 +104,10 @@ class FiniteGraph:
               keep: Iterable[int] | None = None) -> "FiniteGraph":
         """The graph on ``vertices`` with ``edges``, given by label; its core
         spans the dense indices in ``keep``, or the whole graph."""
-        labels, index, dense_edges, adjacency = _build_graph(vertices, edges)
+        labels, _, dense_edges, adjacency = _build_graph(vertices, edges)
         _require_connected(adjacency)
         ends = [u for u, _ in dense_edges], [v for _, v in dense_edges]
-        return cls._over(labels, index, ends, keep)
+        return cls._over(len(labels), ends, keep)
 
     @classmethod
     def from_tree(cls, tree: Tree, keep: Iterable[int] | None = None) -> "FiniteGraph":
@@ -121,7 +115,7 @@ class FiniteGraph:
         vertices in ``keep``, or the whole tree. Reads neither the tree's
         ``edges`` nor its rooting (``parent``, ``order``), so the LP stays
         independent of the flow route."""
-        return cls._over(tree.labels, tree.index, tree._ends, keep)
+        return cls._over(tree.num_vertices, tree._ends, keep)
 
 
 @dataclass(frozen=True)

@@ -137,14 +137,12 @@ class Series:
             self._num = self._den = self.base = None
         return self._coeffs
 
-    def coefficient(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("coefficient index must be >= 0")
         if n > self.order:
             raise OrderExceeded(f"coefficient {n} beyond truncation order {self.order}")
         return self.coefficients[n]
-
-    __getitem__ = coefficient
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Series) and self.coefficients == other.coefficients

@@ -16,14 +16,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from math import lcm
 from operator import sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected
 from .rational import RationalLike, _common_scale, _frac
-# The charge cap sits beside the scaling helper; it is read here with the other caps.
-from .rational import MAX_CHARGE_BITS  # noqa: F401
 
 #: Cap on bits(S) * order for the families' size knobs (``series --order``,
 #: ``sweep --n``), where S is the per-step scale: den(alpha) * (q+1) for the
@@ -274,16 +271,14 @@ class Measure:
     and ``num`` holds the positive masses only, so equal measures hold equal
     integers and compare equal. Fractions are built only when ``masses``,
     :meth:`value` or :meth:`total` is read. ``Measure({v: RationalLike})``
-    reduces each mass and takes the lcm at once, but scales the numerators on
-    the first read of ``num``: :func:`assignment_from` checks the charge
-    budget first. The loader and ``radial_measure`` hold integers from the
-    start (:meth:`_of`).
+    grows the scale under the charge cap (:func:`rational._common_scale`), so
+    a measure over the cap is refused before any mass is scaled. The loader
+    and ``radial_measure`` hold integers from the start (:meth:`_of`).
     """
 
     scale: int
-    #: Each support vertex with its reduced mass, which ``num`` scales on first
-    #: read; a measure built by :meth:`_of` keeps ``num`` here.
-    _support: Mapping[int, Fraction | int] = field(repr=False)
+    #: The integer numerator of each positive mass over ``scale``.
+    num: dict[int, int]
 
     def __init__(self, masses: Mapping[int, RationalLike]):
         reduced: dict[int, Fraction] = {}
@@ -293,8 +288,13 @@ class Measure:
                 raise ValueError(f"negative mass {m} at vertex {v}")
             if m.numerator:
                 reduced[int(v)] = m
-        object.__setattr__(self, "scale", lcm(*{m.denominator for m in reduced.values()}))
-        object.__setattr__(self, "_support", reduced)
+        # In first-seen order, so the point where the cap refuses does not hang on set order.
+        denominators = dict.fromkeys(m.denominator for m in reduced.values())
+        scale = _common_scale(denominators, len(reduced))
+        factor = {q: scale // q for q in denominators}
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "num", {v: m.numerator * factor[m.denominator]
+                                         for v, m in reduced.items()})
 
     @classmethod
     def _of(cls, num: dict[int, int], scale: int) -> "Measure":
@@ -302,18 +302,12 @@ class Measure:
         the lcm of the reduced denominators of the masses they stand for."""
         measure = cls.__new__(cls)
         object.__setattr__(measure, "scale", scale)
-        object.__setattr__(measure, "_support", num)
-        measure.__dict__["num"] = num
+        object.__setattr__(measure, "num", num)
         return measure
-
-    @cached_property
-    def num(self) -> dict[int, int]:
-        """The integer numerator of each positive mass over ``scale``."""
-        return {v: m.numerator * (self.scale // m.denominator) for v, m in self._support.items()}
 
     def __len__(self) -> int:
         """The size of the support."""
-        return len(self._support)
+        return len(self.num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Measure):
@@ -329,7 +323,7 @@ class Measure:
         return Fraction(sum(self.num.values()), self.scale)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._support))
+        return tuple(sorted(self.num))
 
     def value(self, v: int) -> Fraction:
         return Fraction(self.num.get(v, 0), self.scale)

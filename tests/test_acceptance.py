@@ -13,17 +13,17 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from treeot import (FiniteGraph, PairGeometry, Series, assignment_from, ball_AB,
-                    ball_profile, build_truncated_tree, bundle_from_table,
-                    check_complementary_slackness, check_functional_equation, chi_tree,
-                    flow_cost, gamma_asymptotic, good_potential, interval_mid,
-                    kappa_curvature, potential_value, radial_measure, sphere_AB,
-                    sphere_profile, srw_AB, srw_closed_form, srw_g_table,
-                    srw_return_sequence, unique_flow, verify_duality, verify_inequalities,
-                    w1_lp, w1_radial_flow_formula, w1_radial_formula, w1_tree,
-                    w1_via_genfun)
-from treeot.asymptotics import ball_d1_exact
+from treeot.asymptotics import (ball_AB, ball_d1_exact, chi_tree, gamma_asymptotic, interval_mid,
+                                kappa_curvature, sphere_AB, srw_AB, verify_inequalities)
+from treeot.families import (bundle_from_table, check_functional_equation, srw_closed_form,
+                             srw_g_table, srw_return_sequence, w1_via_genfun)
 from treeot.instances import load_instance
+from treeot.lp import FiniteGraph, check_complementary_slackness, verify_duality, w1_lp
+from treeot.regular import (PairGeometry, ball_profile, build_truncated_tree, radial_measure,
+                            sphere_profile, w1_radial_flow_formula, w1_radial_formula)
+from treeot.series import Series
+from treeot.tree import (assignment_from, flow_cost, good_potential, potential_value, unique_flow,
+                         w1_tree)
 
 from conftest import (FIXTURES, random_measure_pair, random_profile, random_tree, rng_for,
                       to_mpf)
@@ -285,7 +285,7 @@ def test_criterion_10_graph_statistics_and_curvature():
     # One-step curvature against the LP oracle on a radius-2 truncation.
     alpha, q, d, n = Fraction(0), 2, 1, 1
     truncation = build_truncated_tree(q, d, n + d)
-    from treeot import srw_profile
+    from treeot.families import srw_profile
     profile = srw_profile(alpha, q, n)
     mu = radial_measure(truncation, truncation.x, profile)
     nu = radial_measure(truncation, truncation.y, profile)

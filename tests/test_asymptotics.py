@@ -8,10 +8,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from treeot import (ChiValues, InvalidParams, PairGeometry, ball_AB, ball_d1_exact,
-                    bundle_from_table, chi_tree, gamma_asymptotic, h_values,
-                    interval_contains, interval_mid, kappa_curvature, sphere_AB, srw_AB,
-                    srw_g_table, srw_return_sequence, verify_inequalities, w1_via_genfun)
+from treeot.asymptotics import (ChiValues, ball_AB, ball_d1_exact, chi_tree, gamma_asymptotic,
+                                h_values, interval_contains, interval_mid, kappa_curvature,
+                                sphere_AB, srw_AB, verify_inequalities)
+from treeot.errors import InvalidParams
+from treeot.families import bundle_from_table, srw_g_table, srw_return_sequence, w1_via_genfun
+from treeot.regular import PairGeometry
 
 from conftest import mpf_pair, to_mpf
 
@@ -185,7 +187,7 @@ class TestLimitsAndBounds:
         assert all(ab.at(n) <= 2 * n + d for n in range(1, 50))
 
     def test_trivial_upper_bound_all_families(self):
-        from treeot import ball_profile, sphere_profile, w1_radial_formula
+        from treeot.regular import ball_profile, sphere_profile, w1_radial_formula
         q, d = 3, 3
         geom = PairGeometry(q, d)
         for n in range(0, 12):
@@ -229,8 +231,9 @@ class TestCurvature:
             assert kappa_curvature(Fraction(1, 2), d, 2, 0).exact == 0
 
     def test_one_step_against_lp_oracle(self):
-        from treeot import (FiniteGraph, build_truncated_tree, radial_measure,
-                            srw_profile, w1_lp)
+        from treeot.families import srw_profile
+        from treeot.lp import FiniteGraph, w1_lp
+        from treeot.regular import build_truncated_tree, radial_measure
         alpha, q, d, n = Fraction(0), 2, 1, 1
         tt = build_truncated_tree(q, d, n + d)
         profile = srw_profile(alpha, q, n)

@@ -24,12 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treeot
-from treeot import (DuplicateEdge, HasCycle, Measure, NotConnected, TooLarge, assignment_from,
-                    parse_rational, validate_tree, w1_tree)
 from treeot.cli import build_parser, main, parse_profile_spec
+from treeot.errors import DuplicateEdge, HasCycle, NotConnected, TooLarge
 from treeot.instances import dump_instance, instance_from_dict, instance_to_dict, load_instance
+from treeot.rational import parse_rational
+from treeot.tree import Measure, assignment_from, validate_tree, w1_tree
 
-from conftest import adjacency_of, demo_doc, run_python
+from conftest import FIXTURES, adjacency_of, demo_doc, run_python
 
 
 def run_cli(capsys, *argv):
@@ -47,11 +48,47 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["treeot"]
 
+    @pytest.mark.parametrize("statement, added", [
+        ("import treeot", ["treeot"]),
+        ("import treeot.instances, treeot.lp", ["treeot", "treeot.errors", "treeot.instances",
+                                                "treeot.lp", "treeot.rational", "treeot.tree"]),
+    ], ids=["package", "instances-lp"])
+    def test_an_import_loads_only_what_it_names_and_needs(self, statement, added):
+        done = run_python(f"import sys; before = set(sys.modules); {statement}; "
+                          f"print(*sorted(name for name in set(sys.modules) - before "
+                          f"if name.partition('.')[0] == 'treeot'))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == added
+
     def test_gamma_suite_runs_with_mpmath_blocked(self):
         done = run_python("import sys; sys.modules['mpmath'] = None; "
                           "from treeot.cli import main; raise SystemExit(main(['verify', 'gamma']))")
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["passed"] is True
+
+
+class TestBenchTracer:
+    def test_tracer_finds_every_name_and_counts(self, capsys, monkeypatch, demo_instance_path):
+        # The benchmark's tracer wraps its targets by name; a moved name or a
+        # counter that no longer reads lands in ``absent``.
+        monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+        import tracing
+
+        import treeot.cli
+
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            with tracer.op(1):
+                for argv in (["w1", str(demo_instance_path), "--json"],
+                             ["w1", "--radial", "sphere:r=2", "--q", "2", "--d", "1"],
+                             ["verify", "series"]):
+                    assert treeot.cli.main(argv) == 0
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert tracer.absent == []
+        assert tracer.sums["tree.vertices"] > 0 and tracer.sums["lp.distance_entries"] > 0
 
 
 class TestInstances:
@@ -595,7 +632,7 @@ class TestSweepCommand:
         assert out.splitlines()[0] == "family,alpha,d,q,n,w1_exact,w1_decimal,asym,residual"
 
     def test_ball_adjacent_matches_exact_law(self, capsys):
-        from treeot import ball_d1_exact
+        from treeot.asymptotics import ball_d1_exact
         code, out, _ = run_cli(capsys, "sweep", "--family", "ball",
                                "--d", "1", "--q", "3", "--n", "0..30")
         assert code == 0
@@ -829,6 +866,13 @@ class TestVerifyCommands:
         assert code == 0
         assert out.splitlines()[1:] == ["0,1,2,True,True,True,True"]
 
+    @pytest.mark.parametrize("grid", [("q=2,1", "d=1", "alpha=0"), ("alpha=1",), ("d=0",)],
+                             ids=["q-after-a-good-row", "alpha", "d"])
+    def test_verify_ineq_bad_cell_prints_no_table(self, capsys, grid):
+        code, out, err = run_cli(capsys, "verify-ineq", "--grid", *grid)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_verify_oeis_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "oeis")
         assert code == 0
@@ -849,12 +893,14 @@ class TestVerifyCommands:
 
 def _break_everywhere(monkeypatch, name, broken):
     """Replace every binding of the package function ``name`` with ``broken(original)``,
-    so a caller that imported it is seen too."""
-    import treeot
-
-    original = getattr(treeot, name)
-    for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "treeot" and getattr(module, name, None) is original:
+    so a caller that imported it is seen too. The original is the binding in
+    the module that defines it."""
+    modules = [module for module_name, module in list(sys.modules.items())
+               if module_name.split(".")[0] == "treeot"]
+    original = next(vars(module)[name] for module in modules
+                    if getattr(vars(module).get(name), "__module__", None) == module.__name__)
+    for module in modules:
+        if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, broken(original))
 
 
@@ -881,7 +927,7 @@ class TestOneAgreementCheck:
 
     def test_plan_marginals_are_checked_by_both_commands(self, capsys, monkeypatch,
                                                          demo_instance_path):
-        from treeot import TransportPlan
+        from treeot.lp import TransportPlan
 
         monkeypatch.setattr(TransportPlan, "satisfies_marginals", lambda self, mu, nu: False)
         self.assert_both_fail(capsys, [str(demo_instance_path)], "duality")

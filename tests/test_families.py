@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeot import (InvalidAlpha, OrderExceeded, PairGeometry, Series,
-                    ball_g_table, ball_gf, build_truncated_tree, bundle_from_table,
-                    check_functional_equation, profile_total_mass, radial_measure,
-                    sphere_g_table, sphere_gf, srw_closed_form, srw_closed_form_rows,
-                    srw_g_table, srw_profile, srw_return_sequence, w1_radial_formula, w1_tree,
-                    w1_via_genfun)
+from treeot.errors import InvalidAlpha, OrderExceeded
+from treeot.families import (ball_g_table, ball_gf, bundle_from_table, check_functional_equation,
+                             sphere_g_table, sphere_gf, srw_closed_form, srw_closed_form_rows,
+                             srw_g_table, srw_profile, srw_return_sequence, w1_via_genfun)
+from treeot.regular import (PairGeometry, build_truncated_tree, profile_total_mass, radial_measure,
+                            w1_radial_formula)
+from treeot.series import Series
+from treeot.tree import w1_tree
 
 from conftest import rng_for
 
@@ -320,13 +322,13 @@ class TestDistanceFromCoefficients:
             w1_via_genfun(bundle, PairGeometry(2, 1), 5)
 
     def test_branching_mismatch_rejected(self):
-        from treeot import InvalidParams
+        from treeot.errors import InvalidParams
         bundle = sphere_gf(2, 4)
         with pytest.raises(InvalidParams):
             w1_via_genfun(bundle, PairGeometry(3, 1), 2)
 
     def test_closed_form_bundle_lacks_rows_for_wide_geometry(self):
-        from treeot import InvalidParams
+        from treeot.errors import InvalidParams
         bundle = srw_closed_form(Fraction(1, 2), 2, 8)
         with pytest.raises(InvalidParams):
             w1_via_genfun(bundle, PairGeometry(2, 4), 3)
@@ -369,5 +371,5 @@ def test_profile_reads_the_last_recurrence_column(monkeypatch):
 
 def test_profile_column_total_is_one():
     profile = srw_profile(Fraction(1, 2), 2, 5)
-    from treeot import profile_total_mass
+    from treeot.regular import profile_total_mass
     assert profile_total_mass(2, profile) == 1

@@ -7,13 +7,12 @@ from math import gcd, lcm
 
 import pytest
 
-from treeot import (FiniteGraph, InfeasiblePotential, MassMismatch, Measure, Potential,
-                    TooLarge, TransportPlan, assignment_from,
-                    check_complementary_slackness, good_potential,
-                    unique_flow, validate_tree, verify_duality, w1_lp, w1_tree)
+from treeot.errors import InfeasiblePotential, MassMismatch, TooLarge
 from treeot.instances import instance_from_dict
-from treeot.lp import _transportation_simplex
-from treeot.tree import _hop_distances
+from treeot.lp import (FiniteGraph, TransportPlan, _transportation_simplex,
+                       check_complementary_slackness, verify_duality, w1_lp)
+from treeot.tree import (Measure, Potential, _hop_distances, assignment_from, good_potential,
+                         unique_flow, validate_tree, w1_tree)
 
 from conftest import (adjacency_of, demo_doc, random_measure_pair, random_tree, rng_for,
                       run_python)
@@ -31,19 +30,19 @@ class TestDistances:
     def test_truncated_three_regular_ball(self):
         # Radius-2 piece of the 3-regular tree: the 6 outer vertices all sit
         # at distance exactly 2 from the center.
-        from treeot import build_truncated_tree
+        from treeot.regular import build_truncated_tree
         tt = build_truncated_tree(2, 1, 2)
         g = FiniteGraph.from_tree(tt.tree)
         leaves = [v for v in range(g.num_vertices) if g.distance(tt.x, v) == 2]
         assert len(leaves) == 6
 
     def test_disconnected_raises(self):
-        from treeot import NotConnected
+        from treeot.errors import NotConnected
         with pytest.raises(NotConnected):
             FiniteGraph.build([0, 1], [])
 
     def test_self_loop_is_a_cycle(self):
-        from treeot import HasCycle
+        from treeot.errors import HasCycle
         with pytest.raises(HasCycle):
             FiniteGraph.build(range(3), [(0, 1), (1, 1), (1, 2)])
 

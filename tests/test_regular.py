@@ -6,15 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from treeot import (InvalidParams, PairGeometry, TooLarge, TruncationTooSmall,
-                    assignment_from, ball_profile, ball_size, build_truncated_tree, flow_cost,
-                    flow_direction_check, profile_total_mass,
-                    radial_measure, radial_potential, radial_potential_field,
-                    sphere_profile, sphere_size, unique_flow, validate_tree,
-                    w1_radial_flow_formula, w1_radial_formula, w1_tree)
+from treeot.errors import InvalidParams, TooLarge, TruncationTooSmall
 from treeot.families import srw_profile
-from treeot.regular import BasepointCoord, RadialProfile, truncation_size
-from treeot.tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, _hop_distances
+from treeot.regular import (BasepointCoord, PairGeometry, RadialProfile, ball_profile, ball_size,
+                            build_truncated_tree, flow_direction_check, profile_total_mass,
+                            radial_measure, radial_potential, radial_potential_field,
+                            sphere_profile, sphere_size, truncation_size, w1_radial_flow_formula,
+                            w1_radial_formula)
+from treeot.tree import (MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, _hop_distances,
+                         assignment_from, flow_cost, unique_flow, validate_tree, w1_tree)
 
 from conftest import adjacency_of, random_profile, rng_for
 

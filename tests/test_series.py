@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeot import (InexactDivision, NonSquareConstantTerm, NonUnitDivisor, OrderExceeded,
-                    Series)
+from treeot.errors import InexactDivision, NonSquareConstantTerm, NonUnitDivisor, OrderExceeded
+from treeot.series import Series
 
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
 
@@ -27,7 +27,7 @@ class TestBasics:
     def test_coefficient_bounds(self):
         s = Series([1, 2, 3])
         with pytest.raises(OrderExceeded):
-            s.coefficient(5)
+            s[5]
 
     def test_division_requires_unit(self):
         with pytest.raises(NonUnitDivisor):

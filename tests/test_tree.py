@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeot import (Assignment, FiniteGraph, HasCycle, MassMismatch, Measure, NotConnected,
-                    Potential, RadialProfile, Series, TooLarge, Tree, assignment_from, divergence, flow_cost,
-                    good_potential, potential_value, unique_flow, validate_tree, w1_lp,
-                    w1_tree)
+from treeot.errors import HasCycle, MassMismatch, NotConnected, TooLarge
 from treeot.instances import instance_from_dict
-from treeot.tree import _hop_distances
+from treeot.lp import FiniteGraph, w1_lp
+from treeot.regular import RadialProfile
+from treeot.series import Series
+from treeot.tree import (Assignment, Measure, Potential, Tree, _hop_distances, assignment_from,
+                         divergence, flow_cost, good_potential, potential_value, unique_flow,
+                         validate_tree, w1_tree)
 
 from conftest import adjacency_of, demo_doc, random_measure_pair, random_tree, rng_for
 
@@ -45,7 +47,7 @@ class TestValidateTree:
             validate_tree([0, 1], [(0, 0)])
 
     def test_duplicate_edge_rejected(self):
-        from treeot import DuplicateEdge
+        from treeot.errors import DuplicateEdge
         with pytest.raises(DuplicateEdge):
             validate_tree([0, 1, 2], [(0, 1), (1, 0)])
 
@@ -336,13 +338,19 @@ FERMAT = tuple(2 ** (2 ** i) + 1 for i in range(20))
 
 
 class TestChargeBudget:
-    def test_assignment_refused_before_scaling(self):
-        n = 2000
-        masses = {v: Fraction(1, FERMAT[v % 20]) for v in range(n)}
-        mu = Measure(masses)
-        nu = Measure({(v + 1) % n: m for v, m in masses.items()})
+    def test_measure_refused_in_constructor(self):
+        masses = {v: Fraction(1, FERMAT[v % 20]) for v in range(2000)}
         start = time.perf_counter()
-        with pytest.raises(TooLarge, match="over 4000 values exceeds the 1073741824-bit"):
+        with pytest.raises(TooLarge, match="1048576 bits over 2000 values"):
+            Measure(masses)
+        assert time.perf_counter() - start < 1.0
+
+    def test_assignment_refused_before_scaling(self):
+        # Each measure is under the cap; the lcm of their scales is not.
+        mu = Measure({v: Fraction(1, FERMAT[v % 10]) for v in range(2000)})
+        nu = Measure({0: Fraction(1, math.prod(FERMAT[10:]))})
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="1048576 bits over 2001 values"):
             assignment_from(mu, nu)
         assert time.perf_counter() - start < 1.0
 
