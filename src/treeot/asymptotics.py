@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt
 from operator import mul
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import InvalidParams
 from .families import bundle_from_table, srw_g_table, w1_via_genfun, _check_alpha
@@ -27,10 +27,6 @@ from .regular import PairGeometry, _check_q
 class LinearAsymptotic:
     """Slope/intercept pair of the large-n distance, exact rationals."""
 
-    family: str
-    alpha: Optional[Fraction]
-    d: int
-    q: int
     A: Fraction
     B: Fraction
     exact_for_large_n: bool = False
@@ -55,7 +51,7 @@ def srw_AB(alpha: RationalLike, d: int, q: int) -> LinearAsymptotic:
     b = (Fraction(d)
          + Fraction(2, q + 1) * (delta * _qpow(q, -delta) + delta_p * _qpow(q, 1 - delta_p))
          + Fraction(2, (q + 1) ** 2) * (_qpow(q, 1 - delta) - _qpow(q, 1 - delta_p)))
-    return LinearAsymptotic("srw", alpha, d, q, a, b)
+    return LinearAsymptotic(a, b)
 
 
 def sphere_AB(d: int, q: int) -> LinearAsymptotic:
@@ -68,7 +64,7 @@ def sphere_AB(d: int, q: int) -> LinearAsymptotic:
         + 2 * (delta_p * (q - 1) + 1) * _qpow(q, 1 - delta_p)
         + 2 * (delta * (q - 1) + q) * _qpow(q, -delta),
         1) / (q * q - 1)
-    return LinearAsymptotic("sphere", None, d, q, a, b, exact_for_large_n=True)
+    return LinearAsymptotic(a, b, exact_for_large_n=True)
 
 
 def ball_AB(d: int, q: int) -> LinearAsymptotic:
@@ -81,7 +77,7 @@ def ball_AB(d: int, q: int) -> LinearAsymptotic:
         + 2 * (delta_p * (q - 1) + 2) * _qpow(q, 1 - delta_p)
         + 2 * (delta * (q - 1) + q + 1) * _qpow(q, -delta),
         1) / (q * q - 1)
-    return LinearAsymptotic("ball", None, d, q, a, b)
+    return LinearAsymptotic(a, b)
 
 
 def ball_d1_exact(q: int, n: int) -> Fraction:
@@ -300,10 +296,7 @@ class GammaAsymptotic:
     with lo <= value <= hi and hi - lo under 10^-50 of the value.
     """
 
-    alpha: Fraction
-    q: int
     period: int
-    power: Fraction
     growth_base: Enclosure
     leading_constant: Enclosure
 
@@ -349,13 +342,11 @@ def gamma_asymptotic(alpha: RationalLike, q: int) -> GammaAsymptotic:
     if alpha == 0:
         base = Fraction(4 * q, (q + 1) ** 2)
         constant = _image(lambda r: Fraction(q * (q + 1), (q - 1) ** 2) * r, inverse_root_pi)
-        return GammaAsymptotic(alpha=alpha, q=q, period=2, power=Fraction(-3, 2),
-                               growth_base=(base, base), leading_constant=constant)
+        return GammaAsymptotic(period=2, growth_base=(base, base), leading_constant=constant)
     root_q = _sqrt((Fraction(q),) * 2)
     base = _image(lambda r: (alpha * (q + 1) + (1 - alpha) * 2 * r) / (q + 1), root_q)
     t = _image(lambda r: alpha / (1 - alpha) * (q + 1) + 2 * r, root_q)
     constant = _image(lambda t, root_t, fourth_root_q, r:
                       t * root_t * (q + 1) * fourth_root_q * r / (2 * (q - 1) ** 2),
                       t, _sqrt(t), _sqrt(root_q), inverse_root_pi)
-    return GammaAsymptotic(alpha=alpha, q=q, period=1, power=Fraction(-3, 2),
-                           growth_base=base, leading_constant=constant)
+    return GammaAsymptotic(period=1, growth_base=base, leading_constant=constant)

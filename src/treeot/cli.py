@@ -51,22 +51,23 @@ def _list_chunks(text: str, read=int) -> list:
     ``range`` for each ``lo..hi`` and a 1-tuple for each value, none of them
     built. Each chunk is counted as it is read: a list spelling out more than
     :data:`MAX_SWEEP_STEPS` entries, repeats included, raises :class:`TooLarge`,
-    and one spelling out none (``"5..1"``) raises :class:`ValueError`."""
+    and a range spelling out none (``"5..1"``) raises :class:`ValueError`."""
     chunks: list = []
     count = 0
     for chunk in text.split(","):
         if read is int and ".." in chunk:
             lo, hi = map(int, chunk.split(".."))
+            if hi < lo:
+                where = "" if chunk == text else f"range {_shown(chunk)} in the "
+                raise ValueError(f"the {where}list {_shown(text)} spells out no entries")
             chunks.append(range(lo, hi + 1))
-            count += max(hi - lo + 1, 0)  # len() of a range fails past 2^63
+            count += hi - lo + 1  # len() of a range fails past 2^63
         else:
             chunks.append((read(chunk),))
             count += 1
         if count > MAX_SWEEP_STEPS:
             raise TooLarge(f"the list {_shown(text)} spells out more than "
                            f"{MAX_SWEEP_STEPS:,} entries, the cap on a grid list")
-    if not count:
-        raise ValueError(f"the list {_shown(text)} spells out no entries")
     return chunks
 
 
@@ -81,6 +82,10 @@ def _parse_list(text: str, read=int) -> list:
     return _distinct(_list_chunks(text, read))
 
 
+#: The keys each named profile kind of :func:`parse_profile_spec` reads.
+_PROFILE_KEYS = {"srw": ("alpha", "n"), "sphere": ("r",), "ball": ("r",)}
+
+
 def _support_radius(fields: dict, key: str, q: int, d: int) -> int:
     """A named profile's support radius ``fields[key]``; refuses its truncation
     at center distance ``d`` over the size cap before the profile is built."""
@@ -92,8 +97,9 @@ def _support_radius(fields: dict, key: str, q: int, d: int) -> int:
 def parse_profile_spec(spec: str, q: int,
                        d: int) -> tuple[str, Fraction | None, int, RadialProfile]:
     """Profile mini-language: ``srw:alpha=1/2,n=6`` | ``sphere:r=6`` |
-    ``ball:r=6`` | ``custom:[1/2,0,1/3]``. An ``srw``, ``sphere`` or ``ball``
-    profile is sized against the truncation cap at center distance ``d`` first."""
+    ``ball:r=6`` | ``custom:[1/2,0,1/3]``. A named kind takes each of its own
+    keys (:data:`_PROFILE_KEYS`) at most once, as ``key=value``, and is sized
+    against the truncation cap at center distance ``d`` first."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "custom":
@@ -102,23 +108,28 @@ def parse_profile_spec(spec: str, q: int,
             raise ValueError(f"custom profile needs a [..] list, got {rest!r}")
         values = [parse_rational(tok) for tok in body[1:-1].split(",") if tok.strip()]
         return "custom", None, 0, RadialProfile(tuple(values))
+    if kind not in _PROFILE_KEYS:
+        raise ValueError(f"unknown profile kind {kind!r}")
     fields = {}
     for item in rest.split(","):
         if not item.strip():
             continue
-        key, _, value = item.partition("=")
-        fields[key.strip()] = value.strip()
+        key, eq, value = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"profile item {_shown(item)} is not key=value")
+        if key not in _PROFILE_KEYS[kind]:
+            raise ValueError(f"profile item {_shown(item)} has an unknown key; "
+                             f"{kind} takes {', '.join(_PROFILE_KEYS[kind])}")
+        if key in fields:
+            raise ValueError(f"profile item {_shown(item)} repeats the key {key!r}")
+        fields[key] = value.strip()
     if kind == "srw":
         alpha = parse_rational(fields.get("alpha", "0"))
         n = _support_radius(fields, "n", q, d)
         return "srw", alpha, n, srw_profile(alpha, q, n)
-    if kind == "sphere":
-        r = _support_radius(fields, "r", q, d)
-        return "sphere", None, r, sphere_profile(q, r)
-    if kind == "ball":
-        r = _support_radius(fields, "r", q, d)
-        return "ball", None, r, ball_profile(q, r)
-    raise ValueError(f"unknown profile kind {kind!r}")
+    r = _support_radius(fields, "r", q, d)
+    return kind, None, r, (sphere_profile if kind == "sphere" else ball_profile)(q, r)
 
 
 def _print_w1(args: argparse.Namespace, paths: dict[str, Fraction], agree: bool,
@@ -186,7 +197,7 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
     n_chunks = _list_chunks(args.n)
     alphas = _parse_list(args.alpha, parse_rational) if family == "srw" else [None]
     # Each chunk ascends, so its last entry is its largest: the cap reads no list.
-    max_n = max(chunk[-1] for chunk in n_chunks if chunk)
+    max_n = max(chunk[-1] for chunk in n_chunks)
     _check_series_size("--n", max_n, alphas, q_list)
     n_list = _distinct(n_chunks)
     steps = (len(alphas) * len(q_list) * sum(d // 2 + 1 for d in d_list)

@@ -26,7 +26,6 @@ from operator import and_, sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InfeasiblePotential, MassMismatch, TooLarge
-from .rational import _frac
 from .tree import (Measure, Potential, Tree, _adjacency, _build_graph, _hop_distances,
                    _pair_scale, _peel, _require_connected, assignment_from, potential_value)
 
@@ -118,38 +117,6 @@ class FiniteGraph:
         return cls._over(tree.num_vertices, tree._ends, keep)
 
 
-@dataclass(frozen=True)
-class TransportPlan:
-    """Nonnegative mass moved between vertex pairs."""
-
-    entries: Mapping[tuple[int, int], Fraction]
-
-    def __post_init__(self) -> None:
-        cleaned = {}
-        for (u, v), raw in self.entries.items():
-            x = _frac(raw)
-            if x < 0:
-                raise ValueError(f"negative plan entry at ({u}, {v})")
-            if x:
-                cleaned[(int(u), int(v))] = x
-        object.__setattr__(self, "entries", cleaned)
-
-    def cost(self, graph: FiniteGraph) -> Fraction:
-        return sum((graph.distance(u, v) * x for (u, v), x in self.entries.items()), Fraction(0))
-
-    def marginals(self) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
-        rows: dict[int, Fraction] = {}
-        cols: dict[int, Fraction] = {}
-        for (u, v), x in self.entries.items():
-            rows[u] = rows.get(u, Fraction(0)) + x
-            cols[v] = cols.get(v, Fraction(0)) + x
-        return rows, cols
-
-    def satisfies_marginals(self, mu: Measure, nu: Measure) -> bool:
-        rows, cols = self.marginals()
-        return rows == dict(mu.masses) and cols == dict(nu.masses)
-
-
 def _check_support(mu: Measure, nu: Measure) -> None:
     """Raises :class:`TooLarge` when either support passes :data:`MAX_SUPPORT`."""
     if len(mu) > MAX_SUPPORT or len(nu) > MAX_SUPPORT:
@@ -157,8 +124,10 @@ def _check_support(mu: Measure, nu: Measure) -> None:
                        f"{MAX_SUPPORT}-point oracle cap")
 
 
-def w1_lp(graph: FiniteGraph, mu: Measure, nu: Measure) -> tuple[Fraction, TransportPlan]:
-    """Exact optimum of the transportation LP plus one optimal plan.
+def w1_lp(graph: FiniteGraph, mu: Measure,
+          nu: Measure) -> tuple[Fraction, dict[tuple[int, int], Fraction]]:
+    """Exact optimum of the transportation LP plus one optimal plan: the
+    positive mass moved from u to v at ``plan[(u, v)]``.
 
     The simplex runs on the masses as integers over L, the lcm of the two
     scales; the value and each plan entry become a Fraction over L at the end.
@@ -175,12 +144,11 @@ def w1_lp(graph: FiniteGraph, mu: Measure, nu: Measure) -> tuple[Fraction, Trans
         if not 0 <= v < graph.num_vertices:
             raise ValueError(f"measure references vertex {v} outside the graph")
     if not sources:
-        return Fraction(0), TransportPlan({})
+        return Fraction(0), {}
 
     costs = [[graph.distance(u, v) for v in sinks] for u in sources]
     value, cells = _transportation_simplex(costs, supply, demand)
-    plan = TransportPlan({(sources[i], sinks[j]): Fraction(x, scale)
-                          for (i, j), x in cells.items() if x})
+    plan = {(sources[i], sinks[j]): Fraction(x, scale) for (i, j), x in cells.items() if x}
     return Fraction(value, scale), plan
 
 
@@ -316,7 +284,7 @@ class DualityReport:
     primal: Fraction
     dual: Fraction
     optimal_certificate: bool
-    plan: TransportPlan
+    plan: dict[tuple[int, int], Fraction]
 
     def as_dict(self) -> dict:
         return {
@@ -340,7 +308,20 @@ def verify_duality(graph: FiniteGraph, mu: Measure, nu: Measure, phi: Potential)
                          optimal_certificate=(primal == dual), plan=plan)
 
 
-def check_complementary_slackness(graph: FiniteGraph, plan: TransportPlan, phi: Potential) -> bool:
+def check_complementary_slackness(graph: FiniteGraph, plan: Mapping[tuple[int, int], Fraction],
+                                  phi: Potential) -> bool:
     """Every positive plan entry must descend the potential at full distance."""
     return all(phi.value(u) - phi.value(v) == graph.distance(u, v)
-               for (u, v), x in plan.entries.items() if x > 0)
+               for (u, v), x in plan.items() if x > 0)
+
+
+def satisfies_marginals(plan: Mapping[tuple[int, int], Fraction], mu: Measure,
+                        nu: Measure) -> bool:
+    """True iff the plan moves out of each vertex its mass under ``mu`` and
+    into each vertex its mass under ``nu``."""
+    rows: dict[int, Fraction] = {}
+    cols: dict[int, Fraction] = {}
+    for (u, v), x in plan.items():
+        rows[u] = rows.get(u, 0) + x
+        cols[v] = cols.get(v, 0) + x
+    return rows == mu.masses and cols == nu.masses

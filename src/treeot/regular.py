@@ -60,18 +60,6 @@ class PairGeometry:
         """ceil(d / 2)."""
         return (self.d + 1) // 2
 
-    @property
-    def half_d(self) -> Fraction:
-        return Fraction(self.d, 2)
-
-
-@dataclass(frozen=True)
-class BasepointCoord:
-    """Path index i of the nearest X-Y path vertex and height h above it."""
-
-    i: int
-    h: int
-
 
 @dataclass(frozen=True, init=False)
 class RadialProfile:
@@ -167,21 +155,18 @@ def truncation_size(q: int, d: int, radius: int) -> int:
 class TruncatedRegularTree:
     """Finite piece of the regular tree holding centers X and Y, rooted at X.
 
-    Every vertex within ``radius`` of X or Y is present with full degree q + 1
-    unless it sits on the truncation boundary; vertex v sits at (i[v], h[v]).
+    Every vertex within the truncation radius of X or Y is present with full
+    degree q + 1 unless it sits on the truncation boundary; vertex v sits at
+    path index i[v] and height h[v].
     """
 
     geometry: PairGeometry
-    radius: int
     tree: Tree
     x: int
     y: int
     path: tuple[int, ...]
     i: tuple[int, ...]
     h: tuple[int, ...]
-
-    def coord(self, v: int) -> BasepointCoord:
-        return BasepointCoord(self.i[v], self.h[v])
 
 
 def build_truncated_tree(q: int, d: int, radius: int) -> TruncatedRegularTree:
@@ -206,8 +191,7 @@ def build_truncated_tree(q: int, d: int, radius: int) -> TruncatedRegularTree:
             parent += [v] * children
             path_i += [i] * children
             height += [h + 1] * children
-    return TruncatedRegularTree(geometry=geometry, radius=radius,
-                                tree=Tree._from_parents(parent), x=0, y=d,
+    return TruncatedRegularTree(geometry=geometry, tree=Tree._from_parents(parent), x=0, y=d,
                                 path=tuple(range(d + 1)), i=tuple(path_i), h=tuple(height))
 
 
@@ -243,22 +227,23 @@ def radial_measure(truncation: TruncatedRegularTree, center: int, profile: Radia
     return Measure._of(num, profile.scale)
 
 
-def radial_potential(coord: BasepointCoord, geometry: PairGeometry) -> Fraction:
-    """Closed-form potential adapted to the X-to-Y flow of any radial profile.
+def radial_potential(i: int, h: int, geometry: PairGeometry) -> Fraction:
+    """Closed-form potential adapted to the X-to-Y flow of any radial profile,
+    at path index i and height h.
 
     Equals d/2 - i + h on the X half (i <= d/2) and d/2 - i - h on the Y half.
     """
-    base = geometry.half_d - coord.i
-    if 2 * coord.i <= geometry.d:
-        return base + coord.h
-    return base - coord.h
+    base = Fraction(geometry.d, 2) - i
+    if 2 * i <= geometry.d:
+        return base + h
+    return base - h
 
 
 def radial_potential_field(truncation: TruncatedRegularTree) -> Potential:
     """The closed-form potential evaluated at every vertex of a truncation."""
     geom = truncation.geometry
-    return Potential(tuple(radial_potential(c, geom)
-                           for c in map(BasepointCoord, truncation.i, truncation.h)))
+    return Potential(tuple(radial_potential(i, h, geom)
+                           for i, h in zip(truncation.i, truncation.h)))
 
 
 def _padded(profile: RadialProfile, d: int) -> tuple[int, ...]:

@@ -1,7 +1,7 @@
 """Truncated univariate formal power series with exact coefficients.
 
 A ``Series`` holds coefficients a_0 .. a_N and supports ring arithmetic,
-division, square root when the constant term permits, differentiation, and
+division, square root when the constant term permits, and
 coefficient extraction. Everything is exact up to the truncation order. A
 divisor that starts at y^v needs a dividend that starts there too; both drop
 y^v, and the quotient ends at order N - v. A series from
@@ -215,8 +215,3 @@ class Series:
         if self.base is not None:
             return self._on_ints(_root(self._num, _exact))
         return self._wrap(_root(self.coefficients, truediv))
-
-    def derivative(self) -> "Series":
-        """Formal derivative, truncated at the same order (top coefficient 0)."""
-        vals = [k * self.coefficients[k] for k in range(1, self.order + 1)]
-        return Series(vals, order=self.order)

@@ -15,9 +15,9 @@ from typing import Callable
 from .asymptotics import InequalityReport, gamma_asymptotic, interval_mid, verify_inequalities
 from .families import (bundle_from_table, check_functional_equation, srw_closed_form,
                        srw_g_table, srw_return_sequence)
-from .errors import TooLarge
+from .errors import InfeasiblePotential, TooLarge
 from .lp import (DualityReport, FiniteGraph, _check_support, check_complementary_slackness,
-                 verify_duality)
+                 satisfies_marginals, verify_duality)
 from .rational import decimal_string, format_rational
 from .regular import (PairGeometry, RadialProfile, TruncatedRegularTree, build_truncated_tree,
                       radial_measure, w1_radial_flow_formula, w1_radial_formula)
@@ -34,52 +34,32 @@ INEQUALITY_GRID = {"alpha": (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fracti
 
 
 @dataclass
-class CaseRecord:
-    params: dict
-    provenance: str
-    passed: bool
-    w1: str | None = None
-    w1_decimal: str | None = None
-    detail: str = ""
-
-    def as_dict(self) -> dict:
-        doc = {"params": self.params, "provenance": self.provenance, "passed": self.passed}
-        if self.w1 is not None:
-            doc["w1"] = self.w1
-            doc["w1_decimal"] = self.w1_decimal
-        if self.detail:
-            doc["detail"] = self.detail
-        return doc
-
-
-@dataclass
 class RunReport:
     suite: str
     seed: int
-    records: list[CaseRecord] = field(default_factory=list)
+    #: One JSON record per case, as :meth:`add` builds it.
+    records: list[dict] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
-    @property
-    def counts(self) -> tuple[int, int]:
-        ok = sum(r.passed for r in self.records)
-        return ok, len(self.records)
+        return all(r["passed"] for r in self.records)
 
     def add(self, params: dict, provenance: str, passed: bool,
             w1: Fraction | None = None, detail: str = "") -> None:
-        self.records.append(CaseRecord(
-            params=params, provenance=provenance, passed=passed,
-            w1=None if w1 is None else format_rational(w1),
-            w1_decimal=None if w1 is None else decimal_string(w1),
-            detail=detail))
+        """Record one case: its params, provenance and verdict, then ``w1``
+        exactly and in decimal when given, then ``detail`` when not empty."""
+        record = {"params": params, "provenance": provenance, "passed": passed}
+        if w1 is not None:
+            record["w1"] = format_rational(w1)
+            record["w1_decimal"] = decimal_string(w1)
+        if detail:
+            record["detail"] = detail
+        self.records.append(record)
 
     def as_dict(self) -> dict:
-        ok, total = self.counts
         return {"suite": self.suite, "seed": self.seed, "passed": self.passed,
-                "cases_passed": ok, "cases_total": total,
-                "records": [r.as_dict() for r in self.records]}
+                "cases_passed": sum(r["passed"] for r in self.records),
+                "cases_total": len(self.records), "records": self.records}
 
 
 def random_tree(rng: random.Random, n: int):
@@ -136,9 +116,10 @@ def random_profile(rng: random.Random, max_radius: int) -> RadialProfile:
 def duality_cell(tree: Tree, mu: Measure,
                  nu: Measure) -> tuple[dict[str, Fraction], DualityReport | str, bool]:
     """The tree routes on one instance: flow, potential and, under the LP's
-    support cap, lp; the duality report, or the LP's refusal text; and whether
-    they agree. With the LP, agreement also needs an optimal certificate,
-    complementary slackness and a plan with exact marginals."""
+    support cap, lp; the duality report, or the text of why there is none;
+    and whether they agree. With the LP, agreement also needs the adapted
+    potential to be 1-Lipschitz, an optimal certificate, complementary
+    slackness and a plan with exact marginals."""
     rho = assignment_from(mu, nu)
     flow = unique_flow(tree, rho)
     paths = {"flow": flow_cost(flow)}
@@ -149,11 +130,14 @@ def duality_cell(tree: Tree, mu: Measure,
     except TooLarge as exc:
         return paths, str(exc), paths["flow"] == paths["potential"]
     graph = FiniteGraph.from_tree(tree, keep=mu.num.keys() | nu.num.keys())
-    duality = verify_duality(graph, mu, nu, phi)
+    try:
+        duality = verify_duality(graph, mu, nu, phi)
+    except InfeasiblePotential as exc:  # the potential route's fault, not the input's
+        return paths, f"the adapted potential is infeasible: {exc}", False
     paths["lp"] = duality.primal
     ok = (len(set(paths.values())) == 1 and duality.optimal_certificate
           and check_complementary_slackness(graph, duality.plan, phi)
-          and duality.plan.satisfies_marginals(mu, nu))
+          and satisfies_marginals(duality.plan, mu, nu))
     return paths, duality, ok
 
 
@@ -166,8 +150,10 @@ def suite_duality(seed: int = DEFAULT_SEED) -> RunReport:
         tree = random_tree(rng, n)
         mu, nu = random_measure_pair(rng, n)
         paths, duality, ok = duality_cell(tree, mu, nu)
-        report.add({"case": case, "vertices": n}, "lp", ok, w1=paths["lp"],
-                   detail="" if ok else f"{paths} {duality.as_dict()}")
+        detail = ""
+        if not ok:
+            detail = f"{paths} {duality if isinstance(duality, str) else duality.as_dict()}"
+        report.add({"case": case, "vertices": n}, "lp", ok, w1=paths.get("lp"), detail=detail)
     return report
 
 

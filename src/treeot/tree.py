@@ -262,6 +262,17 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
     raise AssertionError("the leaf peeling refused a connected graph with n - 1 edges")
 
 
+def _over_common_scale(values: Mapping[int, Fraction]) -> tuple[int, dict[int, int]]:
+    """``(scale, num)``: nonzero rationals as integers ``num[v]`` over their
+    common scale, grown under the charge cap (:func:`rational._common_scale`),
+    so a set over the cap is refused before any value is scaled."""
+    # In first-seen order, so the point where the cap refuses does not hang on set order.
+    denominators = dict.fromkeys(x.denominator for x in values.values())
+    scale = _common_scale(denominators, len(values))
+    factor = {q: scale // q for q in denominators}
+    return scale, {v: x.numerator * factor[x.denominator] for v, x in values.items()}
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Measure:
     """Finitely supported nonnegative mass function on dense vertex indices,
@@ -288,13 +299,9 @@ class Measure:
                 raise ValueError(f"negative mass {m} at vertex {v}")
             if m.numerator:
                 reduced[int(v)] = m
-        # In first-seen order, so the point where the cap refuses does not hang on set order.
-        denominators = dict.fromkeys(m.denominator for m in reduced.values())
-        scale = _common_scale(denominators, len(reduced))
-        factor = {q: scale // q for q in denominators}
+        scale, num = _over_common_scale(reduced)
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "num", {v: m.numerator * factor[m.denominator]
-                                         for v, m in reduced.items()})
+        object.__setattr__(self, "num", num)
 
     @classmethod
     def _of(cls, num: dict[int, int], scale: int) -> "Measure":
@@ -333,26 +340,29 @@ class Measure:
         return Measure({v: c * m for v, m in self.masses.items()})
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Assignment:
     """Signed charges summing to zero (a mass surplus/deficit pattern), held
     as integers over one common denominator: the charge at ``v`` is
-    ``num[v] / scale``. :meth:`of` builds one from rational charges."""
+    ``num[v] / scale``. ``Assignment({v: RationalLike})`` drops the zero
+    charges, grows the scale as ``Measure`` does, and raises
+    :class:`ValueError` unless the charges sum to zero.
+    :func:`assignment_from` holds integers from the start (:meth:`_of`)."""
 
-    num: Mapping[int, int]
+    num: dict[int, int]
     scale: int
 
-    def __post_init__(self) -> None:
-        cleaned = {v: x for v, x in self.num.items() if x}
-        if sum(cleaned.values()) != 0:
+    def __init__(self, charges: Mapping[int, RationalLike]):
+        nonzero: dict[int, Fraction] = {}
+        for v, raw in charges.items():
+            c = _frac(raw)
+            if c:
+                nonzero[int(v)] = c
+        scale, num = _over_common_scale(nonzero)
+        if sum(num.values()):
             raise ValueError("assignment charges must sum to zero")
-        object.__setattr__(self, "num", cleaned)
-
-    @classmethod
-    def of(cls, charges: Mapping[int, RationalLike]) -> "Assignment":
-        fracs = {int(v): _frac(c) for v, c in charges.items()}
-        scale = _common_scale({c.denominator for c in fracs.values()}, len(fracs))
-        return cls({v: c.numerator * (scale // c.denominator) for v, c in fracs.items()}, scale)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "scale", scale)
 
     @classmethod
     def _of(cls, num: dict[int, int], scale: int) -> "Assignment":

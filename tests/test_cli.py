@@ -28,7 +28,7 @@ from treeot.cli import build_parser, main, parse_profile_spec
 from treeot.errors import DuplicateEdge, HasCycle, NotConnected, TooLarge
 from treeot.instances import dump_instance, instance_from_dict, instance_to_dict, load_instance
 from treeot.rational import parse_rational
-from treeot.tree import Measure, assignment_from, validate_tree, w1_tree
+from treeot.tree import Measure, Potential, assignment_from, validate_tree, w1_tree
 
 from conftest import FIXTURES, adjacency_of, demo_doc, run_python
 
@@ -774,6 +774,15 @@ class TestSeriesSizeCap:
         text = argv[-1].split("=")[-1]
         assert err == f"error: the list '{text}' spells out no entries\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--family", "srw", "--n", "3..1,2"),
+        ("verify-ineq", "--grid", "q=3..1,2", "d=1", "alpha=0"),
+    ], ids=["sweep-n", "verify-ineq-q"])
+    def test_empty_range_in_a_list_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: the range '3..1' in the list '3..1,2' spells out no entries\n"
+
     @pytest.mark.parametrize("n, top", [("0..2097151", 2097151),
                                         ("0..1000,1001..2097150", 2097150)])
     def test_sweep_series_cap_reads_no_n_list(self, capsys, n, top):
@@ -904,6 +913,12 @@ def _break_everywhere(monkeypatch, name, broken):
             monkeypatch.setattr(module, name, broken(original))
 
 
+def _steep_potential(tree, flow):
+    """A broken ``good_potential``: it climbs by 2 from each vertex index to
+    the next, so it jumps by at least 2 across every edge of every tree."""
+    return Potential(tuple(range(0, 2 * tree.num_vertices, 2)))
+
+
 class TestOneAgreementCheck:
     """``treeot w1`` and ``treeot verify`` decide agreement by the same check
     per route family, so a route broken alone fails both commands."""
@@ -919,17 +934,28 @@ class TestOneAgreementCheck:
     @pytest.mark.parametrize("name, broken", [
         ("check_complementary_slackness", lambda original: lambda *args: False),
         ("potential_value", lambda original: lambda *args: original(*args) + Fraction(1, 1000)),
-    ], ids=["slackness", "pairing"])
+        ("good_potential", lambda original: _steep_potential),
+    ], ids=["slackness", "pairing", "potential"])
     def test_a_broken_tree_route_fails_both_commands(self, capsys, monkeypatch,
                                                      demo_instance_path, name, broken):
         _break_everywhere(monkeypatch, name, broken)
         self.assert_both_fail(capsys, [str(demo_instance_path)], "duality")
 
+    def test_an_infeasible_potential_is_named_in_both_reports(self, capsys, monkeypatch,
+                                                              demo_instance_path):
+        _break_everywhere(monkeypatch, "good_potential", lambda original: _steep_potential)
+        code, out, _ = run_cli(capsys, "w1", str(demo_instance_path), "--json")
+        doc = json.loads(out)
+        assert code == 1 and doc["agree"] is False
+        assert "potential jumps by more than 1" in doc["lp_skipped"]
+        code, out, _ = run_cli(capsys, "verify", "duality")
+        records = json.loads(out)["suites"][0]["records"]
+        assert code == 1
+        assert all("potential jumps by more than 1" in r["detail"] for r in records)
+
     def test_plan_marginals_are_checked_by_both_commands(self, capsys, monkeypatch,
                                                          demo_instance_path):
-        from treeot.lp import TransportPlan
-
-        monkeypatch.setattr(TransportPlan, "satisfies_marginals", lambda self, mu, nu: False)
+        _break_everywhere(monkeypatch, "satisfies_marginals", lambda original: lambda *args: False)
         self.assert_both_fail(capsys, [str(demo_instance_path)], "duality")
 
     def test_a_broken_radial_route_fails_both_commands(self, capsys, monkeypatch):
@@ -1075,3 +1101,13 @@ class TestProfileSpecs:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             parse_profile_spec("disc:r=1", 2, 1)
+
+    @pytest.mark.parametrize("spec, item", [
+        ("sphere:rr=3", "rr=3"), ("sphere:3", "3"), ("ball:n=4", "n=4"),
+        ("srw:alpha=1/2,r=5", "r=5"), ("sphere:r=2,r=3", "r=3"),
+    ])
+    def test_unread_items_refused(self, capsys, spec, item):
+        # Each of these once ran on a default or an earlier value and exited 0.
+        code, out, err = run_cli(capsys, "w1", "--radial", spec, "--q", "2", "--d", "1")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: profile item '{item}' ")

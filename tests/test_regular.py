@@ -8,7 +8,7 @@ import pytest
 
 from treeot.errors import InvalidParams, TooLarge, TruncationTooSmall
 from treeot.families import srw_profile
-from treeot.regular import (BasepointCoord, PairGeometry, RadialProfile, ball_profile, ball_size,
+from treeot.regular import (PairGeometry, RadialProfile, ball_profile, ball_size,
                             build_truncated_tree, flow_direction_check, profile_total_mass,
                             radial_measure, radial_potential, radial_potential_field,
                             sphere_profile, sphere_size, truncation_size, w1_radial_flow_formula,
@@ -146,10 +146,10 @@ class TestTruncation:
 class TestCoordinates:
     def test_centers_and_path(self):
         tt = build_truncated_tree(2, 3, 2)
-        assert tt.coord(tt.x) == BasepointCoord(0, 0)
-        assert tt.coord(tt.y) == BasepointCoord(3, 0)
+        assert (tt.i[tt.x], tt.h[tt.x]) == (0, 0)
+        assert (tt.i[tt.y], tt.h[tt.y]) == (3, 0)
         for j, z in enumerate(tt.path):
-            assert tt.coord(z) == BasepointCoord(j, 0)
+            assert (tt.i[z], tt.h[z]) == (j, 0)
 
     @pytest.mark.parametrize("q,d,radius", COORD_CASES)
     def test_distance_identity(self, q, d, radius):
@@ -158,9 +158,9 @@ class TestCoordinates:
         dx = _hop_distances(adjacency, tt.x)
         dy = _hop_distances(adjacency, tt.y)
         for v in range(tt.tree.num_vertices):
-            c = tt.coord(v)
-            assert dx[v] == c.i + c.h
-            assert dy[v] == d - c.i + c.h
+            i, h = tt.i[v], tt.h[v]
+            assert dx[v] == i + h
+            assert dy[v] == d - i + h
 
 
 class TestRadialMeasure:
@@ -217,12 +217,12 @@ class TestRadialMeasure:
 class TestRadialPotential:
     def test_center_values(self):
         g = PairGeometry(2, 2)
-        assert radial_potential(BasepointCoord(0, 0), g) == 1
-        assert radial_potential(BasepointCoord(2, 0), g) == -1
+        assert radial_potential(0, 0, g) == 1
+        assert radial_potential(2, 0, g) == -1
 
     def test_half_integer_value(self):
         g = PairGeometry(2, 3)
-        assert radial_potential(BasepointCoord(2, 1), g) == Fraction(-3, 2)
+        assert radial_potential(2, 1, g) == Fraction(-3, 2)
 
     @pytest.mark.parametrize("q,d,profile_kind", [(2, 2, "sphere"), (3, 3, "walk"), (2, 4, "ball")])
     def test_adapted_to_the_flow_on_truncations(self, q, d, profile_kind):
@@ -322,5 +322,5 @@ class TestFlowDirections:
             radial_measure(tt, tt.x, profile), radial_measure(tt, tt.y, profile)))
         mid = tt.path[1]
         for w in adjacency_of(tt.tree)[mid]:
-            if tt.coord(w).h > 0:
+            if tt.h[w] > 0:
                 assert flow.signed(mid, w) == 0

@@ -33,10 +33,6 @@ class TestBasics:
         with pytest.raises(NonUnitDivisor):
             Series([1, 0], order=1) / Series([0, 1], order=1)
 
-    def test_derivative(self):
-        s = Series([5, 1, 3, 2], order=3).derivative()
-        assert s.coefficients == (Fraction(1), Fraction(6), Fraction(6), Fraction(0))
-
 
 class TestDivideByY:
     """A divisor that starts at y^v: the dividend must start there too, both

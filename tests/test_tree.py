@@ -89,7 +89,7 @@ class TestValidateTree:
 @pytest.mark.parametrize("value", [0.1, True])
 @pytest.mark.parametrize("build", [
     lambda x: Measure({0: x}),
-    lambda x: Assignment.of({0: x, 1: -1}),
+    lambda x: Assignment({0: x, 1: -1}),
     lambda x: RadialProfile((x,)),
     lambda x: Series((x,)),
 ], ids=["Measure", "Assignment", "RadialProfile", "Series"])
@@ -119,7 +119,11 @@ class TestAssignment:
 
     def test_public_constructor_checks_the_sum(self):
         with pytest.raises(ValueError, match="sum to zero"):
-            Assignment({0: 1, 1: -2}, 3)
+            Assignment({0: Fraction(1, 3), 1: Fraction(-2, 3)})
+
+    def test_public_constructor_drops_zeros_over_the_lcm(self):
+        rho = Assignment({0: 0, 1: Fraction(1, 6), 2: Fraction(-1, 4), 3: "1/12"})
+        assert rho.scale == 12 and rho.num == {1: 2, 2: -3, 3: 1}
 
     def test_demo_charges(self):
         tree, mu, nu = demo_tree()
@@ -132,7 +136,7 @@ class TestAssignment:
 class TestUniqueFlow:
     def test_zero_assignment_zero_flow(self):
         tree = validate_tree(range(3), [(0, 1), (1, 2)])
-        flow = unique_flow(tree, Assignment.of({}))
+        flow = unique_flow(tree, Assignment({}))
         assert {(u, v): flow.signed(u, v) for u, v in tree.edges if flow.signed(u, v)} == {}
         assert flow_cost(flow) == 0
 
@@ -163,7 +167,7 @@ class TestUniqueFlow:
             tree = random_tree(rng, n)
             charges = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for v in range(n - 1)}
             charges[n - 1] = -sum(charges.values(), Fraction(0))
-            rho = Assignment.of(charges)
+            rho = Assignment(charges)
             flow = unique_flow(tree, rho)
             assert list(divergence(tree, flow)) == [rho.value(v) for v in range(n)]
 
@@ -171,7 +175,7 @@ class TestUniqueFlow:
 class TestGoodPotential:
     def test_zero_flow_constant_potential(self):
         tree = validate_tree(range(4), [(0, 1), (1, 2), (2, 3)])
-        phi = good_potential(tree, unique_flow(tree, Assignment.of({})))
+        phi = good_potential(tree, unique_flow(tree, Assignment({})))
         assert set(phi.values) == {Fraction(0)}
 
     def test_demo_potential_reference_values(self):
@@ -220,7 +224,7 @@ class TestGoodPotential:
 class TestPotentialValue:
     def test_zero_assignment(self):
         tree = validate_tree(range(2), [(0, 1)])
-        rho = Assignment.of({})
+        rho = Assignment({})
         phi = good_potential(tree, unique_flow(tree, rho))
         assert potential_value(rho, phi) == 0
 
@@ -291,7 +295,7 @@ def test_flow_divergence_property(seed):
     tree = random_tree(rng, n)
     charges = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for v in range(n - 1)}
     charges[n - 1] = -sum(charges.values(), Fraction(0))
-    rho = Assignment.of(charges)
+    rho = Assignment(charges)
     flow = unique_flow(tree, rho)
     assert list(divergence(tree, flow)) == [rho.value(v) for v in range(n)]
 
@@ -345,6 +349,13 @@ class TestChargeBudget:
             Measure(masses)
         assert time.perf_counter() - start < 1.0
 
+    def test_assignment_refused_in_constructor(self):
+        charges = {v: Fraction(1, FERMAT[v % 20]) for v in range(2000)}
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="1048576 bits over 2000 values"):
+            Assignment(charges)
+        assert time.perf_counter() - start < 1.0
+
     def test_assignment_refused_before_scaling(self):
         # Each measure is under the cap; the lcm of their scales is not.
         mu = Measure({v: Fraction(1, FERMAT[v % 10]) for v in range(2000)})
@@ -357,7 +368,8 @@ class TestChargeBudget:
     def test_flow_refused_before_allocating(self):
         n = 2000
         tree = validate_tree(range(n), [(i, i + 1) for i in range(n - 1)])
-        rho = Assignment({0: 1, n - 1: -1}, math.prod(FERMAT))
+        scale = math.prod(FERMAT)
+        rho = Assignment({0: Fraction(1, scale), n - 1: Fraction(-1, scale)})
         start = time.perf_counter()
         with pytest.raises(TooLarge, match="1048576 bits over 2000 values"):
             unique_flow(tree, rho)
