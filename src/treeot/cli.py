@@ -86,10 +86,16 @@ def _parse_list(text: str, read=int) -> list:
 _PROFILE_KEYS = {"srw": ("alpha", "n"), "sphere": ("r",), "ball": ("r",)}
 
 
-def _support_radius(fields: dict, key: str, q: int, d: int) -> int:
-    """A named profile's support radius ``fields[key]``; refuses its truncation
-    at center distance ``d`` over the size cap before the profile is built."""
-    radius = int(fields.get(key, "1"))
+def _support_radius(spec: str, fields: dict, key: str, q: int, d: int) -> int:
+    """A named profile's support radius ``fields[key]``; refuses a value that
+    is not an integer, naming the key and the spec, and the truncation at
+    center distance ``d`` over the size cap before the profile is built."""
+    value = fields.get(key, "1")
+    try:
+        radius = int(value)
+    except ValueError:
+        raise ValueError(f"profile {_shown(spec)} needs an integer {key}, "
+                         f"got {_shown(value)}") from None
     truncation_size(q, d, radius + d)
     return radius
 
@@ -106,7 +112,10 @@ def parse_profile_spec(spec: str, q: int,
         body = rest.strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError(f"custom profile needs a [..] list, got {rest!r}")
-        values = [parse_rational(tok) for tok in body[1:-1].split(",") if tok.strip()]
+        tokens = body[1:-1].split(",") if body[1:-1].strip() else []
+        if not all(tok.strip() for tok in tokens):
+            raise ValueError(f"custom profile {_shown(spec)} has an empty entry")
+        values = [parse_rational(tok) for tok in tokens]
         return "custom", None, 0, RadialProfile(tuple(values))
     if kind not in _PROFILE_KEYS:
         raise ValueError(f"unknown profile kind {kind!r}")
@@ -126,9 +135,9 @@ def parse_profile_spec(spec: str, q: int,
         fields[key] = value.strip()
     if kind == "srw":
         alpha = parse_rational(fields.get("alpha", "0"))
-        n = _support_radius(fields, "n", q, d)
+        n = _support_radius(spec, fields, "n", q, d)
         return "srw", alpha, n, srw_profile(alpha, q, n)
-    r = _support_radius(fields, "r", q, d)
+    r = _support_radius(spec, fields, "r", q, d)
     return kind, None, r, (sphere_profile if kind == "sphere" else ball_profile)(q, r)
 
 

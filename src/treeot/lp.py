@@ -10,11 +10,12 @@ The masses enter as integers over L, the lcm of the two measures' scales.
 The transportation matrix is totally unimodular, so with integer supplies
 and demands every basic solution is integral; the costs are hop counts, so
 dual prices and reduced costs are integers too. Only the value and the plan
-entries become Fractions over L, once, at the end. The basis is one rooted
-spanning tree kept across pivots: a pivot re-hangs and re-prices only the
-subtree that the leaving cell cuts off. Bland's rule and its tie-break pick
-the entering and leaving cells, so the pivots and the plan do not depend on
-how the tree is stored.
+entries become Fractions over L, once, at the end. The basis starts from
+the least-cost allocation, which reads only the costs and the masses, and is
+one rooted spanning tree kept across pivots: a pivot re-hangs and re-prices
+only the subtree that the leaving cell cuts off. Bland's rule and its
+tie-break pick the entering and leaving cells, so the pivots and the plan do
+not depend on how the tree is stored.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count
 from operator import and_, sub
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InfeasiblePotential, MassMismatch, TooLarge
-from .tree import (Measure, Potential, Tree, _adjacency, _build_graph, _hop_distances,
-                   _pair_scale, _peel, _require_connected, assignment_from, potential_value)
+from .tree import (Measure, Potential, Tree, _adjacency, _hop_distances, _pair_scale, _peel,
+                   assignment_from, potential_value)
 
 #: Supports larger than this are refused; the exact simplex is for desk-scale
 #: verification, not production-scale solving.
@@ -99,16 +100,6 @@ class FiniteGraph:
                    _core_adjacency=_adjacency(len(core), edges))
 
     @classmethod
-    def build(cls, vertices: Sequence[Hashable], edges: Iterable[tuple],
-              keep: Iterable[int] | None = None) -> "FiniteGraph":
-        """The graph on ``vertices`` with ``edges``, given by label; its core
-        spans the dense indices in ``keep``, or the whole graph."""
-        labels, _, dense_edges, adjacency = _build_graph(vertices, edges)
-        _require_connected(adjacency)
-        ends = [u for u, _ in dense_edges], [v for _, v in dense_edges]
-        return cls._over(len(labels), ends, keep)
-
-    @classmethod
     def from_tree(cls, tree: Tree, keep: Iterable[int] | None = None) -> "FiniteGraph":
         """The tree as a graph over its edge endpoints; its core spans the
         vertices in ``keep``, or the whole tree. Reads neither the tree's
@@ -163,36 +154,45 @@ def _transportation_simplex(
     allocation of every basic cell, zero-valued ones included.
 
     The basis is a spanning tree of the bipartite supply/demand graph (rows
-    are nodes 0..m-1, columns m..m+n-1), kept rooted at row 0 with its
-    parent, depth and dual price across pivots. A pivot closes the entering
-    cell's cycle by climbing from both of its ends to their common ancestor.
-    The leaving cell cuts off the subtree under it; the entering cell's end
-    inside that subtree is hung from its other end, and only that subtree is
-    re-priced. Bland's rule (lexicographically smallest entering cell with
-    negative reduced cost, smallest leaving cell among ties) rules out
-    cycling.
+    are nodes 0..m-1, columns m..m+n-1). It starts from the least-cost
+    allocation, ties broken by row then column, and is kept rooted at row 0
+    with its parent, depth and dual price across pivots. A pivot closes the
+    entering cell's cycle by climbing from both of its ends to their common
+    ancestor. The leaving cell cuts off the subtree under it; the entering
+    cell's end inside that subtree is hung from its other end, and only that
+    subtree is re-priced. Bland's rule (lexicographically smallest entering
+    cell with negative reduced cost, smallest leaving cell among ties) rules
+    out cycling.
     """
     m, n = len(supply), len(demand)
 
-    # Northwest-corner start: a staircase spanning tree with m+n-1 cells.
+    # Least-cost start: take the open cells in (cost, row, column) order; each
+    # closes one line, the row once it runs dry unless it is the last open row,
+    # else the column. The m+n-1 cells, zeros included, span every line.
     alloc: dict[tuple[int, int], int] = {}
     adjacency: list[set[int]] = [set() for _ in range(m + n)]
     ra = list(supply)
     cb = list(demand)
-    i = j = 0
-    while True:
+    row_open = [True] * m
+    col_open = [True] * n
+    rows_left, cols_left = m, n
+    for _, i, j in sorted((costs[i][j], i, j) for i in range(m) for j in range(n)):
+        if not (row_open[i] and col_open[j]):
+            continue
         x = min(ra[i], cb[j])
         alloc[(i, j)] = x
         adjacency[i].add(m + j)
         adjacency[m + j].add(i)
         ra[i] -= x
         cb[j] -= x
-        if i == m - 1 and j == n - 1:
+        if rows_left == 1 and cols_left == 1:
             break
-        if ra[i] == 0 and i < m - 1:
-            i += 1
+        if ra[i] == 0 and rows_left > 1:
+            row_open[i] = False
+            rows_left -= 1
         else:
-            j += 1
+            col_open[j] = False
+            cols_left -= 1
 
     # Row 0 is the root, priced 0; u = price[:m] and v = price[m:].
     parent = [-1] * (m + n)

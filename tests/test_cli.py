@@ -1111,3 +1111,23 @@ class TestProfileSpecs:
         code, out, err = run_cli(capsys, "w1", "--radial", spec, "--q", "2", "--d", "1")
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith(f"error: profile item '{item}' ")
+
+    @pytest.mark.parametrize("spec",
+                             ["custom:[1,,1]", "custom:[,1]", "custom:[1,]", "custom:[ , ]"])
+    def test_custom_empty_entries_refused(self, capsys, spec):
+        # "custom:[1,,1]" once ran as "custom:[1,1]": w1 = 6 where [1,0,1] gives 15.
+        code, out, err = run_cli(capsys, "w1", "--radial", spec, "--q", "2", "--d", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: custom profile '{spec}' has an empty entry\n"
+
+    def test_empty_custom_list_carries_no_mass(self, capsys):
+        code, out, err = run_cli(capsys, "w1", "--radial", "custom:[]", "--q", "2", "--d", "1")
+        assert (code, out, err) == (2, "", "error: profile must carry some mass\n")
+
+    @pytest.mark.parametrize("spec, key, value", [
+        ("sphere:r=", "r", "''"), ("ball:r=1/2", "r", "'1/2'"), ("srw:n=x", "n", "'x'"),
+    ])
+    def test_radius_errors_name_their_key(self, capsys, spec, key, value):
+        code, out, err = run_cli(capsys, "w1", "--radial", spec, "--q", "2", "--d", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: profile '{spec}' needs an integer {key}, got {value}\n"

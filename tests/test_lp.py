@@ -11,20 +11,30 @@ from treeot.errors import InfeasiblePotential, MassMismatch, TooLarge
 from treeot.instances import instance_from_dict
 from treeot.lp import (FiniteGraph, _transportation_simplex, check_complementary_slackness,
                        satisfies_marginals, verify_duality, w1_lp)
-from treeot.tree import (Measure, Potential, _hop_distances, assignment_from, good_potential,
-                         unique_flow, validate_tree, w1_tree)
+from treeot.tree import (Measure, Potential, _build_graph, _hop_distances, _require_connected,
+                         assignment_from, good_potential, unique_flow, validate_tree, w1_tree)
 
 from conftest import (adjacency_of, demo_doc, random_measure_pair, random_tree, rng_for,
                       run_python)
 
 
+def _build(vertices, edges, keep=None):
+    """The connected graph on ``vertices`` with ``edges``, given by label,
+    cycles allowed; its core spans the dense indices in ``keep``, or the
+    whole graph."""
+    labels, _, dense_edges, adjacency = _build_graph(vertices, edges)
+    _require_connected(adjacency)
+    ends = [u for u, _ in dense_edges], [v for _, v in dense_edges]
+    return FiniteGraph._over(len(labels), ends, keep)
+
+
 class TestDistances:
     def test_single_edge(self):
-        g = FiniteGraph.build([0, 1], [(0, 1)])
+        g = _build([0, 1], [(0, 1)])
         assert g.distance(0, 1) == 1
 
     def test_path(self):
-        g = FiniteGraph.build(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        g = _build(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert g.distance(0, 2) == 2
 
     def test_truncated_three_regular_ball(self):
@@ -39,12 +49,12 @@ class TestDistances:
     def test_disconnected_raises(self):
         from treeot.errors import NotConnected
         with pytest.raises(NotConnected):
-            FiniteGraph.build([0, 1], [])
+            _build([0, 1], [])
 
     def test_self_loop_is_a_cycle(self):
         from treeot.errors import HasCycle
         with pytest.raises(HasCycle):
-            FiniteGraph.build(range(3), [(0, 1), (1, 1), (1, 2)])
+            _build(range(3), [(0, 1), (1, 1), (1, 2)])
 
     def test_rows_match_tree_bfs_on_random_trees(self):
         rng = rng_for(31)
@@ -53,13 +63,13 @@ class TestDistances:
             tree = random_tree(rng, n)
             adjacency = adjacency_of(tree)
             for g in (FiniteGraph.from_tree(tree),
-                      FiniteGraph.build(tree.labels,
-                                        [(tree.labels[u], tree.labels[v]) for u, v in tree.edges])):
+                      _build(tree.labels,
+                             [(tree.labels[u], tree.labels[v]) for u, v in tree.edges])):
                 for u in range(n):
                     assert [g.distance(u, v) for v in range(n)] == _hop_distances(adjacency, u)
 
     def test_rows_on_the_four_cycle(self):
-        g = FiniteGraph.build(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+        g = _build(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
         for u in range(4):
             assert [g.distance(u, v) for v in range(4)] == [min((v - u) % 4, (u - v) % 4)
                                                             for v in range(4)]
@@ -71,7 +81,7 @@ class TestDistances:
         assert _hop_distances(adjacency, 5) == [-1, -1, -1, -1, -1, 0]
 
     def test_matrix_symmetric_zero_diagonal(self):
-        g = FiniteGraph.build(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+        g = _build(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
         for u in range(4):
             assert g.distance(u, u) == 0
             for v in range(4):
@@ -117,14 +127,13 @@ class TestCore:
     def test_core_distances_equal_full_rows_on_graphs_with_cycles(self):
         # Here a peeling fault would lengthen a path rather than cut it, so
         # only a comparison with full rows would show it.
-        from treeot.tree import _build_graph
         rng = rng_for(43)
         for _ in range(60):
             n = rng.randint(3, 120)
             edges = _graph_with_cycles(rng, n)
             mu_at, nu_at = _supports(rng, n)
             support = sorted({*mu_at, *nu_at})
-            g = FiniteGraph.build(range(n), edges, keep=support)
+            g = _build(range(n), edges, keep=support)
             adjacency = _build_graph(range(n), edges)[3]
             for u in support:
                 row = _hop_distances(adjacency, u)
@@ -132,13 +141,12 @@ class TestCore:
 
     def test_peeling_keeps_every_vertex_of_a_cycle(self):
         # A 4-cycle with a pendant path 3-4-5: only the path peels.
-        g = FiniteGraph.build(range(6), [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)],
-                              keep=[0])
+        g = _build(range(6), [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)], keep=[0])
         assert set(g._core) == {0, 1, 2, 3}
         assert [g.distance(0, v) for v in range(4)] == [0, 1, 2, 1]
 
     def test_vertex_outside_the_core_raises(self):
-        g = FiniteGraph.build(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)], keep=[0, 2])
+        g = _build(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)], keep=[0, 2])
         assert set(g._core) == {0, 1, 2} and g.distance(0, 2) == 2
         with pytest.raises(ValueError, match="vertex 4 is outside the graph's core"):
             g.distance(0, 4)
@@ -149,7 +157,7 @@ class TestCore:
 
     def test_kept_vertex_outside_the_graph_raises(self):
         with pytest.raises(ValueError, match="kept vertex 5 is outside the graph"):
-            FiniteGraph.build(range(3), [(0, 1), (1, 2)], keep=[0, 5])
+            _build(range(3), [(0, 1), (1, 2)], keep=[0, 5])
 
     def test_nothing_kept_leaves_an_empty_core(self):
         tree = random_tree(rng_for(5), 9)
@@ -180,7 +188,7 @@ class TestCore:
         import treeot.lp
         monkeypatch.setattr(treeot.lp, "_peel", lambda *args: None)
         with pytest.raises(RuntimeError, match="emptied a component"):
-            FiniteGraph.build(range(3), [(0, 1), (1, 2)], keep=[0])
+            _build(range(3), [(0, 1), (1, 2)], keep=[0])
 
     def test_core_reads_neither_the_rooting_nor_the_edge_pairs(self):
         from dataclasses import replace
@@ -207,14 +215,14 @@ class TestCore:
 
 class TestW1LP:
     def test_identical_measures_cost_zero(self):
-        g = FiniteGraph.build(range(3), [(0, 1), (1, 2)])
+        g = _build(range(3), [(0, 1), (1, 2)])
         mu = Measure({0: Fraction(1, 2), 2: Fraction(1, 2)})
         value, plan = w1_lp(g, mu, mu)
         assert value == 0
         assert set(plan) <= {(0, 0), (2, 2)}
 
     def test_point_masses(self):
-        g = FiniteGraph.build(range(4), [(0, 1), (1, 2), (2, 3)])
+        g = _build(range(4), [(0, 1), (1, 2), (2, 3)])
         value, plan = w1_lp(g, Measure({0: 1}), Measure({3: 1}))
         assert value == 3
         assert plan == {(0, 3): Fraction(1)}
@@ -227,18 +235,18 @@ class TestW1LP:
 
     def test_works_on_cyclic_graphs(self):
         # 4-cycle: two opposite point masses are 2 apart.
-        g = FiniteGraph.build(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+        g = _build(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
         value, _ = w1_lp(g, Measure({0: 1}), Measure({2: 1}))
         assert value == 2
 
     def test_mass_mismatch(self):
-        g = FiniteGraph.build(range(2), [(0, 1)])
+        g = _build(range(2), [(0, 1)])
         with pytest.raises(MassMismatch):
             w1_lp(g, Measure({0: 1}), Measure({1: 2}))
 
     def test_too_large_rejected(self):
         n = 45
-        g = FiniteGraph.build(range(n), [(i, i + 1) for i in range(n - 1)])
+        g = _build(range(n), [(i, i + 1) for i in range(n - 1)])
         mu = Measure({v: 1 for v in range(41)})
         nu = Measure({v: Fraction(41, n) for v in range(n)})
         with pytest.raises(TooLarge):
@@ -246,20 +254,20 @@ class TestW1LP:
 
     def test_cap_refuses_before_totals_are_compared(self):
         n = 45
-        g = FiniteGraph.build(range(n), [(i, i + 1) for i in range(n - 1)])
+        g = _build(range(n), [(i, i + 1) for i in range(n - 1)])
         mu = Measure({v: 1 for v in range(41)})
         nu = Measure({v: 1 for v in range(n)})
         with pytest.raises(TooLarge):
             w1_lp(g, mu, nu)
 
     def test_empty_measures(self):
-        g = FiniteGraph.build(range(2), [(0, 1)])
+        g = _build(range(2), [(0, 1)])
         value, plan = w1_lp(g, Measure({}), Measure({}))
         assert value == 0 and plan == {}
 
     def test_scales_merge_over_their_lcm(self):
         # Sixths against tenths: the simplex runs over L = 30, which is neither scale.
-        g = FiniteGraph.build(range(4), [(0, 1), (1, 2), (2, 3)])
+        g = _build(range(4), [(0, 1), (1, 2), (2, 3)])
         mu = Measure({0: Fraction(1, 6), 1: Fraction(5, 6)})
         nu = Measure({2: Fraction(3, 10), 3: Fraction(7, 10)})
         assert (mu.scale, nu.scale) == (6, 10)
@@ -279,11 +287,11 @@ class TestW1LP:
 
 class TestDualSide:
     def test_constant_potential_feasible(self):
-        g = FiniteGraph.build(range(3), [(0, 1), (1, 2)])
+        g = _build(range(3), [(0, 1), (1, 2)])
         assert Potential((Fraction(1),) * 3).is_edge_lipschitz(g)
 
     def test_jump_of_two_infeasible(self):
-        g = FiniteGraph.build(range(2), [(0, 1)])
+        g = _build(range(2), [(0, 1)])
         assert not Potential((Fraction(0), Fraction(2))).is_edge_lipschitz(g)
 
     def test_demo_potential_feasible_and_optimal(self):
@@ -298,18 +306,18 @@ class TestDualSide:
         assert report.optimal_certificate
 
     def test_infeasible_potential_raises(self):
-        g = FiniteGraph.build(range(2), [(0, 1)])
+        g = _build(range(2), [(0, 1)])
         with pytest.raises(InfeasiblePotential):
             verify_duality(g, Measure({0: 1}), Measure({1: 1}),
                            Potential((Fraction(0), Fraction(5))))
 
     def test_slackness_on_diagonal_plan(self):
-        g = FiniteGraph.build(range(3), [(0, 1), (1, 2)])
+        g = _build(range(3), [(0, 1), (1, 2)])
         plan = {(0, 0): Fraction(1)}
         assert check_complementary_slackness(g, plan, Potential((Fraction(0),) * 3))
 
     def test_slackness_fails_on_short_moves(self):
-        g = FiniteGraph.build(range(3), [(0, 1), (1, 2)])
+        g = _build(range(3), [(0, 1), (1, 2)])
         plan = {(0, 2): Fraction(1)}
         assert not check_complementary_slackness(g, plan, Potential((Fraction(0),) * 3))
 
@@ -379,19 +387,20 @@ def _reference_simplex(costs, supply, demand):
     basis = set()
     ra = list(supply)
     cb = list(demand)
-    i = j = 0
-    while True:
+    rows, cols = set(range(m)), set(range(n))
+    while True:  # least-cost start: the cheapest open cell, ties by row then column
+        _, i, j = min((costs[i][j], i, j) for i in rows for j in cols)
         x = min(ra[i], cb[j])
         alloc[(i, j)] = x
         basis.add((i, j))
         ra[i] -= x
         cb[j] -= x
-        if i == m - 1 and j == n - 1:
+        if len(rows) == 1 and len(cols) == 1:
             break
-        if ra[i] == 0 and i < m - 1:
-            i += 1
+        if ra[i] == 0 and len(rows) > 1:
+            rows.remove(i)
         else:
-            j += 1
+            cols.remove(j)
 
     max_pivots = 50 * (m + n + 1) ** 2
     for _ in range(max_pivots):
@@ -477,6 +486,27 @@ def _split(rng, total, parts, zeros=False):
     return [b - a + low for a, b in zip([0, *cuts], [*cuts, total - parts * low])]
 
 
+def _bench_shaped_instances():
+    """Two pairs of 40-point measures on one 2000-vertex random tree, as the
+    benchmark's ``cli-w1`` files have them: each as the tree, its graph, the
+    two measures, and the simplex's integer costs, supplies and demands."""
+    rng = rng_for(17)
+    tree = random_tree(rng, 2000)
+    g = FiniteGraph.from_tree(tree)
+    for _ in range(2):
+        sides = []
+        for _ in range(2):
+            chosen = rng.sample(range(2000), 40)
+            raw = [Fraction(rng.randint(1, 64), rng.randint(1, 64)) for _ in chosen]
+            total = sum(raw, Fraction(0))
+            sides.append(Measure({v: x / total for v, x in zip(chosen, raw)}))
+        mu, nu = sides
+        scale = lcm(mu.scale, nu.scale)
+        costs = [[g.distance(u, v) for v in nu.support()] for u in mu.support()]
+        yield tree, g, mu, nu, (costs, [mu.num[u] * (scale // mu.scale) for u in mu.support()],
+                                [nu.num[v] * (scale // nu.scale) for v in nu.support()])
+
+
 class TestSimplexAgainstFractionOracle:
     """The integer simplex makes the pivots of the Fraction one it replaced:
     the same value and the same allocation on every basic cell, zeros included."""
@@ -518,27 +548,37 @@ class TestSimplexAgainstFractionOracle:
             self._agree(costs, supply, demand)
 
     def test_bench_shaped_tree(self):
-        rng = rng_for(17)
-        tree = random_tree(rng, 2000)
-        g = FiniteGraph.from_tree(tree)
-        for _ in range(2):
-            sides = []
-            for _ in range(2):
-                chosen = rng.sample(range(2000), 40)
-                raw = [Fraction(rng.randint(1, 64), rng.randint(1, 64)) for _ in chosen]
-                total = sum(raw, Fraction(0))
-                sides.append(Measure({v: x / total for v, x in zip(chosen, raw)}))
-            mu, nu = sides
-            scale = lcm(mu.scale, nu.scale)
-            costs = [[g.distance(u, v) for v in nu.support()] for u in mu.support()]
-            self._agree(costs, [mu.num[u] * (scale // mu.scale) for u in mu.support()],
-                        [nu.num[v] * (scale // nu.scale) for v in nu.support()])
+        for tree, g, mu, nu, lp_input in _bench_shaped_instances():
+            self._agree(*lp_input)
             assert w1_lp(g, mu, nu)[0] == w1_tree(tree, mu, nu)
+
+    def test_bench_shaped_pivots_stay_linear(self, monkeypatch):
+        # Every pivot re-hangs from a nonzero top; the start hangs from row 0.
+        # The least-cost start needs 80 and 122 pivots here, the northwest
+        # corner 514 and 438.
+        import treeot.lp
+        hang = treeot.lp._hang
+        tops = []
+
+        def counting(costs, m, adjacency, parent, depth, price, top):
+            tops.append(top)
+            hang(costs, m, adjacency, parent, depth, price, top)
+
+        monkeypatch.setattr(treeot.lp, "_hang", counting)
+        for *_, lp_input in _bench_shaped_instances():
+            tops.clear()
+            _transportation_simplex(*lp_input)
+            m, n = len(lp_input[1]), len(lp_input[2])
+            assert tops[0] == 0 and 0 not in tops[1:]
+            assert len(tops) - 1 <= 2 * (m + n)
 
     def test_inconsistent_basis_tree_raises_instead_of_hanging(self):
         # With one depth left one too low below the root, the common-ancestor
-        # climb once never met; bounded at m + n steps, it raises. A fresh
-        # process with a timeout keeps a regression from stalling the suite.
+        # climb once never met; bounded at m + n steps, it raises. The fault
+        # enters at a re-hang, so the trees have 20 to 40 vertices: their
+        # supports are large enough that pivots chain and a later climb reads
+        # the skewed depth. A fresh process with a timeout keeps a regression
+        # from stalling the suite.
         done = run_python(
             "import random\n"
             "from treeot import lp\n"
@@ -551,7 +591,7 @@ class TestSimplexAgainstFractionOracle:
             "lp._hang = skewed\n"
             "rng = random.Random(2024)\n"
             "for _ in range(60):\n"
-            "    n = rng.randint(6, 12)\n"
+            "    n = rng.randint(20, 40)\n"
             "    tree = random_tree(rng, n)\n"
             "    mu, nu = random_measure_pair(rng, n)\n"
             "    try:\n"
