@@ -35,19 +35,12 @@ class LinearAsymptotic:
         return self.A * n + self.B
 
 
-def _common_factor(geometry: PairGeometry) -> Fraction:
-    """q + 1 - q^(1-ceil(d/2)) - q^(-floor(d/2)): shared by all three slopes
-    and by the intercept gaps; at least q - 1 > 0."""
-    q = geometry.q
-    return q + 1 - _qpow(q, 1 - geometry.delta_prime) - _qpow(q, -geometry.delta)
-
-
 def srw_AB(alpha: RationalLike, d: int, q: int) -> LinearAsymptotic:
     """Walk-family coefficients. The intercept does not depend on alpha."""
     alpha = _check_alpha(alpha)
     geometry = PairGeometry(q, d)
     delta, delta_p = geometry.delta, geometry.delta_prime
-    a = 2 * (1 - alpha) * _common_factor(geometry) * Fraction(q - 1, (q + 1) ** 2)
+    a = 2 * (1 - alpha) * geometry.slope_factor * Fraction(q - 1, (q + 1) ** 2)
     b = (Fraction(d)
          + Fraction(2, q + 1) * (delta * _qpow(q, -delta) + delta_p * _qpow(q, 1 - delta_p))
          + Fraction(2, (q + 1) ** 2) * (_qpow(q, 1 - delta) - _qpow(q, 1 - delta_p)))
@@ -58,7 +51,7 @@ def sphere_AB(d: int, q: int) -> LinearAsymptotic:
     """Sphere-family coefficients; the affine law is exact once n >= d."""
     geometry = PairGeometry(q, d)
     delta, delta_p = geometry.delta, geometry.delta_prime
-    a = 2 * _common_factor(geometry) / (q + 1)
+    a = 2 * geometry.slope_factor / (q + 1)
     b = Fraction(d) + Fraction(
         -4 * q
         + 2 * (delta_p * (q - 1) + 1) * _qpow(q, 1 - delta_p)
@@ -71,7 +64,7 @@ def ball_AB(d: int, q: int) -> LinearAsymptotic:
     """Ball-family coefficients (same slope as spheres, smaller intercept)."""
     geometry = PairGeometry(q, d)
     delta, delta_p = geometry.delta, geometry.delta_prime
-    a = 2 * _common_factor(geometry) / (q + 1)
+    a = 2 * geometry.slope_factor / (q + 1)
     b = Fraction(d) + Fraction(
         -6 * q - 2
         + 2 * (delta_p * (q - 1) + 2) * _qpow(q, 1 - delta_p)
@@ -110,65 +103,27 @@ def h_values(alpha: RationalLike, q: int) -> HValues:
     return HValues(h1_at_1=h1, h1_prime_at_1=h1_prime, h_at_1=Fraction(q, q + 1))
 
 
-@dataclass(frozen=True)
-class InequalityReport:
-    """Exact comparisons between the six coefficients at one parameter point."""
-
-    alpha: Fraction
-    d: int
-    q: int
-    a_srw: Fraction
-    a_sphere: Fraction
-    a_ball: Fraction
-    b_srw: Fraction
-    b_sphere: Fraction
-    b_ball: Fraction
-    chain_a: bool
-    chain_b: bool
-    ball_floor_equality: bool
-    gap_srw_sphere: Fraction
-    gap_sphere_ball: Fraction
-    witnesses_match: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.chain_a and self.chain_b and self.witnesses_match
-
-    def as_dict(self) -> dict:
-        return {
-            "alpha": str(self.alpha), "d": self.d, "q": self.q,
-            "A_srw": str(self.a_srw), "A_sphere": str(self.a_sphere),
-            "A_ball": str(self.a_ball), "B_srw": str(self.b_srw),
-            "B_sphere": str(self.b_sphere), "B_ball": str(self.b_ball),
-            "chain_a": self.chain_a, "chain_b": self.chain_b,
-            "ball_floor_equality": self.ball_floor_equality,
-            "passed": self.passed,
-        }
-
-
-def verify_inequalities(alpha: RationalLike, d: int, q: int) -> InequalityReport:
+def verify_inequalities(alpha: RationalLike, d: int, q: int) -> dict:
     """Check 0 < A_srw < A_sphere = A_ball < 2 and B_srw > B_sphere > B_ball >= 1/3,
-    plus the closed forms of the two intercept gaps."""
+    plus the closed forms of the two intercept gaps, as one JSON record: the
+    cell, the six coefficients as strings, the two chains, whether B_ball meets
+    its 1/3 floor, and ``passed``, which needs both chains and both gaps."""
     alpha = _check_alpha(alpha)
     geometry = PairGeometry(q, d)
     srw = srw_AB(alpha, d, q)
     sph = sphere_AB(d, q)
     bal = ball_AB(d, q)
-    common = _common_factor(geometry)
-    gap_bs = Fraction(4 * q, (q + 1) ** 2 * (q - 1)) * common
-    gap_sb = Fraction(2, q * q - 1) * common
+    common = geometry.slope_factor
     chain_a = 0 < srw.A < sph.A == bal.A < 2
     chain_b = srw.B > sph.B > bal.B >= Fraction(1, 3)
-    witnesses = (srw.B - sph.B == gap_bs) and (sph.B - bal.B == gap_sb)
-    return InequalityReport(
-        alpha=alpha, d=d, q=q,
-        a_srw=srw.A, a_sphere=sph.A, a_ball=bal.A,
-        b_srw=srw.B, b_sphere=sph.B, b_ball=bal.B,
-        chain_a=chain_a, chain_b=chain_b,
-        ball_floor_equality=(bal.B == Fraction(1, 3)),
-        gap_srw_sphere=gap_bs, gap_sphere_ball=gap_sb,
-        witnesses_match=witnesses,
-    )
+    witnesses = (srw.B - sph.B == Fraction(4 * q, (q + 1) ** 2 * (q - 1)) * common
+                 and sph.B - bal.B == Fraction(2, q * q - 1) * common)
+    return {"alpha": str(alpha), "d": d, "q": q,
+            "A_srw": str(srw.A), "A_sphere": str(sph.A), "A_ball": str(bal.A),
+            "B_srw": str(srw.B), "B_sphere": str(sph.B), "B_ball": str(bal.B),
+            "chain_a": chain_a, "chain_b": chain_b,
+            "ball_floor_equality": bal.B == Fraction(1, 3),
+            "passed": chain_a and chain_b and witnesses}
 
 
 @dataclass(frozen=True)

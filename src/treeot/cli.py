@@ -165,13 +165,11 @@ def _cmd_w1(args: argparse.Namespace) -> int:
         return _cmd_w1_radial(args)
     if not args.instance:
         raise ValueError("give an instance file, or --radial with --q/--d")
-    paths, duality, agree = duality_cell(*load_instance(args.instance))
-    if isinstance(duality, str):
-        return _print_w1(args, paths, agree, {}, {"lp_skipped": duality},
-                         [f"lp skipped: {duality}"])
-    return _print_w1(args, paths, agree, {}, {"duality": duality.as_dict()},
-                     [f"duality certificate: primal={duality.primal} dual={duality.dual} "
-                      f"optimal={duality.optimal_certificate}"])
+    paths, block, agree = duality_cell(*load_instance(args.instance))
+    cert = block.get("duality")
+    note = (f"duality certificate: primal={cert['primal']} dual={cert['dual']} "
+            f"optimal={cert['certificate']}" if cert else f"lp skipped: {block['lp_skipped']}")
+    return _print_w1(args, paths, agree, {}, block, [note])
 
 
 def _cmd_w1_radial(args: argparse.Namespace) -> int:
@@ -326,9 +324,10 @@ def _cmd_verify_ineq(args: argparse.Namespace) -> int:
         raise TooLarge(f"the grid has {cells:,} cells, over the {MAX_INEQUALITY_CELLS:,}-cell "
                        f"cap on verify-ineq")
     # Every row is built before any is written, so a bad cell prints no partial table.
-    rows = [[format_rational(alpha), d, q, rep.chain_a, rep.chain_b, rep.ball_floor_equality, ok]
+    rows = [[format_rational(alpha), d, q, rec["chain_a"], rec["chain_b"],
+             rec["ball_floor_equality"], ok]
             for alpha in grid["alpha"] for d in grid["d"] for q in grid["q"]
-            for rep, ok in [inequality_cell(alpha, d, q)]]
+            for rec, ok in [inequality_cell(alpha, d, q)]]
     writer = csv.writer(sys.stdout)
     writer.writerow(["alpha", "d", "q", "chain_a", "chain_b", "ball_floor_equality", "passed"])
     writer.writerows(rows)

@@ -95,9 +95,6 @@ class GTable:
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(map(Fraction, row, self.scales)) for row in zip(*self.columns))
 
-    def value(self, ell: int, n: int) -> Fraction:
-        return Fraction(self.columns[n][ell], self.scales[n])
-
     def column_profile(self, n: int) -> RadialProfile:
         """The time-n column as a radial profile."""
         return RadialProfile(self.columns[n], self.scales[n])
@@ -348,7 +345,7 @@ def w1_via_genfun(bundle: GFBundle, geometry: PairGeometry, n: int) -> Fraction:
         raise InvalidParams(
             f"bundle carries {len(bundle.gammas)} distance rows, need {delta + 1} for d={d}")
 
-    c_g1 = 2 * q + 2 - 2 * _qpow(q, 1 - delta_p) - 2 * _qpow(q, -delta)
+    c_g1 = 2 * geometry.slope_factor
     c_g = (Fraction(d) + Fraction(d, q) - Fraction(4, q - 1)
            + 2 * delta_p * _qpow(q, -delta_p) + Fraction(2, q - 1) * _qpow(q, -delta_p)
            + 2 * delta * _qpow(q, -1 - delta) + Fraction(2, q - 1) * _qpow(q, -delta))

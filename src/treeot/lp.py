@@ -215,13 +215,14 @@ def _transportation_simplex(
 
         # The basis path from the entering cell's row end to its column end:
         # each climbed node stands for the cell to its parent. A tree path has
-        # at most m + n - 1 cells, so a longer climb means parent and depth disagree.
+        # at most m + n - 1 cells, so a longer climb, or one past the root
+        # (parent -1), means parent and depth disagree.
         i0, j0 = entering
         a, b = i0, m + j0
         left: list[int] = []
         right: list[int] = []
         for _ in range(m + n):
-            if a == b:
+            if a == b or a < 0 or b < 0:
                 break
             if depth[a] >= depth[b]:
                 left.append(a)
@@ -229,7 +230,7 @@ def _transportation_simplex(
             else:
                 right.append(b)
                 b = parent[b]
-        else:
+        if a != b:
             raise RuntimeError("transportation simplex basis tree is inconsistent")
         nodes = left + right[::-1]
         path = [(x, parent[x] - m) if x < m else (parent[x], x - m) for x in nodes]
@@ -279,33 +280,22 @@ def _hang(costs, m, adjacency, parent, depth, price, top) -> None:
                     order.append(w)
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    primal: Fraction
-    dual: Fraction
-    optimal_certificate: bool
-    plan: dict[tuple[int, int], Fraction]
-
-    def as_dict(self) -> dict:
-        return {
-            "primal": str(self.primal),
-            "dual": str(self.dual),
-            "certificate": self.optimal_certificate,
-        }
-
-
-def verify_duality(graph: FiniteGraph, mu: Measure, nu: Measure, phi: Potential) -> DualityReport:
-    """Compare the LP optimum against the value of a feasible potential.
-
-    The certificate flag is True exactly when ``phi`` attains the optimum,
-    i.e. when it is an optimal dual solution.
-    """
-    primal, plan = w1_lp(graph, mu, nu)  # refuses supports over the cap before any O(n) pass
+def _check_feasible(graph, phi: Potential) -> None:
+    """Raises :class:`InfeasiblePotential` unless ``phi`` changes by at most 1
+    across every edge of ``graph``, a :class:`Tree` or a :class:`FiniteGraph`."""
     if not phi.is_edge_lipschitz(graph):
         raise InfeasiblePotential("potential jumps by more than 1 across an edge")
-    dual = potential_value(assignment_from(mu, nu), phi)
-    return DualityReport(primal=primal, dual=dual,
-                         optimal_certificate=(primal == dual), plan=plan)
+
+
+def verify_duality(graph: FiniteGraph, mu: Measure, nu: Measure,
+                   phi: Potential) -> tuple[Fraction, Fraction, dict[tuple[int, int], Fraction]]:
+    """The LP optimum, the value of the feasible potential ``phi`` (the tree
+    route's pairing), and one optimal plan. ``phi`` is an optimal dual
+    solution exactly when the two values are equal. Raises
+    :class:`InfeasiblePotential` when ``phi`` is not 1-Lipschitz."""
+    primal, plan = w1_lp(graph, mu, nu)  # refuses supports over the cap before any O(n) pass
+    _check_feasible(graph, phi)
+    return primal, potential_value(assignment_from(mu, nu), phi), plan
 
 
 def check_complementary_slackness(graph: FiniteGraph, plan: Mapping[tuple[int, int], Fraction],

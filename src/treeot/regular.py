@@ -19,7 +19,7 @@ from math import gcd
 from typing import Sequence
 
 from .errors import InvalidParams, TooLarge, TruncationTooSmall
-from .rational import RationalLike, _common_scale, _frac
+from .rational import RationalLike, _common_scale, _frac, _qpow
 from .tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, Flow, Measure, Potential, Tree
 
 
@@ -59,6 +59,14 @@ class PairGeometry:
     def delta_prime(self) -> int:
         """ceil(d / 2)."""
         return (self.d + 1) // 2
+
+    @property
+    def slope_factor(self) -> Fraction:
+        """q + 1 - q^(1-ceil(d/2)) - q^(-floor(d/2)): shared by all three slopes,
+        the intercept gaps and the x-derivative weight of the distance
+        formula; at least q - 1 > 0."""
+        q = self.q
+        return q + 1 - _qpow(q, 1 - self.delta_prime) - _qpow(q, -self.delta)
 
 
 @dataclass(frozen=True, init=False)

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .asymptotics import InequalityReport, gamma_asymptotic, interval_mid, verify_inequalities
+from .asymptotics import gamma_asymptotic, interval_mid, verify_inequalities
 from .families import (bundle_from_table, check_functional_equation, srw_closed_form,
                        srw_g_table, srw_return_sequence)
 from .errors import InfeasiblePotential, TooLarge
-from .lp import (DualityReport, FiniteGraph, _check_support, check_complementary_slackness,
+from .lp import (FiniteGraph, _check_feasible, _check_support, check_complementary_slackness,
                  satisfies_marginals, verify_duality)
 from .rational import decimal_string, format_rational
 from .regular import (PairGeometry, RadialProfile, TruncatedRegularTree, build_truncated_tree,
@@ -113,32 +113,35 @@ def random_profile(rng: random.Random, max_radius: int) -> RadialProfile:
             return RadialProfile(tuple(values))
 
 
-def duality_cell(tree: Tree, mu: Measure,
-                 nu: Measure) -> tuple[dict[str, Fraction], DualityReport | str, bool]:
+def duality_cell(tree: Tree, mu: Measure, nu: Measure) -> tuple[dict[str, Fraction], dict, bool]:
     """The tree routes on one instance: flow, potential and, under the LP's
-    support cap, lp; the duality report, or the text of why there is none;
-    and whether they agree. With the LP, agreement also needs the adapted
-    potential to be 1-Lipschitz, an optimal certificate, complementary
-    slackness and a plan with exact marginals."""
+    support cap, lp; the block that ``treeot w1 --json`` prints after
+    ``agree``, ``{"duality": {"primal", "dual", "certificate"}}`` or
+    ``{"lp_skipped": reason}``; and whether the routes agree. Agreement needs
+    equal values and an adapted potential that is 1-Lipschitz, checked once
+    per instance at every size; with the LP, also an optimal certificate,
+    complementary slackness and a plan with exact marginals."""
     rho = assignment_from(mu, nu)
     flow = unique_flow(tree, rho)
     paths = {"flow": flow_cost(flow)}
     phi = good_potential(tree, flow)
     paths["potential"] = potential_value(rho, phi)
     try:
-        _check_support(mu, nu)  # before the graph, so an instance over the cap peels nothing
-    except TooLarge as exc:
-        return paths, str(exc), paths["flow"] == paths["potential"]
-    graph = FiniteGraph.from_tree(tree, keep=mu.num.keys() | nu.num.keys())
-    try:
-        duality = verify_duality(graph, mu, nu, phi)
+        try:
+            _check_support(mu, nu)  # before the graph, so an instance over the cap peels nothing
+        except TooLarge as exc:
+            _check_feasible(tree, phi)
+            return paths, {"lp_skipped": str(exc)}, paths["flow"] == paths["potential"]
+        graph = FiniteGraph.from_tree(tree, keep=mu.num.keys() | nu.num.keys())
+        primal, dual, plan = verify_duality(graph, mu, nu, phi)  # checks feasibility under the cap
     except InfeasiblePotential as exc:  # the potential route's fault, not the input's
-        return paths, f"the adapted potential is infeasible: {exc}", False
-    paths["lp"] = duality.primal
-    ok = (len(set(paths.values())) == 1 and duality.optimal_certificate
-          and check_complementary_slackness(graph, duality.plan, phi)
-          and satisfies_marginals(duality.plan, mu, nu))
-    return paths, duality, ok
+        return paths, {"lp_skipped": f"the adapted potential is infeasible: {exc}"}, False
+    paths["lp"] = primal
+    ok = (len(set(paths.values())) == 1 and primal == dual
+          and check_complementary_slackness(graph, plan, phi)
+          and satisfies_marginals(plan, mu, nu))
+    return paths, {"duality": {"primal": str(primal), "dual": str(dual),
+                               "certificate": primal == dual}}, ok
 
 
 def suite_duality(seed: int = DEFAULT_SEED) -> RunReport:
@@ -149,11 +152,9 @@ def suite_duality(seed: int = DEFAULT_SEED) -> RunReport:
         n = rng.randint(2, 12)
         tree = random_tree(rng, n)
         mu, nu = random_measure_pair(rng, n)
-        paths, duality, ok = duality_cell(tree, mu, nu)
-        detail = ""
-        if not ok:
-            detail = f"{paths} {duality if isinstance(duality, str) else duality.as_dict()}"
-        report.add({"case": case, "vertices": n}, "lp", ok, w1=paths.get("lp"), detail=detail)
+        paths, block, ok = duality_cell(tree, mu, nu)
+        report.add({"case": case, "vertices": n}, "lp", ok, w1=paths.get("lp"),
+                   detail="" if ok else f"{paths} {block}")
     return report
 
 
@@ -213,11 +214,12 @@ def suite_series(seed: int = DEFAULT_SEED) -> RunReport:
     return report
 
 
-def inequality_cell(alpha: Fraction, d: int, q: int) -> tuple[InequalityReport, bool]:
-    """The coefficient chain at one grid cell, and whether the cell passes:
-    the chain holds and B_ball meets its 1/3 floor exactly at (d, q) = (1, 2)."""
-    res = verify_inequalities(alpha, d, q)
-    return res, res.passed and res.ball_floor_equality == ((d, q) == (1, 2))
+def inequality_cell(alpha: Fraction, d: int, q: int) -> tuple[dict, bool]:
+    """The coefficient chain's record at one grid cell, and whether the cell
+    passes: the chain holds and B_ball meets its 1/3 floor exactly at
+    (d, q) = (1, 2)."""
+    record = verify_inequalities(alpha, d, q)
+    return record, record["passed"] and record["ball_floor_equality"] == ((d, q) == (1, 2))
 
 
 def suite_inequalities(seed: int = DEFAULT_SEED) -> RunReport:
@@ -226,9 +228,9 @@ def suite_inequalities(seed: int = DEFAULT_SEED) -> RunReport:
     for alpha in INEQUALITY_GRID["alpha"]:
         for d in INEQUALITY_GRID["d"]:
             for q in INEQUALITY_GRID["q"]:
-                res, ok = inequality_cell(alpha, d, q)
+                record, ok = inequality_cell(alpha, d, q)
                 report.add({"alpha": str(alpha), "d": d, "q": q}, "formula", ok,
-                           detail="" if ok else str(res.as_dict()))
+                           detail="" if ok else str(record))
     return report
 
 

@@ -8,9 +8,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from treeot.asymptotics import (ChiValues, ball_AB, ball_d1_exact, chi_tree, gamma_asymptotic,
-                                h_values, interval_contains, interval_mid, kappa_curvature,
-                                sphere_AB, srw_AB, verify_inequalities)
+from treeot.asymptotics import (ChiValues, LinearAsymptotic, ball_AB, ball_d1_exact, chi_tree,
+                                gamma_asymptotic, h_values, interval_contains, interval_mid,
+                                kappa_curvature, sphere_AB, srw_AB, verify_inequalities)
 from treeot.errors import InvalidParams
 from treeot.families import bundle_from_table, srw_g_table, srw_return_sequence, w1_via_genfun
 from treeot.regular import PairGeometry
@@ -133,9 +133,9 @@ class TestInequalities:
         for alpha in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)):
             for d in range(1, 7):
                 for q in range(2, 11):
-                    rep = verify_inequalities(alpha, d, q)
-                    assert rep.passed, (alpha, d, q)
-                    assert rep.ball_floor_equality == ((d, q) == (1, 2))
+                    record = verify_inequalities(alpha, d, q)
+                    assert record["passed"], (alpha, d, q)
+                    assert record["ball_floor_equality"] == ((d, q) == (1, 2))
 
     def test_sphere_equals_ball_slope(self):
         for d in (1, 3, 6):
@@ -143,13 +143,33 @@ class TestInequalities:
                 assert sphere_AB(d, q).A == ball_AB(d, q).A
 
     def test_strict_case(self):
-        rep = verify_inequalities(Fraction(1, 2), 3, 5)
-        assert rep.chain_a and rep.chain_b and not rep.ball_floor_equality
+        record = verify_inequalities(Fraction(1, 2), 3, 5)
+        assert record["chain_a"] and record["chain_b"] and not record["ball_floor_equality"]
+        assert list(record) == ["alpha", "d", "q", "A_srw", "A_sphere", "A_ball", "B_srw",
+                                "B_sphere", "B_ball", "chain_a", "chain_b",
+                                "ball_floor_equality", "passed"]
+        assert record["B_ball"] == str(ball_AB(3, 5).B) and record["passed"] is True
 
     def test_gap_witnesses(self):
-        rep = verify_inequalities(Fraction(0), 4, 3)
-        assert rep.b_srw - rep.b_sphere == rep.gap_srw_sphere
-        assert rep.b_sphere - rep.b_ball == rep.gap_sphere_ball
+        # The two intercept gaps are closed forms in the slope factor
+        # q + 1 - q^(1-ceil(d/2)) - q^(-floor(d/2)).
+        for alpha, d, q in ((Fraction(0), 4, 3), (Fraction(1, 4), 1, 2),
+                            (Fraction(9, 10), 5, 7), (Fraction(1, 2), 6, 10)):
+            factor = q + 1 - Fraction(q) ** (1 - (d + 1) // 2) - Fraction(q) ** -(d // 2)
+            assert PairGeometry(q, d).slope_factor == factor
+            b_srw, b_sphere, b_ball = srw_AB(alpha, d, q).B, sphere_AB(d, q).B, ball_AB(d, q).B
+            assert b_srw - b_sphere == Fraction(4 * q, (q + 1) ** 2 * (q - 1)) * factor
+            assert b_sphere - b_ball == Fraction(2, q * q - 1) * factor
+            assert verify_inequalities(alpha, d, q)["passed"]
+
+    def test_passed_needs_the_gap_witnesses(self, monkeypatch):
+        # A sphere intercept off by 10^-6 keeps both chains but breaks both gaps.
+        import treeot.asymptotics as asymptotics
+        original = asymptotics.sphere_AB
+        monkeypatch.setattr(asymptotics, "sphere_AB", lambda d, q: LinearAsymptotic(
+            original(d, q).A, original(d, q).B + Fraction(1, 10 ** 6)))
+        record = verify_inequalities(Fraction(0), 4, 3)
+        assert record["chain_a"] and record["chain_b"] and not record["passed"]
 
     def test_walk_intercept_infimum_approached_not_attained(self):
         previous = None

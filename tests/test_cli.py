@@ -30,7 +30,7 @@ from treeot.instances import dump_instance, instance_from_dict, instance_to_dict
 from treeot.rational import parse_rational
 from treeot.tree import Measure, Potential, assignment_from, validate_tree, w1_tree
 
-from conftest import FIXTURES, adjacency_of, demo_doc, run_python
+from conftest import FIXTURES, adjacency_of, demo_doc, random_tree, run_python
 
 
 def run_cli(capsys, *argv):
@@ -82,13 +82,17 @@ class TestBenchTracer:
             with tracer.op(1):
                 for argv in (["w1", str(demo_instance_path), "--json"],
                              ["w1", "--radial", "sphere:r=2", "--q", "2", "--d", "1"],
-                             ["verify", "series"]):
+                             ["verify", "series"], ["verify", "inequalities"],
+                             ["verify-ineq", "--grid", "alpha=1/2", "d=3", "q=5"]):
                     assert treeot.cli.main(argv) == 0
         finally:
             tracer.uninstall()
         capsys.readouterr()
         assert tracer.absent == []
         assert tracer.sums["tree.vertices"] > 0 and tracer.sums["lp.distance_entries"] > 0
+        spans = collections.Counter(span[0] for span in tracer.spans)
+        assert spans["lp.verify_duality"] == 1
+        assert spans["asymptotics.verify_inequalities"] == 216 + 1
 
 
 class TestInstances:
@@ -952,6 +956,36 @@ class TestOneAgreementCheck:
         records = json.loads(out)["suites"][0]["records"]
         assert code == 1
         assert all("potential jumps by more than 1" in r["detail"] for r in records)
+
+    def test_an_infeasible_potential_over_the_lp_cap_is_a_mismatch(self, capsys, monkeypatch,
+                                                                   tmp_path):
+        # 125-point supports on 500 vertices: the LP is skipped, and the
+        # adapted potential raised by 5 at one vertex of zero charge pairs to
+        # the same value, so only its 1-Lipschitz check can see the fault.
+        rng = random.Random(20)
+        tree = random_tree(rng, 500)
+        mu = Measure({v: Fraction(1, 125) for v in range(125)})
+        nu = Measure({v: Fraction(1, 125) for v in range(375, 500)})
+        path = tmp_path / "over_cap.json"
+        dump_instance(tree, mu, nu, path)
+        code, out, _ = run_cli(capsys, "w1", str(path))
+        assert code == 0 and "lp skipped: supports of size 125x125" in out
+
+        def raised(original):
+            def potential(tree, flow):
+                levels = list(original(tree, flow).values)
+                levels[250] += 5
+                return Potential(tuple(levels))
+            return potential
+
+        _break_everywhere(monkeypatch, "good_potential", raised)
+        code, out, _ = run_cli(capsys, "w1", str(path))
+        assert code == 1 and out.endswith("agreement: MISMATCH\n")
+        code, out, _ = run_cli(capsys, "w1", str(path), "--json")
+        doc = json.loads(out)
+        assert code == 1 and doc["agree"] is False
+        assert len(set(doc["paths"].values())) == 1
+        assert "potential jumps by more than 1" in doc["lp_skipped"]
 
     def test_plan_marginals_are_checked_by_both_commands(self, capsys, monkeypatch,
                                                          demo_instance_path):

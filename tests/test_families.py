@@ -29,17 +29,17 @@ def column_mass(table, n: int) -> Fraction:
 class TestWalkTable:
     def test_initial_conditions(self):
         t = srw_g_table(Fraction(1, 3), 2, 5)
-        assert t.value(0, 0) == 1
-        assert t.value(1, 0) == 0
-        assert all(t.value(ell, n) == 0 for n in range(6) for ell in range(n + 1, 6))
+        assert t.rows[0][0] == 1
+        assert t.rows[1][0] == 0
+        assert all(t.rows[ell][n] == 0 for n in range(6) for ell in range(n + 1, 6))
 
     def test_one_updown_return(self):
         t = srw_g_table(Fraction(0), 2, 3)
-        assert t.value(0, 2) == Fraction(1, 3)
+        assert t.rows[0][2] == Fraction(1, 3)
 
     def test_scaled_return_numbers(self):
         t = srw_g_table(Fraction(1, 5), 3, 4)
-        scaled = [t.value(0, n) * 5 ** n for n in range(5)]
+        scaled = [t.rows[0][n] * 5 ** n for n in range(5)]
         assert scaled == [1, 1, 5, 13, 53]
 
     def test_probability_conservation(self):
@@ -63,16 +63,16 @@ class TestWalkTable:
 class TestSphereAndBallTables:
     def test_sphere_entries(self):
         t = sphere_g_table(2, 5)
-        assert t.value(0, 0) == 1
-        assert t.value(3, 3) == Fraction(1, 12)
-        assert t.value(2, 3) == 0
+        assert t.rows[0][0] == 1
+        assert t.rows[3][3] == Fraction(1, 12)
+        assert t.rows[2][3] == 0
         assert all(column_mass(t, n) == 1 for n in range(6))
 
     def test_ball_entries(self):
         t = ball_g_table(2, 5)
-        assert t.value(0, 0) == 1
-        assert all(t.value(ell, 2) == Fraction(1, 10) for ell in range(3))
-        assert t.value(3, 2) == 0
+        assert t.rows[0][0] == 1
+        assert all(t.rows[ell][2] == Fraction(1, 10) for ell in range(3))
+        assert t.rows[3][2] == 0
         assert all(column_mass(t, n) == 1 for n in range(6))
 
 
@@ -352,7 +352,7 @@ class TestGammaSmallness:
         bundle = bundle_from_table(table)
         for i in range(3):
             for n in range(i, 13):
-                assert bundle.gammas[i][n] <= table.value(0, n)
+                assert bundle.gammas[i][n] <= table.rows[0][n]
 
 
 def test_profile_reads_the_last_recurrence_column(monkeypatch):
