@@ -81,33 +81,25 @@ def ball_d1_exact(q: int, n: int) -> Fraction:
     return Fraction(q - 1) * (2 * n + 1) / (q + 1 - 2 * _qpow(q, -n))
 
 
-@dataclass(frozen=True)
-class HValues:
-    """Pole data of the x = q series evaluations at y = 1.
+def h_values(alpha: RationalLike, q: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Pole data ``(h1, h1_prime, h)`` of the x = q series evaluations at y = 1.
 
     Coefficient asymptotics follow: the x-derivative evaluation grows like
-    h1_at_1 * n + (h1_at_1 - h1_prime_at_1) and the plain evaluation tends
-    to h_at_1.
+    h1 * n + (h1 - h1_prime) and the plain evaluation tends to h.
     """
-
-    h1_at_1: Fraction
-    h1_prime_at_1: Fraction
-    h_at_1: Fraction
-
-
-def h_values(alpha: RationalLike, q: int) -> HValues:
     alpha = _check_alpha(alpha)
     _check_q(q)
     h1 = (1 - alpha) * Fraction(q - 1, (q + 1) ** 2)
     h1_prime = h1 - Fraction(2 * q, (q - 1) * (q + 1) ** 2)
-    return HValues(h1_at_1=h1, h1_prime_at_1=h1_prime, h_at_1=Fraction(q, q + 1))
+    return h1, h1_prime, Fraction(q, q + 1)
 
 
 def verify_inequalities(alpha: RationalLike, d: int, q: int) -> dict:
     """Check 0 < A_srw < A_sphere = A_ball < 2 and B_srw > B_sphere > B_ball >= 1/3,
     plus the closed forms of the two intercept gaps, as one JSON record: the
     cell, the six coefficients as strings, the two chains, whether B_ball meets
-    its 1/3 floor, and ``passed``, which needs both chains and both gaps."""
+    its 1/3 floor, and ``passed``, which needs both chains, both gaps, and
+    B_ball = 1/3 exactly at (d, q) = (1, 2)."""
     alpha = _check_alpha(alpha)
     geometry = PairGeometry(q, d)
     srw = srw_AB(alpha, d, q)
@@ -118,45 +110,29 @@ def verify_inequalities(alpha: RationalLike, d: int, q: int) -> dict:
     chain_b = srw.B > sph.B > bal.B >= Fraction(1, 3)
     witnesses = (srw.B - sph.B == Fraction(4 * q, (q + 1) ** 2 * (q - 1)) * common
                  and sph.B - bal.B == Fraction(2, q * q - 1) * common)
+    at_floor = bal.B == Fraction(1, 3)
     return {"alpha": str(alpha), "d": d, "q": q,
             "A_srw": str(srw.A), "A_sphere": str(sph.A), "A_ball": str(bal.A),
             "B_srw": str(srw.B), "B_sphere": str(sph.B), "B_ball": str(bal.B),
-            "chain_a": chain_a, "chain_b": chain_b,
-            "ball_floor_equality": bal.B == Fraction(1, 3),
-            "passed": chain_a and chain_b and witnesses}
+            "chain_a": chain_a, "chain_b": chain_b, "ball_floor_equality": at_floor,
+            "passed": chain_a and chain_b and witnesses and at_floor == ((d, q) == (1, 2))}
 
 
-@dataclass(frozen=True)
-class ChiValues:
-    """The four sup/inf limsup/liminf statistics of W1/n over vertex pairs,
-    for lazy walks on the regular tree."""
-
-    up_up: Fraction
-    up_down: Fraction
-    down_up: Fraction
-    down_down: Fraction
-
-
-def chi_tree(alpha: RationalLike, q: int) -> ChiValues:
-    """Closed values on the regular tree: the sup pair is the d -> infinity
-    limit of the walk slope, the inf pair its value at d = 1."""
+def chi_tree(alpha: RationalLike, q: int) -> tuple[Fraction, Fraction]:
+    """The sup/inf limsup/liminf statistics of W1/n over vertex pairs, for lazy
+    walks on the regular tree, as ``(up, down)``. The four pair up: both sup
+    statistics equal ``up``, the d -> infinity limit of the walk slope, and
+    both inf statistics equal ``down``, its value at d = 1."""
     alpha = _check_alpha(alpha)
     _check_q(q)
     up = 2 * (1 - alpha) * Fraction(q - 1, q + 1)
     down = 2 * (1 - alpha) * Fraction(q - 1, q + 1) ** 2
-    return ChiValues(up_up=up, up_down=up, down_up=down, down_down=down)
+    return up, down
 
 
-@dataclass(frozen=True)
-class CurvatureValue:
-    """n-scale curvature 1 - W1/d: exact, plus its linear-asymptote companion."""
-
-    exact: Fraction
-    linear: Fraction
-
-
-def kappa_curvature(alpha: RationalLike, d: int, q: int, n: int) -> CurvatureValue:
-    """Curvature of the lazy walk at scale n, from the exact distance."""
+def kappa_curvature(alpha: RationalLike, d: int, q: int, n: int) -> tuple[Fraction, Fraction]:
+    """n-scale curvature 1 - W1/d of the lazy walk, as ``(exact, linear)``:
+    from the exact distance, and from its linear asymptote A*n + B."""
     alpha = _check_alpha(alpha)
     geometry = PairGeometry(q, d)
     if n < 0:
@@ -165,7 +141,7 @@ def kappa_curvature(alpha: RationalLike, d: int, q: int, n: int) -> CurvatureVal
     bundle = bundle_from_table(srw_g_table(alpha, q, max(n, geometry.delta)))
     w1 = w1_via_genfun(bundle, geometry, n)
     asym = srw_AB(alpha, d, q)
-    return CurvatureValue(exact=1 - Fraction(w1, d), linear=1 - asym.at(n) / d)
+    return 1 - Fraction(w1, d), 1 - asym.at(n) / d
 
 
 #: Significant bits kept on each endpoint of an enclosure (60 decimal digits).
@@ -273,12 +249,6 @@ def interval_mid(x: Enclosure) -> Fraction:
     """Midpoint of an enclosure."""
     lo, hi = x
     return (lo + hi) / 2
-
-
-def interval_contains(x: Enclosure, value) -> bool:
-    """True iff ``value`` lies inside the enclosure ``x`` (endpoints included)."""
-    lo, hi = x
-    return lo <= value <= hi
 
 
 def gamma_asymptotic(alpha: RationalLike, q: int) -> GammaAsymptotic:

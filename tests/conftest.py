@@ -35,11 +35,12 @@ def demo_doc() -> dict:
     return json.loads(DEMO_INSTANCE.read_text(encoding="utf-8"))
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
-    """``code`` in a fresh interpreter, with this treeot first on its path."""
+def run_python(code: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter, with this treeot first on its path;
+    :class:`subprocess.TimeoutExpired` after ``timeout`` seconds."""
     src = str(Path(treeot.__file__).parents[1])
     return subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def adjacency_of(tree) -> tuple[tuple[int, ...], ...]:
@@ -61,5 +62,11 @@ def mpf_pair(enclosure: tuple[Fraction, Fraction]) -> tuple[mpmath.mpf, mpmath.m
     return to_mpf(enclosure[0]), to_mpf(enclosure[1])
 
 
-__all__ = ["FIXTURES", "adjacency_of", "demo_doc", "random_tree", "random_measure_pair",
-           "random_profile", "rng_for", "run_python", "to_mpf", "mpf_pair"]
+def interval_contains(x: tuple, value) -> bool:
+    """True iff ``value`` lies inside the enclosure ``x`` (endpoints included)."""
+    lo, hi = x
+    return lo <= value <= hi
+
+
+__all__ = ["FIXTURES", "adjacency_of", "demo_doc", "interval_contains", "random_tree",
+           "random_measure_pair", "random_profile", "rng_for", "run_python", "to_mpf", "mpf_pair"]

@@ -8,14 +8,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from treeot.asymptotics import (ChiValues, LinearAsymptotic, ball_AB, ball_d1_exact, chi_tree,
-                                gamma_asymptotic, h_values, interval_contains, interval_mid,
-                                kappa_curvature, sphere_AB, srw_AB, verify_inequalities)
+from treeot.asymptotics import (LinearAsymptotic, ball_AB, ball_d1_exact, chi_tree,
+                                gamma_asymptotic, h_values, interval_mid, kappa_curvature,
+                                sphere_AB, srw_AB, verify_inequalities)
 from treeot.errors import InvalidParams
 from treeot.families import bundle_from_table, srw_g_table, srw_return_sequence, w1_via_genfun
 from treeot.regular import PairGeometry
 
-from conftest import mpf_pair, to_mpf
+from conftest import interval_contains, mpf_pair, to_mpf
 
 
 class TestWalkCoefficients:
@@ -104,26 +104,26 @@ class TestBallCoefficients:
 
 class TestHValues:
     def test_closed_values(self):
-        hv = h_values(Fraction(0), 2)
-        assert hv.h1_at_1 == Fraction(1, 9)
-        assert hv.h1_at_1 - hv.h1_prime_at_1 == Fraction(4, 9)
-        assert hv.h_at_1 == Fraction(2, 3)
+        h1, h1_prime, h = h_values(Fraction(0), 2)
+        assert h1 == Fraction(1, 9)
+        assert h1 - h1_prime == Fraction(4, 9)
+        assert h == Fraction(2, 3)
 
     def test_h_independent_of_alpha(self):
-        assert h_values(Fraction(0), 5).h_at_1 == h_values(Fraction(3, 4), 5).h_at_1 == Fraction(5, 6)
+        assert h_values(Fraction(0), 5)[2] == h_values(Fraction(3, 4), 5)[2] == Fraction(5, 6)
 
     def test_vanishing_with_laziness(self):
-        assert h_values(Fraction(999, 1000), 3).h1_at_1 == Fraction(1, 1000) * Fraction(2, 16)
+        assert h_values(Fraction(999, 1000), 3)[0] == Fraction(1, 1000) * Fraction(2, 16)
 
     def test_coefficients_drift_to_pole_data(self):
         # The x-derivative evaluation approaches h1(1) n + (h1(1) - h1'(1));
         # the plain evaluation approaches h(1).
         alpha, q = Fraction(0), 2
         bundle = bundle_from_table(srw_g_table(alpha, q, 48))
-        hv = h_values(alpha, q)
-        line = lambda n: hv.h1_at_1 * n + (hv.h1_at_1 - hv.h1_prime_at_1)
+        h1, h1_prime, h = h_values(alpha, q)
+        line = lambda n: h1 * n + (h1 - h1_prime)
         gaps1 = [abs(bundle.g1_at_q[n] - line(n)) for n in (16, 32, 48)]
-        gaps0 = [abs(bundle.g_at_q[n] - hv.h_at_1) for n in (16, 32, 48)]
+        gaps0 = [abs(bundle.g_at_q[n] - h) for n in (16, 32, 48)]
         assert gaps1[0] > gaps1[1] > gaps1[2]
         assert gaps0[0] > gaps0[1] > gaps0[2]
 
@@ -170,6 +170,19 @@ class TestInequalities:
             original(d, q).A, original(d, q).B + Fraction(1, 10 ** 6)))
         record = verify_inequalities(Fraction(0), 4, 3)
         assert record["chain_a"] and record["chain_b"] and not record["passed"]
+
+    def test_passed_needs_the_ball_floor_at_one_two_only(self, monkeypatch):
+        # Every intercept moved by one amount puts B_ball on its 1/3 floor at
+        # (d, q) = (4, 3): both chains and both gaps still hold.
+        import treeot.asymptotics as asymptotics
+        shift = Fraction(1, 3) - ball_AB(4, 3).B
+        for name in ("srw_AB", "sphere_AB", "ball_AB"):
+            original = getattr(asymptotics, name)
+            monkeypatch.setattr(asymptotics, name, lambda *args, f=original: LinearAsymptotic(
+                f(*args).A, f(*args).B + shift))
+        record = verify_inequalities(Fraction(0), 4, 3)
+        assert record["chain_a"] and record["chain_b"] and record["ball_floor_equality"]
+        assert record["passed"] is False
 
     def test_walk_intercept_infimum_approached_not_attained(self):
         previous = None
@@ -220,35 +233,31 @@ class TestLimitsAndBounds:
 
 class TestChi:
     def test_closed_values(self):
-        chi = chi_tree(Fraction(0), 2)
-        assert chi == ChiValues(up_up=Fraction(2, 3), up_down=Fraction(2, 3),
-                                down_up=Fraction(2, 9), down_down=Fraction(2, 9))
+        assert chi_tree(Fraction(0), 2) == (Fraction(2, 3), Fraction(2, 9))
 
     def test_full_laziness_limit(self):
-        chi = chi_tree(Fraction(999999, 1000000), 3)
-        assert chi.up_up < Fraction(1, 100000)
+        up, _ = chi_tree(Fraction(999999, 1000000), 3)
+        assert up < Fraction(1, 100000)
 
     def test_matches_walk_slope_specializations(self):
         for alpha in (Fraction(0), Fraction(1, 2)):
             for q in (2, 3, 5):
-                chi = chi_tree(alpha, q)
-                assert chi.down_down == srw_AB(alpha, 1, q).A
+                up, down = chi_tree(alpha, q)
+                assert down == srw_AB(alpha, 1, q).A
                 # d -> infinity drops both q-power terms from the slope.
                 limit = 2 * (1 - alpha) * (q + 1) * Fraction(q - 1, (q + 1) ** 2)
-                assert chi.up_up == limit
+                assert up == limit
 
     def test_bounds(self):
         for alpha in (Fraction(0), Fraction(1, 2)):
-            chi = chi_tree(alpha, 4)
-            for value in (chi.up_up, chi.up_down, chi.down_up, chi.down_down):
-                assert 0 <= value <= 2
-            assert chi.down_down <= chi.up_up
+            up, down = chi_tree(alpha, 4)
+            assert 0 <= down <= up <= 2
 
 
 class TestCurvature:
     def test_zero_scale(self):
         for d in (1, 3):
-            assert kappa_curvature(Fraction(1, 2), d, 2, 0).exact == 0
+            assert kappa_curvature(Fraction(1, 2), d, 2, 0)[0] == 0
 
     def test_one_step_against_lp_oracle(self):
         from treeot.families import srw_profile
@@ -259,18 +268,18 @@ class TestCurvature:
         profile = srw_profile(alpha, q, n)
         mu = radial_measure(tt, tt.x, profile)
         nu = radial_measure(tt, tt.y, profile)
-        lp_value, _ = w1_lp(FiniteGraph.from_tree(tt.tree), mu, nu)
-        kappa = kappa_curvature(alpha, d, q, n)
-        assert kappa.exact == 1 - Fraction(lp_value, d)
+        lp_value, _ = w1_lp(FiniteGraph.from_tree(tt.tree, range(tt.tree.num_vertices)), mu, nu)
+        exact, _ = kappa_curvature(alpha, d, q, n)
+        assert exact == 1 - Fraction(lp_value, d)
 
     def test_large_scale_turns_negative_linearly(self):
         alpha, d, q = Fraction(0), 1, 2
-        k20 = kappa_curvature(alpha, d, q, 20)
-        k40 = kappa_curvature(alpha, d, q, 40)
-        assert k40.exact < k20.exact < 0
+        k20, _ = kappa_curvature(alpha, d, q, 20)
+        k40, k40_linear = kappa_curvature(alpha, d, q, 40)
+        assert k40 < k20 < 0
         ab = srw_AB(alpha, d, q)
-        assert k40.linear == 1 - ab.at(40) / d
-        assert abs(k40.exact - k40.linear) < Fraction(1, 100)
+        assert k40_linear == 1 - ab.at(40) / d
+        assert abs(k40 - k40_linear) < Fraction(1, 100)
 
 
 class TestGammaGrowth:

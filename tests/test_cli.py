@@ -28,7 +28,7 @@ from treeot.cli import build_parser, main, parse_profile_spec
 from treeot.errors import DuplicateEdge, HasCycle, NotConnected, TooLarge
 from treeot.instances import dump_instance, instance_from_dict, instance_to_dict, load_instance
 from treeot.rational import parse_rational
-from treeot.tree import Measure, Potential, assignment_from, validate_tree, w1_tree
+from treeot.tree import Measure, assignment_from, validate_tree, w1_tree
 
 from conftest import FIXTURES, adjacency_of, demo_doc, random_tree, run_python
 
@@ -806,7 +806,7 @@ class TestSeriesSizeCap:
         def no_work(*args):
             raise AssertionError("a cell was checked before the grid check")
 
-        monkeypatch.setattr(treeot.cli, "inequality_cell", no_work)
+        monkeypatch.setattr(treeot.cli, "verify_inequalities", no_work)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify-ineq", "--grid", "q=2..401", "d=1..6",
                                  "alpha=0,1/4,1/2,9/10")
@@ -920,7 +920,7 @@ def _break_everywhere(monkeypatch, name, broken):
 def _steep_potential(tree, flow):
     """A broken ``good_potential``: it climbs by 2 from each vertex index to
     the next, so it jumps by at least 2 across every edge of every tree."""
-    return Potential(tuple(range(0, 2 * tree.num_vertices, 2)))
+    return tuple(range(0, 2 * tree.num_vertices, 2))
 
 
 class TestOneAgreementCheck:
@@ -973,9 +973,9 @@ class TestOneAgreementCheck:
 
         def raised(original):
             def potential(tree, flow):
-                levels = list(original(tree, flow).values)
+                levels = list(original(tree, flow))
                 levels[250] += 5
-                return Potential(tuple(levels))
+                return tuple(levels)
             return potential
 
         _break_everywhere(monkeypatch, "good_potential", raised)
@@ -1092,6 +1092,39 @@ class TestRadialW1Mode:
     def test_no_arguments_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "w1")
         assert code == 2 and "error" in err
+
+    @staticmethod
+    def _no_work(monkeypatch):
+        import treeot.cli
+
+        def no_work(*args):
+            raise AssertionError("w1 did work before refusing its flags")
+
+        for name in ("load_instance", "parse_profile_spec", "triple_cell"):
+            monkeypatch.setattr(treeot.cli, name, no_work)
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--emit-instance", "OUT", "--q", "9", "--d", "4"), "--q, --d, --emit-instance"),
+        (("--d", "4"), "--d"),
+    ], ids=["emit-q-d", "d"])
+    def test_radial_flags_on_an_instance_file_are_refused(self, capsys, monkeypatch, tmp_path,
+                                                          demo_instance_path, flags, named):
+        self._no_work(monkeypatch)
+        emitted = tmp_path / "emitted.json"
+        argv = [str(emitted) if flag == "OUT" else flag for flag in flags]
+        code, out, err = run_cli(capsys, "w1", str(demo_instance_path), *argv)
+        assert code == 2 and out == ""
+        assert err == (f"error: w1 reads {named} only with --radial, not with the instance "
+                       f"file {str(demo_instance_path)!r}\n")
+        assert not emitted.exists()
+
+    def test_an_instance_file_and_radial_clash(self, capsys, monkeypatch, demo_instance_path):
+        self._no_work(monkeypatch)
+        code, out, err = run_cli(capsys, "w1", str(demo_instance_path), "--radial", "sphere:r=1",
+                                 "--q", "2", "--d", "1")
+        assert code == 2 and out == ""
+        assert err == (f"error: the instance file {str(demo_instance_path)!r} and --radial "
+                       f"clash: give one of them\n")
 
 
 class TestParser:

@@ -11,8 +11,9 @@ from treeot.errors import InfeasiblePotential, MassMismatch, TooLarge
 from treeot.instances import instance_from_dict
 from treeot.lp import (FiniteGraph, _transportation_simplex, check_complementary_slackness,
                        satisfies_marginals, verify_duality, w1_lp)
-from treeot.tree import (Measure, Potential, _build_graph, _hop_distances, _require_connected,
-                         assignment_from, good_potential, unique_flow, validate_tree, w1_tree)
+from treeot.tree import (Measure, _build_graph, _hop_distances, _require_connected,
+                         assignment_from, good_potential, is_edge_lipschitz, unique_flow,
+                         validate_tree, w1_tree)
 
 from conftest import (adjacency_of, demo_doc, random_measure_pair, random_tree, rng_for,
                       run_python)
@@ -25,7 +26,7 @@ def _build(vertices, edges, keep=None):
     labels, _, dense_edges, adjacency = _build_graph(vertices, edges)
     _require_connected(adjacency)
     ends = [u for u, _ in dense_edges], [v for _, v in dense_edges]
-    return FiniteGraph._over(len(labels), ends, keep)
+    return FiniteGraph._over(len(labels), ends, range(len(labels)) if keep is None else keep)
 
 
 class TestDistances:
@@ -42,7 +43,7 @@ class TestDistances:
         # at distance exactly 2 from the center.
         from treeot.regular import build_truncated_tree
         tt = build_truncated_tree(2, 1, 2)
-        g = FiniteGraph.from_tree(tt.tree)
+        g = FiniteGraph.from_tree(tt.tree, range(tt.tree.num_vertices))
         leaves = [v for v in range(g.num_vertices) if g.distance(tt.x, v) == 2]
         assert len(leaves) == 6
 
@@ -62,7 +63,7 @@ class TestDistances:
             n = rng.randint(2, 40)
             tree = random_tree(rng, n)
             adjacency = adjacency_of(tree)
-            for g in (FiniteGraph.from_tree(tree),
+            for g in (FiniteGraph.from_tree(tree, range(tree.num_vertices)),
                       _build(tree.labels,
                              [(tree.labels[u], tree.labels[v]) for u, v in tree.edges])):
                 for u in range(n):
@@ -229,7 +230,7 @@ class TestW1LP:
 
     def test_demo_instance(self):
         tree, mu, nu = instance_from_dict(demo_doc())
-        value, plan = w1_lp(FiniteGraph.from_tree(tree), mu, nu)
+        value, plan = w1_lp(FiniteGraph.from_tree(tree, range(tree.num_vertices)), mu, nu)
         assert value == 12
         assert satisfies_marginals(plan, mu, nu)
 
@@ -288,37 +289,36 @@ class TestW1LP:
 class TestDualSide:
     def test_constant_potential_feasible(self):
         g = _build(range(3), [(0, 1), (1, 2)])
-        assert Potential((Fraction(1),) * 3).is_edge_lipschitz(g)
+        assert is_edge_lipschitz((Fraction(1),) * 3, g)
 
     def test_jump_of_two_infeasible(self):
         g = _build(range(2), [(0, 1)])
-        assert not Potential((Fraction(0), Fraction(2))).is_edge_lipschitz(g)
+        assert not is_edge_lipschitz((Fraction(0), Fraction(2)), g)
 
     def test_demo_potential_feasible_and_optimal(self):
         tree, mu, nu = instance_from_dict(demo_doc())
-        g = FiniteGraph.from_tree(tree)
+        g = FiniteGraph.from_tree(tree, range(tree.num_vertices))
         rho = assignment_from(mu, nu)
-        levels = good_potential(tree, unique_flow(tree, rho)).values
-        phi = Potential(tuple(h - levels[tree.index["v4"]] for h in levels))
-        assert phi.is_edge_lipschitz(g)
+        levels = good_potential(tree, unique_flow(tree, rho))
+        phi = tuple(h - levels[tree.index["v4"]] for h in levels)
+        assert is_edge_lipschitz(phi, g)
         primal, dual, _ = verify_duality(g, mu, nu, phi)
         assert primal == dual == 12
 
     def test_infeasible_potential_raises(self):
         g = _build(range(2), [(0, 1)])
         with pytest.raises(InfeasiblePotential):
-            verify_duality(g, Measure({0: 1}), Measure({1: 1}),
-                           Potential((Fraction(0), Fraction(5))))
+            verify_duality(g, Measure({0: 1}), Measure({1: 1}), (Fraction(0), Fraction(5)))
 
     def test_slackness_on_diagonal_plan(self):
         g = _build(range(3), [(0, 1), (1, 2)])
         plan = {(0, 0): Fraction(1)}
-        assert check_complementary_slackness(g, plan, Potential((Fraction(0),) * 3))
+        assert check_complementary_slackness(g, plan, (Fraction(0),) * 3)
 
     def test_slackness_fails_on_short_moves(self):
         g = _build(range(3), [(0, 1), (1, 2)])
         plan = {(0, 2): Fraction(1)}
-        assert not check_complementary_slackness(g, plan, Potential((Fraction(0),) * 3))
+        assert not check_complementary_slackness(g, plan, (Fraction(0),) * 3)
 
 
 class TestDualOverCommonScale:
@@ -327,12 +327,12 @@ class TestDualOverCommonScale:
         for _ in range(30):
             n = rng.randint(2, 10)
             tree = random_tree(rng, n)
-            g = FiniteGraph.from_tree(tree)
+            g = FiniteGraph.from_tree(tree, range(tree.num_vertices))
             mu, nu = random_measure_pair(rng, n)
             shift = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
-            levels = good_potential(tree, unique_flow(tree, assignment_from(mu, nu))).values
-            for phi in (Potential(tuple(h + shift for h in levels)), Potential(tuple(levels))):
-                dual = sum(((mu.value(v) - nu.value(v)) * phi.value(v)
+            levels = good_potential(tree, unique_flow(tree, assignment_from(mu, nu)))
+            for phi in (tuple(h + shift for h in levels), levels):
+                dual = sum(((mu.value(v) - nu.value(v)) * phi[v]
                             for v in set(mu.support()) | set(nu.support())), Fraction(0))
                 primal, got, _ = verify_duality(g, mu, nu, phi)
                 assert type(got) is Fraction and got == dual
@@ -346,7 +346,7 @@ class TestRandomizedAgreement:
             n = rng.randint(2, 12)
             tree = random_tree(rng, n)
             mu, nu = random_measure_pair(rng, n)
-            g = FiniteGraph.from_tree(tree)
+            g = FiniteGraph.from_tree(tree, range(tree.num_vertices))
             lp_value, plan = w1_lp(g, mu, nu)
             assert lp_value == w1_tree(tree, mu, nu)
             assert satisfies_marginals(plan, mu, nu)
@@ -360,7 +360,7 @@ class TestRandomizedAgreement:
         for _ in range(25):
             n = rng.randint(2, 9)
             tree = random_tree(rng, n)
-            g = FiniteGraph.from_tree(tree)
+            g = FiniteGraph.from_tree(tree, range(tree.num_vertices))
             mu, nu = random_measure_pair(rng, n)
             # Independent coupling: a feasible plan that is rarely optimal.
             total = mu.total()
@@ -369,10 +369,10 @@ class TestRandomizedAgreement:
             assert satisfies_marginals(plan, mu, nu)
             # Random 1-Lipschitz potential via distance extension of anchors.
             anchors = {v: Fraction(rng.randint(-3, 3)) for v in rng.sample(range(n), 2)}
-            phi = Potential(tuple(min(base + g.distance(a, v) for a, base in anchors.items())
-                                  for v in range(n)))
-            assert phi.is_edge_lipschitz(g)
-            dual = sum(((mu.value(v) - nu.value(v)) * phi.value(v) for v in range(n)),
+            phi = tuple(min(base + g.distance(a, v) for a, base in anchors.items())
+                        for v in range(n))
+            assert is_edge_lipschitz(phi, g)
+            dual = sum(((mu.value(v) - nu.value(v)) * phi[v] for v in range(n)),
                        Fraction(0))
             assert sum(g.distance(u, v) * x for (u, v), x in plan.items()) >= dual
 
@@ -491,7 +491,7 @@ def _bench_shaped_instances():
     two measures, and the simplex's integer costs, supplies and demands."""
     rng = rng_for(17)
     tree = random_tree(rng, 2000)
-    g = FiniteGraph.from_tree(tree)
+    g = FiniteGraph.from_tree(tree, range(tree.num_vertices))
     for _ in range(2):
         sides = []
         for _ in range(2):
@@ -599,7 +599,7 @@ class TestSimplexAgainstFractionOracle:
             "    tree = random_tree(rng, n)\n"
             "    mu, nu = random_measure_pair(rng, n)\n"
             "    try:\n"
-            "        lp.w1_lp(lp.FiniteGraph.from_tree(tree), mu, nu)\n"
+            "        lp.w1_lp(lp.FiniteGraph.from_tree(tree, range(n)), mu, nu)\n"
             "    except RuntimeError as exc:\n"
             "        raise SystemExit(str(exc))\n")
         assert done.returncode == 1
@@ -618,10 +618,33 @@ class TestSimplexAgainstFractionOracle:
             "    tree = random_tree(rng, n)\n"
             "    mu, nu = random_measure_pair(rng, n)\n"
             "    try:\n"
-            "        lp.w1_lp(lp.FiniteGraph.from_tree(tree), mu, nu)\n"
+            "        lp.w1_lp(lp.FiniteGraph.from_tree(tree, range(n)), mu, nu)\n"
             "    except Exception as exc:\n"
             "        faults.append(f'{type(exc).__name__}: {exc}')\n"
             "print(*faults, sep='\\n')\n")
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == [
             "RuntimeError: transportation simplex basis tree is inconsistent"] * 3
+
+    def test_a_cycle_in_the_basis_raises_instead_of_hanging(self):
+        # Instance 532 of the same stream cuts the wrong cell at a pivot, so
+        # the basis graph gets a cycle, and the re-hang below the entering
+        # cell would walk it forever. A tree has m + n nodes; a longer walk
+        # raises. The child caps its address space, so that a regression
+        # times out without growing past it.
+        done = run_python(
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            + self.SKEWED_HANG
+            + "for k in range(533):\n"
+            "    n = rng.randint(6, 12)\n"
+            "    tree = random_tree(rng, n)\n"
+            "    mu, nu = random_measure_pair(rng, n)\n"
+            "    try:\n"
+            "        lp.w1_lp(lp.FiniteGraph.from_tree(tree, range(n)), mu, nu)\n"
+            "    except RuntimeError as exc:\n"
+            "        print(k, exc)\n", timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            f"{k} transportation simplex basis tree is inconsistent"
+            for k in (64, 260, 264, 532)]

@@ -240,7 +240,7 @@ class TestRadialPotential:
         phi = radial_potential_field(tt)
         for u, v in tt.tree.edges:
             s = flow.signed(u, v)
-            diff = phi.value(u) - phi.value(v)
+            diff = phi[u] - phi[v]
             if s > 0:
                 assert diff == 1
             elif s < 0:
@@ -248,7 +248,7 @@ class TestRadialPotential:
             else:
                 assert abs(diff) <= 1
         # Optimality of the closed-form potential: pairing equals flow cost.
-        pairing = sum((phi.value(v) * c for v, c in rho.charges.items()), Fraction(0))
+        pairing = sum((phi[v] * c for v, c in rho.charges.items()), Fraction(0))
         assert pairing == flow_cost(flow)
 
 

@@ -16,9 +16,9 @@ from treeot.instances import instance_from_dict
 from treeot.lp import FiniteGraph, w1_lp
 from treeot.regular import RadialProfile
 from treeot.series import Series
-from treeot.tree import (Assignment, Measure, Potential, Tree, _hop_distances, assignment_from,
-                         divergence, flow_cost, good_potential, potential_value, unique_flow,
-                         validate_tree, w1_tree)
+from treeot.tree import (Assignment, Measure, Tree, _hop_distances, assignment_from,
+                         divergence, flow_cost, good_potential, is_edge_lipschitz,
+                         potential_value, unique_flow, validate_tree, w1_tree)
 
 from conftest import adjacency_of, demo_doc, random_measure_pair, random_tree, rng_for
 
@@ -176,17 +176,17 @@ class TestGoodPotential:
     def test_zero_flow_constant_potential(self):
         tree = validate_tree(range(4), [(0, 1), (1, 2), (2, 3)])
         phi = good_potential(tree, unique_flow(tree, Assignment({})))
-        assert set(phi.values) == {Fraction(0)}
+        assert set(phi) == {Fraction(0)}
 
     def test_demo_potential_reference_values(self):
         tree, mu, nu = demo_tree()
         flow = unique_flow(tree, assignment_from(mu, nu))
         phi = good_potential(tree, flow)
-        assert phi.value(0) == 0
-        base = phi.value(tree.index["v4"])
+        assert phi[0] == 0
+        base = phi[tree.index["v4"]]
         expected = {"v1": 4, "v2": 3, "v3": 3, "v4": 0, "v5": 3, "v6": 2,
                     "v7": 1, "v8": 2, "v9": 3, "v10": 4, "v11": 4}
-        assert {label: phi.value(tree.index[label]) - base for label in expected} == expected
+        assert {label: phi[tree.index[label]] - base for label in expected} == expected
 
     def test_adapted_and_lipschitz_random(self):
         rng = rng_for(777)
@@ -196,10 +196,10 @@ class TestGoodPotential:
             mu, nu = random_measure_pair(rng, n)
             flow = unique_flow(tree, assignment_from(mu, nu))
             phi = good_potential(tree, flow)
-            assert phi.is_edge_lipschitz(tree)
+            assert is_edge_lipschitz(phi, tree)
             for u, v in tree.edges:
                 s = flow.signed(u, v)
-                diff = phi.value(u) - phi.value(v)
+                diff = phi[u] - phi[v]
                 if s > 0:
                     assert diff == 1
                 elif s < 0:
@@ -215,8 +215,8 @@ class TestGoodPotential:
             mu, nu = random_measure_pair(rng, n)
             rho = assignment_from(mu, nu)
             flow = unique_flow(tree, rho)
-            levels = good_potential(tree, flow).values
-            values = {potential_value(rho, Potential(tuple(h - levels[r] for h in levels)))
+            levels = good_potential(tree, flow)
+            values = {potential_value(rho, tuple(h - levels[r] for h in levels))
                       for r in range(n)}
             assert len(values) == 1
 
@@ -333,7 +333,7 @@ def test_routes_agree_over_a_product_of_coprime_denominators(seed):
     rho = assignment_from(mu, nu)
     via_flow = w1_tree(tree, mu, nu)
     via_potential = potential_value(rho, good_potential(tree, unique_flow(tree, rho)))
-    via_lp, _ = w1_lp(FiniteGraph.from_tree(tree), mu, nu)
+    via_lp, _ = w1_lp(FiniteGraph.from_tree(tree, range(n)), mu, nu)
     assert via_flow == via_potential == via_lp
 
 
