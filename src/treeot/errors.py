@@ -27,10 +27,6 @@ class TooLarge(TreeOTError):
     a family's series."""
 
 
-class InfeasiblePotential(TreeOTError):
-    """A vertex function violates the 1-Lipschitz constraint along an edge."""
-
-
 class InvalidParams(TreeOTError):
     """Parameters outside the admissible range (e.g. q < 2 or d < 1)."""
 

@@ -47,12 +47,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import InvalidAlpha, InvalidParams, OrderExceeded
-from .rational import RationalLike, _frac, _qpow
+from .rational import RationalLike, _frac, _over_scale, _qpow
 from .regular import PairGeometry, RadialProfile, _check_q, ball_size, sphere_size
 from .series import Series
 
@@ -293,9 +293,11 @@ def check_functional_equation(rows: GTable | Sequence[Sequence[RationalLike]],
     empty or ragged rows.
 
     The residuals are integers. Rational rows are put over one scale per
-    time n, the lcm of that column's denominators. The residual at y^n,
-    which reads columns n and n - 1, is scaled by den(alpha) and the lcm of
-    their two scales: a power of S for the walk table.
+    time n, the lcm of that column's denominators, under the charge cap
+    (:func:`rational._over_scale`): a column over it raises :class:`TooLarge`
+    before any entry is scaled. The residual at y^n, which reads columns n
+    and n - 1, is scaled by den(alpha) and the lcm of their two scales: a
+    power of S for the walk table.
     """
     alpha = _check_alpha(alpha)
     if isinstance(rows, GTable):
@@ -306,8 +308,8 @@ def check_functional_equation(rows: GTable | Sequence[Sequence[RationalLike]],
             raise ValueError("rows must be nonempty and of one length")
         columns, scales = [], []
         for col in zip(*(map(_frac, row) for row in rows)):
-            scale = lcm(*(x.denominator for x in col))
-            columns.append([x.numerator * (scale // x.denominator) for x in col])
+            scale, nums = _over_scale(col)
+            columns.append(nums)
             scales.append(scale)
     a, den = alpha.numerator, alpha.denominator
     count = len(columns[0])

@@ -10,7 +10,7 @@ import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import lcm
+from math import lcm, log10
 from typing import Iterable
 
 from .errors import TooLarge
@@ -38,6 +38,19 @@ def _common_scale(denominators: Iterable[int], count: int) -> int:
             raise TooLarge(f"a common denominator of {scale.bit_length()} bits over {count} "
                            f"values exceeds the {MAX_CHARGE_BITS}-bit charge cap")
     return scale
+
+
+def _over_scale(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """``(scale, nums)``: the rationals ``values`` as integers ``nums[k]`` over
+    their common scale. The scale grows under the charge cap
+    (:func:`_common_scale`), over the denominators in first-seen order so that
+    the point where the cap refuses does not hang on set order, and a set over
+    the cap is refused before any value is scaled."""
+    values = list(values)
+    denominators = dict.fromkeys(x.denominator for x in values)
+    scale = _common_scale(denominators, len(values))
+    factor = {q: scale // q for q in denominators}
+    return scale, [x.numerator * factor[x.denominator] for x in values]
 
 
 def _qpow(q: int, e: int) -> Fraction:
@@ -84,9 +97,34 @@ def parse_rational(value: str | int | Fraction) -> Fraction:
                          f"give an int or a \"p/q\" string") from None
 
 
+def _digits(n: int) -> int:
+    """The number of decimal digits of ``n`` != 0, counted without rendering it."""
+    n = abs(n)
+    low = int((n.bit_length() - 1) * log10(2))  # floor(log10 n), give or take one
+    power = 10 ** low
+    while power > n:
+        power //= 10
+        low -= 1
+    while power * 10 <= n:
+        power *= 10
+        low += 1
+    return low + 1
+
+
 def format_rational(value: Fraction) -> str:
-    """Lossless string form, ``"p/q"`` or ``"p"`` for integers."""
-    return str(Fraction(value))
+    """Lossless string form, ``"p/q"`` or ``"p"`` for integers. Raises
+    :class:`TooLarge`, naming the digit count, when the numerator or the
+    denominator has more digits than Python's integer-string limit."""
+    value = Fraction(value)
+    limit = sys.get_int_max_str_digits()
+    for part, name in ((value.numerator, "numerator"), (value.denominator, "denominator")):
+        # Under 3 * limit bits a part has under 0.91 * limit digits: no count needed.
+        if limit and part.bit_length() > 3 * limit:
+            digits = _digits(part)
+            if digits > limit:
+                raise TooLarge(f"the exact value has a {digits}-digit {name}, over the "
+                               f"{limit}-digit limit on printed integers")
+    return str(value)
 
 
 def decimal_string(value: Fraction) -> str:

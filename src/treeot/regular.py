@@ -19,7 +19,7 @@ from math import gcd
 from typing import Sequence
 
 from .errors import InvalidParams, TooLarge, TruncationTooSmall
-from .rational import RationalLike, _common_scale, _frac, _qpow
+from .rational import RationalLike, _frac, _over_scale, _qpow
 from .tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, Flow, Measure, Tree
 
 
@@ -74,7 +74,8 @@ class RadialProfile:
     """Nonnegative masses s(l) = num[l] / scale by distance from the center;
     finite support, some mass.
 
-    Built from rational ``values``, or from integer numerators over a given
+    Built from rational ``values``, put over one scale under the charge cap
+    (:func:`rational._over_scale`), or from integer numerators over a given
     ``scale`` (a walk column over S^n). Kept in lowest terms, so equal
     profiles compare equal.
     """
@@ -84,9 +85,7 @@ class RadialProfile:
 
     def __init__(self, values: Sequence[RationalLike], scale: int | None = None):
         if scale is None:
-            fracs = [_frac(x) for x in values]
-            scale = _common_scale({x.denominator for x in fracs}, len(fracs))
-            values = [x.numerator * (scale // x.denominator) for x in fracs]
+            scale, values = _over_scale(map(_frac, values))
         if any(x < 0 for x in values):
             raise ValueError("profile entries must be nonnegative")
         if not any(values):

@@ -15,15 +15,15 @@ from typing import Callable
 from .asymptotics import gamma_asymptotic, interval_mid, verify_inequalities
 from .families import (bundle_from_table, check_functional_equation, srw_closed_form,
                        srw_g_table, srw_return_sequence)
-from .errors import InfeasiblePotential, TooLarge
-from .lp import (FiniteGraph, _check_feasible, _check_support, check_complementary_slackness,
-                 satisfies_marginals, verify_duality)
+from .errors import TooLarge
+from .lp import (FiniteGraph, _check_support, check_complementary_slackness, satisfies_marginals,
+                 verify_duality)
 from .rational import decimal_string, format_rational
 from .regular import (PairGeometry, RadialProfile, TruncatedRegularTree, build_truncated_tree,
                       radial_measure, w1_radial_flow_formula, w1_radial_formula)
 from .series import Series
-from .tree import (Measure, Tree, assignment_from, flow_cost, good_potential, potential_value,
-                   unique_flow, validate_tree, w1_tree)
+from .tree import (Measure, Tree, assignment_from, flow_cost, good_potential, is_edge_lipschitz,
+                   potential_value, unique_flow, validate_tree, w1_tree)
 
 DEFAULT_SEED = 20260808
 
@@ -119,28 +119,28 @@ def duality_cell(tree: Tree, mu: Measure, nu: Measure) -> tuple[dict[str, Fracti
     ``agree``, ``{"duality": {"primal", "dual", "certificate"}}`` or
     ``{"lp_skipped": reason}``; and whether the routes agree. Agreement needs
     equal values and an adapted potential that is 1-Lipschitz, checked once
-    per instance at every size; with the LP, also an optimal certificate,
-    complementary slackness and a plan with exact marginals."""
+    per instance at every size and before the LP; with the LP, also an
+    optimal certificate, complementary slackness and a plan with exact
+    marginals."""
     rho = assignment_from(mu, nu)
     flow = unique_flow(tree, rho)
     paths = {"flow": flow_cost(flow)}
     phi = good_potential(tree, flow)
     paths["potential"] = potential_value(rho, phi)
+    if not is_edge_lipschitz(phi, tree):  # the potential route's fault, not the input's
+        return paths, {"lp_skipped": "the adapted potential is infeasible: potential "
+                                     "jumps by more than 1 across an edge"}, False
     try:
-        try:
-            _check_support(mu, nu)  # before the graph, so an instance over the cap peels nothing
-        except TooLarge as exc:
-            _check_feasible(tree, phi)
-            return paths, {"lp_skipped": str(exc)}, paths["flow"] == paths["potential"]
-        graph = FiniteGraph.from_tree(tree, keep=mu.num.keys() | nu.num.keys())
-        primal, dual, plan = verify_duality(graph, mu, nu, phi)  # checks feasibility under the cap
-    except InfeasiblePotential as exc:  # the potential route's fault, not the input's
-        return paths, {"lp_skipped": f"the adapted potential is infeasible: {exc}"}, False
+        _check_support(mu, nu)  # before the graph, so an instance over the cap peels nothing
+    except TooLarge as exc:
+        return paths, {"lp_skipped": str(exc)}, paths["flow"] == paths["potential"]
+    graph = FiniteGraph.from_tree(tree, keep=mu.num.keys() | nu.num.keys())
+    primal, dual, plan = verify_duality(graph, mu, nu, phi)
     paths["lp"] = primal
     ok = (len(set(paths.values())) == 1 and primal == dual
           and check_complementary_slackness(graph, plan, phi)
           and satisfies_marginals(plan, mu, nu))
-    return paths, {"duality": {"primal": str(primal), "dual": str(dual),
+    return paths, {"duality": {"primal": format_rational(primal), "dual": format_rational(dual),
                                "certificate": primal == dual}}, ok
 
 

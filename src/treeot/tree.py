@@ -20,7 +20,7 @@ from operator import sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected
-from .rational import RationalLike, _common_scale, _frac
+from .rational import RationalLike, _common_scale, _frac, _over_scale
 
 #: Cap on bits(S) * order for the families' size knobs (``series --order``,
 #: ``sweep --n``), where S is the per-step scale: den(alpha) * (q+1) for the
@@ -262,17 +262,6 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
     raise AssertionError("the leaf peeling refused a connected graph with n - 1 edges")
 
 
-def _over_common_scale(values: Mapping[int, Fraction]) -> tuple[int, dict[int, int]]:
-    """``(scale, num)``: nonzero rationals as integers ``num[v]`` over their
-    common scale, grown under the charge cap (:func:`rational._common_scale`),
-    so a set over the cap is refused before any value is scaled."""
-    # In first-seen order, so the point where the cap refuses does not hang on set order.
-    denominators = dict.fromkeys(x.denominator for x in values.values())
-    scale = _common_scale(denominators, len(values))
-    factor = {q: scale // q for q in denominators}
-    return scale, {v: x.numerator * factor[x.denominator] for v, x in values.items()}
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class Measure:
     """Finitely supported nonnegative mass function on dense vertex indices,
@@ -282,9 +271,10 @@ class Measure:
     and ``num`` holds the positive masses only, so equal measures hold equal
     integers and compare equal. Fractions are built only when ``masses``,
     :meth:`value` or :meth:`total` is read. ``Measure({v: RationalLike})``
-    grows the scale under the charge cap (:func:`rational._common_scale`), so
-    a measure over the cap is refused before any mass is scaled. The loader
-    and ``radial_measure`` hold integers from the start (:meth:`_of`).
+    puts the masses over one scale under the charge cap
+    (:func:`rational._over_scale`), so a measure over the cap is refused
+    before any mass is scaled. The loader and ``radial_measure`` hold
+    integers from the start (:meth:`_of`).
     """
 
     scale: int
@@ -299,9 +289,9 @@ class Measure:
                 raise ValueError(f"negative mass {m} at vertex {v}")
             if m.numerator:
                 reduced[int(v)] = m
-        scale, num = _over_common_scale(reduced)
+        scale, nums = _over_scale(reduced.values())
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "num", dict(zip(reduced, nums)))
 
     @classmethod
     def _of(cls, num: dict[int, int], scale: int) -> "Measure":
@@ -340,46 +330,20 @@ class Measure:
         return Measure({v: c * m for v, m in self.masses.items()})
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class Assignment:
     """Signed charges summing to zero (a mass surplus/deficit pattern), held
     as integers over one common denominator: the charge at ``v`` is
-    ``num[v] / scale``. ``Assignment({v: RationalLike})`` drops the zero
-    charges, grows the scale as ``Measure`` does, and raises
-    :class:`ValueError` unless the charges sum to zero.
-    :func:`assignment_from` holds integers from the start (:meth:`_of`)."""
+    ``num[v] / scale``, and ``num`` holds nonzero integers only.
+    :func:`assignment_from` builds one from two measures."""
 
     num: dict[int, int]
     scale: int
-
-    def __init__(self, charges: Mapping[int, RationalLike]):
-        nonzero: dict[int, Fraction] = {}
-        for v, raw in charges.items():
-            c = _frac(raw)
-            if c:
-                nonzero[int(v)] = c
-        scale, num = _over_common_scale(nonzero)
-        if sum(num.values()):
-            raise ValueError("assignment charges must sum to zero")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "scale", scale)
-
-    @classmethod
-    def _of(cls, num: dict[int, int], scale: int) -> "Assignment":
-        """The charges ``num[v] / scale``, taken as given: nonzero integers that
-        sum to zero."""
-        rho = cls.__new__(cls)
-        object.__setattr__(rho, "num", num)
-        object.__setattr__(rho, "scale", scale)
-        return rho
 
     @property
     def charges(self) -> dict[int, Fraction]:
         """The nonzero charges as reduced Fractions, built on each read."""
         return {v: Fraction(x, self.scale) for v, x in self.num.items()}
-
-    def value(self, v: int) -> Fraction:
-        return Fraction(self.num.get(v, 0), self.scale)
 
 
 @dataclass(frozen=True)
@@ -400,12 +364,12 @@ class Flow:
         return Fraction(0)
 
 
-def is_edge_lipschitz(phi: Sequence[Fraction | int], graph) -> bool:
+def is_edge_lipschitz(phi: Sequence[Fraction | int], tree: Tree) -> bool:
     """True iff the potential ``phi``, one value per vertex, changes by at most
-    1 along every edge of ``graph``, a :class:`Tree` or an ``lp.FiniteGraph``:
-    both hold their edge endpoints in ``_ends``."""
+    1 along every edge of ``tree``: the feasibility constraint of the
+    Kantorovich-Rubinstein dual, read over the edge endpoints ``_ends``."""
     at = phi.__getitem__
-    us, vs = graph._ends
+    us, vs = tree._ends
     return max(map(abs, map(sub, map(at, us), map(at, vs))), default=0) <= 1
 
 
@@ -434,7 +398,7 @@ def assignment_from(mu: Measure, nu: Measure) -> Assignment:
     if given != taken:
         raise MassMismatch(f"total masses differ: {Fraction(given, scale)} vs "
                            f"{Fraction(taken, scale)}")
-    return Assignment._of(num, scale)
+    return Assignment(num, scale)
 
 
 def unique_flow(tree: Tree, rho: Assignment) -> Flow:

@@ -27,7 +27,7 @@ import treeot
 from treeot.cli import build_parser, main, parse_profile_spec
 from treeot.errors import DuplicateEdge, HasCycle, NotConnected, TooLarge
 from treeot.instances import dump_instance, instance_from_dict, instance_to_dict, load_instance
-from treeot.rational import parse_rational
+from treeot.rational import format_rational, parse_rational
 from treeot.tree import Measure, assignment_from, validate_tree, w1_tree
 
 from conftest import FIXTURES, adjacency_of, demo_doc, random_tree, run_python
@@ -134,6 +134,11 @@ class TestInstances:
         tree, mu, nu = instance_from_dict(doc)
         rebuilt = instance_to_dict(tree, mu, nu)
         assert rebuilt["mu"]["0"] == "22/7"
+
+    def test_format_rational_refuses_past_the_digit_limit(self):
+        with pytest.raises(TooLarge, match="a 5001-digit denominator, over the 4300-digit"):
+            format_rational(Fraction(1, 10 ** 5000))
+        assert len(format_rational(Fraction(-(10 ** 4300 - 1), 7))) == 4303
 
 
 #: (vertices, edges, error type, message): each fault as the full check names it.
@@ -444,6 +449,19 @@ class TestW1Command:
         assert code == 2 and out == ""
         assert err.startswith("error: mu['a']: ") and "5000-digit" in err
         assert len(err) < 200
+
+    def test_an_answer_past_the_digit_limit_is_refused(self, capsys, tmp_path):
+        # Every mass parses and L is under the charge cap, yet the exact
+        # distance has more digits than Python prints.
+        a, b, c = (f"1/{10 ** 2500 + k}" for k in (1, 3, 7))
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({
+            "vertices": list("abcde"), "edges": [list(e) for e in ("ab", "bc", "cd", "de")],
+            "mu": {"a": a, "b": b, "c": c}, "nu": {"e": a, "d": b, "a": c}}))
+        code, out, err = run_cli(capsys, "w1", str(path))
+        assert code == 2 and out == ""
+        assert re.match(r"error: .* a \d+-digit (numerator|denominator), over the 4300-digit", err)
+        assert "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize("doc, message", [
         ({"vertices": [1, "1"], "edges": [[1, "1"]], "mu": {"1": "1"}, "nu": {"1": "1"}},
@@ -948,6 +966,11 @@ class TestOneAgreementCheck:
     def test_an_infeasible_potential_is_named_in_both_reports(self, capsys, monkeypatch,
                                                               demo_instance_path):
         _break_everywhere(monkeypatch, "good_potential", lambda original: _steep_potential)
+
+        def no_lp(*args):
+            raise AssertionError("the LP ran on an infeasible potential")
+
+        _break_everywhere(monkeypatch, "w1_lp", lambda original: no_lp)
         code, out, _ = run_cli(capsys, "w1", str(demo_instance_path), "--json")
         doc = json.loads(out)
         assert code == 1 and doc["agree"] is False
@@ -1000,6 +1023,13 @@ class TestOneAgreementCheck:
 
 
 class TestRadialW1Mode:
+    def test_an_answer_past_the_digit_limit_is_refused(self, capsys):
+        spec = "custom:[" + ",".join(f"1/{10 ** 1999 + k}" for k in (1, 3, 7)) + "]"
+        code, out, err = run_cli(capsys, "w1", "--radial", spec, "--q", "2", "--d", "1")
+        assert code == 2 and out == ""
+        assert re.match(r"error: .* a \d+-digit (numerator|denominator), over the 4300-digit", err)
+        assert "set_int_max_str_digits" not in err
+
     def test_three_route_agreement_and_value(self, capsys):
         code, out, _ = run_cli(capsys, "w1", "--radial", "srw:alpha=1/2,n=4",
                                "--q", "3", "--d", "2", "--json")

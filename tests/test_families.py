@@ -3,13 +3,14 @@ coefficient-extraction distance formula."""
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeot.errors import InvalidAlpha, OrderExceeded
+from treeot.errors import InvalidAlpha, OrderExceeded, TooLarge
 from treeot.families import (ball_g_table, ball_gf, bundle_from_table, check_functional_equation,
                              sphere_g_table, sphere_gf, srw_closed_form, srw_closed_form_rows,
                              srw_g_table, srw_profile, srw_return_sequence, w1_via_genfun)
@@ -217,6 +218,16 @@ class TestFunctionalEquation:
             check_functional_equation(rows, Fraction(1, 2), 2)
         with pytest.raises(ValueError, match="nonempty"):
             check_functional_equation([], Fraction(1, 2), 2)
+
+    def test_rows_over_the_charge_cap_refused_before_scaling(self):
+        # Fermat numbers are pairwise coprime, so the one column's lcm reaches
+        # 2^20 bits over 2000 rows: over the charge cap.
+        fermat = [2 ** (2 ** i) + 1 for i in range(20)]
+        rows = [[Fraction(1, fermat[ell % 20])] for ell in range(2000)]
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="1048576 bits over 2000 values"):
+            check_functional_equation(rows, Fraction(1, 2), 2)
+        assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
-from treeot.errors import InfeasiblePotential, MassMismatch, TooLarge
+from treeot.errors import MassMismatch, TooLarge
 from treeot.instances import instance_from_dict
 from treeot.lp import (FiniteGraph, _transportation_simplex, check_complementary_slackness,
                        satisfies_marginals, verify_duality, w1_lp)
@@ -288,12 +288,12 @@ class TestW1LP:
 
 class TestDualSide:
     def test_constant_potential_feasible(self):
-        g = _build(range(3), [(0, 1), (1, 2)])
-        assert is_edge_lipschitz((Fraction(1),) * 3, g)
+        tree = validate_tree(range(3), [(0, 1), (1, 2)])
+        assert is_edge_lipschitz((Fraction(1),) * 3, tree)
 
     def test_jump_of_two_infeasible(self):
-        g = _build(range(2), [(0, 1)])
-        assert not is_edge_lipschitz((Fraction(0), Fraction(2)), g)
+        tree = validate_tree(range(2), [(0, 1)])
+        assert not is_edge_lipschitz((Fraction(0), Fraction(2)), tree)
 
     def test_demo_potential_feasible_and_optimal(self):
         tree, mu, nu = instance_from_dict(demo_doc())
@@ -301,14 +301,9 @@ class TestDualSide:
         rho = assignment_from(mu, nu)
         levels = good_potential(tree, unique_flow(tree, rho))
         phi = tuple(h - levels[tree.index["v4"]] for h in levels)
-        assert is_edge_lipschitz(phi, g)
+        assert is_edge_lipschitz(phi, tree)
         primal, dual, _ = verify_duality(g, mu, nu, phi)
         assert primal == dual == 12
-
-    def test_infeasible_potential_raises(self):
-        g = _build(range(2), [(0, 1)])
-        with pytest.raises(InfeasiblePotential):
-            verify_duality(g, Measure({0: 1}), Measure({1: 1}), (Fraction(0), Fraction(5)))
 
     def test_slackness_on_diagonal_plan(self):
         g = _build(range(3), [(0, 1), (1, 2)])
@@ -371,7 +366,7 @@ class TestRandomizedAgreement:
             anchors = {v: Fraction(rng.randint(-3, 3)) for v in rng.sample(range(n), 2)}
             phi = tuple(min(base + g.distance(a, v) for a, base in anchors.items())
                         for v in range(n))
-            assert is_edge_lipschitz(phi, g)
+            assert is_edge_lipschitz(phi, tree)
             dual = sum(((mu.value(v) - nu.value(v)) * phi[v] for v in range(n)),
                        Fraction(0))
             assert sum(g.distance(u, v) * x for (u, v), x in plan.items()) >= dual

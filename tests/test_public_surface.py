@@ -63,3 +63,26 @@ def test_every_public_name_has_a_reader_or_a_reason():
 
 def test_the_allowlist_holds_no_name_that_gained_a_reader():
     assert READ_ONLY_BY_TESTS - _unread() == set()
+
+
+def _raised() -> set[str]:
+    """The names that some ``raise`` of the package raises, called or bare,
+    by name or as a module attribute."""
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return raised
+
+
+def test_every_error_type_has_a_raise_site():
+    # A type left only in an ``except`` or an import still has a reader, so
+    # the guards above pass it; one that nothing raises is dead.
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    types = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    assert types - {"TreeOTError"} - _raised() == set()

@@ -27,6 +27,13 @@ def demo_tree():
     return instance_from_dict(demo_doc())
 
 
+def _signed(charges):
+    """The assignment with the given zero-sum rational charges: the surplus
+    measure less the deficit measure."""
+    return assignment_from(Measure({v: c for v, c in charges.items() if c > 0}),
+                           Measure({v: -c for v, c in charges.items() if c < 0}))
+
+
 class TestValidateTree:
     def test_path_on_three_vertices(self):
         tree = validate_tree(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -89,10 +96,9 @@ class TestValidateTree:
 @pytest.mark.parametrize("value", [0.1, True])
 @pytest.mark.parametrize("build", [
     lambda x: Measure({0: x}),
-    lambda x: Assignment({0: x, 1: -1}),
     lambda x: RadialProfile((x,)),
     lambda x: Series((x,)),
-], ids=["Measure", "Assignment", "RadialProfile", "Series"])
+], ids=["Measure", "RadialProfile", "Series"])
 def test_constructors_refuse_floats_and_bools(build, value):
     with pytest.raises(ValueError, match=re.escape(repr(value))):
         build(value)
@@ -106,7 +112,7 @@ class TestAssignment:
 
     def test_point_masses(self):
         rho = assignment_from(Measure({0: 1}), Measure({3: 1}))
-        assert rho.value(0) == 1 and rho.value(3) == -1
+        assert rho.charges == {0: 1, 3: -1}
 
     def test_mass_mismatch(self):
         with pytest.raises(MassMismatch):
@@ -116,14 +122,6 @@ class TestAssignment:
         half = Fraction(1, 2)
         rho = assignment_from(Measure({0: half, 1: half}), Measure({0: half, 2: half}))
         assert rho.num == {1: 1, 2: -1} and rho.scale == 2
-
-    def test_public_constructor_checks_the_sum(self):
-        with pytest.raises(ValueError, match="sum to zero"):
-            Assignment({0: Fraction(1, 3), 1: Fraction(-2, 3)})
-
-    def test_public_constructor_drops_zeros_over_the_lcm(self):
-        rho = Assignment({0: 0, 1: Fraction(1, 6), 2: Fraction(-1, 4), 3: "1/12"})
-        assert rho.scale == 12 and rho.num == {1: 2, 2: -3, 3: 1}
 
     def test_demo_charges(self):
         tree, mu, nu = demo_tree()
@@ -136,7 +134,7 @@ class TestAssignment:
 class TestUniqueFlow:
     def test_zero_assignment_zero_flow(self):
         tree = validate_tree(range(3), [(0, 1), (1, 2)])
-        flow = unique_flow(tree, Assignment({}))
+        flow = unique_flow(tree, Assignment({}, 1))
         assert {(u, v): flow.signed(u, v) for u, v in tree.edges if flow.signed(u, v)} == {}
         assert flow_cost(flow) == 0
 
@@ -167,15 +165,15 @@ class TestUniqueFlow:
             tree = random_tree(rng, n)
             charges = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for v in range(n - 1)}
             charges[n - 1] = -sum(charges.values(), Fraction(0))
-            rho = Assignment(charges)
+            rho = _signed(charges)
             flow = unique_flow(tree, rho)
-            assert list(divergence(tree, flow)) == [rho.value(v) for v in range(n)]
+            assert list(divergence(tree, flow)) == [charges[v] for v in range(n)]
 
 
 class TestGoodPotential:
     def test_zero_flow_constant_potential(self):
         tree = validate_tree(range(4), [(0, 1), (1, 2), (2, 3)])
-        phi = good_potential(tree, unique_flow(tree, Assignment({})))
+        phi = good_potential(tree, unique_flow(tree, Assignment({}, 1)))
         assert set(phi) == {Fraction(0)}
 
     def test_demo_potential_reference_values(self):
@@ -224,7 +222,7 @@ class TestGoodPotential:
 class TestPotentialValue:
     def test_zero_assignment(self):
         tree = validate_tree(range(2), [(0, 1)])
-        rho = Assignment({})
+        rho = Assignment({}, 1)
         phi = good_potential(tree, unique_flow(tree, rho))
         assert potential_value(rho, phi) == 0
 
@@ -295,9 +293,9 @@ def test_flow_divergence_property(seed):
     tree = random_tree(rng, n)
     charges = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for v in range(n - 1)}
     charges[n - 1] = -sum(charges.values(), Fraction(0))
-    rho = Assignment(charges)
+    rho = _signed(charges)
     flow = unique_flow(tree, rho)
-    assert list(divergence(tree, flow)) == [rho.value(v) for v in range(n)]
+    assert list(divergence(tree, flow)) == [charges[v] for v in range(n)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -349,13 +347,6 @@ class TestChargeBudget:
             Measure(masses)
         assert time.perf_counter() - start < 1.0
 
-    def test_assignment_refused_in_constructor(self):
-        charges = {v: Fraction(1, FERMAT[v % 20]) for v in range(2000)}
-        start = time.perf_counter()
-        with pytest.raises(TooLarge, match="1048576 bits over 2000 values"):
-            Assignment(charges)
-        assert time.perf_counter() - start < 1.0
-
     def test_assignment_refused_before_scaling(self):
         # Each measure is under the cap; the lcm of their scales is not.
         mu = Measure({v: Fraction(1, FERMAT[v % 10]) for v in range(2000)})
@@ -368,8 +359,7 @@ class TestChargeBudget:
     def test_flow_refused_before_allocating(self):
         n = 2000
         tree = validate_tree(range(n), [(i, i + 1) for i in range(n - 1)])
-        scale = math.prod(FERMAT)
-        rho = Assignment({0: Fraction(1, scale), n - 1: Fraction(-1, scale)})
+        rho = Assignment({0: 1, n - 1: -1}, math.prod(FERMAT))
         start = time.perf_counter()
         with pytest.raises(TooLarge, match="1048576 bits over 2000 values"):
             unique_flow(tree, rho)
