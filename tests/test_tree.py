@@ -96,9 +96,10 @@ class TestValidateTree:
 @pytest.mark.parametrize("value", [0.1, True])
 @pytest.mark.parametrize("build", [
     lambda x: Measure({0: x}),
+    lambda x: assignment_from(Measure({0: x}), Measure({1: 1})),
     lambda x: RadialProfile((x,)),
     lambda x: Series((x,)),
-], ids=["Measure", "RadialProfile", "Series"])
+], ids=["Measure", "Assignment", "RadialProfile", "Series"])
 def test_constructors_refuse_floats_and_bools(build, value):
     with pytest.raises(ValueError, match=re.escape(repr(value))):
         build(value)
@@ -122,6 +123,17 @@ class TestAssignment:
         half = Fraction(1, 2)
         rho = assignment_from(Measure({0: half, 1: half}), Measure({0: half, 2: half}))
         assert rho.num == {1: 1, 2: -1} and rho.scale == 2
+
+    # assignment_from is the one public way to build an Assignment.
+    def test_public_constructor_checks_the_sum(self):
+        with pytest.raises(MassMismatch, match="total masses differ: 1/3 vs 2/3"):
+            assignment_from(Measure({0: Fraction(1, 3)}), Measure({1: Fraction(2, 3)}))
+
+    def test_public_constructor_drops_zeros_over_the_lcm(self):
+        third = Fraction(1, 3)
+        rho = assignment_from(Measure({0: third, 1: Fraction(1, 6), 3: "1/12"}),
+                              Measure({0: third, 2: Fraction(1, 4)}))
+        assert rho.scale == 12 and rho.num == {1: 2, 2: -3, 3: 1}
 
     def test_demo_charges(self):
         tree, mu, nu = demo_tree()
