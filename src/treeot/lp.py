@@ -26,7 +26,7 @@ from operator import and_, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MassMismatch, TooLarge
-from .tree import (Measure, Tree, _adjacency, _hop_distances, _pair_scale, _peel,
+from .tree import (Measure, Tree, _adjacency, _hop_distances, _pair_scale, _peel, _totals_differ,
                    assignment_from, potential_value)
 
 #: Supports larger than this are refused; the exact simplex is for desk-scale
@@ -124,7 +124,7 @@ def w1_lp(graph: FiniteGraph, mu: Measure,
     supply = [mu.num[u] * up for u in sources]
     demand = [nu.num[v] * down for v in sinks]
     if sum(supply) != sum(demand):
-        raise MassMismatch(f"total masses differ: {mu.total()} vs {nu.total()}")
+        raise MassMismatch(_totals_differ(sum(supply), sum(demand), scale))
     for v in (*sources, *sinks):
         if not 0 <= v < graph.num_vertices:
             raise ValueError(f"measure references vertex {v} outside the graph")

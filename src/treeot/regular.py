@@ -13,8 +13,10 @@ the infinite-tree answer exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd
 from typing import Sequence
 
@@ -164,7 +166,9 @@ class TruncatedRegularTree:
 
     Every vertex within the truncation radius of X or Y is present with full
     degree q + 1 unless it sits on the truncation boundary; vertex v sits at
-    path index i[v] and height h[v].
+    path index i[v] and height h[v]. The ids run level by level: ``h`` never
+    decreases in id order, and within one level ``i`` never decreases, so the
+    vertices of one (h, i) class are one contiguous id range.
     """
 
     geometry: PairGeometry
@@ -179,10 +183,15 @@ class TruncatedRegularTree:
 def build_truncated_tree(q: int, d: int, radius: int) -> TruncatedRegularTree:
     """Truncation of the regular tree containing balls of ``radius`` around X and Y.
 
-    The path X = 0, ..., d = Y comes first; then each vertex, in id order, gets
-    its missing children while they stay within ``radius`` of a center. Every
-    parent precedes its children, so the tree comes from the parent array with
-    no BFS. Raises :class:`TooLarge`, before any work, over the size cap.
+    The path X = 0, ..., d = Y is level 0; level h + 1 holds the children of
+    level h, each parent's block in the parent's id order. A vertex at (i, h)
+    gets children while min(i, d - i) + h < radius: q of them, or q - 1 off
+    an interior path vertex. Since ``i`` never decreases within a level, the
+    parents of a level are one prefix (i < radius - h) and one suffix
+    (i > d - radius + h), which two bisections find, and a level is built
+    from slices and repeats with no loop over its vertices. Every parent
+    precedes its children, so the tree comes from the parent array with no
+    BFS. Raises :class:`TooLarge`, before any work, over the size cap.
     """
     geometry = PairGeometry(q, d)
     if radius < 0:
@@ -191,13 +200,21 @@ def build_truncated_tree(q: int, d: int, radius: int) -> TruncatedRegularTree:
     parent = [-1, *range(d)]
     path_i = list(range(d + 1))
     height = [0] * (d + 1)
-    # The loop also visits the vertices it appends.
-    for v, (i, h) in enumerate(zip(path_i, height)):
-        if min(i, d - i) + h < radius:
-            children = q - 1 if h == 0 and 0 < i < d else q
-            parent += [v] * children
-            path_i += [i] * children
-            height += [h + 1] * children
+    start, end, h = 0, d + 1, 0  # level h holds the ids start..end-1
+    while start < end:
+        prefix = bisect_left(path_i, radius - h, start, end)
+        suffix = max(prefix, bisect_right(path_i, d - radius + h, start, end))
+        ids = [*range(start, prefix), *range(suffix, end)]
+        i = path_i[start:prefix] + path_i[suffix:end]
+        if h:  # q children each
+            parent += chain.from_iterable(zip(*repeat(ids, q)))
+            path_i += chain.from_iterable(zip(*repeat(i, q)))
+        else:  # the path: q children off X and Y, q - 1 off an interior vertex
+            counts = [q if j in (0, d) else q - 1 for j in i]
+            parent += chain.from_iterable(map(repeat, ids, counts))
+            path_i += chain.from_iterable(map(repeat, i, counts))
+        start, end, h = end, len(parent), h + 1
+        height += repeat(h, end - start)
     return TruncatedRegularTree(geometry=geometry, tree=Tree._from_parents(parent), x=0, y=d,
                                 path=tuple(range(d + 1)), i=tuple(path_i), h=tuple(height))
 
@@ -206,26 +223,39 @@ def radial_measure(truncation: TruncatedRegularTree, center: int, profile: Radia
     """Measure assigning mass s(dist(center, v)) to every vertex v, for the
     center X or Y; the distance is |i(center) - i| + h.
 
+    Reads the ids level by level: the vertices of each (h, i) class within
+    the profile's support are one contiguous id range, found by bisection on
+    ``i`` within the level, so the masses are filled range by range in
+    ascending id order with no loop over the vertices.
+
     Raises :class:`TruncationTooSmall` when the truncation clips any sphere
     inside the profile's support, and :class:`ValueError` for another center.
     """
     if center not in (truncation.x, truncation.y):
         raise ValueError(f"center must be X = {truncation.x} or Y = {truncation.y}, not {center}")
-    q = truncation.geometry.q
-    to_path = [abs(truncation.i[center] - j) for j in truncation.path]  # path ids are 0..d
+    q, d = truncation.geometry.q, truncation.geometry.d
+    c = truncation.i[center]
     top = profile.support_radius
     # Each shell's integer over the profile's scale, shared by every vertex of
     # the shell. The profile is in lowest terms, so its scale is the lcm of the
     # reduced denominators of the positive shell masses: the measure's scale.
     shells = profile.num
+    path_i, height = truncation.i, truncation.h
     counts = [0] * (top + 1)
     num: dict[int, int] = {}
-    for v, (i, h) in enumerate(zip(truncation.i, truncation.h)):
-        ell = to_path[i] + h
-        if ell <= top:
-            counts[ell] += 1
+    start = 0
+    for h in range(top + 1):
+        end = bisect_right(height, h, start)
+        reach = top - h
+        lo = bisect_left(path_i, c - reach, start, end)
+        for j in range(max(0, c - reach), min(d, c + reach) + 1):
+            hi = bisect_right(path_i, j, lo, end)
+            ell = abs(c - j) + h
+            counts[ell] += hi - lo
             if shells[ell]:
-                num[v] = shells[ell]
+                num.update(zip(range(lo, hi), repeat(shells[ell])))
+            lo = hi
+        start = end
     for ell in range(top + 1):
         if counts[ell] != sphere_size(q, ell):
             raise TruncationTooSmall(

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import sub
+from operator import gt, sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected
-from .rational import RationalLike, _common_scale, _frac, _over_scale
+from .rational import RationalLike, _common_scale, _frac, _over_scale, decimal_string
 
 #: Cap on bits(S) * order for the families' size knobs (``series --order``,
 #: ``sweep --n``), where S is the per-step scale: den(alpha) * (q+1) for the
@@ -172,8 +172,9 @@ def _require_connected(adjacency: Sequence[Sequence[int]]) -> None:
 class Tree:
     """Finite connected acyclic graph over dense vertex indices ``0..n-1``.
 
-    ``labels`` preserves the caller's vertex identifiers; all other structures
-    (and all measures/flows/potentials) use the dense indices. ``parent``
+    ``labels`` preserves the caller's vertex identifiers, and ``index`` maps
+    each back to its dense index; all other structures (and all
+    measures/flows/potentials) use the dense indices. ``parent``
     roots the tree at vertex 0 (-1 there), and ``order`` lists every vertex
     after its parent, starting at 0: the reverse of the leaf peeling that
     :func:`validate_tree` ran, or ``0..n-1`` for a tree built from a
@@ -183,7 +184,6 @@ class Tree:
     """
 
     labels: tuple[Hashable, ...]
-    index: dict
     order: tuple[int, ...]
     parent: tuple[int, ...]
     #: The dense endpoints of edge k, in input order, at ``_ends[0][k]`` and ``_ends[1][k]``.
@@ -192,6 +192,12 @@ class Tree:
     @property
     def num_vertices(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def index(self) -> dict:
+        """Each label's dense index, built on first read; :func:`validate_tree`
+        fills it with the map it builds anyway."""
+        return dict(zip(self.labels, range(len(self.labels))))
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -206,15 +212,15 @@ class Tree:
         The generator numbers every parent before its children: ``parent[0]``
         is -1 and ``0 <= parent[v] < v`` otherwise, so the n - 1 edges reach
         vertex 0 from everywhere, there is no cycle, and ``0..n-1`` is the
-        order. No BFS runs. Raises :class:`ValueError` for any other array.
+        order. No BFS runs, and the check is two passes in C. Raises
+        :class:`ValueError` for any other array.
         """
-        n = len(parent)
-        if not n or parent[0] != -1 or not all(0 <= parent[v] < v for v in range(1, n)):
+        labels = tuple(range(len(parent)))
+        up, down = parent[1:], labels[1:]
+        if not labels or parent[0] != -1 or min(up, default=0) < 0 or not all(map(gt, down, up)):
             raise ValueError("a parent array needs -1 at vertex 0 and "
                              "0 <= parent[v] < v at every other vertex")
-        labels = tuple(range(n))
-        return cls(labels=labels, index=dict(zip(labels, labels)), order=labels,
-                   parent=tuple(parent), _ends=(parent[1:], labels[1:]))
+        return cls(labels=labels, order=labels, parent=tuple(parent), _ends=(up, down))
 
 
 def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
@@ -249,8 +255,9 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
                 order, parent = rooted
                 order.append(0)
                 order.reverse()
-                return Tree(labels=labels, index=index, order=tuple(order),
-                            parent=tuple(parent), _ends=ends)
+                tree = Tree(labels=labels, order=tuple(order), parent=tuple(parent), _ends=ends)
+                object.__setattr__(tree, "index", index)
+                return tree
     _, _, dense_edges, adjacency = _build_graph(labels, edges)
     if len(dense_edges) > n - 1:
         raise HasCycle(f"{len(dense_edges)} edges on {n} vertices force a cycle")
@@ -379,6 +386,19 @@ def _pair_scale(mu: Measure, nu: Measure) -> tuple[int, int, int]:
     return scale, scale // mu.scale, scale // nu.scale
 
 
+def _totals_differ(given: int, taken: int, scale: int) -> str:
+    """The message for totals ``given / scale`` and ``taken / scale`` that differ:
+    each written exactly while it takes 128 bits or fewer (about 40 digits),
+    else as its 12-digit decimal, so no huge integer is ever printed."""
+    shown = []
+    for total in (Fraction(given, scale), Fraction(taken, scale)):
+        if total.numerator.bit_length() + total.denominator.bit_length() <= 128:
+            shown.append(str(total))
+        else:
+            shown.append(f"about {decimal_string(total)}")
+    return f"total masses differ: {shown[0]} vs {shown[1]}"
+
+
 def assignment_from(mu: Measure, nu: Measure) -> Assignment:
     """Difference of two measures with equal totals, as integers over L, the
     lcm of their scales and so of all their mass denominators. The charge
@@ -396,8 +416,7 @@ def assignment_from(mu: Measure, nu: Measure) -> Assignment:
         else:  # mu and nu cancel at v
             del num[v]
     if given != taken:
-        raise MassMismatch(f"total masses differ: {Fraction(given, scale)} vs "
-                           f"{Fraction(taken, scale)}")
+        raise MassMismatch(_totals_differ(given, taken, scale))
     return Assignment(num, scale)
 
 

@@ -28,6 +28,7 @@ from treeot.cli import build_parser, main, parse_profile_spec
 from treeot.errors import DuplicateEdge, HasCycle, NotConnected, TooLarge
 from treeot.instances import dump_instance, instance_from_dict, instance_to_dict, load_instance
 from treeot.rational import format_rational, parse_rational
+from treeot.regular import truncation_size
 from treeot.tree import Measure, assignment_from, validate_tree, w1_tree
 
 from conftest import FIXTURES, adjacency_of, demo_doc, random_tree, run_python
@@ -93,6 +94,10 @@ class TestBenchTracer:
         spans = collections.Counter(span[0] for span in tracer.spans)
         assert spans["lp.verify_duality"] == 1
         assert spans["asymptotics.verify_inequalities"] == 216 + 1
+        # The radial run builds one truncation, of radius r + d, and measures it twice.
+        assert spans["regular.build_truncated_tree"] == 1
+        assert spans["regular.radial_measure"] == 2
+        assert tracer.sums["regular.truncation_vertices"] == truncation_size(2, 1, 2 + 1)
 
 
 class TestInstances:
@@ -461,6 +466,20 @@ class TestW1Command:
         code, out, err = run_cli(capsys, "w1", str(path))
         assert code == 2 and out == ""
         assert re.match(r"error: .* a \d+-digit (numerator|denominator), over the 4300-digit", err)
+        assert "set_int_max_str_digits" not in err
+
+    def test_totals_past_the_digit_limit_still_say_the_masses_differ(self, capsys, tmp_path):
+        # The mismatched totals have 2,500-digit denominators and the lcm has
+        # 5,000 digits: the message must not print either.
+        big = 10 ** 2500 + 1
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps({
+            "vertices": list("abc"), "edges": [["a", "b"], ["b", "c"]],
+            "mu": {"a": f"1/{big}", "b": f"1/{big + 2}"}, "nu": {"c": f"1/{big}"}}))
+        code, out, err = run_cli(capsys, "w1", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: total masses differ: about 2.00000000000E-2500 vs "
+                              "about 1.00000000000E-2500")
         assert "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize("doc, message", [

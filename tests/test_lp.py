@@ -242,8 +242,18 @@ class TestW1LP:
 
     def test_mass_mismatch(self):
         g = _build(range(2), [(0, 1)])
-        with pytest.raises(MassMismatch):
+        with pytest.raises(MassMismatch, match="total masses differ: 1 vs 2"):
             w1_lp(g, Measure({0: 1}), Measure({1: 2}))
+
+    def test_mass_mismatch_past_the_digit_limit_names_the_totals(self):
+        big = 10 ** 2500 + 1
+        g = _build(range(3), [(0, 1), (1, 2)])
+        mu = Measure({0: Fraction(1, big), 1: Fraction(1, big + 2)})
+        with pytest.raises(MassMismatch) as raised:
+            w1_lp(g, mu, Measure({2: Fraction(1, big)}))
+        message = str(raised.value)
+        assert message.startswith("total masses differ: about 2.00000000000E-2500 vs about ")
+        assert "set_int_max_str_digits" not in message
 
     def test_too_large_rejected(self):
         n = 45

@@ -84,6 +84,80 @@ class TestGeometry:
             size(2, -2)
 
 
+def reference_truncation(q: int, d: int, radius: int) -> tuple[list[int], list[int], list[int]]:
+    """``(parent, i, h)`` from the per-vertex builder: the path X = 0, ..., d = Y
+    first, then each vertex, in id order, gets its missing children while
+    they stay within ``radius`` of a center."""
+    parent = [-1, *range(d)]
+    path_i = list(range(d + 1))
+    height = [0] * (d + 1)
+    # The loop also visits the vertices it appends.
+    for v, (i, h) in enumerate(zip(path_i, height)):
+        if min(i, d - i) + h < radius:
+            children = q - 1 if h == 0 and 0 < i < d else q
+            parent += [v] * children
+            path_i += [i] * children
+            height += [h + 1] * children
+    return parent, path_i, height
+
+
+def reference_measure(q: int, d: int, path_i: list[int], height: list[int], center: int,
+                      profile: RadialProfile) -> tuple[dict[int, int], int]:
+    """``(num, scale)`` of the radial measure, one vertex at a time; raises
+    :class:`TruncationTooSmall` with the message of :func:`radial_measure`."""
+    to_path = [abs(path_i[center] - j) for j in range(d + 1)]
+    top = profile.support_radius
+    shells = profile.num
+    counts = [0] * (top + 1)
+    num: dict[int, int] = {}
+    for v, (i, h) in enumerate(zip(path_i, height)):
+        ell = to_path[i] + h
+        if ell <= top:
+            counts[ell] += 1
+            if shells[ell]:
+                num[v] = shells[ell]
+    for ell in range(top + 1):
+        if counts[ell] != sphere_size(q, ell):
+            raise TruncationTooSmall(
+                f"distance-{ell} sphere around vertex {center} has {counts[ell]} "
+                f"vertices, expected {sphere_size(q, ell)}; enlarge the truncation")
+    return num, profile.scale
+
+
+class TestAgainstThePerVertexReference:
+    """The level-by-level build and measure against the per-vertex loops, over
+    q in 2..5, d in 1..6 and radius in 0..5, radius < d / 2 included (the
+    middle path vertices get no branches there)."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_same_truncation_and_measures(self, q, d):
+        for radius in range(6):
+            parent, path_i, height = reference_truncation(q, d, radius)
+            tt = build_truncated_tree(q, d, radius)
+            assert list(tt.tree.parent) == parent
+            assert list(tt.i) == path_i and list(tt.h) == height
+            # The two ordering facts the level-by-level code reads.
+            assert all(a <= b for a, b in zip(height, height[1:]))
+            assert all(a <= b for a, b, ha, hb in zip(path_i, path_i[1:], height, height[1:])
+                       if ha == hb)
+            for top in range(radius + 3):
+                # Zero shells inside the support, and a positive top shell.
+                profile = RadialProfile([Fraction(ell % 3, ell + 2) for ell in range(top)] + [1])
+                for center in (tt.x, tt.y):
+                    try:
+                        expected = reference_measure(q, d, path_i, height, center, profile)
+                    except TruncationTooSmall as refused:
+                        with pytest.raises(TruncationTooSmall) as raised:
+                            radial_measure(tt, center, profile)
+                        assert str(raised.value) == str(refused)
+                        continue
+                    mu = radial_measure(tt, center, profile)
+                    num, scale = expected
+                    # Equal in insertion order too, ascending ids as the loop wrote them.
+                    assert (list(mu.num.items()), mu.scale) == (list(num.items()), scale)
+
+
 class TestTruncation:
     def test_single_edge(self):
         tt = build_truncated_tree(2, 1, 0)
