@@ -1,12 +1,11 @@
-"""Linear asymptotics of the transport distance and derived statistics.
+"""Linear asymptotics of the transport distance, and the growth of the walk's
+return masses.
 
 For each family the distance between the two centered copies grows like
 A*n + B + o(1); A and B are explicit rationals in (alpha, d, q). The six
-coefficients satisfy a strict ordering chain, the four walk statistics of
-the regular tree are specializations of A, and the n-scale curvature is an
-affine repackaging of the distance. The growth of the walk's return-mass
-coefficients is also quantified, with its algebraic constants kept as exact
-rational enclosures.
+coefficients satisfy a strict ordering chain. The growth of the walk's
+return-mass coefficients is also quantified, with its algebraic constants
+kept as exact rational enclosures.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from operator import mul
 from typing import Callable
 
 from .errors import InvalidParams
-from .families import bundle_from_table, srw_g_table, w1_via_genfun, _check_alpha
+from .families import _check_alpha
 from .rational import RationalLike, _qpow
 from .regular import PairGeometry, _check_q
 
@@ -116,32 +115,6 @@ def verify_inequalities(alpha: RationalLike, d: int, q: int) -> dict:
             "B_srw": str(srw.B), "B_sphere": str(sph.B), "B_ball": str(bal.B),
             "chain_a": chain_a, "chain_b": chain_b, "ball_floor_equality": at_floor,
             "passed": chain_a and chain_b and witnesses and at_floor == ((d, q) == (1, 2))}
-
-
-def chi_tree(alpha: RationalLike, q: int) -> tuple[Fraction, Fraction]:
-    """The sup/inf limsup/liminf statistics of W1/n over vertex pairs, for lazy
-    walks on the regular tree, as ``(up, down)``. The four pair up: both sup
-    statistics equal ``up``, the d -> infinity limit of the walk slope, and
-    both inf statistics equal ``down``, its value at d = 1."""
-    alpha = _check_alpha(alpha)
-    _check_q(q)
-    up = 2 * (1 - alpha) * Fraction(q - 1, q + 1)
-    down = 2 * (1 - alpha) * Fraction(q - 1, q + 1) ** 2
-    return up, down
-
-
-def kappa_curvature(alpha: RationalLike, d: int, q: int, n: int) -> tuple[Fraction, Fraction]:
-    """n-scale curvature 1 - W1/d of the lazy walk, as ``(exact, linear)``:
-    from the exact distance, and from its linear asymptote A*n + B."""
-    alpha = _check_alpha(alpha)
-    geometry = PairGeometry(q, d)
-    if n < 0:
-        raise InvalidParams(f"time step must be >= 0, got {n}")
-    # Order floor(d/2) guarantees enough distance rows for the weights.
-    bundle = bundle_from_table(srw_g_table(alpha, q, max(n, geometry.delta)))
-    w1 = w1_via_genfun(bundle, geometry, n)
-    asym = srw_AB(alpha, d, q)
-    return 1 - Fraction(w1, d), 1 - asym.at(n) / d
 
 
 #: Significant bits kept on each endpoint of an enclosure (60 decimal digits).

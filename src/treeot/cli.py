@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from .asymptotics import ball_AB, sphere_AB, srw_AB, verify_inequalities
-from .errors import TreeOTError, TooLarge
+from .errors import InvalidParams, TreeOTError, TooLarge
 from .families import (DEFAULT_ORDER, ball_gf, sphere_gf, srw_closed_form, srw_g_table,
                        srw_profile)
 from .instances import dump_instance, load_instance
@@ -206,13 +206,34 @@ def _check_series_size(knob: str, size: int, alphas: list, qs: list[int]) -> Non
                        f"{MAX_SERIES_BITS}-bit series cap")
 
 
+def _walk_alpha(args: argparse.Namespace) -> str:
+    """The walk's ``--alpha`` text; 0, the non-lazy walk, when not given."""
+    return "0" if args.alpha is None else args.alpha
+
+
+def _refuse_alpha_off_walk(args: argparse.Namespace) -> None:
+    """Raises :class:`ValueError` for ``--alpha`` next to a family other than
+    the walk: spheres and balls have no laziness, so they would ignore it."""
+    if args.family != "srw" and args.alpha is not None:
+        raise ValueError(f"{args.command} reads --alpha only with --family srw, "
+                         f"not with --family {args.family}")
+
+
 def _sweep_rows(args: argparse.Namespace) -> list[dict]:
     family = args.family
     d_list = _parse_list(args.d)
     q_list = _parse_list(args.q)
     n_chunks = _list_chunks(args.n)
-    alphas = _parse_list(args.alpha, parse_rational) if family == "srw" else [None]
-    # Each chunk ascends, so its last entry is its largest: the cap reads no list.
+    alphas = _parse_list(_walk_alpha(args), parse_rational) if family == "srw" else [None]
+    # An entry below its floor would shrink the step count below, so the
+    # grid could pass the cap. Each --n chunk ascends, so its first entry is
+    # its smallest and its last its largest: the --n checks read no list.
+    if min(d_list) < 1:
+        raise InvalidParams(f"--d holds the center distance {min(d_list)}; "
+                            f"center distances start at 1")
+    min_n = min(chunk[0] for chunk in n_chunks)
+    if min_n < 0:
+        raise InvalidParams(f"--n holds the time step {min_n}; time steps start at 0")
     max_n = max(chunk[-1] for chunk in n_chunks)
     _check_series_size("--n", max_n, alphas, q_list)
     n_list = _distinct(n_chunks)
@@ -221,6 +242,7 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
     if steps > MAX_SWEEP_STEPS:
         raise TooLarge(f"the sweep grid needs {steps:,} class-sum steps, (d // 2 + 1)(n + 1) "
                        f"per cell, over the {MAX_SWEEP_STEPS:,}-step sweep cap")
+    _refuse_alpha_off_walk(args)
     rows = []
     for q in q_list:
         tables = {}
@@ -278,7 +300,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     order = args.order
-    alpha = parse_rational(args.alpha) if args.family == "srw" else None
+    _refuse_alpha_off_walk(args)
+    alpha = parse_rational(_walk_alpha(args)) if args.family == "srw" else None
     _check_series_size("--order", order, [alpha], [args.q])
     if args.family == "srw":
         bundle = srw_closed_form(alpha, args.q, order)
@@ -301,8 +324,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_asym(args: argparse.Namespace) -> int:
+    _refuse_alpha_off_walk(args)
     if args.family == "srw":
-        result = srw_AB(parse_rational(args.alpha), args.d, args.q)
+        result = srw_AB(parse_rational(_walk_alpha(args)), args.d, args.q)
     elif args.family == "sphere":
         result = sphere_AB(args.d, args.q)
     else:
@@ -371,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="exact distances vs asymptote over a grid")
     p_sweep.add_argument("--family", choices=FAMILIES, required=True)
-    p_sweep.add_argument("--alpha", default="0", help="comma list of rationals (srw only)")
+    p_sweep.add_argument("--alpha", help="comma list of rationals (srw only)")
     p_sweep.add_argument("--d", default="1", help="int, comma list, or lo..hi")
     p_sweep.add_argument("--q", default="2", help="int, comma list, or lo..hi")
     p_sweep.add_argument("--n", default="0..10", help="int, comma list, or lo..hi")
@@ -381,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="generating-function coefficient dump")
     p_series.add_argument("--family", choices=FAMILIES, required=True)
-    p_series.add_argument("--alpha", default="0", help="laziness (srw only)")
+    p_series.add_argument("--alpha", help="laziness (srw only)")
     p_series.add_argument("--q", type=int, required=True)
     p_series.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p_series.add_argument("--emit", choices=("csv", "json"), default="csv")
@@ -389,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_asym = sub.add_parser("asym", help="linear asymptote coefficients A, B")
     p_asym.add_argument("--family", choices=FAMILIES, required=True)
-    p_asym.add_argument("--alpha", default="0", help="laziness (srw only)")
+    p_asym.add_argument("--alpha", help="laziness (srw only)")
     p_asym.add_argument("--d", type=int, required=True)
     p_asym.add_argument("--q", type=int, required=True)
     p_asym.set_defaults(func=_cmd_asym)

@@ -46,9 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd
-from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import InvalidAlpha, InvalidParams, OrderExceeded
@@ -96,7 +94,10 @@ class GTable:
         return tuple(tuple(map(Fraction, row, self.scales)) for row in zip(*self.columns))
 
     def column_profile(self, n: int) -> RadialProfile:
-        """The time-n column as a radial profile."""
+        """The time-n column as a radial profile; raises :class:`InvalidParams`
+        for n outside 0..order."""
+        if not 0 <= n <= self.order:
+            raise InvalidParams(f"time step {n} outside the table's 0..{self.order}")
         return RadialProfile(self.columns[n], self.scales[n])
 
 
@@ -230,7 +231,7 @@ def srw_closed_form(alpha: RationalLike, q: int, order: int = DEFAULT_ORDER) -> 
     G(q, .) = (P + R) gamma / (M + R) and G_x(q, .) = 2 (1-alpha) y G(q, .) /
     (M + R) become (a - b R) / c on multiplying by the conjugates (q-1) L - R
     and M - R. ``gammas`` holds only the return series gamma = gamma_0;
-    higher rows come from :func:`srw_closed_form_rows` or the table route.
+    higher rows come from the table route.
     """
     alpha = _check_alpha(alpha)
     _check_family_params(q, order)
@@ -247,20 +248,6 @@ def srw_closed_form(alpha: RationalLike, q: int, order: int = DEFAULT_ORDER) -> 
     g1_divisor = divisor * poly(-1, 1) * (2 * q * (q + 1))
     return GFBundle(q=q, g_at_q=(g_a - g_b * root) / divisor,
                     g1_at_q=(g1_a - g1_b * root) / g1_divisor, gammas=(gamma,))
-
-
-def srw_closed_form_rows(alpha: RationalLike, q: int, order: int, count: int) -> list[Series]:
-    """First ``count`` distance rows of the closed form.
-
-    The bivariate function is geometric in x with ratio 2 (1-alpha) y / (P +
-    R) = (P - R) / (2 q (1-alpha) y), so row l equals gamma times the l-th
-    power of that ratio.
-    """
-    alpha = _check_alpha(alpha)
-    _check_family_params(q, order)
-    poly, line, _, _, root, _, gamma = _walk(alpha, q, order)
-    ratio = (line * (q + 1) - root) / poly(0, 2 * q * (1 - alpha))
-    return list(accumulate([ratio] * (count - 1), mul, initial=gamma))
 
 
 def sphere_gf(q: int, order: int = DEFAULT_ORDER) -> GFBundle:

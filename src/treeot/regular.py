@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .errors import InvalidParams, TooLarge, TruncationTooSmall
 from .rational import RationalLike, _frac, _over_scale, _qpow
-from .tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, Flow, Measure, Tree
+from .tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, Measure, Tree
 
 
 def _check_q(q: int) -> None:
@@ -104,11 +104,6 @@ class RadialProfile:
     def support_radius(self) -> int:
         return max(ell for ell, x in enumerate(self.num) if x)
 
-    def value(self, ell: int) -> Fraction:
-        if 0 <= ell < len(self.num):
-            return Fraction(self.num[ell], self.scale)
-        return Fraction(0)
-
 
 def sphere_size(q: int, radius: int) -> int:
     """Number of vertices at exact distance ``radius`` from a vertex;
@@ -136,12 +131,6 @@ def sphere_profile(q: int, radius: int) -> RadialProfile:
 def ball_profile(q: int, radius: int) -> RadialProfile:
     """Uniform distribution on the radius-``radius`` ball."""
     return RadialProfile((1,) * (radius + 1), ball_size(q, radius))
-
-
-def profile_total_mass(q: int, profile: RadialProfile) -> Fraction:
-    """Total mass of a radial measure: sum of s(l) times the sphere size."""
-    return Fraction(sum(x * sphere_size(q, ell) for ell, x in enumerate(profile.num)),
-                    profile.scale)
 
 
 def truncation_size(q: int, d: int, radius: int) -> int:
@@ -175,7 +164,6 @@ class TruncatedRegularTree:
     tree: Tree
     x: int
     y: int
-    path: tuple[int, ...]
     i: tuple[int, ...]
     h: tuple[int, ...]
 
@@ -216,7 +204,7 @@ def build_truncated_tree(q: int, d: int, radius: int) -> TruncatedRegularTree:
         start, end, h = end, len(parent), h + 1
         height += repeat(h, end - start)
     return TruncatedRegularTree(geometry=geometry, tree=Tree._from_parents(parent), x=0, y=d,
-                                path=tuple(range(d + 1)), i=tuple(path_i), h=tuple(height))
+                                i=tuple(path_i), h=tuple(height))
 
 
 def radial_measure(truncation: TruncatedRegularTree, center: int, profile: RadialProfile) -> Measure:
@@ -262,24 +250,6 @@ def radial_measure(truncation: TruncatedRegularTree, center: int, profile: Radia
                 f"distance-{ell} sphere around vertex {center} has {counts[ell]} "
                 f"vertices, expected {sphere_size(q, ell)}; enlarge the truncation")
     return Measure._of(num, profile.scale)
-
-
-def radial_potential(i: int, h: int, geometry: PairGeometry) -> Fraction:
-    """Closed-form potential adapted to the X-to-Y flow of any radial profile,
-    at path index i and height h.
-
-    Equals d/2 - i + h on the X half (i <= d/2) and d/2 - i - h on the Y half.
-    """
-    base = Fraction(geometry.d, 2) - i
-    if 2 * i <= geometry.d:
-        return base + h
-    return base - h
-
-
-def radial_potential_field(truncation: TruncatedRegularTree) -> tuple[Fraction, ...]:
-    """The closed-form potential evaluated at every vertex of a truncation."""
-    geom = truncation.geometry
-    return tuple(radial_potential(i, h, geom) for i, h in zip(truncation.i, truncation.h))
 
 
 def _padded(profile: RadialProfile, d: int) -> tuple[int, ...]:
@@ -331,31 +301,11 @@ def w1_radial_flow_formula(profile: RadialProfile, geometry: PairGeometry) -> Fr
                  for h in range(top + 1)
                  for i in range(1, top - b - h + 1))
 
+    # Path edge a = 0..d-1 carries the classes at path indices 1..a, so the
+    # class at index i enters d - i times: O(d * top) terms, not O(d^2 * top).
     e3 = d * sum(q ** h * (s[h] - s[d + h]) for h in range(top + 1))
-    for a in range(d):
-        e3 += sum(s[i] - s[d - i] for i in range(1, a + 1))
-        e3 += sum((q - 1) * q ** (h - 1) * (s[i + h] - s[d - i + h])
-                  for i in range(1, a + 1)
-                  for h in range(1, top + 1))
+    e3 += sum((d - i) * (s[i] - s[d - i]
+                         + sum((q - 1) * q ** (h - 1) * (s[i + h] - s[d - i + h])
+                               for h in range(1, top + 1)))
+              for i in range(1, d))
     return Fraction(e1 + e2 + e3, profile.scale)
-
-
-def flow_direction_check(truncation: TruncatedRegularTree, flow: Flow) -> bool:
-    """Verify the sign pattern of the flow between two radial copies.
-
-    Off the X-Y path the flow points toward the path on the X half, vanishes
-    at the midpoint classes, and points away from the path on the Y half; on
-    the path it travels strictly from X to Y.
-    """
-    d = truncation.geometry.d
-    parent = truncation.tree.parent
-    for v in range(1, len(parent)):
-        if truncation.h[v] == 0:  # a path edge, from the path vertex before v
-            if flow.signed(parent[v], v) <= 0:
-                return False
-            continue
-        toward_path = flow.signed(v, parent[v])
-        side = 2 * truncation.i[v] - d  # < 0 on the X half, 0 at the midpoint
-        if toward_path * side > 0 or (side == 0 and toward_path != 0):
-            return False
-    return True

@@ -276,12 +276,11 @@ class Measure:
 
     ``scale`` is the lcm of the reduced denominators of the positive masses,
     and ``num`` holds the positive masses only, so equal measures hold equal
-    integers and compare equal. Fractions are built only when ``masses``,
-    :meth:`value` or :meth:`total` is read. ``Measure({v: RationalLike})``
-    puts the masses over one scale under the charge cap
-    (:func:`rational._over_scale`), so a measure over the cap is refused
-    before any mass is scaled. The loader and ``radial_measure`` hold
-    integers from the start (:meth:`_of`).
+    integers and compare equal. Fractions are built only when ``masses`` or
+    :meth:`total` is read. ``Measure({v: RationalLike})`` puts the masses
+    over one scale under the charge cap (:func:`rational._over_scale`), so a
+    measure over the cap is refused before any mass is scaled. The loader
+    and ``radial_measure`` hold integers from the start (:meth:`_of`).
     """
 
     scale: int
@@ -329,9 +328,6 @@ class Measure:
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.num))
 
-    def value(self, v: int) -> Fraction:
-        return Fraction(self.num.get(v, 0), self.scale)
-
     def scaled(self, c: RationalLike) -> "Measure":
         c = _frac(c)
         return Measure({v: c * m for v, m in self.masses.items()})
@@ -361,14 +357,6 @@ class Flow:
     parent: tuple[int, ...]
     up: tuple[int, ...]
     scale: int
-
-    def signed(self, u: int, v: int) -> Fraction:
-        """Flow from u to v; antisymmetric, zero unless u and v are adjacent."""
-        if self.parent[u] == v:
-            return Fraction(self.up[u], self.scale)
-        if self.parent[v] == u:
-            return Fraction(-self.up[v], self.scale)
-        return Fraction(0)
 
 
 def is_edge_lipschitz(phi: Sequence[Fraction | int], tree: Tree) -> bool:

@@ -48,6 +48,15 @@ def adjacency_of(tree) -> tuple[tuple[int, ...], ...]:
     return _adjacency(tree.num_vertices, zip(*tree._ends))
 
 
+def signed_flow(flow, u: int, v: int) -> Fraction:
+    """A tree flow from u to v; antisymmetric, zero unless u and v are adjacent."""
+    if flow.parent[u] == v:
+        return Fraction(flow.up[u], flow.scale)
+    if flow.parent[v] == u:
+        return Fraction(-flow.up[v], flow.scale)
+    return Fraction(0)
+
+
 def rng_for(seed: int) -> random.Random:
     return random.Random(seed)
 
@@ -69,4 +78,5 @@ def interval_contains(x: tuple, value) -> bool:
 
 
 __all__ = ["FIXTURES", "adjacency_of", "demo_doc", "interval_contains", "random_tree",
-           "random_measure_pair", "random_profile", "rng_for", "run_python", "to_mpf", "mpf_pair"]
+           "random_measure_pair", "random_profile", "rng_for", "run_python", "signed_flow",
+           "to_mpf", "mpf_pair"]

@@ -13,8 +13,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from treeot.asymptotics import (ball_AB, ball_d1_exact, chi_tree, gamma_asymptotic, interval_mid,
-                                kappa_curvature, sphere_AB, srw_AB, verify_inequalities)
+from treeot.asymptotics import (ball_AB, ball_d1_exact, gamma_asymptotic, interval_mid, sphere_AB,
+                                srw_AB, verify_inequalities)
 from treeot.families import (bundle_from_table, check_functional_equation, srw_closed_form,
                              srw_g_table, srw_return_sequence, w1_via_genfun)
 from treeot.instances import load_instance
@@ -267,21 +267,25 @@ def test_criterion_09_coefficient_ordering_chain():
 
 
 def test_criterion_10_graph_statistics_and_curvature():
+    # The sup/inf statistics of W1/n are the walk slope at d = 1 (inf) and its
+    # d -> infinity limit (sup); the curvature is 1 - W1/d.
     started = time.perf_counter()
     checks = []
     for alpha in (Fraction(0), Fraction(1, 2)):
         for q in (2, 3):
-            chi_up, chi_down = chi_tree(alpha, q)
             up = 2 * (1 - alpha) * Fraction(q - 1, q + 1)
             down = 2 * (1 - alpha) * Fraction(q - 1, q + 1) ** 2
-            checks.append(chi_up == up)
-            checks.append(chi_down == down)
-            checks.append(chi_down == srw_AB(alpha, 1, q).A)
+            checks.append(srw_AB(alpha, 1, q).A == down)
             limit = 2 * (1 - alpha) * (q + 1) * Fraction(q - 1, (q + 1) ** 2)
-            checks.append(chi_up == limit)
-    checks.append(chi_tree(Fraction(0), 2) == (Fraction(2, 3), Fraction(2, 9)))
-    checks.append(kappa_curvature(Fraction(0), 1, 2, 0)[0] == 0)
-    checks.append(kappa_curvature(Fraction(1, 2), 3, 3, 0)[0] == 0)
+            checks.append(up == limit)
+            # The slope climbs to the limit, within q^-(d/2) of it at distance d.
+            gaps = [up - srw_AB(alpha, d, q).A for d in range(1, 41)]
+            checks.append(all(a >= b > 0 for a, b in zip(gaps, gaps[1:])))
+            checks.append(gaps[-1] < Fraction(1, q ** 19))
+    checks.append(srw_AB(Fraction(0), 1, 2).A == Fraction(2, 9))
+    for alpha, d, q in ((Fraction(0), 1, 2), (Fraction(1, 2), 3, 3)):
+        bundle = bundle_from_table(srw_g_table(alpha, q, d // 2))
+        checks.append(1 - w1_via_genfun(bundle, PairGeometry(q, d), 0) / d == 0)
     # One-step curvature against the LP oracle on a radius-2 truncation.
     alpha, q, d, n = Fraction(0), 2, 1, 1
     truncation = build_truncated_tree(q, d, n + d)
@@ -291,7 +295,9 @@ def test_criterion_10_graph_statistics_and_curvature():
     nu = radial_measure(truncation, truncation.y, profile)
     graph = FiniteGraph.from_tree(truncation.tree, range(truncation.tree.num_vertices))
     lp_value, _ = w1_lp(graph, mu, nu)
-    checks.append(kappa_curvature(alpha, d, q, n)[0] == 1 - Fraction(lp_value, d))
+    bundle = bundle_from_table(srw_g_table(alpha, q, n))
+    w1 = w1_via_genfun(bundle, PairGeometry(q, d), n)
+    checks.append(1 - w1 / d == 1 - Fraction(lp_value, d))
     elapsed = time.perf_counter() - started
     ok = all(checks) and elapsed < 10.0
     report(10, ok, f"{len(checks)} statistic/curvature identities "

@@ -8,9 +8,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from treeot.asymptotics import (LinearAsymptotic, ball_AB, ball_d1_exact, chi_tree,
-                                gamma_asymptotic, h_values, interval_mid, kappa_curvature,
-                                sphere_AB, srw_AB, verify_inequalities)
+from treeot.asymptotics import (LinearAsymptotic, ball_AB, ball_d1_exact, gamma_asymptotic,
+                                h_values, interval_mid, sphere_AB, srw_AB, verify_inequalities)
 from treeot.errors import InvalidParams
 from treeot.families import bundle_from_table, srw_g_table, srw_return_sequence, w1_via_genfun
 from treeot.regular import PairGeometry
@@ -231,33 +230,55 @@ class TestLimitsAndBounds:
             assert all(ab.at(n) <= 2 * n + d for n in range(1, 50))
 
 
+def _dropped_slope_terms(alpha: Fraction, d: int, q: int) -> Fraction:
+    """The two q-power terms of the walk slope that vanish as d -> infinity."""
+    return (2 * (1 - alpha) * Fraction(q - 1, (q + 1) ** 2)
+            * (Fraction(q) ** (1 - (d + 1) // 2) + Fraction(q) ** -(d // 2)))
+
+
 class TestChi:
+    """The four sup/inf limsup/liminf statistics of W1/n over vertex pairs, for
+    lazy walks on the regular tree, pair up: both inf statistics equal the walk
+    slope at d = 1, and both sup statistics its d -> infinity limit
+    2 (1-alpha) (q-1)/(q+1). Both are read off srw_AB."""
+
     def test_closed_values(self):
-        assert chi_tree(Fraction(0), 2) == (Fraction(2, 3), Fraction(2, 9))
+        assert srw_AB(Fraction(0), 1, 2).A == Fraction(2, 9)
+        for d in range(1, 30):
+            assert Fraction(2, 3) - srw_AB(Fraction(0), d, 2).A == _dropped_slope_terms(0, d, 2)
 
     def test_full_laziness_limit(self):
-        up, _ = chi_tree(Fraction(999999, 1000000), 3)
-        assert up < Fraction(1, 100000)
+        alpha = Fraction(999999, 1000000)
+        assert srw_AB(alpha, 2048, 3).A < Fraction(1, 100000)
 
     def test_matches_walk_slope_specializations(self):
         for alpha in (Fraction(0), Fraction(1, 2)):
             for q in (2, 3, 5):
-                up, down = chi_tree(alpha, q)
+                down = 2 * (1 - alpha) * Fraction(q - 1, q + 1) ** 2
                 assert down == srw_AB(alpha, 1, q).A
                 # d -> infinity drops both q-power terms from the slope.
-                limit = 2 * (1 - alpha) * (q + 1) * Fraction(q - 1, (q + 1) ** 2)
-                assert up == limit
+                up = 2 * (1 - alpha) * (q + 1) * Fraction(q - 1, (q + 1) ** 2)
+                gaps = [up - srw_AB(alpha, d, q).A for d in range(1, 40)]
+                assert gaps == [_dropped_slope_terms(alpha, d, q) for d in range(1, 40)]
+                assert all(a >= b > 0 for a, b in zip(gaps, gaps[1:]))
+                assert gaps[-1] < Fraction(1, q ** 18)
 
     def test_bounds(self):
         for alpha in (Fraction(0), Fraction(1, 2)):
-            up, down = chi_tree(alpha, 4)
+            down = srw_AB(alpha, 1, 4).A
+            up = 2 * (1 - alpha) * Fraction(3, 5)
             assert 0 <= down <= up <= 2
+            assert all(down <= srw_AB(alpha, d, 4).A < up for d in range(1, 20))
 
 
 class TestCurvature:
+    """The n-scale curvature 1 - W1/d of the lazy walk, with W1 from the
+    generating-function formula, against the LP and the linear asymptote."""
+
     def test_zero_scale(self):
+        bundle = bundle_from_table(srw_g_table(Fraction(1, 2), 2, 1))
         for d in (1, 3):
-            assert kappa_curvature(Fraction(1, 2), d, 2, 0)[0] == 0
+            assert 1 - w1_via_genfun(bundle, PairGeometry(2, d), 0) / d == 0
 
     def test_one_step_against_lp_oracle(self):
         from treeot.families import srw_profile
@@ -269,16 +290,16 @@ class TestCurvature:
         mu = radial_measure(tt, tt.x, profile)
         nu = radial_measure(tt, tt.y, profile)
         lp_value, _ = w1_lp(FiniteGraph.from_tree(tt.tree, range(tt.tree.num_vertices)), mu, nu)
-        exact, _ = kappa_curvature(alpha, d, q, n)
-        assert exact == 1 - Fraction(lp_value, d)
+        bundle = bundle_from_table(srw_g_table(alpha, q, n))
+        assert 1 - w1_via_genfun(bundle, PairGeometry(q, d), n) / d == 1 - Fraction(lp_value, d)
 
     def test_large_scale_turns_negative_linearly(self):
         alpha, d, q = Fraction(0), 1, 2
-        k20, _ = kappa_curvature(alpha, d, q, 20)
-        k40, k40_linear = kappa_curvature(alpha, d, q, 40)
+        geom = PairGeometry(q, d)
+        bundle = bundle_from_table(srw_g_table(alpha, q, 40))
+        k20, k40 = (1 - w1_via_genfun(bundle, geom, n) / d for n in (20, 40))
         assert k40 < k20 < 0
-        ab = srw_AB(alpha, d, q)
-        assert k40_linear == 1 - ab.at(40) / d
+        k40_linear = 1 - srw_AB(alpha, d, q).at(40) / d
         assert abs(k40 - k40_linear) < Fraction(1, 100)
 
 
@@ -401,10 +422,8 @@ class TestEnclosures:
     lambda q: PairGeometry(q, 1),
     lambda q: ball_d1_exact(q, 1),
     lambda q: h_values(Fraction(1, 2), q),
-    lambda q: chi_tree(Fraction(1, 2), q),
     lambda q: gamma_asymptotic(Fraction(1, 2), q),
-], ids=["family-params", "pair-geometry", "ball-d1-exact", "h-values", "chi-tree",
-        "gamma-asymptotic"])
+], ids=["family-params", "pair-geometry", "ball-d1-exact", "h-values", "gamma-asymptotic"])
 def test_branching_number_zero_refused(call):
     with pytest.raises(InvalidParams, match="^branching number q must be >= 2, got 0$"):
         call(0)

@@ -708,6 +708,60 @@ class TestSweepCommand:
             ("1/2", str(d), "2", str(n)) for d in (1, 2) for n in range(3)]
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--family", "srw", "--d", "1", "--q", "2", "--n", "0,2,-1"),
+         "--n holds the time step -1; time steps start at 0"),
+        (("--family", "srw", "--d", "1", "--q", "2", "--n", "2,-3..0"),
+         "--n holds the time step -3; time steps start at 0"),
+        # Each negative entry would cancel the grid's 5 * 10^8 class-sum steps.
+        (("--family", "sphere", "--d", "2048", "--q", "2", "--n", "0..1000,-600000"),
+         "--n holds the time step -600000; time steps start at 0"),
+        (("--family", "sphere", "--d", "2048,-100000", "--q", "2", "--n", "0..1000"),
+         "--d holds the center distance -100000; center distances start at 1"),
+        (("--family", "ball", "--d", "3,0", "--q", "2", "--n", "1"),
+         "--d holds the center distance 0; center distances start at 1"),
+    ], ids=["srw-n", "srw-n-range", "n-under-the-step-cap", "d-under-the-step-cap", "d-zero"])
+    def test_entry_below_its_floor_refused_before_any_work(self, capsys, monkeypatch, argv,
+                                                           message):
+        import treeot.cli
+
+        def no_work(*args):
+            raise AssertionError("a table or a cell was computed before the list checks")
+
+        monkeypatch.setattr(treeot.cli, "srw_g_table", no_work)
+        monkeypatch.setattr(treeot.cli, "w1_radial_formula", no_work)
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestAlphaOffTheWalk:
+    """Spheres and balls have no laziness, so ``--alpha`` next to them is
+    refused rather than ignored; the walk reads a missing ``--alpha`` as 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ("asym", "--family", "ball", "--alpha", "1/2", "--d", "2", "--q", "3"),
+        ("asym", "--family", "sphere", "--alpha", "0", "--d", "2", "--q", "3"),
+        ("sweep", "--family", "sphere", "--alpha", "1/2", "--d", "1", "--q", "2", "--n", "0..2"),
+        ("sweep", "--family", "ball", "--alpha", "0", "--d", "1", "--q", "2", "--n", "0..2"),
+        ("series", "--family", "ball", "--alpha", "1/2", "--q", "2", "--order", "3"),
+    ], ids=["asym-ball", "asym-sphere", "sweep-sphere", "sweep-ball", "series-ball"])
+    def test_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (f"error: {argv[0]} reads --alpha only with --family srw, "
+                       f"not with --family {argv[2]}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("asym", "--family", "srw", "--d", "2", "--q", "3"),
+        ("sweep", "--family", "srw", "--d", "1,2", "--q", "2", "--n", "0..4"),
+        ("series", "--family", "srw", "--q", "2", "--order", "6"),
+    ], ids=["asym", "sweep", "series"])
+    def test_the_walk_reads_no_alpha_as_zero(self, capsys, argv):
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--alpha", "0")
+        assert run_cli(capsys, *argv)[0] == 0
+
+
 class TestSeriesCommand:
     def test_csv_shape(self, capsys):
         code, out, _ = run_cli(capsys, "series", "--family", "srw", "--alpha", "1/2",
@@ -1121,18 +1175,22 @@ class TestRadialW1Mode:
         assert code == 2
         assert "error: q^(d/2) for q = 3" in err and "2048-bit cap on bits(q) * ceil(d/2)" in err
 
-    @pytest.mark.parametrize("argv, kind", [
-        (("w1", "--radial", "sphere:r=-1", "--q", "3", "--d", "2"), "sphere"),
-        (("w1", "--radial", "ball:r=-1", "--q", "3", "--d", "2"), "ball"),
-        (("sweep", "--family", "sphere", "--n=-1"), "sphere"),
-        (("sweep", "--family", "ball", "--n=-1"), "ball"),
+    @pytest.mark.parametrize("argv, message", [
+        (("w1", "--radial", "sphere:r=-1", "--q", "3", "--d", "2"),
+         "sphere radius must be >= 0, got -1"),
+        (("w1", "--radial", "ball:r=-1", "--q", "3", "--d", "2"),
+         "ball radius must be >= 0, got -1"),
+        (("sweep", "--family", "sphere", "--n=-1"),
+         "--n holds the time step -1; time steps start at 0"),
+        (("sweep", "--family", "ball", "--n=-1"),
+         "--n holds the time step -1; time steps start at 0"),
     ], ids=["w1-sphere", "w1-ball", "sweep-sphere", "sweep-ball"])
-    def test_negative_radius_is_an_input_error(self, capsys, argv, kind):
+    def test_negative_radius_is_an_input_error(self, capsys, argv, message):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
-        assert err == f"error: {kind} radius must be >= 0, got -1\n"
+        assert err == f"error: {message}\n"
 
     def test_radial_needs_geometry(self, capsys):
         code, _, err = run_cli(capsys, "w1", "--radial", "sphere:r=2")
@@ -1204,11 +1262,11 @@ class TestProfileSpecs:
 
     def test_sphere_spec(self):
         _, _, r, profile = parse_profile_spec("sphere:r=4", 3, 1)
-        assert profile.value(4) == Fraction(1, 4 * 27)
+        assert profile.values[4] == Fraction(1, 4 * 27)
 
     def test_ball_spec(self):
         _, _, r, profile = parse_profile_spec("ball:r=2", 2, 1)
-        assert profile.value(0) == Fraction(1, 10)
+        assert profile.values[0] == Fraction(1, 10)
 
     def test_custom_spec(self):
         _, _, _, profile = parse_profile_spec("custom:[1/2, 0, 1/3]", 2, 1)

@@ -5,16 +5,20 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeot.errors import InvalidAlpha, OrderExceeded, TooLarge
-from treeot.families import (ball_g_table, ball_gf, bundle_from_table, check_functional_equation,
-                             sphere_g_table, sphere_gf, srw_closed_form, srw_closed_form_rows,
-                             srw_g_table, srw_profile, srw_return_sequence, w1_via_genfun)
-from treeot.regular import (PairGeometry, build_truncated_tree, profile_total_mass, radial_measure,
+from treeot.errors import InvalidAlpha, InvalidParams, OrderExceeded, TooLarge
+from treeot.families import (_check_alpha, _check_family_params, _walk, ball_g_table, ball_gf,
+                             bundle_from_table, check_functional_equation, sphere_g_table,
+                             sphere_gf, srw_closed_form, srw_g_table, srw_profile,
+                             srw_return_sequence, w1_via_genfun)
+from treeot.rational import RationalLike
+from treeot.regular import (PairGeometry, build_truncated_tree, radial_measure, sphere_size,
                             w1_radial_formula)
 from treeot.series import Series
 from treeot.tree import w1_tree
@@ -24,7 +28,22 @@ from conftest import rng_for
 
 def column_mass(table, n: int) -> Fraction:
     """Total mass of the table's time-n measure under sphere-size weights."""
-    return profile_total_mass(table.q, table.column_profile(n))
+    return sum(m * sphere_size(table.q, ell)
+               for ell, m in enumerate(table.column_profile(n).values))
+
+
+def srw_closed_form_rows(alpha: RationalLike, q: int, order: int, count: int) -> list[Series]:
+    """First ``count`` distance rows of the closed form.
+
+    The bivariate function is geometric in x with ratio 2 (1-alpha) y / (P +
+    R) = (P - R) / (2 q (1-alpha) y), so row l equals gamma times the l-th
+    power of that ratio.
+    """
+    alpha = _check_alpha(alpha)
+    _check_family_params(q, order)
+    poly, line, _, _, root, _, gamma = _walk(alpha, q, order)
+    ratio = (line * (q + 1) - root) / poly(0, 2 * q * (1 - alpha))
+    return list(accumulate([ratio] * (count - 1), mul, initial=gamma))
 
 
 class TestWalkTable:
@@ -47,6 +66,11 @@ class TestWalkTable:
         for alpha, q in ((Fraction(0), 2), (Fraction(1, 2), 3), (Fraction(9, 10), 5)):
             t = srw_g_table(alpha, q, 12)
             assert all(column_mass(t, n) == 1 for n in range(13))
+
+    @pytest.mark.parametrize("n", [-1, 6])
+    def test_column_outside_the_table_refused(self, n):
+        with pytest.raises(InvalidParams, match=f"^time step {n} outside the table's 0..5$"):
+            srw_g_table(Fraction(1, 3), 2, 5).column_profile(n)
 
     def test_invalid_alpha(self):
         with pytest.raises(InvalidAlpha):
@@ -382,5 +406,5 @@ def test_profile_reads_the_last_recurrence_column(monkeypatch):
 
 def test_profile_column_total_is_one():
     profile = srw_profile(Fraction(1, 2), 2, 5)
-    from treeot.regular import profile_total_mass
-    assert profile_total_mass(2, profile) == 1
+    tt = build_truncated_tree(2, 1, 5)
+    assert radial_measure(tt, tt.x, profile).total() == 1

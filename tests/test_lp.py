@@ -287,8 +287,8 @@ class TestW1LP:
         assert type(value) is Fraction and value == Fraction(28, 15)
         _, cells = _reference_simplex([[g.distance(u, v) for v in nu.support()]
                                        for u in mu.support()],
-                                      [mu.value(u) for u in mu.support()],
-                                      [nu.value(v) for v in nu.support()])
+                                      [mu.masses[u] for u in mu.support()],
+                                      [nu.masses[v] for v in nu.support()])
         assert plan == {(mu.support()[i], nu.support()[j]): x
                         for (i, j), x in cells.items() if x}
         for x in plan.values():
@@ -336,8 +336,9 @@ class TestDualOverCommonScale:
             mu, nu = random_measure_pair(rng, n)
             shift = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
             levels = good_potential(tree, unique_flow(tree, assignment_from(mu, nu)))
+            mu_at, nu_at = mu.masses, nu.masses
             for phi in (tuple(h + shift for h in levels), levels):
-                dual = sum(((mu.value(v) - nu.value(v)) * phi[v]
+                dual = sum(((mu_at.get(v, 0) - nu_at.get(v, 0)) * phi[v]
                             for v in set(mu.support()) | set(nu.support())), Fraction(0))
                 primal, got, _ = verify_duality(g, mu, nu, phi)
                 assert type(got) is Fraction and got == dual
@@ -369,7 +370,8 @@ class TestRandomizedAgreement:
             mu, nu = random_measure_pair(rng, n)
             # Independent coupling: a feasible plan that is rarely optimal.
             total = mu.total()
-            plan = {(u, v): mu.value(u) * nu.value(v) / total
+            mu_at, nu_at = mu.masses, nu.masses
+            plan = {(u, v): mu_at[u] * nu_at[v] / total
                     for u in mu.support() for v in nu.support()}
             assert satisfies_marginals(plan, mu, nu)
             # Random 1-Lipschitz potential via distance extension of anchors.
@@ -377,7 +379,7 @@ class TestRandomizedAgreement:
             phi = tuple(min(base + g.distance(a, v) for a, base in anchors.items())
                         for v in range(n))
             assert is_edge_lipschitz(phi, tree)
-            dual = sum(((mu.value(v) - nu.value(v)) * phi[v] for v in range(n)),
+            dual = sum(((mu_at.get(v, 0) - nu_at.get(v, 0)) * phi[v] for v in range(n)),
                        Fraction(0))
             assert sum(g.distance(u, v) * x for (u, v), x in plan.items()) >= dual
 

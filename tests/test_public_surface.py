@@ -1,5 +1,6 @@
-"""Every public name in the package has a reader inside the package, unless it
-is on the allowlist below, read from the source tree's syntax alone."""
+"""Every public name in the package, and every public attribute of its
+classes, has a reader inside the package, unless it is on an allowlist below,
+read from the source tree's syntax alone."""
 
 from __future__ import annotations
 
@@ -10,24 +11,36 @@ import treeot
 
 SRC = Path(treeot.__file__).parent
 
-#: Public names with no reader inside the package, kept for the tests.
+#: Public names with no reader inside the package, kept for the tests. Each
+#: waits on an open direction that gives it a caller.
 READ_ONLY_BY_TESTS = {
-    # Paper identities that an open direction gives a caller: the flow's
-    # divergence (the weak-duality certificate), the pole data behind the
-    # exact A and B, and the exact ball law for adjacent centers.
-    ("tree", "divergence"), ("asymptotics", "h_values"), ("asymptotics", "ball_d1_exact"),
-    # Acceptance criterion 10: the four W1/n statistics and the n-scale curvature.
-    ("asymptotics", "chi_tree"), ("asymptotics", "kappa_curvature"),
-    # Paper identities the tests check: a profile's total mass, the closed-form
-    # potential, the flow's direction on a truncation, and the closed form's
-    # higher rows.
-    ("regular", "profile_total_mass"), ("regular", "radial_potential_field"),
-    ("regular", "flow_direction_check"), ("families", "srw_closed_form_rows"),
+    # The flow's divergence: the weak-duality certificate.
+    ("tree", "divergence"),
+    # The pole data behind the exact A and B, and the exact ball law for
+    # adjacent centers.
+    ("asymptotics", "h_values"), ("asymptotics", "ball_d1_exact"),
+    # The paper's generating-function formula, which a fourth radial route
+    # gives a CLI reader.
+    ("families", "w1_via_genfun"),
+}
+
+#: Public class attributes (methods, properties, fields) with no reader inside
+#: the package, as (module, "Class.attribute").
+ATTRIBUTES_READ_ONLY_OUTSIDE = {
+    # The benchmark's tracer (bench/tracing.py) counts the support and bits(L)
+    # from it, until the program reports its own stage counts.
+    ("tree", "Assignment.charges"),
 }
 
 
-def _public_names(tree: ast.Module) -> set[str]:
-    """The names a module binds at its top level that do not start with _."""
+def _modules() -> dict[str, ast.Module]:
+    """Each module of the package, by file stem, as its syntax tree."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _public_names(tree: ast.Module | ast.ClassDef) -> set[str]:
+    """The names a module or class binds at its top level that do not start with _."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -42,8 +55,7 @@ def _public_names(tree: ast.Module) -> set[str]:
 def _unread() -> set[tuple[str, str]]:
     """(module, name) for each public name that no module of the package
     loads: its own module by name, or another one that imports it from there."""
-    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-               for path in sorted(SRC.glob("*.py"))}
+    modules = _modules()
     read = set()
     for stem, tree in modules.items():
         loaded = {node.id for node in ast.walk(tree)
@@ -63,6 +75,32 @@ def test_every_public_name_has_a_reader_or_a_reason():
 
 def test_the_allowlist_holds_no_name_that_gained_a_reader():
     assert READ_ONLY_BY_TESTS - _unread() == set()
+
+
+def _class_attributes(tree: ast.Module) -> set[str]:
+    """"Class.name" for each public method, property, field or class variable
+    of a top-level class of the module."""
+    return {f"{cls.name}.{name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for name in _public_names(cls)}
+
+
+def _unread_attributes() -> set[tuple[str, str]]:
+    """(module, "Class.name") for each public class attribute whose name no
+    module of the package reads as an attribute (``obj.name``). Types are not
+    followed, so a read of the name on any object counts."""
+    modules = _modules()
+    read = {node.attr for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {(stem, name) for stem, tree in modules.items()
+            for name in _class_attributes(tree) if name.split(".")[1] not in read}
+
+
+def test_every_public_attribute_has_a_reader_or_a_reason():
+    assert _unread_attributes() - ATTRIBUTES_READ_ONLY_OUTSIDE == set()
+
+
+def test_the_attribute_allowlist_holds_no_name_that_gained_a_reader():
+    assert ATTRIBUTES_READ_ONLY_OUTSIDE - _unread_attributes() == set()
 
 
 def _raised() -> set[str]:

@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from treeot.errors import InvalidParams, TooLarge, TruncationTooSmall
 from treeot.families import srw_profile
-from treeot.regular import (PairGeometry, RadialProfile, ball_profile, ball_size,
-                            build_truncated_tree, flow_direction_check, profile_total_mass,
-                            radial_measure, radial_potential, radial_potential_field,
+from treeot.regular import (PairGeometry, RadialProfile, TruncatedRegularTree, _padded,
+                            ball_profile, ball_size, build_truncated_tree, radial_measure,
                             sphere_profile, sphere_size, truncation_size, w1_radial_flow_formula,
                             w1_radial_formula)
-from treeot.tree import (MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, _hop_distances,
+from treeot.tree import (MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, Flow, _hop_distances,
                          assignment_from, flow_cost, unique_flow, validate_tree, w1_tree)
 
-from conftest import adjacency_of, random_profile, rng_for
+from conftest import adjacency_of, random_profile, rng_for, signed_flow
 
 
 #: (q, d, radius) of the truncations whose coordinates are checked against BFS.
@@ -222,8 +222,8 @@ class TestCoordinates:
         tt = build_truncated_tree(2, 3, 2)
         assert (tt.i[tt.x], tt.h[tt.x]) == (0, 0)
         assert (tt.i[tt.y], tt.h[tt.y]) == (3, 0)
-        for j, z in enumerate(tt.path):
-            assert (tt.i[z], tt.h[z]) == (j, 0)
+        for j in range(tt.y + 1):  # the path X = 0, ..., d = Y
+            assert (tt.i[j], tt.h[j]) == (j, 0)
 
     @pytest.mark.parametrize("q,d,radius", COORD_CASES)
     def test_distance_identity(self, q, d, radius):
@@ -263,13 +263,14 @@ class TestRadialMeasure:
         for center in (tt.x, tt.y):
             profile = random_profile(rng, radius)
             dist = _hop_distances(adjacency, center)
-            expected = {v: profile.value(ell) for v, ell in enumerate(dist)
-                        if profile.value(ell)}
+            values = profile.values
+            expected = {v: values[ell] for v, ell in enumerate(dist)
+                        if ell < len(values) and values[ell]}
             assert radial_measure(tt, center, profile).masses == expected
 
     def test_refuses_a_third_center(self):
         tt = build_truncated_tree(2, 2, 3)
-        for v in (tt.path[1], tt.tree.num_vertices - 1):
+        for v in (1, tt.tree.num_vertices - 1):
             with pytest.raises(ValueError, match="center must be X = 0 or Y = 2"):
                 radial_measure(tt, v, RadialProfile((1,), 1))
 
@@ -279,13 +280,54 @@ class TestRadialMeasure:
             radial_measure(tt, tt.x, sphere_profile(2, 3))
 
     def test_total_mass_identity(self):
+        # The total mass is sum of s(l) times the distance-l sphere size.
         rng = rng_for(11)
         for q in (2, 3):
             for _ in range(5):
                 profile = random_profile(rng, 3)
                 tt = build_truncated_tree(q, 1, profile.support_radius + 1)
                 mu = radial_measure(tt, tt.x, profile)
-                assert mu.total() == profile_total_mass(q, profile)
+                assert mu.total() == sum(m * sphere_size(q, ell)
+                                         for ell, m in enumerate(profile.values))
+
+
+def radial_potential(i: int, h: int, geometry: PairGeometry) -> Fraction:
+    """Closed-form potential adapted to the X-to-Y flow of any radial profile,
+    at path index i and height h.
+
+    Equals d/2 - i + h on the X half (i <= d/2) and d/2 - i - h on the Y half.
+    """
+    base = Fraction(geometry.d, 2) - i
+    if 2 * i <= geometry.d:
+        return base + h
+    return base - h
+
+
+def radial_potential_field(truncation: TruncatedRegularTree) -> tuple[Fraction, ...]:
+    """The closed-form potential evaluated at every vertex of a truncation."""
+    geom = truncation.geometry
+    return tuple(radial_potential(i, h, geom) for i, h in zip(truncation.i, truncation.h))
+
+
+def flow_direction_check(truncation: TruncatedRegularTree, flow: Flow) -> bool:
+    """Verify the sign pattern of the flow between two radial copies.
+
+    Off the X-Y path the flow points toward the path on the X half, vanishes
+    at the midpoint classes, and points away from the path on the Y half; on
+    the path it travels strictly from X to Y.
+    """
+    d = truncation.geometry.d
+    parent = truncation.tree.parent
+    for v in range(1, len(parent)):
+        if truncation.h[v] == 0:  # a path edge, from the path vertex before v
+            if signed_flow(flow, parent[v], v) <= 0:
+                return False
+            continue
+        toward_path = signed_flow(flow, v, parent[v])
+        side = 2 * truncation.i[v] - d  # < 0 on the X half, 0 at the midpoint
+        if toward_path * side > 0 or (side == 0 and toward_path != 0):
+            return False
+    return True
 
 
 class TestRadialPotential:
@@ -313,7 +355,7 @@ class TestRadialPotential:
         flow = unique_flow(tt.tree, rho)
         phi = radial_potential_field(tt)
         for u, v in tt.tree.edges:
-            s = flow.signed(u, v)
+            s = signed_flow(flow, u, v)
             diff = phi[u] - phi[v]
             if s > 0:
                 assert diff == 1
@@ -370,6 +412,52 @@ class TestDistanceFormulas:
         assert w == w1_radial_formula(annulus, g) == w1_radial_flow_formula(annulus, g)
 
 
+def reference_edge_sum(profile: RadialProfile, geometry: PairGeometry) -> Fraction:
+    """:func:`w1_radial_flow_formula` with its path block summed edge by edge:
+    path edge a = 0..d-1 adds the classes at path indices 1..a, O(d^2 * top)
+    terms in all."""
+    q, d = geometry.q, geometry.d
+    s = _padded(profile, d)
+    top = profile.support_radius
+
+    e1 = 2 * sum(q ** (h + i) * (s[h + i] - s[d + h + i])
+                 for h in range(top + 1)
+                 for i in range(1, top - h + 1))
+
+    e2 = 2 * sum((q - 1) * q ** (h + i - 1) * (s[b + h + i] - s[d - b + h + i])
+                 for b in range(1, (d - 1) // 2 + 1)
+                 for h in range(top + 1)
+                 for i in range(1, top - b - h + 1))
+
+    e3 = d * sum(q ** h * (s[h] - s[d + h]) for h in range(top + 1))
+    for a in range(d):
+        e3 += sum(s[i] - s[d - i] for i in range(1, a + 1))
+        e3 += sum((q - 1) * q ** (h - 1) * (s[i + h] - s[d - i + h])
+                  for i in range(1, a + 1)
+                  for h in range(1, top + 1))
+    return Fraction(e1 + e2 + e3, profile.scale)
+
+
+class TestEdgeSumAgainstThePathEdgeReference:
+    """The edge-class sum, its path block summed class by class, against the
+    same sum taken path edge by path edge."""
+
+    def test_random_profiles(self):
+        rng = rng_for(26)
+        for _ in range(400):
+            g = PairGeometry(rng.randint(2, 5), rng.randint(1, 12))
+            profile = random_profile(rng, 6)
+            expected = reference_edge_sum(profile, g)
+            assert w1_radial_flow_formula(profile, g) == expected == w1_radial_formula(profile, g)
+
+    def test_linear_in_the_center_distance(self):
+        profile, g = ball_profile(3, 4), PairGeometry(3, 2000)
+        start = time.perf_counter()
+        value = w1_radial_flow_formula(profile, g)
+        assert time.perf_counter() - start < 0.1
+        assert value == w1_radial_formula(profile, g)
+
+
 class TestFlowDirections:
     def test_sphere_directions(self):
         q, d = 2, 2
@@ -386,7 +474,7 @@ class TestFlowDirections:
         flow = unique_flow(tt.tree, assignment_from(
             radial_measure(tt, tt.x, profile), radial_measure(tt, tt.y, profile)))
         assert flow_direction_check(tt, flow)
-        assert flow.signed(tt.x, tt.y) > 0
+        assert signed_flow(flow, tt.x, tt.y) > 0
 
     def test_midpoint_edges_carry_no_flow(self):
         q, d = 2, 2
@@ -394,7 +482,7 @@ class TestFlowDirections:
         profile = sphere_profile(q, 2)
         flow = unique_flow(tt.tree, assignment_from(
             radial_measure(tt, tt.x, profile), radial_measure(tt, tt.y, profile)))
-        mid = tt.path[1]
+        mid = 1  # the path's midpoint at d = 2
         for w in adjacency_of(tt.tree)[mid]:
             if tt.h[w] > 0:
-                assert flow.signed(mid, w) == 0
+                assert signed_flow(flow, mid, w) == 0
