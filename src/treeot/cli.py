@@ -31,11 +31,10 @@ from .families import (DEFAULT_ORDER, ball_gf, sphere_gf, srw_closed_form, srw_g
                        srw_profile)
 from .instances import dump_instance, load_instance
 from .rational import _shown, decimal_string, format_rational, parse_rational
-from .regular import (PairGeometry, RadialProfile, ball_profile, sphere_profile,
-                      truncation_size, w1_radial_formula)
+from .regular import (MAX_SERIES_BITS, PairGeometry, RadialProfile, ball_profile,
+                      sphere_profile, truncation_size, w1_radial_formula)
 from .suites import (DEFAULT_SEED, INEQUALITY_GRID, SUITE_NAMES, duality_cell, run_suite,
                      triple_cell)
-from .tree import MAX_INEQUALITY_CELLS, MAX_SERIES_BITS, MAX_SWEEP_STEPS
 # Never called here: the benchmark's tracer test checks its rewiring through
 # the binding ``treeot.cli.unique_flow``, so the name stays importable.
 from .tree import unique_flow  # noqa: F401
@@ -44,6 +43,18 @@ SWEEP_HEADER = ("family", "alpha", "d", "q", "n", "w1_exact", "w1_decimal", "asy
 
 #: The ``--family`` choices of ``sweep``, ``series`` and ``asym``.
 FAMILIES = ("srw", "sphere", "ball")
+
+#: Cap on the work of one ``sweep``: the class-sum formula takes about
+#: (floor(d/2) + 1)(n + 1) big-integer steps per cell, summed over every cell
+#: of the grid. A step costs about a microsecond at d = 2,048, so a grid at the
+#: cap runs in a few seconds; larger grids raise :class:`TooLarge`.
+MAX_SWEEP_STEPS = 2 ** 21
+
+#: Cap on the cells of one ``verify-ineq`` grid, the product of its list
+#: lengths. A cell checks the coefficient chain in about 0.2 ms (0.5 ms at a
+#: 2,000-bit q), so a grid at the cap runs in about a second; larger grids raise
+#: :class:`TooLarge`. The default grid has 216 cells.
+MAX_INEQUALITY_CELLS = 2 ** 12
 
 
 def _list_chunks(text: str, read=int) -> list:
@@ -100,12 +111,12 @@ def _support_radius(spec: str, fields: dict, key: str, q: int, d: int) -> int:
     return radius
 
 
-def parse_profile_spec(spec: str, q: int,
-                       d: int) -> tuple[str, Fraction | None, int, RadialProfile]:
+def parse_profile_spec(spec: str, q: int, d: int) -> tuple[str, RadialProfile]:
     """Profile mini-language: ``srw:alpha=1/2,n=6`` | ``sphere:r=6`` |
-    ``ball:r=6`` | ``custom:[1/2,0,1/3]``. A named kind takes each of its own
-    keys (:data:`_PROFILE_KEYS`) at most once, as ``key=value``, and is sized
-    against the truncation cap at center distance ``d`` first."""
+    ``ball:r=6`` | ``custom:[1/2,0,1/3]``, as ``(kind, profile)``. A named kind
+    takes each of its own keys (:data:`_PROFILE_KEYS`) at most once, as
+    ``key=value``, and is sized against the truncation cap at center distance
+    ``d`` first."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "custom":
@@ -116,7 +127,7 @@ def parse_profile_spec(spec: str, q: int,
         if not all(tok.strip() for tok in tokens):
             raise ValueError(f"custom profile {_shown(spec)} has an empty entry")
         values = [parse_rational(tok) for tok in tokens]
-        return "custom", None, 0, RadialProfile(tuple(values))
+        return "custom", RadialProfile(tuple(values))
     if kind not in _PROFILE_KEYS:
         raise ValueError(f"unknown profile kind {kind!r}")
     fields = {}
@@ -136,9 +147,9 @@ def parse_profile_spec(spec: str, q: int,
     if kind == "srw":
         alpha = parse_rational(fields.get("alpha", "0"))
         n = _support_radius(spec, fields, "n", q, d)
-        return "srw", alpha, n, srw_profile(alpha, q, n)
+        return "srw", srw_profile(alpha, q, n)
     r = _support_radius(spec, fields, "r", q, d)
-    return kind, None, r, (sphere_profile if kind == "sphere" else ball_profile)(q, r)
+    return kind, (sphere_profile if kind == "sphere" else ball_profile)(q, r)
 
 
 def _print_w1(args: argparse.Namespace, paths: dict[str, Fraction], agree: bool,
@@ -187,7 +198,7 @@ def _cmd_w1_radial(args: argparse.Namespace) -> int:
     if args.q is None or args.d is None:
         raise ValueError("--radial needs --q and --d")
     geometry = PairGeometry(args.q, args.d)
-    kind, _, _, profile = parse_profile_spec(args.radial, args.q, args.d)
+    kind, profile = parse_profile_spec(args.radial, args.q, args.d)
     paths, truncation, mu, nu, agree = triple_cell(profile, geometry)
     if args.emit_instance:
         dump_instance(truncation.tree, mu, nu, args.emit_instance)
@@ -245,32 +256,29 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
     _refuse_alpha_off_walk(args)
     rows = []
     for q in q_list:
-        tables = {}
         if family == "srw":
-            for alpha in alphas:
-                tables[alpha] = srw_g_table(alpha, q, max_n)
+            tables = {alpha: srw_g_table(alpha, q, max_n) for alpha in alphas}
+        geoms = [PairGeometry(q, d) for d in d_list]
         for alpha in alphas:
-            for d in d_list:
-                geom = PairGeometry(q, d)
-                if family == "srw":
-                    asym = srw_AB(alpha, d, q)
-                elif family == "sphere":
-                    asym = sphere_AB(d, q)
-                else:
-                    asym = ball_AB(d, q)
-                for n in n_list:
-                    if family == "srw":
-                        profile = tables[alpha].column_profile(n)
-                    elif family == "sphere":
-                        profile = sphere_profile(q, n)
-                    else:
-                        profile = ball_profile(q, n)
+            if family == "srw":
+                profile_at = tables[alpha].column_profile
+                asyms = [srw_AB(alpha, d, q) for d in d_list]
+            elif family == "sphere":
+                profile_at = functools.partial(sphere_profile, q)
+                asyms = [sphere_AB(d, q) for d in d_list]
+            else:
+                profile_at = functools.partial(ball_profile, q)
+                asyms = [ball_AB(d, q) for d in d_list]
+            # Each time-n profile once, for every d; the rows are sorted below.
+            for n in n_list:
+                profile = profile_at(n)
+                for geom, asym in zip(geoms, asyms):
                     w1 = w1_radial_formula(profile, geom)
                     line = asym.at(n)
                     rows.append({
                         "family": family,
                         "alpha": "" if alpha is None else format_rational(alpha),
-                        "d": d, "q": q, "n": n,
+                        "d": geom.d, "q": q, "n": n,
                         "w1_exact": format_rational(w1),
                         "w1_decimal": decimal_string(w1),
                         "asym": decimal_string(line),

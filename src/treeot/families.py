@@ -352,7 +352,9 @@ def w1_via_genfun(bundle: GFBundle, geometry: PairGeometry, n: int) -> Fraction:
 
 def srw_profile(alpha: RationalLike, q: int, n: int) -> RadialProfile:
     """Time-n walk distribution as a radial profile: the last column of the
-    recurrence, over S^n."""
+    recurrence, over S^n; raises :class:`InvalidParams` for a negative n."""
+    if n < 0:
+        raise InvalidParams(f"walk time step must be >= 0, got {n}")
     columns, base = _srw_scaled_columns(alpha, q, n)
     for col in columns:
         pass

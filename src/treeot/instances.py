@@ -21,8 +21,15 @@ from pathlib import Path
 
 from .errors import TooLarge, TreeOTError
 from .rational import _common_scale, _shown, format_rational, parse_rational
-from .tree import MAX_INSTANCE_BYTES, Measure, Tree, validate_tree
+from .tree import Measure, Tree, validate_tree
 
+#: Cap on the size of an instance file, read from the file system before any
+#: parsing (a pipe is read to one byte past it). It admits a 10^6-vertex tree
+#: with both measures on every vertex: ``bench/gen.py``'s ``random_instance(
+#: random.Random(7), 10**6, 10**6)`` writes 180.8 MB, which ``treeot w1 --json``
+#: runs in 16 s at a 1.1 GB peak RSS; 2^28 bytes (268 MB) is the power of two
+#: above it. Larger files raise :class:`TooLarge`.
+MAX_INSTANCE_BYTES = 2 ** 28
 
 #: The JSON scalars a vertex id may be; lists and objects are refused.
 _SCALAR_IDS = (str, int, float, type(None))

@@ -13,16 +13,29 @@ the infinite-tree answer exactly.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from math import gcd
 from typing import Sequence
 
 from .errors import InvalidParams, TooLarge, TruncationTooSmall
 from .rational import RationalLike, _frac, _over_scale, _qpow
-from .tree import MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, Measure, Tree
+from .tree import Measure, Tree
+
+#: Cap on bits(S) * order for the families' size knobs (``series --order``,
+#: ``sweep --n``), S being the per-step scale: den(alpha) * (q+1) for the walk,
+#: q + 1 for spheres and balls. A time-n denominator has about n * bits(S) bits,
+#: so a printed rational stays near 620 digits, far under Python's 4,300-digit
+#: limit, and a series runs in under a second; larger requests raise
+#: :class:`TooLarge`. It also bounds bits(q) * ceil(d / 2), the size of q^(d/2)
+#: in the asymptotes, for every :class:`PairGeometry`.
+MAX_SERIES_BITS = 2 ** 11
+
+#: Cap on the vertex count of a regular-tree truncation (``w1 --radial``).
+#: One at 10^6 vertices takes a few seconds; larger ones raise
+#: :class:`TooLarge`, and the closed formulas need no truncation.
+MAX_TRUNCATION_VERTICES = 10 ** 6
 
 
 def _check_q(q: int) -> None:
@@ -133,19 +146,30 @@ def ball_profile(q: int, radius: int) -> RadialProfile:
     return RadialProfile((1,) * (radius + 1), ball_size(q, radius))
 
 
+def _children(q: int, d: int, radius: int, i: int, h: int) -> int:
+    """Children of a vertex at path index i and height h in the radius-``radius``
+    truncation: none once min(i, d - i) + h >= radius, else q, or q - 1 off an
+    interior path vertex, whose path neighbors take the other two edges."""
+    if min(i, d - i) + h >= radius:
+        return 0
+    return q - 1 if h == 0 and 0 < i < d else q
+
+
 def truncation_size(q: int, d: int, radius: int) -> int:
-    """Vertex count of :func:`build_truncated_tree`, summed level by level; raises
+    """Vertex count of :func:`build_truncated_tree`, summed class by class; raises
     :class:`TooLarge` once a partial sum passes :data:`MAX_TRUNCATION_VERTICES`."""
-    total = d + 1
+    total = 0
     for i in range(d + 1):
-        level = q if i in (0, d) else q - 1
-        for _ in range(radius - min(i, d - i)):
-            total, level = total + level, level * q
+        size, h = 1, 0  # the (h, i) class
+        while size:
+            total += size
             if total > MAX_TRUNCATION_VERTICES:
                 raise TooLarge(f"the radius-{radius} truncation for q = {q}, d = {d} has over "
                                f"{MAX_TRUNCATION_VERTICES:,} vertices (at least {q}^{radius}), "
                                f"over the truncation cap; the closed formulas "
                                f"(w1_radial_formula, treeot sweep) need no truncation")
+            size *= _children(q, d, radius, i, h)
+            h += 1
     return total
 
 
@@ -154,96 +178,77 @@ class TruncatedRegularTree:
     """Finite piece of the regular tree holding centers X and Y, rooted at X.
 
     Every vertex within the truncation radius of X or Y is present with full
-    degree q + 1 unless it sits on the truncation boundary; vertex v sits at
-    path index i[v] and height h[v]. The ids run level by level: ``h`` never
-    decreases in id order, and within one level ``i`` never decreases, so the
-    vertices of one (h, i) class are one contiguous id range.
+    degree q + 1 unless it sits on the truncation boundary. The ids run level
+    by level: ``levels[h]`` lists the (h, i) classes of height h by ascending
+    path index i as ``(i, first, end)``, the class being the ids first..end-1.
     """
 
     geometry: PairGeometry
     tree: Tree
     x: int
     y: int
-    i: tuple[int, ...]
-    h: tuple[int, ...]
+    levels: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
 def build_truncated_tree(q: int, d: int, radius: int) -> TruncatedRegularTree:
     """Truncation of the regular tree containing balls of ``radius`` around X and Y.
 
     The path X = 0, ..., d = Y is level 0; level h + 1 holds the children of
-    level h, each parent's block in the parent's id order. A vertex at (i, h)
-    gets children while min(i, d - i) + h < radius: q of them, or q - 1 off
-    an interior path vertex. Since ``i`` never decreases within a level, the
-    parents of a level are one prefix (i < radius - h) and one suffix
-    (i > d - radius + h), which two bisections find, and a level is built
-    from slices and repeats with no loop over its vertices. Every parent
-    precedes its children, so the tree comes from the parent array with no
-    BFS. Raises :class:`TooLarge`, before any work, over the size cap.
+    level h class by class, each parent's block in id order, with no loop over
+    the vertices. Every parent precedes its children, so the tree comes from
+    the parent array with no BFS. Raises :class:`TooLarge`, before any work,
+    over the size cap.
     """
     geometry = PairGeometry(q, d)
     if radius < 0:
         raise InvalidParams(f"truncation radius must be >= 0, got {radius}")
     truncation_size(q, d, radius)
     parent = [-1, *range(d)]
-    path_i = list(range(d + 1))
-    height = [0] * (d + 1)
-    start, end, h = 0, d + 1, 0  # level h holds the ids start..end-1
-    while start < end:
-        prefix = bisect_left(path_i, radius - h, start, end)
-        suffix = max(prefix, bisect_right(path_i, d - radius + h, start, end))
-        ids = [*range(start, prefix), *range(suffix, end)]
-        i = path_i[start:prefix] + path_i[suffix:end]
-        if h:  # q children each
-            parent += chain.from_iterable(zip(*repeat(ids, q)))
-            path_i += chain.from_iterable(zip(*repeat(i, q)))
-        else:  # the path: q children off X and Y, q - 1 off an interior vertex
-            counts = [q if j in (0, d) else q - 1 for j in i]
-            parent += chain.from_iterable(map(repeat, ids, counts))
-            path_i += chain.from_iterable(map(repeat, i, counts))
-        start, end, h = end, len(parent), h + 1
-        height += repeat(h, end - start)
+    levels = [tuple((i, i, i + 1) for i in range(d + 1))]
+    for h in count():
+        level = []
+        for i, lo, hi in levels[h]:
+            k = _children(q, d, radius, i, h)
+            if k:
+                ids = [*range(lo, hi)]  # one list for all k copies: k ranges make k ints per id
+                start = len(parent)
+                parent += chain.from_iterable(zip(*repeat(ids, k)))
+                level.append((i, start, len(parent)))
+        if not level:
+            break
+        levels.append(tuple(level))
     return TruncatedRegularTree(geometry=geometry, tree=Tree._from_parents(parent), x=0, y=d,
-                                i=tuple(path_i), h=tuple(height))
+                                levels=tuple(levels))
 
 
 def radial_measure(truncation: TruncatedRegularTree, center: int, profile: RadialProfile) -> Measure:
     """Measure assigning mass s(dist(center, v)) to every vertex v, for the
     center X or Y; the distance is |i(center) - i| + h.
 
-    Reads the ids level by level: the vertices of each (h, i) class within
-    the profile's support are one contiguous id range, found by bisection on
-    ``i`` within the level, so the masses are filled range by range in
-    ascending id order with no loop over the vertices.
+    Fills the masses one (h, i) class range at a time, in ascending id
+    order, with no loop over the vertices.
 
     Raises :class:`TruncationTooSmall` when the truncation clips any sphere
     inside the profile's support, and :class:`ValueError` for another center.
     """
     if center not in (truncation.x, truncation.y):
         raise ValueError(f"center must be X = {truncation.x} or Y = {truncation.y}, not {center}")
-    q, d = truncation.geometry.q, truncation.geometry.d
-    c = truncation.i[center]
+    q = truncation.geometry.q
+    c = truncation.levels[0][center][0]
     top = profile.support_radius
     # Each shell's integer over the profile's scale, shared by every vertex of
     # the shell. The profile is in lowest terms, so its scale is the lcm of the
     # reduced denominators of the positive shell masses: the measure's scale.
     shells = profile.num
-    path_i, height = truncation.i, truncation.h
     counts = [0] * (top + 1)
     num: dict[int, int] = {}
-    start = 0
-    for h in range(top + 1):
-        end = bisect_right(height, h, start)
-        reach = top - h
-        lo = bisect_left(path_i, c - reach, start, end)
-        for j in range(max(0, c - reach), min(d, c + reach) + 1):
-            hi = bisect_right(path_i, j, lo, end)
-            ell = abs(c - j) + h
-            counts[ell] += hi - lo
-            if shells[ell]:
-                num.update(zip(range(lo, hi), repeat(shells[ell])))
-            lo = hi
-        start = end
+    for h, level in enumerate(truncation.levels[:top + 1]):
+        for i, lo, hi in level:
+            ell = abs(c - i) + h
+            if ell <= top:
+                counts[ell] += hi - lo
+                if shells[ell]:
+                    num.update(zip(range(lo, hi), repeat(shells[ell])))
     for ell in range(top + 1):
         if counts[ell] != sphere_size(q, ell):
             raise TruncationTooSmall(

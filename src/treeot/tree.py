@@ -22,41 +22,6 @@ from typing import Hashable, Iterable, Mapping, Sequence
 from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected
 from .rational import RationalLike, _common_scale, _frac, _over_scale, decimal_string
 
-#: Cap on bits(S) * order for the families' size knobs (``series --order``,
-#: ``sweep --n``), where S is the per-step scale: den(alpha) * (q+1) for the
-#: walk, q + 1 for spheres and balls. A time-n coefficient has a denominator of
-#: about n * bits(S) bits at most, so every printed rational stays near 620
-#: digits, far under Python's 4,300-digit limit, and one series runs in under
-#: a second. Larger requests raise :class:`TooLarge`. The same cap bounds
-#: bits(q) * ceil(d / 2) for a center distance d, which sets the size of
-#: q^(d/2) in the asymptotes.
-MAX_SERIES_BITS = 2 ** 11
-
-#: Cap on the work of one ``sweep``: the class-sum formula takes about
-#: (floor(d/2) + 1)(n + 1) big-integer steps per cell, summed over every cell
-#: of the grid. A step costs about a microsecond at d = 2,048, so a grid at the
-#: cap runs in a few seconds; larger grids raise :class:`TooLarge`.
-MAX_SWEEP_STEPS = 2 ** 21
-
-#: Cap on the cells of one ``verify-ineq`` grid, the product of its list
-#: lengths. A cell checks the coefficient chain in about 0.2 ms (0.5 ms at a
-#: 2,000-bit q), so a grid at the cap runs in about a second; larger grids raise
-#: :class:`TooLarge`. The default grid has 216 cells.
-MAX_INEQUALITY_CELLS = 2 ** 12
-
-#: Cap on the vertex count of a regular-tree truncation (``w1 --radial``).
-#: One at 10^6 vertices takes a few seconds; larger ones raise
-#: :class:`TooLarge`, and the closed formulas need no truncation.
-MAX_TRUNCATION_VERTICES = 10 ** 6
-
-#: Cap on the size of an instance file, read from the file system before any
-#: parsing (a pipe is read to one byte past it). It admits a 10^6-vertex tree
-#: with both measures on every vertex: ``bench/gen.py``'s ``random_instance(
-#: random.Random(7), 10**6, 10**6)`` writes 180.8 MB, which ``treeot w1 --json``
-#: runs in 16 s at a 1.1 GB peak RSS; 2^28 bytes (268 MB) is the power of two
-#: above it. Larger files raise :class:`TooLarge`.
-MAX_INSTANCE_BYTES = 2 ** 28
-
 
 def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, dict, tuple, tuple]:
     """Map labels to dense indices, check the edges, and build the adjacency.

@@ -57,6 +57,18 @@ def signed_flow(flow, u: int, v: int) -> Fraction:
     return Fraction(0)
 
 
+def coordinates(truncation) -> tuple[list, list]:
+    """``(i, h)`` of a regular-tree truncation, one entry per vertex id,
+    expanded from its (h, i) class ranges; an id no class covers reads None."""
+    n = truncation.tree.num_vertices
+    path_i, height = [None] * n, [None] * n
+    for h, level in enumerate(truncation.levels):
+        for i, lo, hi in level:
+            path_i[lo:hi] = [i] * (hi - lo)
+            height[lo:hi] = [h] * (hi - lo)
+    return path_i, height
+
+
 def rng_for(seed: int) -> random.Random:
     return random.Random(seed)
 
@@ -77,6 +89,6 @@ def interval_contains(x: tuple, value) -> bool:
     return lo <= value <= hi
 
 
-__all__ = ["FIXTURES", "adjacency_of", "demo_doc", "interval_contains", "random_tree",
+__all__ = ["FIXTURES", "adjacency_of", "coordinates", "demo_doc", "interval_contains", "random_tree",
            "random_measure_pair", "random_profile", "rng_for", "run_python", "signed_flow",
            "to_mpf", "mpf_pair"]

@@ -26,9 +26,10 @@ from hypothesis import strategies as st
 import treeot
 from treeot.cli import build_parser, main, parse_profile_spec
 from treeot.errors import DuplicateEdge, HasCycle, NotConnected, TooLarge
+from treeot.families import srw_profile
 from treeot.instances import dump_instance, instance_from_dict, instance_to_dict, load_instance
 from treeot.rational import format_rational, parse_rational
-from treeot.regular import truncation_size
+from treeot.regular import ball_profile, sphere_profile, truncation_size
 from treeot.tree import Measure, assignment_from, validate_tree, w1_tree
 
 from conftest import FIXTURES, adjacency_of, demo_doc, random_tree, run_python
@@ -389,7 +390,7 @@ class TestW1Command:
 
     @pytest.mark.parametrize("over", [0, 1])
     def test_byte_cap_is_read_before_json(self, capsys, tmp_path, monkeypatch, over):
-        from treeot.tree import MAX_INSTANCE_BYTES
+        from treeot.instances import MAX_INSTANCE_BYTES
 
         parsed = []
 
@@ -937,7 +938,7 @@ class TestSeriesSizeCap:
         assert [int(r["d"]) for r in rows] == list(range(1, 2047))
 
     def test_paper_sizes_fit_under_the_cap(self, capsys):
-        from treeot.tree import MAX_SERIES_BITS
+        from treeot.regular import MAX_SERIES_BITS
         assert 256 * (2 * 4).bit_length() <= MAX_SERIES_BITS  # series order 256, alpha 1/2, q 3
         assert 240 * (2 * 4).bit_length() <= MAX_SERIES_BITS  # criterion 8's order
 
@@ -1180,11 +1181,13 @@ class TestRadialW1Mode:
          "sphere radius must be >= 0, got -1"),
         (("w1", "--radial", "ball:r=-1", "--q", "3", "--d", "2"),
          "ball radius must be >= 0, got -1"),
+        (("w1", "--radial", "srw:n=-1", "--q", "2", "--d", "1"),
+         "walk time step must be >= 0, got -1"),
         (("sweep", "--family", "sphere", "--n=-1"),
          "--n holds the time step -1; time steps start at 0"),
         (("sweep", "--family", "ball", "--n=-1"),
          "--n holds the time step -1; time steps start at 0"),
-    ], ids=["w1-sphere", "w1-ball", "sweep-sphere", "sweep-ball"])
+    ], ids=["w1-sphere", "w1-ball", "w1-srw", "sweep-sphere", "sweep-ball"])
     def test_negative_radius_is_an_input_error(self, capsys, argv, message):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -1256,20 +1259,23 @@ class TestParser:
 
 class TestProfileSpecs:
     def test_srw_spec(self):
-        kind, alpha, n, profile = parse_profile_spec("srw:alpha=1/2,n=3", 2, 1)
-        assert (kind, alpha, n) == ("srw", Fraction(1, 2), 3)
+        kind, profile = parse_profile_spec("srw:alpha=1/2,n=3", 2, 1)
+        assert (kind, profile) == ("srw", srw_profile(Fraction(1, 2), 2, 3))
         assert profile.support_radius == 3
 
     def test_sphere_spec(self):
-        _, _, r, profile = parse_profile_spec("sphere:r=4", 3, 1)
-        assert profile.values[4] == Fraction(1, 4 * 27)
+        kind, profile = parse_profile_spec("sphere:r=4", 3, 1)
+        assert (kind, profile) == ("sphere", sphere_profile(3, 4))
+        assert profile.support_radius == 4 and profile.values[4] == Fraction(1, 4 * 27)
 
     def test_ball_spec(self):
-        _, _, r, profile = parse_profile_spec("ball:r=2", 2, 1)
-        assert profile.values[0] == Fraction(1, 10)
+        kind, profile = parse_profile_spec("ball:r=2", 2, 1)
+        assert (kind, profile) == ("ball", ball_profile(2, 2))
+        assert profile.support_radius == 2 and profile.values[0] == Fraction(1, 10)
 
     def test_custom_spec(self):
-        _, _, _, profile = parse_profile_spec("custom:[1/2, 0, 1/3]", 2, 1)
+        kind, profile = parse_profile_spec("custom:[1/2, 0, 1/3]", 2, 1)
+        assert kind == "custom" and profile.support_radius == 2
         assert profile.values == (Fraction(1, 2), Fraction(0), Fraction(1, 3))
 
     def test_unknown_kind(self):

@@ -9,14 +9,14 @@ import pytest
 
 from treeot.errors import InvalidParams, TooLarge, TruncationTooSmall
 from treeot.families import srw_profile
-from treeot.regular import (PairGeometry, RadialProfile, TruncatedRegularTree, _padded,
-                            ball_profile, ball_size, build_truncated_tree, radial_measure,
-                            sphere_profile, sphere_size, truncation_size, w1_radial_flow_formula,
-                            w1_radial_formula)
-from treeot.tree import (MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, Flow, _hop_distances,
-                         assignment_from, flow_cost, unique_flow, validate_tree, w1_tree)
+from treeot.regular import (MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, PairGeometry,
+                            RadialProfile, TruncatedRegularTree, _padded, ball_profile, ball_size,
+                            build_truncated_tree, radial_measure, sphere_profile, sphere_size,
+                            truncation_size, w1_radial_flow_formula, w1_radial_formula)
+from treeot.tree import (Flow, _hop_distances, assignment_from, flow_cost, unique_flow,
+                         validate_tree, w1_tree)
 
-from conftest import adjacency_of, random_profile, rng_for, signed_flow
+from conftest import adjacency_of, coordinates, random_profile, rng_for, signed_flow
 
 
 #: (q, d, radius) of the truncations whose coordinates are checked against BFS.
@@ -125,7 +125,7 @@ def reference_measure(q: int, d: int, path_i: list[int], height: list[int], cent
 
 
 class TestAgainstThePerVertexReference:
-    """The level-by-level build and measure against the per-vertex loops, over
+    """The class-by-class build, size and measure against the per-vertex loops, over
     q in 2..5, d in 1..6 and radius in 0..5, radius < d / 2 included (the
     middle path vertices get no branches there)."""
 
@@ -136,11 +136,8 @@ class TestAgainstThePerVertexReference:
             parent, path_i, height = reference_truncation(q, d, radius)
             tt = build_truncated_tree(q, d, radius)
             assert list(tt.tree.parent) == parent
-            assert list(tt.i) == path_i and list(tt.h) == height
-            # The two ordering facts the level-by-level code reads.
-            assert all(a <= b for a, b in zip(height, height[1:]))
-            assert all(a <= b for a, b, ha, hb in zip(path_i, path_i[1:], height, height[1:])
-                       if ha == hb)
+            assert truncation_size(q, d, radius) == len(parent)
+            assert coordinates(tt) == (path_i, height)
             for top in range(radius + 3):
                 # Zero shells inside the support, and a positive top shell.
                 profile = RadialProfile([Fraction(ell % 3, ell + 2) for ell in range(top)] + [1])
@@ -220,10 +217,11 @@ class TestTruncation:
 class TestCoordinates:
     def test_centers_and_path(self):
         tt = build_truncated_tree(2, 3, 2)
-        assert (tt.i[tt.x], tt.h[tt.x]) == (0, 0)
-        assert (tt.i[tt.y], tt.h[tt.y]) == (3, 0)
+        path_i, height = coordinates(tt)
+        assert (path_i[tt.x], height[tt.x]) == (0, 0)
+        assert (path_i[tt.y], height[tt.y]) == (3, 0)
         for j in range(tt.y + 1):  # the path X = 0, ..., d = Y
-            assert (tt.i[j], tt.h[j]) == (j, 0)
+            assert (path_i[j], height[j]) == (j, 0)
 
     @pytest.mark.parametrize("q,d,radius", COORD_CASES)
     def test_distance_identity(self, q, d, radius):
@@ -231,8 +229,7 @@ class TestCoordinates:
         adjacency = adjacency_of(tt.tree)
         dx = _hop_distances(adjacency, tt.x)
         dy = _hop_distances(adjacency, tt.y)
-        for v in range(tt.tree.num_vertices):
-            i, h = tt.i[v], tt.h[v]
+        for v, (i, h) in enumerate(zip(*coordinates(tt))):
             assert dx[v] == i + h
             assert dy[v] == d - i + h
 
@@ -306,7 +303,7 @@ def radial_potential(i: int, h: int, geometry: PairGeometry) -> Fraction:
 def radial_potential_field(truncation: TruncatedRegularTree) -> tuple[Fraction, ...]:
     """The closed-form potential evaluated at every vertex of a truncation."""
     geom = truncation.geometry
-    return tuple(radial_potential(i, h, geom) for i, h in zip(truncation.i, truncation.h))
+    return tuple(radial_potential(i, h, geom) for i, h in zip(*coordinates(truncation)))
 
 
 def flow_direction_check(truncation: TruncatedRegularTree, flow: Flow) -> bool:
@@ -318,13 +315,14 @@ def flow_direction_check(truncation: TruncatedRegularTree, flow: Flow) -> bool:
     """
     d = truncation.geometry.d
     parent = truncation.tree.parent
+    path_i, height = coordinates(truncation)
     for v in range(1, len(parent)):
-        if truncation.h[v] == 0:  # a path edge, from the path vertex before v
+        if height[v] == 0:  # a path edge, from the path vertex before v
             if signed_flow(flow, parent[v], v) <= 0:
                 return False
             continue
         toward_path = signed_flow(flow, v, parent[v])
-        side = 2 * truncation.i[v] - d  # < 0 on the X half, 0 at the midpoint
+        side = 2 * path_i[v] - d  # < 0 on the X half, 0 at the midpoint
         if toward_path * side > 0 or (side == 0 and toward_path != 0):
             return False
     return True
@@ -483,6 +481,7 @@ class TestFlowDirections:
         flow = unique_flow(tt.tree, assignment_from(
             radial_measure(tt, tt.x, profile), radial_measure(tt, tt.y, profile)))
         mid = 1  # the path's midpoint at d = 2
+        height = coordinates(tt)[1]
         for w in adjacency_of(tt.tree)[mid]:
-            if tt.h[w] > 0:
+            if height[w] > 0:
                 assert signed_flow(flow, mid, w) == 0
