@@ -34,7 +34,7 @@ from .rational import _shown, decimal_string, format_rational, parse_rational
 from .regular import (MAX_SERIES_BITS, PairGeometry, RadialProfile, ball_profile,
                       sphere_profile, truncation_size, w1_radial_formula)
 from .suites import (DEFAULT_SEED, INEQUALITY_GRID, SUITE_NAMES, duality_cell, run_suite,
-                     triple_cell)
+                     triple_cell, truncation_radius)
 # Never called here: the benchmark's tracer test checks its rewiring through
 # the binding ``treeot.cli.unique_flow``, so the name stays importable.
 from .tree import unique_flow  # noqa: F401
@@ -57,24 +57,40 @@ MAX_SWEEP_STEPS = 2 ** 21
 MAX_INEQUALITY_CELLS = 2 ** 12
 
 
+def _refused(text: str, chunk: str, kind: str, fault: str) -> ValueError:
+    """The error for a bad ``chunk`` of the list ``text``, naming both, or
+    only the list when the chunk is all of it."""
+    where = "" if chunk == text else f"{kind} {_shown(chunk)} in the "
+    return ValueError(f"the {where}list {_shown(text)} {fault}")
+
+
 def _list_chunks(text: str, read=int) -> list:
     """``"2"``, ``"1,3,5"`` or, for ints, ``"1..6"`` as its chunks: a
     ``range`` for each ``lo..hi`` and a 1-tuple for each value, none of them
     built. Each chunk is counted as it is read: a list spelling out more than
-    :data:`MAX_SWEEP_STEPS` entries, repeats included, raises :class:`TooLarge`,
-    and a range spelling out none (``"5..1"``) raises :class:`ValueError`."""
+    :data:`MAX_SWEEP_STEPS` entries, repeats included, raises :class:`TooLarge`.
+    A range spelling out none (``"5..1"``), or an int entry or range end that
+    is not an integer, raises :class:`ValueError` naming the list and the chunk."""
     chunks: list = []
     count = 0
     for chunk in text.split(","):
         if read is int and ".." in chunk:
-            lo, hi = map(int, chunk.split(".."))
+            try:
+                lo, hi = map(int, chunk.split(".."))
+            except ValueError:
+                raise _refused(text, chunk, "range",
+                               "cannot be read as lo..hi with integer ends") from None
             if hi < lo:
-                where = "" if chunk == text else f"range {_shown(chunk)} in the "
-                raise ValueError(f"the {where}list {_shown(text)} spells out no entries")
+                raise _refused(text, chunk, "range", "spells out no entries")
             chunks.append(range(lo, hi + 1))
             count += hi - lo + 1  # len() of a range fails past 2^63
         else:
-            chunks.append((read(chunk),))
+            try:
+                chunks.append((read(chunk),))
+            except ValueError:
+                if read is not int:
+                    raise  # parse_rational names the entry itself
+                raise _refused(text, chunk, "entry", "cannot be read as an integer") from None
             count += 1
         if count > MAX_SWEEP_STEPS:
             raise TooLarge(f"the list {_shown(text)} spells out more than "
@@ -107,7 +123,7 @@ def _support_radius(spec: str, fields: dict, key: str, q: int, d: int) -> int:
     except ValueError:
         raise ValueError(f"profile {_shown(spec)} needs an integer {key}, "
                          f"got {_shown(value)}") from None
-    truncation_size(q, d, radius + d)
+    truncation_size(q, d, truncation_radius(radius, d))
     return radius
 
 
@@ -350,7 +366,9 @@ def _cmd_asym(args: argparse.Namespace) -> int:
 def _parse_grid(tokens: list[str]) -> dict:
     grid = dict(INEQUALITY_GRID)
     for token in tokens:
-        key, _, value = token.partition("=")
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ValueError(f"grid token {_shown(token)} is not FIELD=SPEC")
         key = key.strip()
         if key not in grid:
             raise ValueError(f"unknown grid field {key!r}")

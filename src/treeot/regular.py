@@ -195,9 +195,11 @@ def build_truncated_tree(q: int, d: int, radius: int) -> TruncatedRegularTree:
 
     The path X = 0, ..., d = Y is level 0; level h + 1 holds the children of
     level h class by class, each parent's block in id order, with no loop over
-    the vertices. Every parent precedes its children, so the tree comes from
-    the parent array with no BFS. Raises :class:`TooLarge`, before any work,
-    over the size cap.
+    the vertices. So every parent precedes its children, and the builder hands
+    :class:`Tree` its arrays, ``0..n-1`` as the order, with no check or BFS
+    (``TestAgainstThePerVertexReference`` and
+    ``test_rooted_tree_matches_validation`` check the order). Raises
+    :class:`TooLarge`, before any work, over the size cap.
     """
     geometry = PairGeometry(q, d)
     if radius < 0:
@@ -217,13 +219,14 @@ def build_truncated_tree(q: int, d: int, radius: int) -> TruncatedRegularTree:
         if not level:
             break
         levels.append(tuple(level))
-    return TruncatedRegularTree(geometry=geometry, tree=Tree._from_parents(parent), x=0, y=d,
-                                levels=tuple(levels))
+    labels = tuple(range(len(parent)))
+    tree = Tree(labels=labels, order=labels, parent=tuple(parent), _ends=(parent[1:], labels[1:]))
+    return TruncatedRegularTree(geometry=geometry, tree=tree, x=0, y=d, levels=tuple(levels))
 
 
 def radial_measure(truncation: TruncatedRegularTree, center: int, profile: RadialProfile) -> Measure:
     """Measure assigning mass s(dist(center, v)) to every vertex v, for the
-    center X or Y; the distance is |i(center) - i| + h.
+    center X or Y, whose id is its path index; the distance is |center - i| + h.
 
     Fills the masses one (h, i) class range at a time, in ascending id
     order, with no loop over the vertices.
@@ -234,7 +237,6 @@ def radial_measure(truncation: TruncatedRegularTree, center: int, profile: Radia
     if center not in (truncation.x, truncation.y):
         raise ValueError(f"center must be X = {truncation.x} or Y = {truncation.y}, not {center}")
     q = truncation.geometry.q
-    c = truncation.levels[0][center][0]
     top = profile.support_radius
     # Each shell's integer over the profile's scale, shared by every vertex of
     # the shell. The profile is in lowest terms, so its scale is the lcm of the
@@ -244,7 +246,7 @@ def radial_measure(truncation: TruncatedRegularTree, center: int, profile: Radia
     num: dict[int, int] = {}
     for h, level in enumerate(truncation.levels[:top + 1]):
         for i, lo, hi in level:
-            ell = abs(c - i) + h
+            ell = abs(center - i) + h
             if ell <= top:
                 counts[ell] += hi - lo
                 if shells[ell]:

@@ -137,8 +137,9 @@ def duality_cell(tree: Tree, mu: Measure, nu: Measure) -> tuple[dict[str, Fracti
     graph = FiniteGraph.from_tree(tree, keep=mu.num.keys() | nu.num.keys())
     primal, dual, plan = verify_duality(graph, mu, nu, phi)
     paths["lp"] = primal
-    ok = (len(set(paths.values())) == 1 and primal == dual
-          and check_complementary_slackness(graph, plan, phi)
+    # The dual is potential_value(rho, phi), which is paths["potential"], so
+    # equal paths already mean primal == dual.
+    ok = (len(set(paths.values())) == 1 and check_complementary_slackness(graph, plan, phi)
           and satisfies_marginals(plan, mu, nu))
     return paths, {"duality": {"primal": format_rational(primal), "dual": format_rational(dual),
                                "certificate": primal == dual}}, ok
@@ -158,13 +159,20 @@ def suite_duality(seed: int = DEFAULT_SEED) -> RunReport:
     return report
 
 
+def truncation_radius(support_radius: int, d: int) -> int:
+    """Radius of the truncation that measures a profile of this support radius
+    at center distance ``d``: the one rule behind :func:`triple_cell`'s build
+    and ``treeot w1 --radial``'s size check."""
+    return support_radius + d
+
+
 def triple_cell(profile: RadialProfile, geometry: PairGeometry
                 ) -> tuple[dict[str, Fraction], TruncatedRegularTree, Measure, Measure, bool]:
     """The radial routes for one profile: vertex-class sum (formula), edge-class
-    sum (flow-sum) and tree flow on the smallest exact truncation; that
+    sum (flow-sum) and tree flow on the :func:`truncation_radius` truncation; that
     truncation and its X- and Y-centered measures; and whether the routes agree."""
     d = geometry.d
-    truncation = build_truncated_tree(geometry.q, d, profile.support_radius + d)
+    truncation = build_truncated_tree(geometry.q, d, truncation_radius(profile.support_radius, d))
     mu = radial_measure(truncation, truncation.x, profile)
     nu = radial_measure(truncation, truncation.y, profile)
     paths = {"formula": w1_radial_formula(profile, geometry),

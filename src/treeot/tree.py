@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import gt, sub
+from operator import sub
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected
@@ -139,13 +139,13 @@ class Tree:
 
     ``labels`` preserves the caller's vertex identifiers, and ``index`` maps
     each back to its dense index; all other structures (and all
-    measures/flows/potentials) use the dense indices. ``parent``
-    roots the tree at vertex 0 (-1 there), and ``order`` lists every vertex
-    after its parent, starting at 0: the reverse of the leaf peeling that
-    :func:`validate_tree` ran, or ``0..n-1`` for a tree built from a
-    generator's parent array. The flow route reads only these two. The LP
-    oracle reads the edge endpoints ``_ends``, and ``edges``, which the
-    instance writer reads, is built from them on first read.
+    measures/flows/potentials) use the dense indices. ``parent`` roots the
+    tree at vertex 0 (-1 there), and ``order`` lists every vertex after its
+    parent, starting at 0; the flow route reads only these two. The LP oracle
+    reads the edge endpoints ``_ends``, and ``edges``, which the instance
+    writer reads, is built from them on first read. The constructor checks
+    nothing: :func:`validate_tree` proves the arrays by its leaf peels, and
+    :func:`treeot.regular.build_truncated_tree` by its class ranges.
     """
 
     labels: tuple[Hashable, ...]
@@ -169,23 +169,6 @@ class Tree:
         """Every edge once, as a ``(lo, hi)`` pair, in input order."""
         us, vs = self._ends
         return tuple(zip(map(min, us, vs), map(max, us, vs)))
-
-    @classmethod
-    def _from_parents(cls, parent: Sequence[int]) -> "Tree":
-        """The tree on ``0..n-1`` joining each vertex v > 0 to ``parent[v]``.
-
-        The generator numbers every parent before its children: ``parent[0]``
-        is -1 and ``0 <= parent[v] < v`` otherwise, so the n - 1 edges reach
-        vertex 0 from everywhere, there is no cycle, and ``0..n-1`` is the
-        order. No BFS runs, and the check is two passes in C. Raises
-        :class:`ValueError` for any other array.
-        """
-        labels = tuple(range(len(parent)))
-        up, down = parent[1:], labels[1:]
-        if not labels or parent[0] != -1 or min(up, default=0) < 0 or not all(map(gt, down, up)):
-            raise ValueError("a parent array needs -1 at vertex 0 and "
-                             "0 <= parent[v] < v at every other vertex")
-        return cls(labels=labels, order=labels, parent=tuple(parent), _ends=(up, down))
 
 
 def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:

@@ -30,6 +30,7 @@ from treeot.families import srw_profile
 from treeot.instances import dump_instance, instance_from_dict, instance_to_dict, load_instance
 from treeot.rational import format_rational, parse_rational
 from treeot.regular import ball_profile, sphere_profile, truncation_size
+from treeot.suites import truncation_radius
 from treeot.tree import Measure, assignment_from, validate_tree, w1_tree
 
 from conftest import FIXTURES, adjacency_of, demo_doc, random_tree, run_python
@@ -98,7 +99,8 @@ class TestBenchTracer:
         # The radial run builds one truncation, of radius r + d, and measures it twice.
         assert spans["regular.build_truncated_tree"] == 1
         assert spans["regular.radial_measure"] == 2
-        assert tracer.sums["regular.truncation_vertices"] == truncation_size(2, 1, 2 + 1)
+        assert tracer.sums["regular.truncation_vertices"] == truncation_size(
+            2, 1, truncation_radius(2, 1))
 
 
 class TestInstances:
@@ -878,6 +880,29 @@ class TestSeriesSizeCap:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: the range '3..1' in the list '3..1,2' spells out no entries\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sweep", "--family", "sphere", "--d", "x"),
+         "the list 'x' cannot be read as an integer"),
+        (("sweep", "--family", "sphere", "--d", "1,,2"),
+         "the entry '' in the list '1,,2' cannot be read as an integer"),
+        (("sweep", "--family", "sphere", "--n", "..3"),
+         "the list '..3' cannot be read as lo..hi with integer ends"),
+        (("sweep", "--family", "sphere", "--n", "1..2..3"),
+         "the list '1..2..3' cannot be read as lo..hi with integer ends"),
+        (("sweep", "--family", "sphere", "--q", "2,3..x"),
+         "the range '3..x' in the list '2,3..x' cannot be read as lo..hi with integer ends"),
+        (("verify-ineq", "--grid", "d=x"),
+         "the list 'x' cannot be read as an integer"),
+    ], ids=["sweep-d", "sweep-d-empty-entry", "sweep-n-no-lo", "sweep-n-three-ends",
+            "sweep-q-range", "verify-ineq-d"])
+    def test_unreadable_list_refused(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_grid_token_without_equals_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify-ineq", "--grid", "d=1", "q")
+        assert (code, out, err) == (2, "", "error: grid token 'q' is not FIELD=SPEC\n")
 
     @pytest.mark.parametrize("n, top", [("0..2097151", 2097151),
                                         ("0..1000,1001..2097150", 2097150)])

@@ -190,6 +190,7 @@ class TestTruncation:
         assert checked.parent == tt.tree.parent
         assert adjacency_of(checked) == adjacency_of(tt.tree)
         assert tt.tree.order == tuple(range(n))
+        assert all(p < v for v, p in enumerate(tt.tree.parent) if v)
 
     def test_built_without_graph_checks_or_bfs(self, monkeypatch):
         import treeot.lp

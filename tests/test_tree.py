@@ -16,9 +16,9 @@ from treeot.instances import instance_from_dict
 from treeot.lp import FiniteGraph, w1_lp
 from treeot.regular import RadialProfile
 from treeot.series import Series
-from treeot.tree import (Assignment, Measure, Tree, _hop_distances, assignment_from,
-                         divergence, flow_cost, good_potential, is_edge_lipschitz,
-                         potential_value, unique_flow, validate_tree, w1_tree)
+from treeot.tree import (Assignment, Measure, assignment_from, divergence, flow_cost,
+                         good_potential, is_edge_lipschitz, potential_value, unique_flow,
+                         validate_tree, w1_tree)
 
 from conftest import (adjacency_of, demo_doc, random_measure_pair, random_tree, rng_for,
                       signed_flow)
@@ -68,26 +68,6 @@ class TestValidateTree:
         tree = validate_tree(["only"], [])
         assert tree.num_vertices == 1
         assert w1_tree(tree, Measure({0: 1}), Measure({0: 1})) == 0
-
-    def test_parent_array_builds_the_validated_tree(self):
-        parent = [-1, 0, 0, 1, 1, 2]
-        tree = Tree._from_parents(parent)
-        checked = validate_tree(range(6), [(p, v) for v, p in enumerate(parent) if v])
-        assert (tree.edges, adjacency_of(tree), tree.parent) == (
-            checked.edges, adjacency_of(checked), checked.parent)
-        assert tree.order == (0, 1, 2, 3, 4, 5)
-        assert _hop_distances(adjacency_of(tree), 0) == [0, 1, 1, 2, 2, 2]
-
-    @pytest.mark.parametrize("parent", [
-        [-1, 0, 2],       # a parent after its child
-        [-1, 1],          # a vertex its own parent
-        [-1, 0, -1],      # a second root
-        [0, 0],           # no root at vertex 0
-        [],
-    ])
-    def test_parent_array_refuses_any_other_order(self, parent):
-        with pytest.raises(ValueError, match="parent array"):
-            Tree._from_parents(parent)
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
