@@ -12,14 +12,18 @@ Subcommands:
 * ``verify-ineq``              the coefficient ordering chain over a grid.
 * ``verify SUITE``             seeded verification suites; exit status 0 iff
   every check passed.
+
+Each family's profile keys are in :data:`FAMILIES` and its routines in
+:func:`_routines`, called with :func:`_leads` first; :func:`_write_rows`
+prints every table.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import itertools
 import json
 import sys
@@ -39,10 +43,10 @@ from .suites import (DEFAULT_SEED, INEQUALITY_GRID, SUITE_NAMES, duality_cell, r
 # the binding ``treeot.cli.unique_flow``, so the name stays importable.
 from .tree import unique_flow  # noqa: F401
 
-SWEEP_HEADER = ("family", "alpha", "d", "q", "n", "w1_exact", "w1_decimal", "asym", "residual")
-
-#: The ``--family`` choices of ``sweep``, ``series`` and ``asym``.
-FAMILIES = ("srw", "sphere", "ball")
+#: The families of ``sweep``, ``series``, ``asym`` and ``w1 --radial``, each
+#: with the keys of its named profile (:func:`parse_profile_spec`), the size
+#: key last: the walk's laziness, then its time step or the radius.
+FAMILIES = {"srw": ("alpha", "n"), "sphere": ("r",), "ball": ("r",)}
 
 #: Cap on the work of one ``sweep``: the class-sum formula takes about
 #: (floor(d/2) + 1)(n + 1) big-integer steps per cell, summed over every cell
@@ -109,15 +113,24 @@ def _parse_list(text: str, read=int) -> list:
     return _distinct(_list_chunks(text, read))
 
 
-#: The keys each named profile kind of :func:`parse_profile_spec` reads.
-_PROFILE_KEYS = {"srw": ("alpha", "n"), "sphere": ("r",), "ball": ("r",)}
+def _routines(family: str) -> tuple:
+    """The family's (profile, asymptote, generating functions) routines. The
+    walk's take its laziness first. They are looked up at each call, so a
+    rebinding of this module's names (the benchmark's tracer, a test's stub)
+    reaches every command."""
+    return {"srw": (srw_profile, srw_AB, srw_closed_form),
+            "sphere": (sphere_profile, sphere_AB, sphere_gf),
+            "ball": (ball_profile, ball_AB, ball_gf)}[family]
 
 
 def _support_radius(spec: str, fields: dict, key: str, q: int, d: int) -> int:
-    """A named profile's support radius ``fields[key]``; refuses a value that
-    is not an integer, naming the key and the spec, and the truncation at
-    center distance ``d`` over the size cap before the profile is built."""
-    value = fields.get(key, "1")
+    """A named profile's support radius ``fields[key]``; refuses a missing
+    key or a value that is not an integer, naming the key and the spec, and
+    the truncation at center distance ``d`` over the size cap before the
+    profile is built."""
+    if key not in fields:
+        raise ValueError(f"profile {_shown(spec)} needs its size key {key}")
+    value = fields[key]
     try:
         radius = int(value)
     except ValueError:
@@ -130,9 +143,10 @@ def _support_radius(spec: str, fields: dict, key: str, q: int, d: int) -> int:
 def parse_profile_spec(spec: str, q: int, d: int) -> tuple[str, RadialProfile]:
     """Profile mini-language: ``srw:alpha=1/2,n=6`` | ``sphere:r=6`` |
     ``ball:r=6`` | ``custom:[1/2,0,1/3]``, as ``(kind, profile)``. A named kind
-    takes each of its own keys (:data:`_PROFILE_KEYS`) at most once, as
-    ``key=value``, and is sized against the truncation cap at center distance
-    ``d`` first."""
+    takes each of its own keys (:data:`FAMILIES`) at most once, as
+    ``key=value``; it needs its size key, while the walk's ``alpha`` defaults
+    to 0. It is sized against the truncation cap at center distance ``d``
+    first."""
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "custom":
@@ -144,8 +158,9 @@ def parse_profile_spec(spec: str, q: int, d: int) -> tuple[str, RadialProfile]:
             raise ValueError(f"custom profile {_shown(spec)} has an empty entry")
         values = [parse_rational(tok) for tok in tokens]
         return "custom", RadialProfile(tuple(values))
-    if kind not in _PROFILE_KEYS:
+    if kind not in FAMILIES:
         raise ValueError(f"unknown profile kind {kind!r}")
+    *lead_keys, size_key = keys = FAMILIES[kind]
     fields = {}
     for item in rest.split(","):
         if not item.strip():
@@ -154,18 +169,15 @@ def parse_profile_spec(spec: str, q: int, d: int) -> tuple[str, RadialProfile]:
         key = key.strip()
         if not eq:
             raise ValueError(f"profile item {_shown(item)} is not key=value")
-        if key not in _PROFILE_KEYS[kind]:
+        if key not in keys:
             raise ValueError(f"profile item {_shown(item)} has an unknown key; "
-                             f"{kind} takes {', '.join(_PROFILE_KEYS[kind])}")
+                             f"{kind} takes {', '.join(keys)}")
         if key in fields:
             raise ValueError(f"profile item {_shown(item)} repeats the key {key!r}")
         fields[key] = value.strip()
-    if kind == "srw":
-        alpha = parse_rational(fields.get("alpha", "0"))
-        n = _support_radius(spec, fields, "n", q, d)
-        return "srw", srw_profile(alpha, q, n)
-    r = _support_radius(spec, fields, "r", q, d)
-    return kind, (sphere_profile if kind == "sphere" else ball_profile)(q, r)
+    lead = [parse_rational(fields.get(key, "0")) for key in lead_keys]
+    size = _support_radius(spec, fields, size_key, q, d)
+    return kind, _routines(kind)[0](*lead, q, size)
 
 
 def _print_w1(args: argparse.Namespace, paths: dict[str, Fraction], agree: bool,
@@ -191,7 +203,7 @@ def _cmd_w1(args: argparse.Namespace) -> int:
     if args.radial is not None and args.instance:
         raise ValueError(f"the instance file {args.instance!r} and --radial clash: "
                          f"give one of them")
-    if args.radial:
+    if args.radial is not None:
         return _cmd_w1_radial(args)
     if not args.instance:
         raise ValueError("give an instance file, or --radial with --q/--d")
@@ -222,36 +234,47 @@ def _cmd_w1_radial(args: argparse.Namespace) -> int:
     return _print_w1(args, paths, agree, head, {}, [])
 
 
-def _check_series_size(knob: str, size: int, alphas: list, qs: list[int]) -> None:
+def _leads(args: argparse.Namespace, many: bool = False) -> list[list]:
+    """The first arguments of :func:`_routines`: ``[alpha]`` per walk
+    laziness in ``--alpha`` (a list when ``many``; 0 when not given), or
+    ``[[]]`` for spheres and balls, which refuse ``--alpha``."""
+    if args.family != "srw":
+        if args.alpha is not None:
+            raise ValueError(f"{args.command} reads --alpha only with --family srw, "
+                             f"not with --family {args.family}")
+        return [[]]
+    text = "0" if args.alpha is None else args.alpha
+    return [[alpha] for alpha in (_parse_list(text, parse_rational) if many
+                                  else [parse_rational(text)])]
+
+
+def _check_series_size(knob: str, size: int, leads: list[list], qs: list[int]) -> None:
     """Refuse, before any work, a family run whose denominators could pass
     :data:`MAX_SERIES_BITS`: bits(S) * size, S = den(alpha) * (q+1)."""
-    scale = max((1 if alpha is None else alpha.denominator) * (q + 1)
-                for alpha in alphas for q in qs)
+    scale = max((lead[0].denominator if lead else 1) * (q + 1) for lead in leads for q in qs)
     if scale.bit_length() * size > MAX_SERIES_BITS:
         raise TooLarge(f"{knob} {size} with a {scale.bit_length()}-bit per-step scale "
                        f"needs {scale.bit_length() * size}-bit denominators, over the "
                        f"{MAX_SERIES_BITS}-bit series cap")
 
 
-def _walk_alpha(args: argparse.Namespace) -> str:
-    """The walk's ``--alpha`` text; 0, the non-lazy walk, when not given."""
-    return "0" if args.alpha is None else args.alpha
+def _write_rows(rows: list[dict], form: str, out: str | None = None) -> None:
+    """``rows`` as a JSON list, or as CSV headed by the first row's keys, to
+    the file ``out`` when it is given, else to stdout."""
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        if form == "json":
+            fh.write(json.dumps(rows, indent=2) + "\n")
+        else:
+            writer = csv.DictWriter(fh, fieldnames=rows[0].keys())
+            writer.writeheader()
+            writer.writerows(rows)
 
 
-def _refuse_alpha_off_walk(args: argparse.Namespace) -> None:
-    """Raises :class:`ValueError` for ``--alpha`` next to a family other than
-    the walk: spheres and balls have no laziness, so they would ignore it."""
-    if args.family != "srw" and args.alpha is not None:
-        raise ValueError(f"{args.command} reads --alpha only with --family srw, "
-                         f"not with --family {args.family}")
-
-
-def _sweep_rows(args: argparse.Namespace) -> list[dict]:
-    family = args.family
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    leads = _leads(args, many=True)
     d_list = _parse_list(args.d)
     q_list = _parse_list(args.q)
     n_chunks = _list_chunks(args.n)
-    alphas = _parse_list(_walk_alpha(args), parse_rational) if family == "srw" else [None]
     # An entry below its floor would shrink the step count below, so the
     # grid could pass the cap. Each --n chunk ascends, so its first entry is
     # its smallest and its last its largest: the --n checks read no list.
@@ -262,38 +285,32 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
     if min_n < 0:
         raise InvalidParams(f"--n holds the time step {min_n}; time steps start at 0")
     max_n = max(chunk[-1] for chunk in n_chunks)
-    _check_series_size("--n", max_n, alphas, q_list)
+    _check_series_size("--n", max_n, leads, q_list)
     n_list = _distinct(n_chunks)
-    steps = (len(alphas) * len(q_list) * sum(d // 2 + 1 for d in d_list)
+    steps = (len(leads) * len(q_list) * sum(d // 2 + 1 for d in d_list)
              * sum(n + 1 for n in n_list))
     if steps > MAX_SWEEP_STEPS:
         raise TooLarge(f"the sweep grid needs {steps:,} class-sum steps, (d // 2 + 1)(n + 1) "
                        f"per cell, over the {MAX_SWEEP_STEPS:,}-step sweep cap")
-    _refuse_alpha_off_walk(args)
+    profile, asymptote, _ = _routines(args.family)
     rows = []
     for q in q_list:
-        if family == "srw":
-            tables = {alpha: srw_g_table(alpha, q, max_n) for alpha in alphas}
         geoms = [PairGeometry(q, d) for d in d_list]
-        for alpha in alphas:
-            if family == "srw":
-                profile_at = tables[alpha].column_profile
-                asyms = [srw_AB(alpha, d, q) for d in d_list]
-            elif family == "sphere":
-                profile_at = functools.partial(sphere_profile, q)
-                asyms = [sphere_AB(d, q) for d in d_list]
-            else:
-                profile_at = functools.partial(ball_profile, q)
-                asyms = [ball_AB(d, q) for d in d_list]
+        for lead in leads:
+            # The walk's profiles are the columns of one G-table per (q, alpha):
+            # O(n^2) work in all, where one srw_profile per n costs O(n^3).
+            profile_at = (srw_g_table(*lead, q, max_n).column_profile if lead
+                          else functools.partial(profile, q))
+            asyms = [asymptote(*lead, d, q) for d in d_list]
             # Each time-n profile once, for every d; the rows are sorted below.
             for n in n_list:
-                profile = profile_at(n)
+                at_n = profile_at(n)
                 for geom, asym in zip(geoms, asyms):
-                    w1 = w1_radial_formula(profile, geom)
+                    w1 = w1_radial_formula(at_n, geom)
                     line = asym.at(n)
                     rows.append({
-                        "family": family,
-                        "alpha": "" if alpha is None else format_rational(alpha),
+                        "family": args.family,
+                        "alpha": format_rational(lead[0]) if lead else "",
                         "d": geom.d, "q": q, "n": n,
                         "w1_exact": format_rational(w1),
                         "w1_decimal": decimal_string(w1),
@@ -301,60 +318,25 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
                         "residual": decimal_string(w1 - line),
                     })
     rows.sort(key=lambda r: (r["family"], r["alpha"], r["d"], r["q"], r["n"]))
-    return rows
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    rows = _sweep_rows(args)
-    if args.format == "json":
-        payload = json.dumps(rows, indent=2)
-    else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=SWEEP_HEADER)
-        writer.writeheader()
-        writer.writerows(rows)
-        payload = buf.getvalue().rstrip("\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    _write_rows(rows, args.format, args.out)
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    order = args.order
-    _refuse_alpha_off_walk(args)
-    alpha = parse_rational(_walk_alpha(args)) if args.family == "srw" else None
-    _check_series_size("--order", order, [alpha], [args.q])
-    if args.family == "srw":
-        bundle = srw_closed_form(alpha, args.q, order)
-    elif args.family == "sphere":
-        bundle = sphere_gf(args.q, order)
-    else:
-        bundle = ball_gf(args.q, order)
-    rows = [{"n": n,
-             "gamma": format_rational(bundle.gammas[0][n]),
-             "g_at_q": format_rational(bundle.g_at_q[n]),
-             "g1_at_q": format_rational(bundle.g1_at_q[n])}
-            for n in range(order + 1)]
-    if args.emit == "json":
-        print(json.dumps(rows, indent=2))
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=("n", "gamma", "g_at_q", "g1_at_q"))
-        writer.writeheader()
-        writer.writerows(rows)
+    [lead] = _leads(args)
+    _check_series_size("--order", args.order, [lead], [args.q])
+    bundle = _routines(args.family)[2](*lead, args.q, args.order)
+    _write_rows([{"n": n,
+                  "gamma": format_rational(bundle.gammas[0][n]),
+                  "g_at_q": format_rational(bundle.g_at_q[n]),
+                  "g1_at_q": format_rational(bundle.g1_at_q[n])}
+                 for n in range(args.order + 1)], args.emit)
     return 0
 
 
 def _cmd_asym(args: argparse.Namespace) -> int:
-    _refuse_alpha_off_walk(args)
-    if args.family == "srw":
-        result = srw_AB(parse_rational(_walk_alpha(args)), args.d, args.q)
-    elif args.family == "sphere":
-        result = sphere_AB(args.d, args.q)
-    else:
-        result = ball_AB(args.d, args.q)
+    [lead] = _leads(args)
+    result = _routines(args.family)[1](*lead, args.d, args.q)
     print(json.dumps({
         "A": format_rational(result.A),
         "B": format_rational(result.B),
@@ -364,16 +346,20 @@ def _cmd_asym(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(tokens: list[str]) -> dict:
-    grid = dict(INEQUALITY_GRID)
+    """The grid of ``verify-ineq``: each ``FIELD=SPEC`` token's list, given
+    at most once per field, over :data:`INEQUALITY_GRID`."""
+    grid = {}
     for token in tokens:
         key, eq, value = token.partition("=")
         if not eq:
             raise ValueError(f"grid token {_shown(token)} is not FIELD=SPEC")
         key = key.strip()
-        if key not in grid:
+        if key not in INEQUALITY_GRID:
             raise ValueError(f"unknown grid field {key!r}")
+        if key in grid:
+            raise ValueError(f"grid token {_shown(token)} repeats the field {key!r}")
         grid[key] = _parse_list(value, parse_rational if key == "alpha" else int)
-    return grid
+    return {**INEQUALITY_GRID, **grid}
 
 
 def _cmd_verify_ineq(args: argparse.Namespace) -> int:
@@ -383,14 +369,12 @@ def _cmd_verify_ineq(args: argparse.Namespace) -> int:
         raise TooLarge(f"the grid has {cells:,} cells, over the {MAX_INEQUALITY_CELLS:,}-cell "
                        f"cap on verify-ineq")
     # Every row is built before any is written, so a bad cell prints no partial table.
-    rows = [[format_rational(alpha), d, q, rec["chain_a"], rec["chain_b"],
-             rec["ball_floor_equality"], rec["passed"]]
+    rows = [{"alpha": format_rational(alpha), "d": d, "q": q,
+             **{k: rec[k] for k in ("chain_a", "chain_b", "ball_floor_equality", "passed")}}
             for alpha in grid["alpha"] for d in grid["d"] for q in grid["q"]
             for rec in [verify_inequalities(alpha, d, q)]]
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["alpha", "d", "q", "chain_a", "chain_b", "ball_floor_equality", "passed"])
-    writer.writerows(rows)
-    return 0 if all(row[-1] for row in rows) else 1
+    _write_rows(rows, "csv")
+    return 0 if all(row["passed"] for row in rows) else 1
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -445,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_asym.set_defaults(func=_cmd_asym)
 
     p_vi = sub.add_parser("verify-ineq", help="coefficient ordering chain over a grid")
-    p_vi.add_argument("--grid", nargs="*", metavar="FIELD=SPEC",
+    p_vi.add_argument("--grid", nargs="*", action="extend", metavar="FIELD=SPEC",
                       help="e.g. alpha=0,1/4,1/2,9/10 d=1..6 q=2..10")
     p_vi.set_defaults(func=_cmd_verify_ineq)
 

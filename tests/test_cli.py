@@ -102,6 +102,31 @@ class TestBenchTracer:
         assert tracer.sums["regular.truncation_vertices"] == truncation_size(
             2, 1, truncation_radius(2, 1))
 
+    def test_family_commands_call_the_traced_routines(self, capsys, monkeypatch):
+        # The tracer rebinds the module's names, so a family routine kept from
+        # before it was installed would run untraced.
+        monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+        import tracing
+
+        import treeot.cli
+
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            with tracer.op(1):
+                for argv in (["asym", "--family", "ball", "--d", "2", "--q", "3"],
+                             ["series", "--family", "srw", "--q", "2", "--order", "4"],
+                             ["series", "--family", "ball", "--q", "2", "--order", "4"],
+                             ["sweep", "--family", "srw", "--q", "2", "--n", "0..3"]):
+                    assert treeot.cli.main(argv) == 0
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        spans = collections.Counter(span[0] for span in tracer.spans)
+        for name in ("asymptotics.AB", "families.srw_closed_form", "families.ball_gf",
+                     "families.srw_g_table"):
+            assert spans[name] > 0, name
+
 
 class TestInstances:
     def test_round_trip(self, tmp_path):
@@ -701,6 +726,15 @@ class TestSweepCommand:
         assert len(rows) == 6
         assert rows == sorted(rows, key=lambda r: (r["family"], r["alpha"], r["d"], r["q"], r["n"]))
 
+    @pytest.mark.parametrize("form", ["csv", "json"])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, form):
+        argv = ("sweep", "--family", "srw", "--alpha", "0,1/2", "--d", "1,2", "--q", "2",
+                "--n", "0..3", "--format", form)
+        code, out, _ = run_cli(capsys, *argv)
+        path = tmp_path / f"rows.{form}"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+        assert code == 0 and path.read_bytes() == out.encode()
+
     @pytest.mark.parametrize("alpha", ["1/2,1/2", "1/2,2/4"])
     def test_repeated_values_print_each_row_once(self, capsys, alpha):
         code, out, _ = run_cli(capsys, "sweep", "--family", "srw", "--alpha", alpha,
@@ -782,6 +816,15 @@ class TestSeriesCommand:
         rows = json.loads(out)
         assert rows[5]["g1_at_q"] == "5/3"
 
+    @pytest.mark.parametrize("family", ["srw", "sphere", "ball"])
+    def test_json_and_csv_hold_the_same_rows(self, capsys, family):
+        argv = ("series", "--family", family, "--q", "3", "--order", "5")
+        code, out, _ = run_cli(capsys, *argv, "--emit", "json")
+        rows = [{key: str(value) for key, value in row.items()} for row in json.loads(out)]
+        assert code == 0 and len(rows) == 6
+        code, out, _ = run_cli(capsys, *argv, "--emit", "csv")
+        assert code == 0 and list(csv.DictReader(io.StringIO(out))) == rows
+
 
     # sha256 of the stdout, recorded before the walk family moved to integers.
     @pytest.mark.parametrize("argv, digest", [
@@ -812,8 +855,9 @@ class TestSeriesSizeCap:
 
     @pytest.mark.parametrize("family", ["srw", "sphere"])
     def test_sweep_n_refused_fast(self, capsys, family):
+        alpha = ("--alpha", "1/2") if family == "srw" else ()
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "sweep", "--family", family, "--alpha", "1/2",
+        code, out, err = run_cli(capsys, "sweep", "--family", family, *alpha,
                                  "--q", "3", "--d", "1", "--n", "3000..3000")
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
@@ -903,6 +947,14 @@ class TestSeriesSizeCap:
     def test_grid_token_without_equals_refused(self, capsys):
         code, out, err = run_cli(capsys, "verify-ineq", "--grid", "d=1", "q")
         assert (code, out, err) == (2, "", "error: grid token 'q' is not FIELD=SPEC\n")
+
+    @pytest.mark.parametrize("argv", [("--grid", "q=2", "q=3"),
+                                      ("--grid", "q=2", "--grid", "q=3")],
+                             ids=["one-flag", "two-flags"])
+    def test_repeated_grid_field_refused(self, capsys, argv):
+        # Each once ran the grid at q = 3 alone and exited 0.
+        code, out, err = run_cli(capsys, "verify-ineq", *argv)
+        assert (code, out, err) == (2, "", "error: grid token 'q=3' repeats the field 'q'\n")
 
     @pytest.mark.parametrize("n, top", [("0..2097151", 2097151),
                                         ("0..1000,1001..2097150", 2097150)])
@@ -1336,3 +1388,15 @@ class TestProfileSpecs:
         code, out, err = run_cli(capsys, "w1", "--radial", spec, "--q", "2", "--d", "1")
         assert (code, out) == (2, "")
         assert err == f"error: profile '{spec}' needs an integer {key}, got {value}\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ("sphere", "profile 'sphere' needs its size key r"),
+        ("ball:", "profile 'ball:' needs its size key r"),
+        ("srw:alpha=1/2", "profile 'srw:alpha=1/2' needs its size key n"),
+        ("", "unknown profile kind ''"),
+    ], ids=["sphere", "ball", "srw", "empty"])
+    def test_missing_size_key_or_kind_refused(self, capsys, spec, message):
+        # The first three once ran at size 1 and exited 0; the empty spec was
+        # read as no --radial at all.
+        code, out, err = run_cli(capsys, "w1", "--radial", spec, "--q", "2", "--d", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,6 +1,7 @@
 """Every public name in the package, and every public attribute of its
-classes, has a reader inside the package, unless it is on an allowlist below,
-read from the source tree's syntax alone."""
+classes, has a reader inside the package, and every imported name is read in
+the module that imports it, unless it is on an allowlist below, read from the
+source tree's syntax alone."""
 
 from __future__ import annotations
 
@@ -124,3 +125,34 @@ def test_every_error_type_has_a_raise_site():
     errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
     types = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
     assert types - {"TreeOTError"} - _raised() == set()
+
+
+#: Names a module imports and never reads, each with its reason.
+IMPORTED_UNREAD = {
+    # bench/tests/test_bench.py checks the benchmark tracer's rewiring through
+    # this binding; it stays until ROADMAP direction 1, step b, replaces the
+    # tracer.
+    ("cli", "unique_flow"),
+}
+
+
+def _unread_imports() -> set[tuple[str, str]]:
+    """(module, name) for each name that a module of the package binds by an
+    import and never loads."""
+    unread = set()
+    for stem, tree in _modules().items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread.update((stem, name) for name in bound if name not in loaded)
+    return unread
+
+
+def test_every_imported_name_is_read():
+    assert _unread_imports() == IMPORTED_UNREAD
