@@ -38,7 +38,7 @@ from .rational import _shown, decimal_string, format_rational, parse_rational
 from .regular import (MAX_SERIES_BITS, PairGeometry, RadialProfile, ball_profile,
                       sphere_profile, truncation_size, w1_radial_formula)
 from .suites import (DEFAULT_SEED, INEQUALITY_GRID, SUITE_NAMES, duality_cell, run_suite,
-                     triple_cell, truncation_radius)
+                     triple_cell)
 # Never called here: the benchmark's tracer test checks its rewiring through
 # the binding ``treeot.cli.unique_flow``, so the name stays importable.
 from .tree import unique_flow  # noqa: F401
@@ -126,8 +126,9 @@ def _routines(family: str) -> tuple:
 def _support_radius(spec: str, fields: dict, key: str, q: int, d: int) -> int:
     """A named profile's support radius ``fields[key]``; refuses a missing
     key or a value that is not an integer, naming the key and the spec, and
-    the truncation at center distance ``d`` over the size cap before the
-    profile is built."""
+    a truncation of that radius at center distance ``d`` (the one
+    :func:`triple_cell` builds) over the size cap, before the profile is
+    built."""
     if key not in fields:
         raise ValueError(f"profile {_shown(spec)} needs its size key {key}")
     value = fields[key]
@@ -136,7 +137,7 @@ def _support_radius(spec: str, fields: dict, key: str, q: int, d: int) -> int:
     except ValueError:
         raise ValueError(f"profile {_shown(spec)} needs an integer {key}, "
                          f"got {_shown(value)}") from None
-    truncation_size(q, d, truncation_radius(radius, d))
+    truncation_size(q, d, radius)
     return radius
 
 
@@ -323,6 +324,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
+    if args.order < 0:
+        raise InvalidParams(f"--order holds {args.order}; orders start at 0")
     [lead] = _leads(args)
     _check_series_size("--order", args.order, [lead], [args.q])
     bundle = _routines(args.family)[2](*lead, args.q, args.order)

@@ -33,8 +33,10 @@ from .tree import Measure, Tree
 MAX_SERIES_BITS = 2 ** 11
 
 #: Cap on the vertex count of a regular-tree truncation (``w1 --radial``).
-#: One at 10^6 vertices takes a few seconds; larger ones raise
-#: :class:`TooLarge`, and the closed formulas need no truncation.
+#: A fresh ``treeot w1 --radial sphere:r=8 --q 5 --d 1`` process, whose
+#: truncation has 976,562 vertices, takes about 0.26 s and 230 MB (2 vCPUs,
+#: Python 3.11.7); larger ones raise :class:`TooLarge`, and the closed
+#: formulas need no truncation.
 MAX_TRUNCATION_VERTICES = 10 ** 6
 
 
@@ -181,6 +183,12 @@ class TruncatedRegularTree:
     degree q + 1 unless it sits on the truncation boundary. The ids run level
     by level: ``levels[h]`` lists the (h, i) classes of height h by ascending
     path index i as ``(i, first, end)``, the class being the ids first..end-1.
+
+    A radial profile's support radius is an exact truncation radius. The
+    truncation is then a subtree of the infinite tree holding the balls of
+    that radius about X and Y, so it holds both supports. On a tree the
+    optimal flow is zero off the paths between the two supports, so W1 on any
+    subtree that holds both supports equals W1 on the infinite tree.
     """
 
     geometry: PairGeometry

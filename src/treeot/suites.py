@@ -159,20 +159,20 @@ def suite_duality(seed: int = DEFAULT_SEED) -> RunReport:
     return report
 
 
-def truncation_radius(support_radius: int, d: int) -> int:
-    """Radius of the truncation that measures a profile of this support radius
-    at center distance ``d``: the one rule behind :func:`triple_cell`'s build
-    and ``treeot w1 --radial``'s size check."""
-    return support_radius + d
-
-
 def triple_cell(profile: RadialProfile, geometry: PairGeometry
                 ) -> tuple[dict[str, Fraction], TruncatedRegularTree, Measure, Measure, bool]:
     """The radial routes for one profile: vertex-class sum (formula), edge-class
-    sum (flow-sum) and tree flow on the :func:`truncation_radius` truncation; that
-    truncation and its X- and Y-centered measures; and whether the routes agree."""
-    d = geometry.d
-    truncation = build_truncated_tree(geometry.q, d, truncation_radius(profile.support_radius, d))
+    sum (flow-sum) and tree flow on the truncation of radius
+    ``profile.support_radius``; that truncation and its X- and Y-centered
+    measures; and whether the routes agree.
+
+    That radius is exact. The truncation is a subtree of the infinite tree
+    holding the balls of that radius about X and Y, so it holds both
+    supports. On a tree the optimal flow is zero off the paths between the
+    two supports, so W1 on any subtree that holds both supports equals W1 on
+    the infinite tree. A smaller radius clips a sphere of the support, and
+    :func:`radial_measure` refuses it."""
+    truncation = build_truncated_tree(geometry.q, geometry.d, profile.support_radius)
     mu = radial_measure(truncation, truncation.x, profile)
     nu = radial_measure(truncation, truncation.y, profile)
     paths = {"formula": w1_radial_formula(profile, geometry),

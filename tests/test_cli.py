@@ -29,8 +29,8 @@ from treeot.errors import DuplicateEdge, HasCycle, NotConnected, TooLarge
 from treeot.families import srw_profile
 from treeot.instances import dump_instance, instance_from_dict, instance_to_dict, load_instance
 from treeot.rational import format_rational, parse_rational
-from treeot.regular import ball_profile, sphere_profile, truncation_size
-from treeot.suites import truncation_radius
+from treeot.regular import (PairGeometry, ball_profile, sphere_profile, truncation_size,
+                            w1_radial_formula)
 from treeot.tree import Measure, assignment_from, validate_tree, w1_tree
 
 from conftest import FIXTURES, adjacency_of, demo_doc, random_tree, run_python
@@ -96,11 +96,11 @@ class TestBenchTracer:
         spans = collections.Counter(span[0] for span in tracer.spans)
         assert spans["lp.verify_duality"] == 1
         assert spans["asymptotics.verify_inequalities"] == 216 + 1
-        # The radial run builds one truncation, of radius r + d, and measures it twice.
+        # The radial run builds one truncation, of the support radius r, and
+        # measures it twice.
         assert spans["regular.build_truncated_tree"] == 1
         assert spans["regular.radial_measure"] == 2
-        assert tracer.sums["regular.truncation_vertices"] == truncation_size(
-            2, 1, truncation_radius(2, 1))
+        assert tracer.sums["regular.truncation_vertices"] == truncation_size(2, 1, 2)
 
     def test_family_commands_call_the_traced_routines(self, capsys, monkeypatch):
         # The tracer rebinds the module's names, so a family routine kept from
@@ -1223,8 +1223,7 @@ class TestRadialW1Mode:
         ("--radial", "sphere:r=14", "--q", "3", "--d", "2"),
         ("--radial", "custom:[" + "0," * 30 + "1]", "--q", "2", "--d", "1"),
         ("--radial", "srw:alpha=1/2,n=1000000", "--q", "3", "--d", "2"),
-        ("--radial", "ball:r=4", "--q", "3", "--d", "2000"),
-    ], ids=["sphere", "custom", "srw", "long-path"])
+    ], ids=["sphere", "custom", "srw"])
     def test_truncation_size_refused_fast(self, capsys, monkeypatch, argv):
         import treeot.cli
 
@@ -1238,6 +1237,18 @@ class TestRadialW1Mode:
         assert code == 2 and out == ""
         assert err.startswith("error: the radius-") and "over 1,000,000 vertices" in err
         assert "closed formulas" in err
+
+    def test_long_path_runs(self, capsys):
+        # The path holds at most 2,049 vertices under the bits cap on
+        # PairGeometry, and the radius-4 truncation about it 2,313.
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "w1", "--radial", "ball:r=4", "--q", "3", "--d", "2000",
+                               "--json")
+        assert time.perf_counter() - start < 1
+        doc = json.loads(out)
+        assert code == 0 and doc["agree"] is True
+        expected = w1_radial_formula(ball_profile(3, 4), PairGeometry(3, 2000))
+        assert doc["paths"]["tree"] == format_rational(expected)
 
     @pytest.mark.parametrize("argv", [
         ("asym", "--family", "srw", "--alpha", "1/2", "--d", "20000", "--q", "3"),
@@ -1264,7 +1275,14 @@ class TestRadialW1Mode:
          "--n holds the time step -1; time steps start at 0"),
         (("sweep", "--family", "ball", "--n=-1"),
          "--n holds the time step -1; time steps start at 0"),
-    ], ids=["w1-sphere", "w1-ball", "w1-srw", "sweep-sphere", "sweep-ball"])
+        (("series", "--family", "srw", "--q", "3", "--order=-1"),
+         "--order holds -1; orders start at 0"),
+        (("series", "--family", "sphere", "--q", "3", "--order=-1"),
+         "--order holds -1; orders start at 0"),
+        (("series", "--family", "ball", "--q", "3", "--order=-1"),
+         "--order holds -1; orders start at 0"),
+    ], ids=["w1-sphere", "w1-ball", "w1-srw", "sweep-sphere", "sweep-ball",
+            "series-srw", "series-sphere", "series-ball"])
     def test_negative_radius_is_an_input_error(self, capsys, argv, message):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)

@@ -13,6 +13,7 @@ from treeot.regular import (MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, PairGeomet
                             RadialProfile, TruncatedRegularTree, _padded, ball_profile, ball_size,
                             build_truncated_tree, radial_measure, sphere_profile, sphere_size,
                             truncation_size, w1_radial_flow_formula, w1_radial_formula)
+from treeot.suites import triple_cell
 from treeot.tree import (Flow, _hop_distances, assignment_from, flow_cost, unique_flow,
                          validate_tree, w1_tree)
 
@@ -287,6 +288,29 @@ class TestRadialMeasure:
                 mu = radial_measure(tt, tt.x, profile)
                 assert mu.total() == sum(m * sphere_size(q, ell)
                                          for ell, m in enumerate(profile.values))
+
+
+class TestTripleCellRadius:
+    """:func:`triple_cell` measures on the truncation of radius
+    ``support_radius``, the smallest that holds the support. Every route is
+    exact at any larger radius too, so only the size pins the radius."""
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_smallest_exact_truncation(self, q, d):
+        rng = rng_for(q * 10 + d)
+        geometry = PairGeometry(q, d)
+        for _ in range(6):
+            profile = random_profile(rng, 3)
+            top = profile.support_radius
+            _, truncation, *_, ok = triple_cell(profile, geometry)
+            assert ok
+            assert truncation.tree.num_vertices == truncation_size(q, d, top)
+            if top >= 1:
+                smaller = build_truncated_tree(q, d, top - 1)
+                for center in (smaller.x, smaller.y):
+                    with pytest.raises(TruncationTooSmall):
+                        radial_measure(smaller, center, profile)
 
 
 def radial_potential(i: int, h: int, geometry: PairGeometry) -> Fraction:
