@@ -21,14 +21,14 @@ from pathlib import Path
 
 from .errors import TooLarge, TreeOTError
 from .rational import _common_scale, _shown, format_rational, parse_rational
-from .tree import Measure, Tree, validate_tree
+from .tree import Measure, Tree, _dense_ends, _rooted
 
 #: Cap on the size of an instance file, read from the file system before any
 #: parsing (a pipe is read to one byte past it). It admits a 10^6-vertex tree
 #: with both measures on every vertex: ``bench/gen.py``'s ``random_instance(
 #: random.Random(7), 10**6, 10**6)`` writes 180.8 MB, which ``treeot w1 --json``
-#: runs in 16 s at a 1.1 GB peak RSS; 2^28 bytes (268 MB) is the power of two
-#: above it. Larger files raise :class:`TooLarge`.
+#: runs in 12.3 s at an 874 MB peak RSS (2 vCPUs, Python 3.11.7); 2^28 bytes
+#: (268 MB) is the power of two above it. Larger files raise :class:`TooLarge`.
 MAX_INSTANCE_BYTES = 2 ** 28
 
 #: The JSON scalars a vertex id may be; lists and objects are refused.
@@ -54,10 +54,13 @@ def instance_from_dict(doc: dict) -> tuple[Tree, Measure, Measure]:
     Raises :class:`ValueError` naming the field or the vertex id when the
     document is not an object, lacks a field, or has a field of the wrong
     shape: ``vertices`` and ``edges`` must be lists, ``mu`` and ``nu``
-    objects, and every vertex id a JSON scalar. The edge ids are checked one
-    by one only when :func:`validate_tree` refuses the graph. The masses of
-    each side are grouped by denominator and read straight to integers over
-    one scale; every spelling other than ASCII ``"p"`` or ``"p/q"`` goes to
+    objects, and every vertex id a JSON scalar. The graph is checked in the
+    two steps of :func:`validate_tree`, and the edge ids one by one only when
+    its endpoint mapping refuses them. ``doc`` is not changed, and no
+    reference to it or its edge lists is kept past that mapping, so the edges
+    are freed before the peel when no caller holds them. The masses of each
+    side are grouped by denominator and read straight to integers over one
+    scale; every spelling other than ASCII ``"p"`` or ``"p/q"`` goes to
     :func:`parse_rational`. Parse errors are named in document order, and
     then the first negative mass.
     """
@@ -69,15 +72,22 @@ def instance_from_dict(doc: dict) -> tuple[Tree, Measure, Measure]:
         if not isinstance(doc[key], kinds):
             raise ValueError(f"the {key!r} field must be {expected}, "
                              f"got {type(doc[key]).__name__}")
-    _check_ids("vertices", doc["vertices"])
+    vertices, edges, mu, nu = doc["vertices"], doc["edges"], doc["mu"], doc["nu"]
+    del doc
+    _check_ids("vertices", vertices)
     try:
-        tree = validate_tree(doc["vertices"], doc["edges"])
+        labels, index, ends = _dense_ends(vertices, edges)
     except (TreeOTError, ValueError, TypeError):
         # An id that is not a scalar is named first, as no graph check reads it.
-        for edge in doc["edges"]:
+        for edge in edges:
             if isinstance(edge, (list, tuple)):
                 _check_ids("edges", edge)
         raise
+    # The peel and the measures read the dense endpoints only: when the caller
+    # kept no reference to the document (load_instance), its edge lists go
+    # here, before the peel's arrays and the measures are built.
+    del vertices, edges
+    tree = _rooted(labels, index, ends)
     if set(map(type, tree.labels)) == {str}:
         by_name = tree.index  # a str id is its own measure key
     else:
@@ -90,12 +100,12 @@ def instance_from_dict(doc: dict) -> tuple[Tree, Measure, Measure]:
             by_name[name] = idx
     digit_limit = sys.get_int_max_str_digits() or float("inf")
 
-    def read_measure(field: str) -> Measure:
+    def read_measure(field: str, masses: dict) -> Measure:
         # Vertices and numerators grouped by denominator: its spelling for a
         # mass of ASCII digits ("" for "p"), its int for one parse_rational read.
         groups: dict[str | int, tuple[list[int], list[str | int]]] = {}
         negative = None
-        for name, raw in doc[field].items():
+        for name, raw in masses.items():
             v = by_name.get(name)
             if v is None:
                 raise ValueError(f"{field}[{name!r}] references an unknown vertex")
@@ -123,7 +133,7 @@ def instance_from_dict(doc: dict) -> tuple[Tree, Measure, Measure]:
             raise ValueError(negative)
         return _grouped_measure(groups)
 
-    return tree, read_measure("mu"), read_measure("nu")
+    return tree, read_measure("mu", mu), read_measure("nu", nu)
 
 
 def _grouped_measure(groups: dict[str | int, tuple[list[int], list[str | int]]]) -> Measure:
@@ -157,7 +167,14 @@ def instance_to_dict(tree: Tree, mu: Measure, nu: Measure) -> dict:
 
 def load_instance(path: str | Path) -> tuple[Tree, Measure, Measure]:
     """The instance in the JSON file at ``path``; a file over
-    :data:`MAX_INSTANCE_BYTES` raises :class:`TooLarge` before it is parsed."""
+    :data:`MAX_INSTANCE_BYTES` raises :class:`TooLarge` before it is parsed.
+    No reference to the parsed document is kept here, so
+    :func:`instance_from_dict` frees its edge lists before the peel."""
+    return instance_from_dict(_parsed(path))
+
+
+def _parsed(path: str | Path):
+    """The JSON document in the file at ``path``, read under the size cap."""
     with open(path, "r", encoding="utf-8") as fh:
         st = os.fstat(fh.fileno())
         if st.st_size > MAX_INSTANCE_BYTES:
@@ -165,13 +182,13 @@ def load_instance(path: str | Path) -> tuple[Tree, Measure, Measure]:
                            f"cap on an instance file")
         try:
             if stat.S_ISREG(st.st_mode):
-                doc = json.load(fh)
-            else:  # a pipe has no size to read: take at most one byte past the cap
-                data = fh.buffer.read(MAX_INSTANCE_BYTES + 1)
-                if len(data) > MAX_INSTANCE_BYTES:
-                    raise TooLarge(f"{path}: more than the {MAX_INSTANCE_BYTES:,} bytes "
-                                   f"allowed in an instance file")
-                doc = json.loads(data.decode("utf-8"))
+                return json.load(fh)
+            # A pipe has no size to read: take at most one byte past the cap.
+            data = fh.buffer.read(MAX_INSTANCE_BYTES + 1)
+            if len(data) > MAX_INSTANCE_BYTES:
+                raise TooLarge(f"{path}: more than the {MAX_INSTANCE_BYTES:,} bytes "
+                               f"allowed in an instance file")
+            return json.loads(data.decode("utf-8"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, "
                              f"column {exc.colno}: {exc.msg}") from exc
@@ -185,7 +202,6 @@ def load_instance(path: str | Path) -> tuple[Tree, Measure, Measure]:
             raise ValueError(f"{path}: a JSON number has over {sys.get_int_max_str_digits()} "
                              f"digits, Python's limit for integer strings; masses travel "
                              f"as \"p/q\" strings") from exc
-    return instance_from_dict(doc)
 
 
 def dump_instance(tree: Tree, mu: Measure, nu: Measure, path: str | Path) -> None:

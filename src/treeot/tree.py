@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from operator import sub
-from typing import Hashable, Iterable, Mapping, Sequence
+from itertools import chain, repeat
+from math import copysign
+from operator import eq, sub
+from typing import Hashable, Iterable, Mapping, NoReturn, Sequence
 
 from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected
 from .rational import RationalLike, _common_scale, _frac, _over_scale, decimal_string
@@ -28,8 +29,9 @@ def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, 
 
     Returns ``(labels, index, edges, adjacency)`` with every edge stored once
     as a ``(lo, hi)`` pair. Raises :class:`ValueError` for an empty vertex
-    list, a repeated vertex id, or an edge that is not a pair or names an
-    unknown vertex; :class:`HasCycle` for a self-loop; and
+    list, a repeated vertex id, or an edge that is not a pair, names an
+    unknown vertex, or names one by an equal id of another kind
+    (:func:`_id_kind`); :class:`HasCycle` for a self-loop; and
     :class:`DuplicateEdge` for an edge given twice.
     """
     labels = tuple(vertices)
@@ -50,6 +52,11 @@ def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, 
         if a not in index or b not in index:
             raise ValueError(f"edge ({a!r}, {b!r}) references an unknown vertex")
         u, v = index[a], index[b]
+        for given, w in ((a, u), (b, v)):
+            if _id_kind(given) != _id_kind(labels[w]):
+                raise ValueError(f"edge ({a!r}, {b!r}) names the {type(labels[w]).__name__} "
+                                 f"vertex id {labels[w]!r} by the {type(given).__name__} "
+                                 f"{given!r}")
         if u == v:
             raise HasCycle(f"self-loop at vertex {a!r}")
         key = (min(u, v), max(u, v))
@@ -58,6 +65,12 @@ def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, 
         seen.add(key)
         dense_edges.append(key)
     return labels, index, tuple(dense_edges), _adjacency(len(labels), dense_edges)
+
+
+def _id_kind(label: Hashable) -> Hashable:
+    """What an id must share with an equal vertex id to name it: its type,
+    and for a float the sign too, as ``-0.0 == 0.0``."""
+    return (float, copysign(1.0, label)) if type(label) is float else type(label)
 
 
 def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -171,19 +184,18 @@ class Tree:
         return tuple(zip(map(min, us, vs), map(max, us, vs)))
 
 
-def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
-    """Check tree axioms and normalize vertex ids to dense indices.
+def _dense_ends(vertices: Sequence[Hashable], edges: Iterable[tuple]
+                ) -> tuple[tuple, dict, tuple[list[int], list[int]]]:
+    """Step one of :func:`validate_tree`: the labels, each label's dense index,
+    and the dense endpoints of every edge, in input order.
 
-    Raises :class:`DuplicateEdge`, :class:`HasCycle`, or :class:`NotConnected`
-    when the input is not a simple connected acyclic graph.
-
-    Every valid tree pays for counts and one leaf peeling (:func:`_peel`)
-    that keeps vertex 0: n distinct labels, n - 1 edges and n - 1 peels leave
-    no room for a self-loop, a repeated edge or a cycle, and the peel gives
-    the one parent array of the tree rooted at 0. Each parent is peeled after
-    its child, so 0 followed by the peels in reverse is the order. The full
-    check of :func:`_build_graph` runs only when one of these fails, and only
-    to name the fault: it ends in a raise on every path.
+    Every valid tree passes here on counts, lookups and a type check: n
+    distinct labels, n - 1 edges, each a list or tuple of two known ids, and
+    each id of its vertex's kind (:func:`_id_kind`), so that ``1.0`` or
+    ``True`` never reads as the vertex ``1``, nor ``-0.0`` as ``0.0``. When
+    one of these fails, :func:`_name_fault` names the fault from the edges as
+    given. The endpoints alone carry the rest of the check (:func:`_rooted`),
+    so a caller may let the edges go in between.
     """
     labels = tuple(vertices)
     if not isinstance(edges, (list, tuple)):
@@ -196,16 +208,43 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
         except (KeyError, TypeError, ValueError):
             pass
         else:
-            root = bytearray(n)
-            root[0] = 1
-            rooted = _peel(list(index.values()), *ends, root)
-            if rooted is not None and len(rooted[0]) == n - 1:
-                order, parent = rooted
-                order.append(0)
-                order.reverse()
-                tree = Tree(labels=labels, order=tuple(order), parent=tuple(parent), _ends=ends)
-                object.__setattr__(tree, "index", index)
-                return tree
+            if set(map(type, labels)) == {str}:  # no id of another kind equals a str
+                return labels, index, ends
+            named = map(labels.__getitem__, chain.from_iterable(zip(*ends)))
+            if all(map(eq, map(_id_kind, chain.from_iterable(edges)), map(_id_kind, named))):
+                return labels, index, ends
+    _name_fault(labels, edges)
+
+
+def _rooted(labels: tuple, index: dict, ends: tuple[list[int], list[int]]) -> Tree:
+    """Step two of :func:`validate_tree`: one leaf peeling (:func:`_peel`) of
+    the edges ``ends`` that keeps vertex 0. After step one, n - 1 peels leave
+    no room for a self-loop, a repeated edge or a cycle, and the peel gives
+    the one parent array of the tree rooted at 0. Each parent is peeled after
+    its child, so 0 followed by the peels in reverse is the order. When the
+    peel fails, the fault is named from edges rebuilt from ``labels`` and
+    ``ends``; step one proved that they spell the ids as the labels do.
+    """
+    n = len(labels)
+    root = bytearray(n)
+    root[0] = 1
+    rooted = _peel(list(index.values()), *ends, root)
+    if rooted is None or len(rooted[0]) != n - 1:
+        at = labels.__getitem__
+        _name_fault(labels, list(zip(map(at, ends[0]), map(at, ends[1]))))
+    order, parent = rooted
+    order.append(0)
+    order.reverse()
+    tree = Tree(labels=labels, order=tuple(order), parent=tuple(parent), _ends=ends)
+    object.__setattr__(tree, "index", index)
+    return tree
+
+
+def _name_fault(labels: tuple, edges: Sequence) -> NoReturn:
+    """The full check of :func:`_build_graph`, run only when a step of
+    :func:`validate_tree` fails and only to name the fault: it ends in a
+    raise on every path."""
+    n = len(labels)
     _, _, dense_edges, adjacency = _build_graph(labels, edges)
     if len(dense_edges) > n - 1:
         raise HasCycle(f"{len(dense_edges)} edges on {n} vertices force a cycle")
@@ -215,6 +254,21 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
     # misses vertex 0.
     _require_connected(adjacency)
     raise AssertionError("the leaf peeling refused a connected graph with n - 1 edges")
+
+
+def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
+    """Check tree axioms and normalize vertex ids to dense indices.
+
+    Raises :class:`DuplicateEdge`, :class:`HasCycle`, or :class:`NotConnected`
+    when the input is not a simple connected acyclic graph, and
+    :class:`ValueError` for an edge that is not a pair of vertex ids, names an
+    unknown vertex, or names one by an equal id of another type (or, for a
+    float zero, another sign).
+
+    A valid tree pays for two steps: the endpoint mapping
+    (:func:`_dense_ends`) and one leaf peeling (:func:`_rooted`).
+    """
+    return _rooted(*_dense_ends(vertices, edges))
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -168,6 +169,52 @@ class TestInstances:
         rebuilt = instance_to_dict(tree, mu, nu)
         assert rebuilt["mu"]["0"] == "22/7"
 
+    def test_instance_from_dict_leaves_the_document_unchanged(self, tmp_path):
+        doc = demo_doc()
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps(doc))
+        before = copy.deepcopy(doc)
+        tree, mu, nu = instance_from_dict(doc)
+        assert doc == before
+        # A caller that keeps its document gets what the loader, which keeps
+        # none, builds.
+        loaded, mu2, nu2 = load_instance(path)
+        assert (tree, tree.index, tree.edges, mu, nu) == (loaded, loaded.index, loaded.edges,
+                                                          mu2, nu2)
+
+    def test_the_loader_holds_the_document_once(self, tmp_path):
+        # The edge lists are freed before the peel, so the tree and both
+        # measures fit in what the parse alone needed. The loader compares no
+        # totals, so the masses need not balance.
+        rng = random.Random(31)
+        n = 20_000
+        labels = [f"v{i}" for i in range(n)]
+        rng.shuffle(labels)
+
+        def masses():
+            return {labels[v]: f"{rng.randint(1, 64)}/{rng.randint(1, 64)}"
+                    for v in rng.sample(range(n), n // 2)}
+
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "vertices": sorted(labels), "mu": masses(), "nu": masses(),
+            "edges": [[labels[rng.randrange(i)], labels[i]] for i in range(1, n)]}))
+
+        def parse():
+            with open(path, encoding="utf-8") as fh:
+                return json.load(fh)
+
+        peaks = []
+        for read in (parse, lambda: load_instance(path)):
+            tracemalloc.start()
+            try:
+                read()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        parsed, loaded = peaks
+        assert loaded <= 1.05 * parsed, (loaded, parsed)
+
     def test_format_rational_refuses_past_the_digit_limit(self):
         with pytest.raises(TooLarge, match="a 5001-digit denominator, over the 4300-digit"):
             format_rational(Fraction(1, 10 ** 5000))
@@ -200,6 +247,18 @@ GRAPH_FAULT_IDS = ["repeated-id", "self-loop", "repeated-edge", "n-edges", "cycl
                    "unknown-endpoint", "no-vertices", "root-self-loop-and-edge",
                    "root-double-edge-and-edge"]
 
+#: Edge ids equal to a vertex id but of another type, or a float zero of another sign,
+#: which must not read as that vertex.
+ID_CLASHES = [
+    ([0, 1, 2], [[0, 1.0], [1, 2]], ValueError,
+     "edge (0, 1.0) names the int vertex id 1 by the float 1.0"),
+    ([0, 1, 2], [[0, True], [1, 2]], ValueError,
+     "edge (0, True) names the int vertex id 1 by the bool True"),
+    ([0.0, 1], [[-0.0, 1]], ValueError,
+     "edge (-0.0, 1) names the float vertex id 0.0 by the float -0.0"),
+]
+ID_CLASH_IDS = ["float-for-int", "bool-for-int", "negative-zero-for-zero"]
+
 #: Mass spellings: each must load as parse_rational reads it, or fail as it does.
 MASS_SPELLINGS = ["1/2", "2/4", "01/02", "0", "0/5", " 1/2 ", "0.5", "1_0/30", "\u0663/4",
                   "\u00b2/4", 3, "-1/2", "1/0", "1e3", "1/" + "7" * 5000, True, 0.5]
@@ -209,7 +268,8 @@ class TestLoaderFastPaths:
     """A valid instance skips the full graph check and Fraction parsing; every
     fault must still be named exactly as the full check names it."""
 
-    @pytest.mark.parametrize("vertices, edges, kind, message", GRAPH_FAULTS, ids=GRAPH_FAULT_IDS)
+    @pytest.mark.parametrize("vertices, edges, kind, message", GRAPH_FAULTS + ID_CLASHES,
+                             ids=GRAPH_FAULT_IDS + ID_CLASH_IDS)
     def test_graph_faults_keep_their_type_and_message(self, tmp_path, vertices, edges, kind,
                                                       message):
         for given in (edges, (edge for edge in edges)):
@@ -221,6 +281,23 @@ class TestLoaderFastPaths:
         with pytest.raises(kind) as caught:
             load_instance(path)
         assert type(caught.value) is kind and str(caught.value) == message
+
+    @pytest.mark.parametrize("vertices, edges, kind, message", ID_CLASHES, ids=ID_CLASH_IDS)
+    def test_id_clash_exits_2(self, capsys, tmp_path, vertices, edges, kind, message):
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps({"vertices": vertices, "edges": edges,
+                                    "mu": {"0": "1"}, "nu": {"2": "1"}}))
+        assert run_cli(capsys, "w1", str(path)) == (2, "", f"error: {message}\n")
+
+    def test_an_edge_may_repeat_a_non_str_id(self):
+        # Every id of its vertex's type passes, with mixed types too, and a
+        # float zero of its vertex's sign.
+        tree = validate_tree([0, "0", 1.5, None], [[0, "0"], [None, 1.5], ["0", 1.5]])
+        assert tree.edges == ((0, 1), (2, 3), (1, 2))
+        assert validate_tree([-0.0, 1.0], [[-0.0, 1.0]]).edges == ((0, 1),)
+        with pytest.raises(ValueError) as caught:
+            validate_tree([0, "0", None], [[0, "0"], [None, 0.0]])
+        assert str(caught.value) == "edge (None, 0.0) names the int vertex id 0 by the float 0.0"
 
     def test_list_edge_id_is_named_by_the_loader(self, tmp_path):
         with pytest.raises(TypeError, match="unhashable type: 'list'"):
