@@ -7,11 +7,12 @@ Document shape::
 
 Vertex ids are arbitrary JSON scalars; measure keys are their string forms,
 so no two ids may have the same string form. Rationals travel as strings so
-exactness survives the round trip.
+exactness survives the round trip. No object may give a key twice.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import stat
@@ -27,7 +28,7 @@ from .tree import Measure, Tree, _dense_ends, _rooted
 #: parsing (a pipe is read to one byte past it). It admits a 10^6-vertex tree
 #: with both measures on every vertex: ``bench/gen.py``'s ``random_instance(
 #: random.Random(7), 10**6, 10**6)`` writes 180.8 MB, which ``treeot w1 --json``
-#: runs in 12.3 s at an 874 MB peak RSS (2 vCPUs, Python 3.11.7); 2^28 bytes
+#: runs in 11.0 s at a 943 MB peak RSS (2 vCPUs, Python 3.11.7); 2^28 bytes
 #: (268 MB) is the power of two above it. Larger files raise :class:`TooLarge`.
 MAX_INSTANCE_BYTES = 2 ** 28
 
@@ -173,22 +174,51 @@ def load_instance(path: str | Path) -> tuple[Tree, Measure, Measure]:
     return instance_from_dict(_parsed(path))
 
 
+class _RepeatedKey(Exception):
+    """A key given twice in one JSON object, which a plain parse would
+    resolve silently to its last value. Not a :class:`ValueError`, so no
+    handler of the parser's own faults can misread it."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of ``pairs``; a key given twice raises
+    :class:`_RepeatedKey`. The keys are scanned one by one only when the
+    object came out shorter than its pairs."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(key)
+            seen.add(key)
+    return obj
+
+
 def _parsed(path: str | Path):
-    """The JSON document in the file at ``path``, read under the size cap."""
+    """The JSON document in the file at ``path``, read under the size cap.
+    A key given twice in any one object is refused."""
     with open(path, "r", encoding="utf-8") as fh:
         st = os.fstat(fh.fileno())
         if st.st_size > MAX_INSTANCE_BYTES:
             raise TooLarge(f"{path}: {st.st_size:,} bytes exceed the {MAX_INSTANCE_BYTES:,}-byte "
                            f"cap on an instance file")
+        # The parse makes no reference cycles, yet the pairs of each object
+        # come as one tuple per key, and a 10^5-entry measure would start the
+        # collector hundreds of times: it is paused until the parse ends.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             if stat.S_ISREG(st.st_mode):
-                return json.load(fh)
+                return json.load(fh, object_pairs_hook=_unique_keys)
             # A pipe has no size to read: take at most one byte past the cap.
             data = fh.buffer.read(MAX_INSTANCE_BYTES + 1)
             if len(data) > MAX_INSTANCE_BYTES:
                 raise TooLarge(f"{path}: more than the {MAX_INSTANCE_BYTES:,} bytes "
                                f"allowed in an instance file")
-            return json.loads(data.decode("utf-8"))
+            return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+        except _RepeatedKey as exc:
+            raise ValueError(f"{path}: the key {_shown(exc.args[0])} is given twice in one "
+                             f"JSON object") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, "
                              f"column {exc.colno}: {exc.msg}") from exc
@@ -202,6 +232,9 @@ def _parsed(path: str | Path):
             raise ValueError(f"{path}: a JSON number has over {sys.get_int_max_str_digits()} "
                              f"digits, Python's limit for integer strings; masses travel "
                              f"as \"p/q\" strings") from exc
+        finally:
+            if collecting:
+                gc.enable()
 
 
 def dump_instance(tree: Tree, mu: Measure, nu: Measure, path: str | Path) -> None:

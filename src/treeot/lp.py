@@ -1,9 +1,14 @@
 """Independent exact oracle for transport distances on small finite graphs.
 
 Solves the primal transportation linear program with an exact simplex over
-the integers, and provides the dual-side checks: duality-gap certificates
-and complementary slackness. Every hop distance they read comes from the
-graph's core about the two supports (:class:`FiniteGraph`).
+the integers, and checks an optimal plan against a potential: exact
+marginals and complementary slackness. :func:`verify_duality` is the whole
+LP route of one tree instance. It refuses supports over :data:`MAX_SUPPORT`
+before any graph is built, solves the LP, and returns the optimum with the
+plan's verdict. Every hop distance comes from the graph's core about the two
+supports (:class:`FiniteGraph`), built from the tree's edge endpoints alone.
+The module calls no function of the flow route and never reads the tree's
+rooting, so the caller computes the potential's pairing, the dual value.
 
 The masses enter as integers over L, the lcm of the two measures' scales.
 The transportation matrix is totally unimodular, so with integer supplies
@@ -26,8 +31,7 @@ from operator import and_, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MassMismatch, TooLarge
-from .tree import (Measure, Tree, _adjacency, _hop_distances, _pair_scale, _peel, _totals_differ,
-                   assignment_from, potential_value)
+from .tree import Measure, Tree, _adjacency, _hop_distances, _pair_scale, _peel, _totals_differ
 
 #: Supports larger than this are refused; the exact simplex is for desk-scale
 #: verification, not production-scale solving.
@@ -278,15 +282,20 @@ def _hang(costs, m, adjacency, parent, depth, price, top) -> None:
         raise RuntimeError("transportation simplex basis tree is inconsistent")
 
 
-def verify_duality(graph: FiniteGraph, mu: Measure, nu: Measure,
-                   phi: Sequence[Fraction | int]
-                   ) -> tuple[Fraction, Fraction, dict[tuple[int, int], Fraction]]:
-    """The LP optimum, the value of the potential ``phi`` (the tree route's
-    pairing), and one optimal plan. The caller checks that ``phi`` is
-    1-Lipschitz; a feasible ``phi`` is an optimal dual solution exactly when
-    the two values are equal."""
+def verify_duality(tree: Tree, mu: Measure, nu: Measure,
+                   phi: Sequence[Fraction | int]) -> tuple[Fraction, bool]:
+    """The LP optimum on ``tree``, and whether one optimal plan certifies it
+    against the potential ``phi``, one value per vertex: the plan's marginals
+    are exactly ``mu`` and ``nu``, and it meets complementary slackness.
+    Supports over :data:`MAX_SUPPORT` raise :class:`TooLarge` before any
+    graph is built. The caller checks that ``phi`` is 1-Lipschitz and that
+    its pairing with ``mu - nu`` equals the optimum: then ``phi`` is an
+    optimal dual solution."""
+    _check_support(mu, nu)
+    graph = FiniteGraph.from_tree(tree, keep=mu.num.keys() | nu.num.keys())
     primal, plan = w1_lp(graph, mu, nu)
-    return primal, potential_value(assignment_from(mu, nu), phi), plan
+    return primal, (satisfies_marginals(plan, mu, nu)
+                    and check_complementary_slackness(graph, plan, phi))
 
 
 def check_complementary_slackness(graph: FiniteGraph, plan: Mapping[tuple[int, int], Fraction],

@@ -16,8 +16,7 @@ from .asymptotics import gamma_asymptotic, interval_mid, verify_inequalities
 from .families import (bundle_from_table, check_functional_equation, srw_closed_form,
                        srw_g_table, srw_return_sequence)
 from .errors import TooLarge
-from .lp import (FiniteGraph, _check_support, check_complementary_slackness, satisfies_marginals,
-                 verify_duality)
+from .lp import verify_duality
 from .rational import decimal_string, format_rational
 from .regular import (PairGeometry, RadialProfile, TruncatedRegularTree, build_truncated_tree,
                       radial_measure, w1_radial_flow_formula, w1_radial_formula)
@@ -120,8 +119,8 @@ def duality_cell(tree: Tree, mu: Measure, nu: Measure) -> tuple[dict[str, Fracti
     ``{"lp_skipped": reason}``; and whether the routes agree. Agreement needs
     equal values and an adapted potential that is 1-Lipschitz, checked once
     per instance at every size and before the LP; with the LP, also an
-    optimal certificate, complementary slackness and a plan with exact
-    marginals."""
+    optimal certificate, and the plan's complementary slackness and exact
+    marginals, which :func:`verify_duality` decides."""
     rho = assignment_from(mu, nu)
     flow = unique_flow(tree, rho)
     paths = {"flow": flow_cost(flow)}
@@ -131,16 +130,12 @@ def duality_cell(tree: Tree, mu: Measure, nu: Measure) -> tuple[dict[str, Fracti
         return paths, {"lp_skipped": "the adapted potential is infeasible: potential "
                                      "jumps by more than 1 across an edge"}, False
     try:
-        _check_support(mu, nu)  # before the graph, so an instance over the cap peels nothing
+        primal, certified = verify_duality(tree, mu, nu, phi)
     except TooLarge as exc:
         return paths, {"lp_skipped": str(exc)}, paths["flow"] == paths["potential"]
-    graph = FiniteGraph.from_tree(tree, keep=mu.num.keys() | nu.num.keys())
-    primal, dual, plan = verify_duality(graph, mu, nu, phi)
     paths["lp"] = primal
-    # The dual is potential_value(rho, phi), which is paths["potential"], so
-    # equal paths already mean primal == dual.
-    ok = (len(set(paths.values())) == 1 and check_complementary_slackness(graph, plan, phi)
-          and satisfies_marginals(plan, mu, nu))
+    dual = paths["potential"]
+    ok = len(set(paths.values())) == 1 and certified
     return paths, {"duality": {"primal": format_rational(primal), "dual": format_rational(dual),
                                "certificate": primal == dual}}, ok
 

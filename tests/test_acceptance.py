@@ -18,8 +18,7 @@ from treeot.asymptotics import (ball_AB, ball_d1_exact, gamma_asymptotic, interv
 from treeot.families import (bundle_from_table, check_functional_equation, srw_closed_form,
                              srw_g_table, srw_return_sequence, w1_via_genfun)
 from treeot.instances import load_instance
-from treeot.lp import (FiniteGraph, check_complementary_slackness, satisfies_marginals,
-                       verify_duality, w1_lp)
+from treeot.lp import FiniteGraph, verify_duality, w1_lp
 from treeot.regular import (PairGeometry, ball_profile, build_truncated_tree, radial_measure,
                             sphere_profile, w1_radial_flow_formula, w1_radial_formula)
 from treeot.series import Series
@@ -60,11 +59,10 @@ def test_criterion_02_oracle_equivalence_500_instances():
         graph = FiniteGraph.from_tree(tree, range(tree.num_vertices))
         tree_value = w1_tree(tree, mu, nu)
         lp_value, _ = w1_lp(graph, mu, nu)
-        phi = good_potential(tree, unique_flow(tree, assignment_from(mu, nu)))
-        primal, dual, plan = verify_duality(graph, mu, nu, phi)
-        slack = check_complementary_slackness(graph, plan, phi)
-        if not (tree_value == lp_value == primal == dual and slack
-                and satisfies_marginals(plan, mu, nu)):
+        rho = assignment_from(mu, nu)
+        phi = good_potential(tree, unique_flow(tree, rho))
+        primal, certified = verify_duality(tree, mu, nu, phi)
+        if not (tree_value == lp_value == primal == potential_value(rho, phi) and certified):
             failures.append(case)
     elapsed = time.perf_counter() - started
     ok = not failures and elapsed < 60.0

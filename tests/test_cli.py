@@ -6,6 +6,7 @@ import collections
 import contextlib
 import copy
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -140,6 +141,20 @@ class TestInstances:
         assert tree2.labels == tree.labels
         assert mu2.masses == mu.masses and nu2.masses == nu.masses
         assert w1_tree(tree2, mu2, nu2) == w1_tree(tree, mu, nu)
+
+    @pytest.mark.parametrize("text", [json.dumps(demo_doc()), '{"mu": {}, "mu": {}}',
+                                      '{"vertices": ['], ids=["read", "repeated", "broken"])
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_the_parse_leaves_the_collector_as_it_was(self, tmp_path, text, collecting):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        (gc.enable if collecting else gc.disable)()
+        try:
+            with contextlib.suppress(ValueError):
+                load_instance(path)
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable()
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -492,13 +507,39 @@ class TestW1Command:
         assert err.startswith(f"error: {path}: not UTF-8 text")
         assert "must be UTF-8 JSON" in err
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"vertices": ["a", "b"], "edges": [["a", "b"]], "mu": {"a": "1"}, "nu": {"b": "1"}, '
+         '"nu": {"a": "1"}}', "nu"),
+        ('{"vertices": ["a", "b"], "edges": [["a", "b"]], "mu": {"a": "1/2", "a": "1"}, '
+         '"nu": {"b": "1"}}', "a"),
+    ], ids=["field", "mass"])
+    @pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
+    def test_a_repeated_key_is_an_input_error(self, capsys, tmp_path, text, key, piped):
+        # A plain parse keeps the last value of a repeated key, and the
+        # instance would answer as if the first were never written.
+        if piped:
+            read_end, write_end = os.pipe()
+            try:
+                os.write(write_end, text.encode())
+                os.close(write_end)
+                path = f"/dev/fd/{read_end}"
+                code, out, err = run_cli(capsys, "w1", path)
+            finally:
+                os.close(read_end)
+        else:
+            path = tmp_path / "repeated.json"
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "w1", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: the key {key!r} is given twice in one JSON object\n"
+
     @pytest.mark.parametrize("over", [0, 1])
     def test_byte_cap_is_read_before_json(self, capsys, tmp_path, monkeypatch, over):
         from treeot.instances import MAX_INSTANCE_BYTES
 
         parsed = []
 
-        def parse(fh):
+        def parse(fh, **options):
             parsed.append(fh)
             raise OSError("parsing stops here")
 
@@ -1248,6 +1289,25 @@ class TestOneAgreementCheck:
                           lambda original: lambda *args: original(*args) + Fraction(1, 1000))
         self.assert_both_fail(capsys, ["--radial", "sphere:r=2", "--q", "2", "--d", "1"],
                               "triple")
+
+
+class TestOnePairing:
+    def test_w1_pairs_the_measures_once(self, capsys, monkeypatch, demo_instance_path):
+        # The LP route certifies its plan and leaves the pairing, the dual
+        # value, to the tree route that computed it.
+        calls = collections.Counter()
+
+        def counted(original):
+            def spy(*args):
+                calls[original.__name__] += 1
+                return original(*args)
+            return spy
+
+        for name in ("assignment_from", "potential_value"):
+            _break_everywhere(monkeypatch, name, counted)
+        code, out, _ = run_cli(capsys, "w1", str(demo_instance_path), "--json")
+        assert code == 0 and json.loads(out)["duality"]["certificate"] is True
+        assert calls == {"assignment_from": 1, "potential_value": 1}
 
 
 class TestRadialW1Mode:

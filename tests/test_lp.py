@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
+import treeot.lp
 from treeot.errors import MassMismatch, TooLarge
 from treeot.instances import instance_from_dict
 from treeot.lp import (FiniteGraph, _transportation_simplex, check_complementary_slackness,
                        satisfies_marginals, verify_duality, w1_lp)
 from treeot.tree import (Measure, _build_graph, _hop_distances, _require_connected,
-                         assignment_from, good_potential, is_edge_lipschitz, unique_flow,
-                         validate_tree, w1_tree)
+                         assignment_from, good_potential, is_edge_lipschitz, potential_value,
+                         unique_flow, validate_tree, w1_tree)
 
 from conftest import (adjacency_of, demo_doc, random_measure_pair, random_tree, rng_for,
                       run_python)
@@ -307,13 +310,12 @@ class TestDualSide:
 
     def test_demo_potential_feasible_and_optimal(self):
         tree, mu, nu = instance_from_dict(demo_doc())
-        g = FiniteGraph.from_tree(tree, range(tree.num_vertices))
         rho = assignment_from(mu, nu)
         levels = good_potential(tree, unique_flow(tree, rho))
         phi = tuple(h - levels[tree.index["v4"]] for h in levels)
         assert is_edge_lipschitz(phi, tree)
-        primal, dual, _ = verify_duality(g, mu, nu, phi)
-        assert primal == dual == 12
+        primal, certified = verify_duality(tree, mu, nu, phi)
+        assert primal == potential_value(rho, phi) == 12 and certified
 
     def test_slackness_on_diagonal_plan(self):
         g = _build(range(3), [(0, 1), (1, 2)])
@@ -326,13 +328,37 @@ class TestDualSide:
         assert not check_complementary_slackness(g, plan, (Fraction(0),) * 3)
 
 
+class TestVerifyDuality:
+    def test_a_potential_that_skips_a_plan_move_is_not_certified(self):
+        # On a path, the optimal plan moves mass from 0 to 2, two hops; a
+        # potential that drops by 1 over the move misses slackness.
+        tree = validate_tree(range(3), [(0, 1), (1, 2)])
+        mu, nu = Measure({0: Fraction(1)}), Measure({2: Fraction(1)})
+        assert verify_duality(tree, mu, nu, (2, 1, 0)) == (2, True)
+        assert verify_duality(tree, mu, nu, (1, 1, 0)) == (2, False)
+
+
+class TestIndependentOfTheFlowRoute:
+    #: The tree route's functions; the LP is the check on them.
+    FLOW_ROUTE = {"assignment_from", "unique_flow", "flow_cost", "good_potential",
+                  "potential_value", "is_edge_lipschitz", "w1_tree"}
+
+    def test_the_lp_reads_no_flow_route_function_and_no_rooting(self):
+        syntax = ast.parse(Path(treeot.lp.__file__).read_text(encoding="utf-8"))
+        imported = {alias.name.rpartition(".")[2] for node in ast.walk(syntax)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        names = {node.id for node in ast.walk(syntax) if isinstance(node, ast.Name)}
+        attributes = {node.attr for node in ast.walk(syntax) if isinstance(node, ast.Attribute)}
+        assert (imported | names | attributes) & self.FLOW_ROUTE == set()
+        assert attributes & {"parent", "order"} == set()
+
+
 class TestDualOverCommonScale:
     def test_dual_matches_the_per_vertex_fraction_sum(self):
         rng = rng_for(77)
         for _ in range(30):
             n = rng.randint(2, 10)
             tree = random_tree(rng, n)
-            g = FiniteGraph.from_tree(tree, range(tree.num_vertices))
             mu, nu = random_measure_pair(rng, n)
             shift = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
             levels = good_potential(tree, unique_flow(tree, assignment_from(mu, nu)))
@@ -340,9 +366,10 @@ class TestDualOverCommonScale:
             for phi in (tuple(h + shift for h in levels), levels):
                 dual = sum(((mu_at.get(v, 0) - nu_at.get(v, 0)) * phi[v]
                             for v in set(mu.support()) | set(nu.support())), Fraction(0))
-                primal, got, _ = verify_duality(g, mu, nu, phi)
+                got = potential_value(assignment_from(mu, nu), phi)
                 assert type(got) is Fraction and got == dual
-                assert primal == got
+                primal, certified = verify_duality(tree, mu, nu, phi)
+                assert primal == got and certified
 
 
 class TestRandomizedAgreement:
@@ -356,10 +383,10 @@ class TestRandomizedAgreement:
             lp_value, plan = w1_lp(g, mu, nu)
             assert lp_value == w1_tree(tree, mu, nu)
             assert satisfies_marginals(plan, mu, nu)
-            phi = good_potential(tree, unique_flow(tree, assignment_from(mu, nu)))
-            primal, dual, plan = verify_duality(g, mu, nu, phi)
-            assert primal == dual
-            assert check_complementary_slackness(g, plan, phi)
+            rho = assignment_from(mu, nu)
+            phi = good_potential(tree, unique_flow(tree, rho))
+            primal, certified = verify_duality(tree, mu, nu, phi)
+            assert primal == potential_value(rho, phi) and certified
 
     def test_weak_duality_random_plans_and_potentials(self):
         rng = rng_for(99)
