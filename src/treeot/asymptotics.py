@@ -10,11 +10,10 @@ kept as exact rational enclosures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InvalidParams
 from .families import _check_alpha
@@ -22,8 +21,7 @@ from .rational import RationalLike, _qpow
 from .regular import PairGeometry, _check_q
 
 
-@dataclass(frozen=True)
-class LinearAsymptotic:
+class LinearAsymptotic(NamedTuple):
     """Slope/intercept pair of the large-n distance, exact rationals."""
 
     A: Fraction
@@ -189,8 +187,7 @@ def _pi() -> Enclosure:
     return _outward(Fraction(total - slack, 1 << bits), Fraction(total + slack, 1 << bits))
 
 
-@dataclass(frozen=True)
-class GammaAsymptotic:
+class GammaAsymptotic(NamedTuple):
     """Leading growth of the walk's return-mass coefficients.
 
     The n-th coefficient behaves like constant * base^n * n^(-3/2); for the

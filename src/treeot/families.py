@@ -44,10 +44,9 @@ coefficient is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InvalidAlpha, InvalidParams, OrderExceeded
 from .rational import RationalLike, _frac, _over_scale, _qpow
@@ -75,8 +74,7 @@ def _check_alpha(alpha: RationalLike) -> Fraction:
     return alpha
 
 
-@dataclass(frozen=True)
-class GTable:
+class GTable(NamedTuple):
     """Exact masses g(l, n) = columns[n][l] / scales[n] for 0 <= l, n <= order
     (zero above the diagonal for the families built here): integer columns,
     each over its own scale, read as reduced Fractions."""
@@ -153,8 +151,7 @@ def ball_g_table(q: int, order: int = DEFAULT_ORDER) -> GTable:
     return GTable(q, columns, tuple(ball_size(q, n) for n in range(order + 1)))
 
 
-@dataclass(frozen=True)
-class GFBundle:
+class GFBundle(NamedTuple):
     """Series inputs for the coefficient-extraction distance formula.
 
     ``g_at_q``: n -> sum_l g(l, n) q^l; ``g1_at_q``: n -> sum_l l g(l, n)

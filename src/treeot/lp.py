@@ -24,36 +24,40 @@ not depend on how the tree is stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count, islice
 from operator import and_, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MassMismatch, TooLarge
-from .tree import Measure, Tree, _adjacency, _hop_distances, _pair_scale, _peel, _totals_differ
+from .tree import (Measure, Tree, _adjacency, _hop_distances, _pair_scale, _peel, _ReadOnly,
+                   _totals_differ)
 
 #: Supports larger than this are refused; the exact simplex is for desk-scale
 #: verification, not production-scale solving.
 MAX_SUPPORT = 40
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteGraph:
+class FiniteGraph(_ReadOnly):
     """Connected simple graph on dense indices, with its core about the
     vertices it keeps: what is left after peeling, over and over, every leaf
     that is not kept (:func:`_peel`). In a tree the core is the Steiner tree
     of the kept vertices. A peeled vertex lies inside no shortest path
     between two vertices left, so hop distances between core vertices are
     read from the core: one BFS of the core per source, on first use, so
-    only the rows a caller reads are ever built. Graphs compare by identity."""
+    only the rows a caller reads are ever built. ``_core`` maps each core
+    vertex to its position in the core, in index order, ``_core_adjacency``
+    holds the core's neighbor tuples by position, and ``_rows`` the BFS rows
+    built so far. Graphs compare by identity."""
 
-    num_vertices: int
-    #: Each core vertex's position in the core, in index order.
-    _core: dict = field(repr=False, compare=False)
-    #: The core's neighbor tuples, by position.
-    _core_adjacency: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("num_vertices", "_core", "_core_adjacency", "_rows", "__weakref__")
+
+    def __init__(self, num_vertices: int, _core: dict,
+                 _core_adjacency: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "num_vertices", num_vertices)
+        object.__setattr__(self, "_core", _core)
+        object.__setattr__(self, "_core_adjacency", _core_adjacency)
+        object.__setattr__(self, "_rows", {})
 
     def distance(self, u: int, v: int) -> int:
         """Hop distance between two core vertices. Raises :class:`ValueError`

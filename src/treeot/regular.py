@@ -13,15 +13,14 @@ the infinite-tree answer exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, repeat
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidParams, TooLarge, TruncationTooSmall
 from .rational import RationalLike, _frac, _over_scale, _qpow
-from .tree import Measure, Tree
+from .tree import Measure, Tree, _ReadOnly
 
 #: Cap on bits(S) * order for the families' size knobs (``series --order``,
 #: ``sweep --n``), S being the per-step scale: den(alpha) * (q+1) for the walk,
@@ -46,14 +45,15 @@ def _check_q(q: int) -> None:
         raise InvalidParams(f"branching number q must be >= 2, got {q}")
 
 
-@dataclass(frozen=True)
-class PairGeometry:
-    """Branching number q >= 2 and center separation d >= 1."""
+class PairGeometry(_ReadOnly):
+    """Branching number q >= 2 and center separation d >= 1; geometries
+    compare by (q, d)."""
 
-    q: int
-    d: int
+    __slots__ = ("q", "d")
 
-    def __post_init__(self) -> None:
+    def __init__(self, q: int, d: int):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "d", d)
         if self.q == 1:
             raise InvalidParams(
                 "q = 1 is the two-sided line, where the transport distance between "
@@ -66,6 +66,14 @@ class PairGeometry:
         if bits > MAX_SERIES_BITS:
             raise TooLarge(f"q^(d/2) for q = {self.q}, d = {self.d} takes {bits} bits, over "
                            f"the {MAX_SERIES_BITS}-bit cap on bits(q) * ceil(d/2)")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.q, self.d) == (other.q, other.d)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.d))
 
     @property
     def delta(self) -> int:
@@ -86,8 +94,7 @@ class PairGeometry:
         return q + 1 - _qpow(q, 1 - self.delta_prime) - _qpow(q, -self.delta)
 
 
-@dataclass(frozen=True, init=False)
-class RadialProfile:
+class RadialProfile(_ReadOnly):
     """Nonnegative masses s(l) = num[l] / scale by distance from the center;
     finite support, some mass.
 
@@ -97,8 +104,7 @@ class RadialProfile:
     profiles compare equal.
     """
 
-    num: tuple[int, ...]
-    scale: int
+    __slots__ = ("num", "scale")
 
     def __init__(self, values: Sequence[RationalLike], scale: int | None = None):
         if scale is None:
@@ -110,6 +116,14 @@ class RadialProfile:
         common = gcd(scale, *values)
         object.__setattr__(self, "num", tuple(x // common for x in values))
         object.__setattr__(self, "scale", scale // common)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num, self.scale) == (other.num, other.scale)
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.scale))
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -175,8 +189,7 @@ def truncation_size(q: int, d: int, radius: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class TruncatedRegularTree:
+class TruncatedRegularTree(NamedTuple):
     """Finite piece of the regular tree holding centers X and Y, rooted at X.
 
     Every vertex within the truncation radius of X or Y is present with full

@@ -8,7 +8,6 @@ turns the report into JSON and an exit status.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -32,12 +31,21 @@ INEQUALITY_GRID = {"alpha": (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fracti
                    "d": tuple(range(1, 7)), "q": tuple(range(2, 11))}
 
 
-@dataclass
 class RunReport:
-    suite: str
-    seed: int
-    #: One JSON record per case, as :meth:`add` builds it.
-    records: list[dict] = field(default_factory=list)
+    """One suite run: its name, its seed and one JSON record per case, as
+    :meth:`add` builds it. Reports compare by all three."""
+
+    __slots__ = ("suite", "seed", "records")
+
+    def __init__(self, suite: str, seed: int, records: list[dict] | None = None):
+        self.suite = suite
+        self.seed = seed
+        self.records = [] if records is None else records
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.seed, self.records) == (other.suite, other.seed, other.records)
 
     @property
     def passed(self) -> bool:

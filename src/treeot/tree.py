@@ -12,13 +12,12 @@ same number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import copysign
 from operator import eq, sub
-from typing import Hashable, Iterable, Mapping, NoReturn, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected
 from .rational import RationalLike, _common_scale, _frac, _over_scale, decimal_string
@@ -146,8 +145,20 @@ def _require_connected(adjacency: Sequence[Sequence[int]]) -> None:
         raise NotConnected(f"only {reached} of {n} vertices reachable from vertex 0")
 
 
-@dataclass(frozen=True)
-class Tree:
+class _ReadOnly:
+    """Base of the read-only value types: every field is set once, in
+    ``__init__`` through ``object.__setattr__``, and assigning or deleting
+    any attribute afterwards raises :class:`AttributeError`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
+class Tree(_ReadOnly):
     """Finite connected acyclic graph over dense vertex indices ``0..n-1``.
 
     ``labels`` preserves the caller's vertex identifiers, and ``index`` maps
@@ -155,17 +166,31 @@ class Tree:
     measures/flows/potentials) use the dense indices. ``parent`` roots the
     tree at vertex 0 (-1 there), and ``order`` lists every vertex after its
     parent, starting at 0; the flow route reads only these two. The LP oracle
-    reads the edge endpoints ``_ends``, and ``edges``, which the instance
-    writer reads, is built from them on first read. The constructor checks
-    nothing: :func:`validate_tree` proves the arrays by its leaf peels, and
-    :func:`treeot.regular.build_truncated_tree` by its class ranges.
+    reads the edge endpoints ``_ends``: edge k joins ``_ends[0][k]`` and
+    ``_ends[1][k]``, in input order. ``edges``, which the instance writer
+    reads, is built from them on first read. The constructor checks nothing:
+    :func:`validate_tree` proves the arrays by its leaf peels, and
+    :func:`treeot.regular.build_truncated_tree` by its class ranges. Trees
+    compare by labels, order and parent.
     """
 
-    labels: tuple[Hashable, ...]
-    order: tuple[int, ...]
-    parent: tuple[int, ...]
-    #: The dense endpoints of edge k, in input order, at ``_ends[0][k]`` and ``_ends[1][k]``.
-    _ends: tuple[Sequence[int], Sequence[int]] = field(repr=False, compare=False)
+    #: ``__dict__`` holds the cached ``index`` and ``edges``.
+    __slots__ = ("labels", "order", "parent", "_ends", "__dict__")
+
+    def __init__(self, labels: tuple[Hashable, ...], order: tuple[int, ...],
+                 parent: tuple[int, ...], _ends: tuple[Sequence[int], Sequence[int]]):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "_ends", _ends)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels, self.order, self.parent) == (other.labels, other.order, other.parent)
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.order, self.parent))
 
     @property
     def num_vertices(self) -> int:
@@ -271,8 +296,7 @@ def validate_tree(vertices: Sequence[Hashable], edges: Iterable[tuple]) -> Tree:
     return _rooted(*_dense_ends(vertices, edges))
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Measure:
+class Measure(_ReadOnly):
     """Finitely supported nonnegative mass function on dense vertex indices,
     held as integers over one scale: the mass at ``v`` is ``num[v] / scale``.
 
@@ -285,9 +309,7 @@ class Measure:
     and ``radial_measure`` hold integers from the start (:meth:`_of`).
     """
 
-    scale: int
-    #: The integer numerator of each positive mass over ``scale``.
-    num: dict[int, int]
+    __slots__ = ("scale", "num")
 
     def __init__(self, masses: Mapping[int, RationalLike]):
         reduced: dict[int, Fraction] = {}
@@ -335,15 +357,18 @@ class Measure:
         return Measure({v: c * m for v, m in self.masses.items()})
 
 
-@dataclass(frozen=True, eq=False)
-class Assignment:
+class Assignment(_ReadOnly):
     """Signed charges summing to zero (a mass surplus/deficit pattern), held
     as integers over one common denominator: the charge at ``v`` is
     ``num[v] / scale``, and ``num`` holds nonzero integers only.
-    :func:`assignment_from` builds one from two measures."""
+    :func:`assignment_from` builds one from two measures. Assignments compare
+    by identity."""
 
-    num: dict[int, int]
-    scale: int
+    __slots__ = ("num", "scale")
+
+    def __init__(self, num: dict[int, int], scale: int):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def charges(self) -> dict[int, Fraction]:
@@ -351,8 +376,7 @@ class Assignment:
         return {v: Fraction(x, self.scale) for v, x in self.num.items()}
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     """Edge function on a rooted tree, one integer per vertex over ``scale``:
     ``up[v] / scale`` is the flow from ``v`` to ``parent[v]``, and 0 at the root."""
 

@@ -35,11 +35,13 @@ def demo_doc() -> dict:
     return json.loads(DEMO_INSTANCE.read_text(encoding="utf-8"))
 
 
-def run_python(code: str, timeout: float = 60) -> subprocess.CompletedProcess:
-    """``code`` in a fresh interpreter, with this treeot first on its path;
-    :class:`subprocess.TimeoutExpired` after ``timeout`` seconds."""
+def run_python(code: str, timeout: float = 60, flags: tuple[str, ...] = ()
+               ) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter started with ``flags``, with this
+    treeot first on its path; :class:`subprocess.TimeoutExpired` after
+    ``timeout`` seconds."""
     src = str(Path(treeot.__file__).parents[1])
-    return subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+    return subprocess.run([sys.executable, *flags, "-c", code], env={"PYTHONPATH": src},
                           capture_output=True, text=True, timeout=timeout)
 
 

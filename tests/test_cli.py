@@ -65,6 +65,14 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == added
 
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        # Without the site hooks nothing else can load them first.
+        done = run_python("import sys, treeot.cli; "
+                          "print('dataclasses' in sys.modules, 'inspect' in sys.modules)",
+                          flags=("-S",))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "False"]
+
     def test_gamma_suite_runs_with_mpmath_blocked(self):
         done = run_python("import sys; sys.modules['mpmath'] = None; "
                           "from treeot.cli import main; raise SystemExit(main(['verify', 'gamma']))")

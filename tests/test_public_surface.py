@@ -156,3 +156,22 @@ def _unread_imports() -> set[tuple[str, str]]:
 
 def test_every_imported_name_is_read():
     assert _unread_imports() == IMPORTED_UNREAD
+
+
+def test_no_module_imports_dataclasses():
+    # Importing ``dataclasses`` pulls in ``inspect`` and ``ast``, and each
+    # ``@dataclass`` compiles its methods at import, a cost that every
+    # ``treeot`` process pays. The value types are NamedTuples and slotted
+    # classes instead.
+    importers = set()
+    for stem, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                importers.add(stem)
+    assert importers == set()
