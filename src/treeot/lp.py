@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, count, islice
+from math import lcm
 from operator import and_, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -313,10 +314,18 @@ def check_complementary_slackness(graph: FiniteGraph, plan: Mapping[tuple[int, i
 def satisfies_marginals(plan: Mapping[tuple[int, int], Fraction], mu: Measure,
                         nu: Measure) -> bool:
     """True iff the plan moves out of each vertex its mass under ``mu`` and
-    into each vertex its mass under ``nu``."""
-    rows: dict[int, Fraction] = {}
-    cols: dict[int, Fraction] = {}
+    into each vertex its mass under ``nu``. The sums run on integers over L,
+    the lcm of both measure scales and every plan denominator, so they are
+    exact for any plan."""
+    dens = {x.denominator for x in plan.values()}
+    scale = lcm(mu.scale, nu.scale, *dens)
+    factor = {den: scale // den for den in dens}
+    rows: dict[int, int] = {}
+    cols: dict[int, int] = {}
     for (u, v), x in plan.items():
-        rows[u] = rows.get(u, 0) + x
-        cols[v] = cols.get(v, 0) + x
-    return rows == mu.masses and cols == nu.masses
+        n = x.numerator * factor[x.denominator]
+        rows[u] = rows.get(u, 0) + n
+        cols[v] = cols.get(v, 0) + n
+    mu_factor, nu_factor = scale // mu.scale, scale // nu.scale
+    return (rows == {v: x * mu_factor for v, x in mu.num.items()}
+            and cols == {v: x * nu_factor for v, x in nu.num.items()})

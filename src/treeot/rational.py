@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 import sys
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 from math import lcm, log10
 from typing import Iterable
@@ -21,6 +21,10 @@ RationalLike = Fraction | int | str
 #: number of values held over L (about 128 MiB of digits). Larger sets raise
 #: :class:`TooLarge`.
 MAX_CHARGE_BITS = 2 ** 30
+
+#: The context of :func:`decimal_string`, built once: 12 significant digits,
+#: every other setting the default one.
+_TWELVE_DIGITS = Context(prec=12)
 
 
 def _frac(value: RationalLike) -> Fraction:
@@ -130,7 +134,4 @@ def format_rational(value: Fraction) -> str:
 def decimal_string(value: Fraction) -> str:
     """Decimal rendering with 12 significant digits."""
     value = Fraction(value)
-    with localcontext() as ctx:
-        ctx.prec = 12
-        rendered = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(rendered)
+    return str(_TWELVE_DIGITS.divide(Decimal(value.numerator), Decimal(value.denominator)))

@@ -14,9 +14,11 @@ the infinite-tree answer exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, count, repeat
+from functools import cached_property
+from itertools import chain, count, islice, repeat
 from math import gcd
-from typing import NamedTuple, Sequence
+from operator import mul
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InvalidParams, TooLarge, TruncationTooSmall
 from .rational import RationalLike, _frac, _over_scale, _qpow
@@ -49,7 +51,8 @@ class PairGeometry(_ReadOnly):
     """Branching number q >= 2 and center separation d >= 1; geometries
     compare by (q, d)."""
 
-    __slots__ = ("q", "d")
+    #: ``__dict__`` holds the cached class-sum weights.
+    __slots__ = ("q", "d", "__dict__")
 
     def __init__(self, q: int, d: int):
         object.__setattr__(self, "q", q)
@@ -92,6 +95,13 @@ class PairGeometry(_ReadOnly):
         formula; at least q - 1 > 0."""
         q = self.q
         return q + 1 - _qpow(q, 1 - self.delta_prime) - _qpow(q, -self.delta)
+
+    @cached_property
+    def _weights(self) -> tuple[list[int], Iterator[int]]:
+        """The class-sum weights K_0, K_1, ... made so far, and the generator
+        of the rest: :func:`w1_radial_formula` extends the list up to each
+        profile's support radius, so each weight is made once per geometry."""
+        return [], _class_weights(self.q, self.d)
 
 
 class RadialProfile(_ReadOnly):
@@ -286,25 +296,54 @@ def _padded(profile: RadialProfile, d: int) -> tuple[int, ...]:
     return profile.num[:profile.support_radius + 1] + (0,) * d
 
 
+def _class_weights(q: int, d: int) -> Iterator[int]:
+    """K_0, K_1, ...: K_l is twice the potential summed over the distance-l
+    sphere around X, for the potential phi = d/2 - i + h on X's side (2i < d),
+    d/2 - i - h on Y's side (2i > d) and 0 on the midpoint classes (2i = d).
+
+    On Y's side of that sphere i + h = l, so 2 phi = d - 2l at each of its
+    q^(l - floor(d/2) - 1) vertices: the q-ary subtree past path vertex
+    floor(d/2) + 1. X's side grows one step at a time: each vertex has q
+    children one step further out, each at 2 phi two more, but the path
+    vertices 0 < i < d/2 have q - 1; and path vertex l + 1 joins, at
+    2 phi = d - 2l - 2, while it is still on X's side. So each weight costs
+    O(1) big-integer steps.
+    """
+    last = (d - 1) // 2  # the last path index on X's side
+    near, doubled, far = 1, d, 0  # X's side of the sphere: its size, its sum of 2 phi; Y's size
+    for ell in count():
+        yield doubled + (d - 2 * ell) * far
+        near, doubled = q * near, q * (doubled + 2 * near)
+        if 0 < ell <= last:
+            near -= 1
+            doubled -= d - 2 * ell + 2
+        if ell < last:
+            near += 1
+            doubled += d - 2 * ell - 2
+        far = q * far + (ell == d // 2)
+
+
 def w1_radial_formula(profile: RadialProfile, geometry: PairGeometry) -> Fraction:
     """Transport distance between the X- and Y-centered copies of a profile,
     as the potential-weighted sum over vertex classes.
 
-    Three blocks: vertices hanging above X or Y, path vertices strictly
-    between them, and vertices hanging above interior path vertices. The sums
-    run on the profile's integer numerators with the potential doubled (so
-    d/2 - i + h becomes d - 2i + 2h), then divide once by the scale.
+    The potential phi of :func:`_class_weights` is optimal and changes sign
+    when X and Y swap, so W1 = sum_v phi(v) (s(dist(X, v)) - s(dist(Y, v)))
+    = sum_l s(l) K_l, with K_l twice phi summed over the distance-l sphere
+    around X. Equivalently, K_l gathers the coefficient of s(l) from three
+    blocks: vertices hanging above X or Y, path vertices strictly between
+    them, and vertices hanging above interior path vertices. K_l does not
+    depend on the support radius, so the geometry keeps the weights it has
+    made and every profile reuses them: W1 * scale is one integer dot
+    product with the profile's numerators, divided once by the scale.
     """
-    q, d = geometry.q, geometry.d
-    s = _padded(profile, d)
-    top = profile.support_radius
-    inner = range(1, geometry.delta + 1)
-
-    s1 = sum(q ** h * (s[h] - s[h + d]) * (d + 2 * h) for h in range(top + 1))
-    s2 = sum((s[i] - s[d - i]) * (d - 2 * i) for i in inner)
-    s3 = sum((q - 1) * q ** (h - 1) * (s[i + h] - s[d - i + h]) * (d - 2 * i + 2 * h)
-             for i in inner for h in range(1, top + 1))
-    return Fraction(s1 + s2 + s3, profile.scale)
+    weights, rest = geometry._weights
+    num = profile.num
+    if len(weights) < len(num):
+        top = profile.support_radius + 1  # trailing zeros need no weights
+        if len(weights) < top:
+            weights += islice(rest, top - len(weights))
+    return Fraction(sum(map(mul, num, weights)), profile.scale)
 
 
 def w1_radial_flow_formula(profile: RadialProfile, geometry: PairGeometry) -> Fraction:

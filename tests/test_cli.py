@@ -6,6 +6,7 @@ import collections
 import contextlib
 import copy
 import csv
+import decimal
 import gc
 import hashlib
 import io
@@ -30,7 +31,7 @@ from treeot.cli import build_parser, main, parse_profile_spec
 from treeot.errors import DuplicateEdge, HasCycle, NotConnected, TooLarge
 from treeot.families import srw_profile
 from treeot.instances import dump_instance, instance_from_dict, instance_to_dict, load_instance
-from treeot.rational import format_rational, parse_rational
+from treeot.rational import decimal_string, format_rational, parse_rational
 from treeot.regular import (PairGeometry, ball_profile, sphere_profile, truncation_size,
                             w1_radial_formula)
 from treeot.tree import Measure, assignment_from, validate_tree, w1_tree
@@ -136,6 +137,8 @@ class TestBenchTracer:
         for name in ("asymptotics.AB", "families.srw_closed_form", "families.ball_gf",
                      "families.srw_g_table"):
             assert spans[name] > 0, name
+        # One class sum per sweep cell, each through the traced binding.
+        assert spans["regular.w1_radial_formula"] == 4
 
 
 class TestInstances:
@@ -242,6 +245,23 @@ class TestInstances:
         with pytest.raises(TooLarge, match="a 5001-digit denominator, over the 4300-digit"):
             format_rational(Fraction(1, 10 ** 5000))
         assert len(format_rational(Fraction(-(10 ** 4300 - 1), 7))) == 4303
+
+    def test_decimal_string_renders_as_a_local_twelve_digit_context(self):
+        def in_local_context(value: Fraction) -> str:
+            with decimal.localcontext() as ctx:
+                ctx.prec = 12
+                return str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))
+
+        rng = random.Random(34)
+        values = [Fraction(0), Fraction(-1, 3), Fraction(10 ** 12 - 1), Fraction(5, 10 ** 40)]
+        for _ in range(300):
+            # Up to about 16,000 digits a side, as in the totals a mass
+            # mismatch message renders.
+            bits = rng.choice((8, 64, 129, 2_000, 53_000))
+            values.append(Fraction(rng.randint(-2 ** bits, 2 ** bits),
+                                   rng.randint(1, 2 ** rng.choice((1, 64, bits)))))
+        for value in values:
+            assert decimal_string(value) == in_local_context(value), value
 
 
 #: (vertices, edges, error type, message): each fault as the full check names it.

@@ -297,6 +297,19 @@ class TestW1LP:
             assert type(x) is Fraction and gcd(x.numerator, x.denominator) == 1
         assert satisfies_marginals(plan, mu, nu)
 
+    def test_marginals_sum_over_the_plan_denominators_too(self):
+        # Whole masses at L = 1, moved in halves: over the measures' scale
+        # alone each half would read as 0.
+        mu, nu = Measure({0: 1, 1: 1}), Measure({2: 1, 3: 1})
+        assert (mu.scale, nu.scale) == (1, 1)
+        half = Fraction(1, 2)
+        plan = {(0, 2): half, (0, 3): half, (1, 2): half, (1, 3): half}
+        assert satisfies_marginals(plan, mu, nu)
+        assert not satisfies_marginals({**plan, (1, 3): Fraction(1, 3)}, mu, nu)
+        assert not satisfies_marginals({(0, 2): half, (1, 3): half}, mu, nu)
+        assert not satisfies_marginals({**plan, (0, 0): Fraction(0)}, mu, nu)
+        assert satisfies_marginals({(0, 2): 1, (1, 3): 1}, mu, nu)
+
 
 class TestDualSide:
     def test_constant_potential_feasible(self):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import collections
 import time
 from fractions import Fraction
 
 import pytest
 
+from treeot import regular
+from treeot.cli import main
 from treeot.errors import InvalidParams, TooLarge, TruncationTooSmall
 from treeot.families import srw_profile
 from treeot.regular import (MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, PairGeometry,
@@ -331,6 +334,24 @@ def radial_potential_field(truncation: TruncatedRegularTree) -> tuple[Fraction, 
     return tuple(radial_potential(i, h, geom) for i, h in zip(*coordinates(truncation)))
 
 
+def three_block_sum(profile: RadialProfile, geometry: PairGeometry) -> Fraction:
+    """:func:`w1_radial_formula` summed block by block over the vertex classes:
+    vertices hanging above X or Y, path vertices strictly between them, and
+    vertices hanging above interior path vertices, with the potential of
+    :func:`radial_potential` doubled (d/2 - i + h becomes d - 2i + 2h).
+    O(floor(d/2) * top) terms."""
+    q, d = geometry.q, geometry.d
+    s = _padded(profile, d)
+    top = profile.support_radius
+    inner = range(1, geometry.delta + 1)
+
+    s1 = sum(q ** h * (s[h] - s[h + d]) * (d + 2 * h) for h in range(top + 1))
+    s2 = sum((s[i] - s[d - i]) * (d - 2 * i) for i in inner)
+    s3 = sum((q - 1) * q ** (h - 1) * (s[i + h] - s[d - i + h]) * (d - 2 * i + 2 * h)
+             for i in inner for h in range(1, top + 1))
+    return Fraction(s1 + s2 + s3, profile.scale)
+
+
 def flow_direction_check(truncation: TruncatedRegularTree, flow: Flow) -> bool:
     """Verify the sign pattern of the flow between two radial copies.
 
@@ -433,6 +454,93 @@ class TestDistanceFormulas:
         nu = radial_measure(tt, tt.y, annulus)
         w = w1_tree(tt.tree, mu, nu)
         assert w == w1_radial_formula(annulus, g) == w1_radial_flow_formula(annulus, g)
+
+
+#: (q, d) of the class-sum grid: q in 2..6 and d in 1..12, plus d = 2000 and
+#: 2001 where the geometry's cap on bits(q) * ceil(d/2) admits them.
+CLASS_SUM_GRID = [(q, d) for q in range(2, 7)
+                  for d in [*range(1, 13), 2000, 2001]
+                  if q.bit_length() * ((d + 1) // 2) <= MAX_SERIES_BITS]
+
+
+def profile_of_radius(rng, radius: int) -> RadialProfile:
+    """A random profile whose support radius is exactly ``radius``."""
+    values = [Fraction(rng.randint(0, 4), rng.randint(1, 9)) for _ in range(radius)]
+    return RadialProfile([*values, Fraction(rng.randint(1, 4), rng.randint(1, 9))])
+
+
+class TestClassSumAgainstTheThreeBlocks:
+    """The class sum as one dot product with per-geometry weights, against
+    the three-block sum it gathers."""
+
+    @pytest.mark.parametrize("q,d", CLASS_SUM_GRID)
+    def test_fresh_geometries(self, q, d):
+        rng = rng_for(q * 10_000 + d)
+        for radius in range(11):
+            profile, geometry = profile_of_radius(rng, radius), PairGeometry(q, d)
+            assert w1_radial_formula(profile, geometry) == three_block_sum(profile, geometry)
+
+    @pytest.mark.parametrize("q,d", CLASS_SUM_GRID)
+    def test_one_geometry_as_the_radius_rises_and_falls(self, q, d):
+        rng = rng_for(q * 10_000 + d + 1)
+        geometry = PairGeometry(q, d)
+        for radius in [*range(11), *range(10, -1, -1), 3, 9]:
+            profile = profile_of_radius(rng, radius)
+            assert w1_radial_formula(profile, geometry) == three_block_sum(profile, geometry)
+        # The weights stop at the largest support radius seen, each made once.
+        assert len(geometry._weights[0]) == 11
+
+    def test_profiles_with_trailing_zeros(self):
+        geometry = PairGeometry(3, 4)
+        trailing = RadialProfile([1, 0, 2, 0, 0, 0])
+        assert len(trailing.num) == 6 and trailing.support_radius == 2
+        expected = three_block_sum(trailing, geometry)
+        assert w1_radial_formula(trailing, geometry) == expected
+        # Trailing zeros cost no weights: the list stops at the support radius.
+        assert len(geometry._weights[0]) == 3
+        assert w1_radial_formula(RadialProfile([1, 0, 2]), geometry) == expected
+
+    def test_trailing_zeros_make_no_weights(self, monkeypatch):
+        made, weights = [], regular._class_weights
+
+        def counted(q, d):
+            for weight in weights(q, d):
+                made.append(weight)
+                yield weight
+
+        monkeypatch.setattr(regular, "_class_weights", counted)
+        geometry = PairGeometry(2, 1)
+        long_tail = RadialProfile([1] + [0] * 50_000)
+        assert w1_radial_formula(long_tail, geometry) == three_block_sum(long_tail, geometry)
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("q,d", [(2, 1), (2, 4), (3, 3), (3, 6), (5, 2)])
+    def test_a_weight_off_by_one_fails(self, q, d):
+        for ell in range(9):
+            profile = RadialProfile([Fraction(1, 3)] * ell + [Fraction(1, 5)])
+            geometry = PairGeometry(q, d)
+            expected = w1_radial_flow_formula(profile, geometry)
+            assert w1_radial_formula(profile, geometry) == expected
+            for step in (1, -1):
+                geometry._weights[0][ell] += step
+                assert w1_radial_formula(profile, geometry) != expected, (ell, step)
+                geometry._weights[0][ell] -= step
+
+    def test_sweep_makes_the_weights_once_per_geometry(self, monkeypatch, capsys):
+        made, weights = [], regular._class_weights
+
+        def counted(q, d):
+            for weight in weights(q, d):
+                made.append((q, d))
+                yield weight
+
+        monkeypatch.setattr(regular, "_class_weights", counted)
+        assert main(["sweep", "--family", "srw", "--alpha", "0,1/2", "--d", "1..3",
+                     "--q", "2..3", "--n", "0..60"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2 * 3 * 2 * 61
+        # |q| * |d| geometries, each making weights up to its support radius 60.
+        assert collections.Counter(made) == {(q, d): 61 for q in (2, 3) for d in (1, 2, 3)}
 
 
 def reference_edge_sum(profile: RadialProfile, geometry: PairGeometry) -> Fraction:
