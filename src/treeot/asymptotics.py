@@ -16,9 +16,8 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import InvalidParams
-from .families import _check_alpha
 from .rational import RationalLike, _qpow
-from .regular import PairGeometry, _check_q
+from .regular import PairGeometry, _check_alpha, _check_q
 
 
 class LinearAsymptotic(NamedTuple):

@@ -46,11 +46,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
-from .errors import InvalidAlpha, InvalidParams, OrderExceeded
-from .rational import RationalLike, _frac, _over_scale, _qpow
-from .regular import PairGeometry, RadialProfile, _check_q, ball_size, sphere_size
+from .errors import InvalidParams, OrderExceeded
+from .rational import RationalLike, _qpow
+from .regular import PairGeometry, RadialProfile, _check_alpha, _check_q, ball_size, sphere_size
 from .series import Series
 
 #: Default truncation order; enough for time steps up to ~60.
@@ -61,17 +61,6 @@ def _check_family_params(q: int, order: int) -> None:
     _check_q(q)
     if order < 0:
         raise InvalidParams(f"truncation order must be >= 0, got {order}")
-
-
-def _check_alpha(alpha: RationalLike) -> Fraction:
-    # Floats are refused: exactness is end-to-end, so the caller must say
-    # which rational they mean.
-    if isinstance(alpha, float):
-        raise InvalidAlpha(f"laziness must be an exact rational, got float {alpha!r}")
-    alpha = _frac(alpha)
-    if not 0 <= alpha < 1:
-        raise InvalidAlpha(f"laziness must lie in [0, 1), got {alpha}")
-    return alpha
 
 
 class GTable(NamedTuple):
@@ -86,10 +75,6 @@ class GTable(NamedTuple):
     @property
     def order(self) -> int:
         return len(self.scales) - 1
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(map(Fraction, row, self.scales)) for row in zip(*self.columns))
 
     def column_profile(self, n: int) -> RadialProfile:
         """The time-n column as a radial profile; raises :class:`InvalidParams`
@@ -262,43 +247,26 @@ def ball_gf(q: int, order: int = DEFAULT_ORDER) -> GFBundle:
     return bundle_from_table(ball_g_table(q, order))
 
 
-def check_functional_equation(rows: GTable | Sequence[Sequence[RationalLike]],
-                              alpha: RationalLike, q: int) -> bool:
-    """True iff the defining walk-family identity holds for the given rows.
+def check_functional_equation(table: GTable, alpha: RationalLike, q: int) -> bool:
+    """True iff the defining walk-family identity holds for the table's rows.
 
-    ``rows[l][n]`` is the y^n coefficient of the distance-l row C_l, e.g.
-    ``table.rows``; gamma is the first row. A :class:`GTable` may stand in
-    for its rows, and its integer columns are then read as they are. The
+    Row l, C_l, holds the masses g(l, n) = ``table.columns[n][l] /
+    table.scales[n]`` as its y^n coefficients; gamma is the first row. The
     identity q*x = ((q+1)(x - alpha*x*y) - q(1-alpha)y - (1-alpha)x^2 y) G +
     (-x + alpha*x*y + q(1-alpha)y) gamma, G = sum_l C_l x^l, leaves at x^k y^n
     the residual (q+1)(C_{k-1}[n] - alpha C_{k-1}[n-1]) - q(1-alpha) C_k[n-1]
     - (1-alpha) C_{k-2}[n-1], less gamma[n] - alpha gamma[n-1] + q[n = 0] at
-    k = 1; at k = 0 it cancels for any rows. Raises :class:`ValueError` for
-    empty or ragged rows.
+    k = 1; at k = 0 it cancels for any rows.
 
-    The residuals are integers. Rational rows are put over one scale per
-    time n, the lcm of that column's denominators, under the charge cap
-    (:func:`rational._over_scale`): a column over it raises :class:`TooLarge`
-    before any entry is scaled. The residual at y^n, which reads columns n
-    and n - 1, is scaled by den(alpha) and the lcm of their two scales: a
+    The residuals are integers: the residual at y^n, which reads columns n
+    and n - 1, is scaled by den(alpha) and the lcm of their two scales, a
     power of S for the walk table.
     """
     alpha = _check_alpha(alpha)
-    if isinstance(rows, GTable):
-        columns, scales = rows.columns, rows.scales
-    else:
-        width = len(rows[0]) if rows else 0
-        if not width or any(len(row) != width for row in rows):
-            raise ValueError("rows must be nonempty and of one length")
-        columns, scales = [], []
-        for col in zip(*(map(_frac, row) for row in rows)):
-            scale, nums = _over_scale(col)
-            columns.append(nums)
-            scales.append(scale)
     a, den = alpha.numerator, alpha.denominator
-    count = len(columns[0])
+    count = len(table.columns[0])
     prev, prev_scale = (0,) * count, 1  # column n - 1, zero before time 0
-    for n, (col, scale) in enumerate(zip(columns, scales)):
+    for n, (col, scale) in enumerate(zip(table.columns, table.scales)):
         shared = gcd(scale, prev_scale)
         now = den * (prev_scale // shared)  # den * lcm / scale, on column n
         back = scale // shared  # lcm / prev_scale, on column n - 1, times a or den - a

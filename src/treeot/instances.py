@@ -89,14 +89,14 @@ def instance_from_dict(doc: dict) -> tuple[Tree, Measure, Measure]:
     # here, before the peel's arrays and the measures are built.
     del vertices, edges
     tree = _rooted(labels, index, ends)
-    if set(map(type, tree.labels)) == {str}:
-        by_name = tree.index  # a str id is its own measure key
+    if set(map(type, labels)) == {str}:
+        by_name = index  # a str id is its own measure key
     else:
         by_name = {}
-        for label, idx in tree.index.items():
+        for label, idx in index.items():
             name = str(label)
             if name in by_name:
-                raise ValueError(f"vertex ids {tree.labels[by_name[name]]!r} and {label!r} "
+                raise ValueError(f"vertex ids {labels[by_name[name]]!r} and {label!r} "
                                  f"share the measure key {name!r}")
             by_name[name] = idx
     digit_limit = sys.get_int_max_str_digits() or float("inf")
@@ -160,7 +160,7 @@ def _grouped_measure(groups: dict[str | int, tuple[list[int], list[str | int]]])
 def instance_to_dict(tree: Tree, mu: Measure, nu: Measure) -> dict:
     return {
         "vertices": list(tree.labels),
-        "edges": [[tree.labels[u], tree.labels[v]] for u, v in tree.edges],
+        "edges": [[tree.labels[u], tree.labels[v]] for u, v in zip(*tree._ends)],
         "mu": {str(tree.labels[v]): format_rational(m) for v, m in sorted(mu.masses.items())},
         "nu": {str(tree.labels[v]): format_rational(m) for v, m in sorted(nu.masses.items())},
     }

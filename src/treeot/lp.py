@@ -105,9 +105,8 @@ class FiniteGraph(_ReadOnly):
     @classmethod
     def from_tree(cls, tree: Tree, keep: Iterable[int]) -> "FiniteGraph":
         """The tree as a graph over its edge endpoints; its core spans the
-        vertices in ``keep``. Reads neither the tree's ``edges`` nor its
-        rooting (``parent``, ``order``), so the LP stays independent of the
-        flow route."""
+        vertices in ``keep``. Reads no rooting (``parent``, ``order``), so
+        the LP stays independent of the flow route."""
         return cls._over(tree.num_vertices, tree._ends, keep)
 
 

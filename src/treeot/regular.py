@@ -20,8 +20,8 @@ from math import gcd
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import InvalidParams, TooLarge, TruncationTooSmall
-from .rational import RationalLike, _frac, _over_scale, _qpow
+from .errors import InvalidAlpha, InvalidParams, TooLarge, TruncationTooSmall
+from .rational import RationalLike, _frac, _over_scale
 from .tree import Measure, Tree, _ReadOnly
 
 #: Cap on bits(S) * order for the families' size knobs (``series --order``,
@@ -45,6 +45,17 @@ def _check_q(q: int) -> None:
     """Raises :class:`InvalidParams` unless the branching number q is >= 2."""
     if q < 2:
         raise InvalidParams(f"branching number q must be >= 2, got {q}")
+
+
+def _check_alpha(alpha: RationalLike) -> Fraction:
+    # Floats are refused: exactness is end-to-end, so the caller must say
+    # which rational they mean.
+    if isinstance(alpha, float):
+        raise InvalidAlpha(f"laziness must be an exact rational, got float {alpha!r}")
+    alpha = _frac(alpha)
+    if not 0 <= alpha < 1:
+        raise InvalidAlpha(f"laziness must lie in [0, 1), got {alpha}")
+    return alpha
 
 
 class PairGeometry(_ReadOnly):
@@ -92,9 +103,9 @@ class PairGeometry(_ReadOnly):
     def slope_factor(self) -> Fraction:
         """q + 1 - q^(1-ceil(d/2)) - q^(-floor(d/2)): shared by all three slopes,
         the intercept gaps and the x-derivative weight of the distance
-        formula; at least q - 1 > 0."""
-        q = self.q
-        return q + 1 - _qpow(q, 1 - self.delta_prime) - _qpow(q, -self.delta)
+        formula; at least q - 1 > 0. One Fraction over q^floor(d/2)."""
+        q, delta = self.q, self.delta
+        return Fraction((q + 1) * q ** delta - q ** (delta + 1 - self.delta_prime) - 1, q ** delta)
 
     @cached_property
     def _weights(self) -> tuple[list[int], Iterator[int]]:

@@ -7,6 +7,7 @@ turns the report into JSON and an exit status.
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 from typing import Callable
@@ -77,8 +78,6 @@ def random_tree(rng: random.Random, n: int):
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     edges = []
@@ -217,11 +216,12 @@ def suite_series(seed: int = DEFAULT_SEED) -> RunReport:
             holds = check_functional_equation(table, alpha, q)
             report.add({"alpha": str(alpha), "q": q, "order": order, "check": "functional-eq"},
                        "genfun", holds)
-            # A perturbed table must be rejected.
-            rows = [list(row) for row in table.rows]
-            rows[1][2] += Fraction(1, 7)
+            # A table with one entry changed, g(1, 2) here, must be rejected.
+            columns = list(table.columns)
+            columns[2] = (columns[2][0], columns[2][1] + 1, *columns[2][2:])
+            perturbed = table._replace(columns=tuple(columns))
             report.add({"alpha": str(alpha), "q": q, "order": order, "check": "perturbation"},
-                       "genfun", not check_functional_equation(rows, alpha, q))
+                       "genfun", not check_functional_equation(perturbed, alpha, q))
     return report
 
 

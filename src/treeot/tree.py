@@ -13,7 +13,6 @@ same number.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, repeat
 from math import copysign
 from operator import eq, sub
@@ -161,21 +160,19 @@ class _ReadOnly:
 class Tree(_ReadOnly):
     """Finite connected acyclic graph over dense vertex indices ``0..n-1``.
 
-    ``labels`` preserves the caller's vertex identifiers, and ``index`` maps
-    each back to its dense index; all other structures (and all
-    measures/flows/potentials) use the dense indices. ``parent`` roots the
-    tree at vertex 0 (-1 there), and ``order`` lists every vertex after its
-    parent, starting at 0; the flow route reads only these two. The LP oracle
-    reads the edge endpoints ``_ends``: edge k joins ``_ends[0][k]`` and
-    ``_ends[1][k]``, in input order. ``edges``, which the instance writer
-    reads, is built from them on first read. The constructor checks nothing:
+    ``labels`` preserves the caller's vertex identifiers, in dense index
+    order; all other structures (and all measures/flows/potentials) use the
+    dense indices. ``parent`` roots the tree at vertex 0 (-1 there), and
+    ``order`` lists every vertex after its parent, starting at 0; the flow
+    route reads only these two. The LP oracle and the instance writer read
+    the edge endpoints ``_ends``: edge k joins ``_ends[0][k]`` and
+    ``_ends[1][k]``, in input order. The constructor checks nothing:
     :func:`validate_tree` proves the arrays by its leaf peels, and
     :func:`treeot.regular.build_truncated_tree` by its class ranges. Trees
     compare by labels, order and parent.
     """
 
-    #: ``__dict__`` holds the cached ``index`` and ``edges``.
-    __slots__ = ("labels", "order", "parent", "_ends", "__dict__")
+    __slots__ = ("labels", "order", "parent", "_ends")
 
     def __init__(self, labels: tuple[Hashable, ...], order: tuple[int, ...],
                  parent: tuple[int, ...], _ends: tuple[Sequence[int], Sequence[int]]):
@@ -195,18 +192,6 @@ class Tree(_ReadOnly):
     @property
     def num_vertices(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def index(self) -> dict:
-        """Each label's dense index, built on first read; :func:`validate_tree`
-        fills it with the map it builds anyway."""
-        return dict(zip(self.labels, range(len(self.labels))))
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Every edge once, as a ``(lo, hi)`` pair, in input order."""
-        us, vs = self._ends
-        return tuple(zip(map(min, us, vs), map(max, us, vs)))
 
 
 def _dense_ends(vertices: Sequence[Hashable], edges: Iterable[tuple]
@@ -260,9 +245,7 @@ def _rooted(labels: tuple, index: dict, ends: tuple[list[int], list[int]]) -> Tr
     order, parent = rooted
     order.append(0)
     order.reverse()
-    tree = Tree(labels=labels, order=tuple(order), parent=tuple(parent), _ends=ends)
-    object.__setattr__(tree, "index", index)
-    return tree
+    return Tree(labels=labels, order=tuple(order), parent=tuple(parent), _ends=ends)
 
 
 def _name_fault(labels: tuple, edges: Sequence) -> NoReturn:

@@ -7,12 +7,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import mpmath
 import pytest
 
 import treeot
+from treeot.families import GTable
 from treeot.suites import random_measure_pair, random_profile, random_tree
 from treeot.tree import _adjacency
 
@@ -48,6 +50,34 @@ def run_python(code: str, timeout: float = 60, flags: tuple[str, ...] = ()
 def adjacency_of(tree) -> tuple[tuple[int, ...], ...]:
     """A tree's neighbor tuples, in edge order, built from its edge endpoints."""
     return _adjacency(tree.num_vertices, zip(*tree._ends))
+
+
+def index_of(tree) -> dict:
+    """Each label of a tree mapped to its dense index."""
+    return dict(zip(tree.labels, range(tree.num_vertices)))
+
+
+def edges_of(tree) -> tuple[tuple[int, int], ...]:
+    """A tree's edges once each, as ``(lo, hi)`` pairs in edge order, built
+    from its edge endpoints."""
+    us, vs = tree._ends
+    return tuple(zip(map(min, us, vs), map(max, us, vs)))
+
+
+def rows_of(table) -> tuple[tuple[Fraction, ...], ...]:
+    """A mass table's rows: row l holds g(l, n) for n = 0..order, as Fractions."""
+    return tuple(tuple(map(Fraction, row, table.scales)) for row in zip(*table.columns))
+
+
+def table_of(q: int, rows) -> GTable:
+    """The mass table whose row l holds the rationals ``rows[l]``: each
+    column is put over the lcm of its denominators."""
+    columns, scales = [], []
+    for col in zip(*(map(Fraction, row) for row in rows)):
+        scale = lcm(*(x.denominator for x in col))
+        columns.append(tuple(x.numerator * (scale // x.denominator) for x in col))
+        scales.append(scale)
+    return GTable(q, tuple(columns), tuple(scales))
 
 
 def signed_flow(flow, u: int, v: int) -> Fraction:
@@ -91,6 +121,6 @@ def interval_contains(x: tuple, value) -> bool:
     return lo <= value <= hi
 
 
-__all__ = ["FIXTURES", "adjacency_of", "coordinates", "demo_doc", "interval_contains", "random_tree",
-           "random_measure_pair", "random_profile", "rng_for", "run_python", "signed_flow",
-           "to_mpf", "mpf_pair"]
+__all__ = ["FIXTURES", "adjacency_of", "coordinates", "demo_doc", "edges_of", "index_of",
+           "interval_contains", "random_tree", "random_measure_pair", "random_profile", "rng_for",
+           "rows_of", "run_python", "signed_flow", "table_of", "to_mpf", "mpf_pair"]

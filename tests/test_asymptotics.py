@@ -152,13 +152,17 @@ class TestInequalities:
     def test_gap_witnesses(self):
         # The two intercept gaps are closed forms in the slope factor
         # q + 1 - q^(1-ceil(d/2)) - q^(-floor(d/2)).
+        def factor(q, d):
+            return q + 1 - Fraction(q) ** (1 - (d + 1) // 2) - Fraction(q) ** -(d // 2)
+
+        for q in range(2, 11):
+            for d in range(1, 41):
+                assert PairGeometry(q, d).slope_factor == factor(q, d)
         for alpha, d, q in ((Fraction(0), 4, 3), (Fraction(1, 4), 1, 2),
                             (Fraction(9, 10), 5, 7), (Fraction(1, 2), 6, 10)):
-            factor = q + 1 - Fraction(q) ** (1 - (d + 1) // 2) - Fraction(q) ** -(d // 2)
-            assert PairGeometry(q, d).slope_factor == factor
             b_srw, b_sphere, b_ball = srw_AB(alpha, d, q).B, sphere_AB(d, q).B, ball_AB(d, q).B
-            assert b_srw - b_sphere == Fraction(4 * q, (q + 1) ** 2 * (q - 1)) * factor
-            assert b_sphere - b_ball == Fraction(2, q * q - 1) * factor
+            assert b_srw - b_sphere == Fraction(4 * q, (q + 1) ** 2 * (q - 1)) * factor(q, d)
+            assert b_sphere - b_ball == Fraction(2, q * q - 1) * factor(q, d)
             assert verify_inequalities(alpha, d, q)["passed"]
 
     def test_passed_needs_the_gap_witnesses(self, monkeypatch):

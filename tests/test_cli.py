@@ -17,6 +17,7 @@ import random
 import re
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -36,7 +37,7 @@ from treeot.regular import (PairGeometry, ball_profile, sphere_profile, truncati
                             w1_radial_formula)
 from treeot.tree import Measure, assignment_from, validate_tree, w1_tree
 
-from conftest import FIXTURES, adjacency_of, demo_doc, random_tree, run_python
+from conftest import FIXTURES, adjacency_of, demo_doc, edges_of, index_of, random_tree, run_python
 
 
 def run_cli(capsys, *argv):
@@ -58,7 +59,10 @@ class TestStartup:
         ("import treeot", ["treeot"]),
         ("import treeot.instances, treeot.lp", ["treeot", "treeot.errors", "treeot.instances",
                                                 "treeot.lp", "treeot.rational", "treeot.tree"]),
-    ], ids=["package", "instances-lp"])
+        # The asymptotes read no walk table and no series.
+        ("import treeot.asymptotics", ["treeot", "treeot.asymptotics", "treeot.errors",
+                                       "treeot.rational", "treeot.regular", "treeot.tree"]),
+    ], ids=["package", "instances-lp", "asymptotics"])
     def test_an_import_loads_only_what_it_names_and_needs(self, statement, added):
         done = run_python(f"import sys; before = set(sys.modules); {statement}; "
                           f"print(*sorted(name for name in set(sys.modules) - before "
@@ -205,8 +209,8 @@ class TestInstances:
         # A caller that keeps its document gets what the loader, which keeps
         # none, builds.
         loaded, mu2, nu2 = load_instance(path)
-        assert (tree, tree.index, tree.edges, mu, nu) == (loaded, loaded.index, loaded.edges,
-                                                          mu2, nu2)
+        assert (tree, index_of(tree), edges_of(tree), mu, nu) == (
+            loaded, index_of(loaded), edges_of(loaded), mu2, nu2)
 
     def test_the_loader_holds_the_document_once(self, tmp_path):
         # The edge lists are freed before the peel, so the tree and both
@@ -336,8 +340,8 @@ class TestLoaderFastPaths:
         # Every id of its vertex's type passes, with mixed types too, and a
         # float zero of its vertex's sign.
         tree = validate_tree([0, "0", 1.5, None], [[0, "0"], [None, 1.5], ["0", 1.5]])
-        assert tree.edges == ((0, 1), (2, 3), (1, 2))
-        assert validate_tree([-0.0, 1.0], [[-0.0, 1.0]]).edges == ((0, 1),)
+        assert edges_of(tree) == ((0, 1), (2, 3), (1, 2))
+        assert edges_of(validate_tree([-0.0, 1.0], [[-0.0, 1.0]])) == ((0, 1),)
         with pytest.raises(ValueError) as caught:
             validate_tree([0, "0", None], [[0, "0"], [None, 0.0]])
         assert str(caught.value) == "edge (None, 0.0) names the int vertex id 0 by the float 0.0"
@@ -357,7 +361,7 @@ class TestLoaderFastPaths:
         from_list = validate_tree("abcd", edges)
         from_generator = validate_tree("abcd", (edge for edge in edges))
         assert from_generator == from_list
-        assert from_generator.edges == from_list.edges == ((0, 2), (0, 1), (0, 3))
+        assert edges_of(from_generator) == edges_of(from_list) == ((0, 2), (0, 1), (0, 3))
         assert adjacency_of(from_generator) == adjacency_of(from_list) == (
             (2, 1, 3), (0,), (0,), (0,))
 
@@ -374,7 +378,7 @@ class TestLoaderFastPaths:
         tree = validate_tree("abc", [edge("b", "c"), edge("b", "a")])
         plain = validate_tree("abc", [("b", "c"), ("b", "a")])
         assert tree == plain
-        assert tree.edges == plain.edges == ((1, 2), (0, 1))
+        assert edges_of(tree) == edges_of(plain) == ((1, 2), (0, 1))
         assert adjacency_of(tree) == adjacency_of(plain)
 
     def test_valid_tree_runs_no_full_check(self, monkeypatch):
@@ -412,7 +416,8 @@ class TestLoaderFastPaths:
             edges = [[labels[b], labels[a]] if rng.random() < 0.5 else [labels[a], labels[b]]
                      for a, b in pairs]
             tree = validate_tree(labels, edges)
-            ends = [[tree.index[a] for a, b in edges], [tree.index[b] for a, b in edges]]
+            index = index_of(tree)
+            ends = [[index[a] for a, b in edges], [index[b] for a, b in edges]]
             adjacency = _adjacency(n, zip(*ends))
             depth = _hop_distances(adjacency, 0)
             # On a tree, the parent toward vertex 0 is the one neighbor a hop closer.
@@ -435,7 +440,7 @@ class TestLoaderFastPaths:
             rng.shuffle(edges)
             edges = [edge[::-1] if rng.random() < 0.5 else edge for edge in edges]
             tree = validate_tree(labels, edges)
-            assert (tree.labels, tree.index, tree.edges, adjacency_of(tree)) == _build_graph(
+            assert (tree.labels, index_of(tree), edges_of(tree), adjacency_of(tree)) == _build_graph(
                 labels, edges)
 
     @pytest.mark.parametrize("mass", MASS_SPELLINGS,
@@ -615,6 +620,34 @@ class TestW1Command:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith(f"error: {path}: JSON arrays or objects nested too deeply")
         assert "Traceback" not in done.stderr and len(done.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("piped", [False, True], ids=["file", "pipe"])
+    def test_an_instance_nested_100000_deep_is_an_input_error(self, capsys, tmp_path, piped):
+        # Read in this process, past any recursion limit, from a file and from
+        # a pipe, whose 200 kB a second thread writes past the pipe's buffer.
+        text = "[" * 100_000 + "]" * 100_000
+        if piped:
+            read_end, write_end = os.pipe()
+
+            def write():
+                with open(write_end, "w") as fh:
+                    fh.write(text)
+
+            writer = threading.Thread(target=write)
+            writer.start()
+            try:
+                path = f"/dev/fd/{read_end}"
+                code, out, err = run_cli(capsys, "w1", path)
+            finally:
+                os.close(read_end)  # a writer still blocked then fails, and joins
+                writer.join()
+        else:
+            path = tmp_path / "deep.json"
+            path.write_text(text)
+            code, out, err = run_cli(capsys, "w1", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: JSON arrays or objects nested too deeply to read "
+                       f"(Python's recursion limit is {sys.getrecursionlimit()})\n")
 
     def test_overlong_mass_is_an_input_error(self, capsys, tmp_path):
         # Python refuses to read integers of more than 4,300 digits; the
@@ -1084,8 +1117,9 @@ class TestSeriesSizeCap:
          "the range '3..x' in the list '2,3..x' cannot be read as lo..hi with integer ends"),
         (("verify-ineq", "--grid", "d=x"),
          "the list 'x' cannot be read as an integer"),
+        (("verify-ineq", "--grid", "foo=1"), "unknown grid field 'foo'"),
     ], ids=["sweep-d", "sweep-d-empty-entry", "sweep-n-no-lo", "sweep-n-three-ends",
-            "sweep-q-range", "verify-ineq-d"])
+            "sweep-q-range", "verify-ineq-d", "verify-ineq-field"])
     def test_unreadable_list_refused(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -1577,7 +1611,8 @@ class TestProfileSpecs:
         ("ball:", "profile 'ball:' needs its size key r"),
         ("srw:alpha=1/2", "profile 'srw:alpha=1/2' needs its size key n"),
         ("", "unknown profile kind ''"),
-    ], ids=["sphere", "ball", "srw", "empty"])
+        ("custom:1,2", "custom profile needs a [..] list, got '1,2'"),
+    ], ids=["sphere", "ball", "srw", "empty", "custom-unbracketed"])
     def test_missing_size_key_or_kind_refused(self, capsys, spec, message):
         # The first three once ran at size 1 and exited 0; the empty spec was
         # read as no --radial at all.

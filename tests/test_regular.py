@@ -20,7 +20,7 @@ from treeot.suites import triple_cell
 from treeot.tree import (Flow, _hop_distances, assignment_from, flow_cost, unique_flow,
                          validate_tree, w1_tree)
 
-from conftest import adjacency_of, coordinates, random_profile, rng_for, signed_flow
+from conftest import adjacency_of, coordinates, edges_of, random_profile, rng_for, signed_flow
 
 
 #: (q, d, radius) of the truncations whose coordinates are checked against BFS.
@@ -163,7 +163,11 @@ class TestTruncation:
     def test_single_edge(self):
         tt = build_truncated_tree(2, 1, 0)
         assert tt.tree.num_vertices == 2
-        assert tt.tree.edges == ((0, 1),)
+        assert edges_of(tt.tree) == ((0, 1),)
+
+    def test_negative_radius_refused(self):
+        with pytest.raises(InvalidParams, match="^truncation radius must be >= 0, got -1$"):
+            build_truncated_tree(2, 1, -1)
 
     def test_six_vertices(self):
         tt = build_truncated_tree(2, 1, 1)
@@ -190,7 +194,7 @@ class TestTruncation:
     def test_rooted_tree_matches_validation(self, q, d, radius):
         tt = build_truncated_tree(q, d, radius)
         n = tt.tree.num_vertices
-        checked = validate_tree(range(n), tt.tree.edges)
+        checked = validate_tree(range(n), edges_of(tt.tree))
         assert checked.parent == tt.tree.parent
         assert adjacency_of(checked) == adjacency_of(tt.tree)
         assert tt.tree.order == tuple(range(n))
@@ -398,7 +402,7 @@ class TestRadialPotential:
         rho = assignment_from(mu, nu)
         flow = unique_flow(tt.tree, rho)
         phi = radial_potential_field(tt)
-        for u, v in tt.tree.edges:
+        for u, v in edges_of(tt.tree):
             s = signed_flow(flow, u, v)
             diff = phi[u] - phi[v]
             if s > 0:

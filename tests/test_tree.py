@@ -20,8 +20,8 @@ from treeot.tree import (Assignment, Measure, assignment_from, divergence, flow_
                          good_potential, is_edge_lipschitz, potential_value, unique_flow,
                          validate_tree, w1_tree)
 
-from conftest import (adjacency_of, demo_doc, random_measure_pair, random_tree, rng_for,
-                      signed_flow)
+from conftest import (adjacency_of, demo_doc, edges_of, index_of, random_measure_pair, random_tree,
+                      rng_for, signed_flow)
 
 
 def demo_tree():
@@ -39,8 +39,8 @@ class TestValidateTree:
     def test_path_on_three_vertices(self):
         tree = validate_tree(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert tree.num_vertices == 3
-        assert len(tree.edges) == 2
-        assert len(adjacency_of(tree)[tree.index["b"]]) == 2
+        assert len(edges_of(tree)) == 2
+        assert len(adjacency_of(tree)[index_of(tree)["b"]]) == 2
 
     def test_triangle_has_cycle(self):
         with pytest.raises(HasCycle):
@@ -62,7 +62,7 @@ class TestValidateTree:
     def test_demo_tree_is_valid(self):
         tree, _, _ = demo_tree()
         assert tree.num_vertices == 11
-        assert len(tree.edges) == 10
+        assert len(edges_of(tree)) == 10
 
     def test_single_vertex_tree(self):
         tree = validate_tree(["only"], [])
@@ -128,15 +128,20 @@ class TestUniqueFlow:
     def test_zero_assignment_zero_flow(self):
         tree = validate_tree(range(3), [(0, 1), (1, 2)])
         flow = unique_flow(tree, Assignment({}, 1))
-        assert not any(signed_flow(flow, u, v) for u, v in tree.edges)
+        assert not any(signed_flow(flow, u, v) for u, v in edges_of(tree))
         assert flow_cost(flow) == 0
+
+    def test_a_charge_outside_the_tree_refused(self):
+        tree = validate_tree(range(3), [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="^assignment references vertex 3 outside the tree$"):
+            unique_flow(tree, Assignment({0: 1, 3: -1}, 1))
 
     def test_demo_flow_magnitudes_and_directions(self):
         tree, mu, nu = demo_tree()
         flow = unique_flow(tree, assignment_from(mu, nu))
         by_label = {(tree.labels[u], tree.labels[v]): signed_flow(flow, u, v)
-                    for u, v in tree.edges if signed_flow(flow, u, v)}
-        # Signed on the (lo, hi) orientation of ``tree.edges``; negative means
+                    for u, v in edges_of(tree) if signed_flow(flow, u, v)}
+        # Signed on the (lo, hi) orientation of ``edges_of(tree)``; negative means
         # the flow runs from the higher-indexed vertex to the lower one.
         assert by_label == {
             ("v1", "v3"): 1, ("v3", "v6"): 1, ("v5", "v6"): 1,
@@ -148,7 +153,7 @@ class TestUniqueFlow:
     def test_antisymmetric_accessor(self):
         tree, mu, nu = demo_tree()
         flow = unique_flow(tree, assignment_from(mu, nu))
-        for u, v in tree.edges:
+        for u, v in edges_of(tree):
             assert signed_flow(flow, u, v) == -signed_flow(flow, v, u)
 
     def test_divergence_identity_random(self):
@@ -174,10 +179,11 @@ class TestGoodPotential:
         flow = unique_flow(tree, assignment_from(mu, nu))
         phi = good_potential(tree, flow)
         assert phi[0] == 0
-        base = phi[tree.index["v4"]]
+        index = index_of(tree)
+        base = phi[index["v4"]]
         expected = {"v1": 4, "v2": 3, "v3": 3, "v4": 0, "v5": 3, "v6": 2,
                     "v7": 1, "v8": 2, "v9": 3, "v10": 4, "v11": 4}
-        assert {label: phi[tree.index[label]] - base for label in expected} == expected
+        assert {label: phi[index[label]] - base for label in expected} == expected
 
     def test_adapted_and_lipschitz_random(self):
         rng = rng_for(777)
@@ -188,7 +194,7 @@ class TestGoodPotential:
             flow = unique_flow(tree, assignment_from(mu, nu))
             phi = good_potential(tree, flow)
             assert is_edge_lipschitz(phi, tree)
-            for u, v in tree.edges:
+            for u, v in edges_of(tree):
                 s = signed_flow(flow, u, v)
                 diff = phi[u] - phi[v]
                 if s > 0:

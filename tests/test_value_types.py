@@ -66,6 +66,11 @@ def test_a_tree_compares_by_labels_order_and_parent_not_its_edge_endpoints():
     assert Tree(tree.labels, (0, 1, 2), (-1, 0, 0), tree._ends) != tree
 
 
+def test_a_tree_holds_its_four_arrays_and_no_cache():
+    assert Tree.__slots__ == ("labels", "order", "parent", "_ends")
+    assert not hasattr(_path(), "__dict__")
+
+
 @pytest.mark.parametrize("build", [
     _assignment,
     lambda: FiniteGraph.from_tree(_path(), keep=[0, 2]),
@@ -97,7 +102,7 @@ def test_a_run_report_compares_by_value_is_unhashable_and_stays_mutable():
 
 #: name -> (build one value, its fields).
 FIELDS = {
-    "Tree": (_path, ("labels", "order", "parent", "_ends", "index", "edges")),
+    "Tree": (_path, ("labels", "order", "parent", "_ends")),
     "Measure": (lambda: Measure({0: 1}), ("scale", "num")),
     "Assignment": (_assignment, ("num", "scale")),
     "Flow": (lambda: unique_flow(_path(), _assignment()), ("parent", "up", "scale")),
