@@ -31,41 +31,43 @@ class LinearAsymptotic(NamedTuple):
         return self.A * n + self.B
 
 
+def _coefficients(q: int, d: int) -> tuple[int, int, int, int, int, int]:
+    """The integers the six coefficients share, for a checked ``PairGeometry(q,
+    d)``: the slope numerator s over P = q^floor(d/2), q^e = q^(1 -
+    ceil(d/2) + floor(d/2)) (q for even d, 1 for odd d), floor(d/2),
+    ceil(d/2), and the intercepts' common denominator D = (q+1)^2 (q-1) P."""
+    geometry = PairGeometry(q, d)
+    delta, delta_p = geometry.delta, geometry.delta_prime
+    power = q ** delta
+    return (geometry.slope_numerator, power, q if delta == delta_p else 1, delta, delta_p,
+            (q + 1) ** 2 * (q - 1) * power)
+
+
 def srw_AB(alpha: RationalLike, d: int, q: int) -> LinearAsymptotic:
     """Walk-family coefficients. The intercept does not depend on alpha."""
     alpha = _check_alpha(alpha)
-    geometry = PairGeometry(q, d)
-    delta, delta_p = geometry.delta, geometry.delta_prime
-    a = 2 * (1 - alpha) * geometry.slope_factor * Fraction(q - 1, (q + 1) ** 2)
-    b = (Fraction(d)
-         + Fraction(2, q + 1) * (delta * _qpow(q, -delta) + delta_p * _qpow(q, 1 - delta_p))
-         + Fraction(2, (q + 1) ** 2) * (_qpow(q, 1 - delta) - _qpow(q, 1 - delta_p)))
+    s, power, q_e, delta, delta_p, den = _coefficients(q, d)
+    a = Fraction(2 * (alpha.denominator - alpha.numerator) * s * (q - 1),
+                 alpha.denominator * (q + 1) ** 2 * power)
+    b = Fraction(d * den + 2 * (q - 1) * ((q + 1) * (delta + delta_p * q_e) + q - q_e), den)
     return LinearAsymptotic(a, b)
 
 
 def sphere_AB(d: int, q: int) -> LinearAsymptotic:
     """Sphere-family coefficients; the affine law is exact once n >= d."""
-    geometry = PairGeometry(q, d)
-    delta, delta_p = geometry.delta, geometry.delta_prime
-    a = 2 * geometry.slope_factor / (q + 1)
-    b = Fraction(d) + Fraction(
-        -4 * q
-        + 2 * (delta_p * (q - 1) + 1) * _qpow(q, 1 - delta_p)
-        + 2 * (delta * (q - 1) + q) * _qpow(q, -delta),
-        1) / (q * q - 1)
+    s, power, q_e, delta, delta_p, den = _coefficients(q, d)
+    a = Fraction(2 * s, (q + 1) * power)
+    b = Fraction(d * den + (q + 1) * (-4 * q * power + 2 * (delta_p * (q - 1) + 1) * q_e
+                                      + 2 * (delta * (q - 1) + q)), den)
     return LinearAsymptotic(a, b, exact_for_large_n=True)
 
 
 def ball_AB(d: int, q: int) -> LinearAsymptotic:
     """Ball-family coefficients (same slope as spheres, smaller intercept)."""
-    geometry = PairGeometry(q, d)
-    delta, delta_p = geometry.delta, geometry.delta_prime
-    a = 2 * geometry.slope_factor / (q + 1)
-    b = Fraction(d) + Fraction(
-        -6 * q - 2
-        + 2 * (delta_p * (q - 1) + 2) * _qpow(q, 1 - delta_p)
-        + 2 * (delta * (q - 1) + q + 1) * _qpow(q, -delta),
-        1) / (q * q - 1)
+    s, power, q_e, delta, delta_p, den = _coefficients(q, d)
+    a = Fraction(2 * s, (q + 1) * power)
+    b = Fraction(d * den + (q + 1) * ((-6 * q - 2) * power + 2 * (delta_p * (q - 1) + 2) * q_e
+                                      + 2 * (delta * (q - 1) + q + 1)), den)
     return LinearAsymptotic(a, b)
 
 
@@ -92,20 +94,21 @@ def h_values(alpha: RationalLike, q: int) -> tuple[Fraction, Fraction, Fraction]
 
 def verify_inequalities(alpha: RationalLike, d: int, q: int) -> dict:
     """Check 0 < A_srw < A_sphere = A_ball < 2 and B_srw > B_sphere > B_ball >= 1/3,
-    plus the closed forms of the two intercept gaps, as one JSON record: the
-    cell, the six coefficients as strings, the two chains, whether B_ball meets
-    its 1/3 floor, and ``passed``, which needs both chains, both gaps, and
-    B_ball = 1/3 exactly at (d, q) = (1, 2)."""
+    plus the slope identity A_srw (q+1) = (1-alpha)(q-1) A_sphere and the
+    closed forms of the two intercept gaps, as one JSON record: the cell, the
+    six coefficients as strings, the two chains, whether B_ball meets its 1/3
+    floor, and ``passed``, which needs both chains, the slope identity, both
+    gaps, and B_ball = 1/3 exactly at (d, q) = (1, 2)."""
     alpha = _check_alpha(alpha)
-    geometry = PairGeometry(q, d)
+    s, power, *_ = _coefficients(q, d)  # the slope factor is s / power
     srw = srw_AB(alpha, d, q)
     sph = sphere_AB(d, q)
     bal = ball_AB(d, q)
-    common = geometry.slope_factor
     chain_a = 0 < srw.A < sph.A == bal.A < 2
     chain_b = srw.B > sph.B > bal.B >= Fraction(1, 3)
-    witnesses = (srw.B - sph.B == Fraction(4 * q, (q + 1) ** 2 * (q - 1)) * common
-                 and sph.B - bal.B == Fraction(2, q * q - 1) * common)
+    witnesses = (srw.A * (q + 1) == (1 - alpha) * (q - 1) * sph.A
+                 and srw.B - sph.B == Fraction(4 * q * s, (q + 1) ** 2 * (q - 1) * power)
+                 and sph.B - bal.B == Fraction(2 * s, (q * q - 1) * power))
     at_floor = bal.B == Fraction(1, 3)
     return {"alpha": str(alpha), "d": d, "q": q,
             "A_srw": str(srw.A), "A_sphere": str(sph.A), "A_ball": str(bal.A),

@@ -264,10 +264,17 @@ def _check_series_size(knob: str, size: int, leads: list[list], qs: list[int]) -
 
 def _write_rows(rows: list[dict], form: str, out: str | None = None) -> None:
     """``rows`` as a JSON list, or as CSV headed by the first row's keys, to
-    the file ``out`` when it is given, else to stdout."""
+    the file ``out`` when it is given, else to stdout.
+
+    The JSON is the bytes of ``json.dumps(rows, indent=2)``. Each row is a
+    flat dict of scalars, so the C encoder writes it with the indented item
+    separator, and only the brackets around it are added here."""
     with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
         if form == "json":
-            fh.write(json.dumps(rows, indent=2) + "\n")
+            encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+            body = ",\n".join("  {\n    " + encode(row)[1:-1] + "\n  }" if row else "  {}"
+                              for row in rows)
+            fh.write("[\n" + body + "\n]\n" if rows else "[]\n")
         else:
             writer = csv.DictWriter(fh, fieldnames=rows[0].keys())
             writer.writeheader()

@@ -187,15 +187,19 @@ def suite_triple(seed: int = DEFAULT_SEED) -> RunReport:
     """Vertex-class sum == edge-class sum == tree flow, on random profiles."""
     report = RunReport("triple", seed)
     rng = random.Random(seed)
-    for q in (2, 3):
-        for d in (1, 2, 3):
-            geom = PairGeometry(q, d)
-            for case in range(8):
-                profile = random_profile(rng, max_radius=4 if q == 2 else 3)
-                paths, *_, ok = triple_cell(profile, geom)
-                report.add({"q": q, "d": d, "case": case,
-                            "profile": [str(x) for x in profile.values]},
-                           "formula", ok, w1=paths["formula"], detail="" if ok else str(paths))
+    # d = 5 and 6 follow on the same rng: they are the first distances whose
+    # class weights take every branch of the recurrence.
+    for ds, cases in (((1, 2, 3), 8), ((5, 6), 4)):
+        for q in (2, 3):
+            for d in ds:
+                geom = PairGeometry(q, d)
+                for case in range(cases):
+                    profile = random_profile(rng, max_radius=4 if q == 2 else 3)
+                    paths, *_, ok = triple_cell(profile, geom)
+                    report.add({"q": q, "d": d, "case": case,
+                                "profile": [str(x) for x in profile.values]},
+                               "formula", ok, w1=paths["formula"],
+                               detail="" if ok else str(paths))
     return report
 
 

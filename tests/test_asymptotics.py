@@ -12,9 +12,49 @@ from treeot.asymptotics import (LinearAsymptotic, ball_AB, ball_d1_exact, gamma_
                                 h_values, interval_mid, sphere_AB, srw_AB, verify_inequalities)
 from treeot.errors import InvalidParams
 from treeot.families import bundle_from_table, srw_g_table, srw_return_sequence, w1_via_genfun
+from treeot.rational import _qpow
 from treeot.regular import PairGeometry
 
 from conftest import interval_contains, mpf_pair, to_mpf
+
+
+def reference_slope_factor(q, d):
+    """q + 1 - q^(1-ceil(d/2)) - q^(-floor(d/2)), as a sum of Fraction powers."""
+    return q + 1 - Fraction(q) ** (1 - (d + 1) // 2) - Fraction(q) ** -(d // 2)
+
+
+def reference_srw_AB(alpha, d, q):
+    """The walk coefficients as a chain of Fraction operations."""
+    delta, delta_p = d // 2, (d + 1) // 2
+    a = 2 * (1 - alpha) * reference_slope_factor(q, d) * Fraction(q - 1, (q + 1) ** 2)
+    b = (Fraction(d)
+         + Fraction(2, q + 1) * (delta * _qpow(q, -delta) + delta_p * _qpow(q, 1 - delta_p))
+         + Fraction(2, (q + 1) ** 2) * (_qpow(q, 1 - delta) - _qpow(q, 1 - delta_p)))
+    return a, b
+
+
+def reference_sphere_AB(d, q):
+    """The sphere coefficients as a chain of Fraction operations."""
+    delta, delta_p = d // 2, (d + 1) // 2
+    a = 2 * reference_slope_factor(q, d) / (q + 1)
+    b = Fraction(d) + Fraction(
+        -4 * q
+        + 2 * (delta_p * (q - 1) + 1) * _qpow(q, 1 - delta_p)
+        + 2 * (delta * (q - 1) + q) * _qpow(q, -delta),
+        1) / (q * q - 1)
+    return a, b
+
+
+def reference_ball_AB(d, q):
+    """The ball coefficients as a chain of Fraction operations."""
+    delta, delta_p = d // 2, (d + 1) // 2
+    a = 2 * reference_slope_factor(q, d) / (q + 1)
+    b = Fraction(d) + Fraction(
+        -6 * q - 2
+        + 2 * (delta_p * (q - 1) + 2) * _qpow(q, 1 - delta_p)
+        + 2 * (delta * (q - 1) + q + 1) * _qpow(q, -delta),
+        1) / (q * q - 1)
+    return a, b
 
 
 class TestWalkCoefficients:
@@ -152,17 +192,12 @@ class TestInequalities:
     def test_gap_witnesses(self):
         # The two intercept gaps are closed forms in the slope factor
         # q + 1 - q^(1-ceil(d/2)) - q^(-floor(d/2)).
-        def factor(q, d):
-            return q + 1 - Fraction(q) ** (1 - (d + 1) // 2) - Fraction(q) ** -(d // 2)
-
-        for q in range(2, 11):
-            for d in range(1, 41):
-                assert PairGeometry(q, d).slope_factor == factor(q, d)
         for alpha, d, q in ((Fraction(0), 4, 3), (Fraction(1, 4), 1, 2),
                             (Fraction(9, 10), 5, 7), (Fraction(1, 2), 6, 10)):
             b_srw, b_sphere, b_ball = srw_AB(alpha, d, q).B, sphere_AB(d, q).B, ball_AB(d, q).B
-            assert b_srw - b_sphere == Fraction(4 * q, (q + 1) ** 2 * (q - 1)) * factor(q, d)
-            assert b_sphere - b_ball == Fraction(2, q * q - 1) * factor(q, d)
+            factor = reference_slope_factor(q, d)
+            assert b_srw - b_sphere == Fraction(4 * q, (q + 1) ** 2 * (q - 1)) * factor
+            assert b_sphere - b_ball == Fraction(2, q * q - 1) * factor
             assert verify_inequalities(alpha, d, q)["passed"]
 
     def test_passed_needs_the_gap_witnesses(self, monkeypatch):
@@ -171,6 +206,16 @@ class TestInequalities:
         original = asymptotics.sphere_AB
         monkeypatch.setattr(asymptotics, "sphere_AB", lambda d, q: LinearAsymptotic(
             original(d, q).A, original(d, q).B + Fraction(1, 10 ** 6)))
+        record = verify_inequalities(Fraction(0), 4, 3)
+        assert record["chain_a"] and record["chain_b"] and not record["passed"]
+
+    def test_passed_needs_the_slope_identity(self, monkeypatch):
+        # A walk slope off by 10^-6 keeps both chains and both gaps but breaks
+        # A_srw (q+1) = (1-alpha)(q-1) A_sphere.
+        import treeot.asymptotics as asymptotics
+        original = asymptotics.srw_AB
+        monkeypatch.setattr(asymptotics, "srw_AB", lambda alpha, d, q: LinearAsymptotic(
+            original(alpha, d, q).A + Fraction(1, 10 ** 6), original(alpha, d, q).B))
         record = verify_inequalities(Fraction(0), 4, 3)
         assert record["chain_a"] and record["chain_b"] and not record["passed"]
 
@@ -196,6 +241,21 @@ class TestInequalities:
                 assert b < previous
             previous = b
         assert previous - 1 < Fraction(1, 10 ** 4)
+
+
+def test_integer_forms_equal_the_fraction_chains():
+    # 2,000 cells: five alphas, q = 2..11, d = 1..40.
+    for d in range(1, 41):
+        for q in range(2, 12):
+            geometry = PairGeometry(q, d)
+            assert geometry.slope_factor == Fraction(geometry.slope_numerator, q ** (d // 2))
+            assert geometry.slope_factor == reference_slope_factor(q, d)
+            assert tuple(sphere_AB(d, q)[:2]) == reference_sphere_AB(d, q)
+            assert tuple(ball_AB(d, q)[:2]) == reference_ball_AB(d, q)
+            for alpha in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10),
+                          Fraction(7, 11)):
+                assert tuple(srw_AB(alpha, d, q)[:2]) == reference_srw_AB(alpha, d, q)
+                assert verify_inequalities(alpha, d, q)["passed"]
 
 
 class TestLimitsAndBounds:

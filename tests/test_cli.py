@@ -914,6 +914,20 @@ class TestSweepCommand:
         assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
         assert code == 0 and path.read_bytes() == out.encode()
 
+    @pytest.mark.parametrize("rows", [
+        [],
+        [{}],
+        [{"n": 0, "ok": True, "bad": False, "none": None, "w1": "1/2"}, {}, {"n": -7}],
+        [{"quote\"d": "tab\tnew\nline\\", "text": "caf\u00e9 \u221e \U0001d11e", "n": 10 ** 30}],
+    ], ids=["empty-list", "empty-row", "ints-and-bools", "escapes-and-non-ascii"])
+    def test_json_rows_are_the_bytes_of_indent_2(self, capsys, tmp_path, rows):
+        from treeot.cli import _write_rows
+        _write_rows(rows, "json")
+        assert capsys.readouterr().out == json.dumps(rows, indent=2) + "\n"
+        path = tmp_path / "rows.json"
+        _write_rows(rows, "json", str(path))
+        assert path.read_text(encoding="utf-8") == json.dumps(rows, indent=2) + "\n"
+
     @pytest.mark.parametrize("alpha", ["1/2,1/2", "1/2,2/4"])
     def test_repeated_values_print_each_row_once(self, capsys, alpha):
         code, out, _ = run_cli(capsys, "sweep", "--family", "srw", "--alpha", alpha,
