@@ -6,9 +6,9 @@ so that dist(X, v) = i + h and dist(Y, v) = d - i + h. A measure whose mass
 depends only on the distance to its center is described by a profile
 s(0), s(1), ..., and the transport distance between the X- and Y-centered
 copies has two closed evaluations: a potential-weighted sum over vertex
-classes and a flow-magnitude sum over edge classes. Both are implemented
-here, along with finite truncations of the tree large enough to reproduce
-the infinite-tree answer exactly.
+classes and the tree identity W1 = sum_e |mu(T_e) - nu(T_e)| over edge
+classes. Both are implemented here, along with finite truncations of the
+tree large enough to reproduce the infinite-tree answer exactly.
 """
 
 from __future__ import annotations
@@ -364,32 +364,30 @@ def w1_radial_formula(profile: RadialProfile, geometry: PairGeometry) -> Fractio
 
 
 def w1_radial_flow_formula(profile: RadialProfile, geometry: PairGeometry) -> Fraction:
-    """Same distance as :func:`w1_radial_formula`, summed edge class by edge
-    class over flow magnitudes instead of vertex class by vertex class.
+    """Same distance as :func:`w1_radial_formula`, from the tree identity
+    W1 = sum_e |mu(T_e) - nu(T_e)| (T_e the side of e away from X) taken
+    edge class by edge class, one absolute value per class.
 
-    Edge classes: edges above X or Y, edges above interior path vertices, and
-    the d path edges themselves. All inner sums terminate at the profile's
-    support radius because every further term vanishes. The sums run on the
-    integer numerators and divide once by the scale.
+    A center's copy holds cone[r] = s(r) + q cone[r + 1] in a q-ary cone with
+    apex at distance r. The branches * q^h off-path edges into height h + 1
+    above path index i (branches = q at i in {0, d}, else q - 1) each carry
+    |cone[i+h+1] - cone[d-i+h+1]|, which is 0 once min(i, d - i) + h >= top.
+    The path edge into index i carries |sum_{j >= i} s(j) - s(d - j) +
+    branches (cone[j+1] - cone[d-j+1])|, summed from Y's end; at i = 0 the
+    sum is the whole tree's, 0. O(d + top^2) integer terms, divided once by
+    the scale.
     """
     q, d = geometry.q, geometry.d
     s = _padded(profile, d)
     top = profile.support_radius
-
-    e1 = 2 * sum(q ** (h + i) * (s[h + i] - s[d + h + i])
-                 for h in range(top + 1)
-                 for i in range(1, top - h + 1))
-
-    e2 = 2 * sum((q - 1) * q ** (h + i - 1) * (s[b + h + i] - s[d - b + h + i])
-                 for b in range(1, (d - 1) // 2 + 1)
-                 for h in range(top + 1)
-                 for i in range(1, top - b - h + 1))
-
-    # Path edge a = 0..d-1 carries the classes at path indices 1..a, so the
-    # class at index i enters d - i times: O(d * top) terms, not O(d^2 * top).
-    e3 = d * sum(q ** h * (s[h] - s[d + h]) for h in range(top + 1))
-    e3 += sum((d - i) * (s[i] - s[d - i]
-                         + sum((q - 1) * q ** (h - 1) * (s[i + h] - s[d - i + h])
-                               for h in range(1, top + 1)))
-              for i in range(1, d))
-    return Fraction(e1 + e2 + e3, profile.scale)
+    cone = [0] * (len(s) + 1)
+    for r in reversed(range(len(s))):
+        cone[r] = s[r] + q * cone[r + 1]
+    total = through = 0
+    for i in reversed(range(d + 1)):
+        branches = q if i in (0, d) else q - 1
+        total += branches * sum(q ** h * abs(cone[i + h + 1] - cone[d - i + h + 1])
+                                for h in range(top - min(i, d - i)))
+        through += s[i] - s[d - i] + branches * (cone[i + 1] - cone[d - i + 1])
+        total += abs(through)
+    return Fraction(total, profile.scale)

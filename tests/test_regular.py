@@ -548,9 +548,11 @@ class TestClassSumAgainstTheThreeBlocks:
 
 
 def reference_edge_sum(profile: RadialProfile, geometry: PairGeometry) -> Fraction:
-    """:func:`w1_radial_flow_formula` with its path block summed edge by edge:
-    path edge a = 0..d-1 adds the classes at path indices 1..a, O(d^2 * top)
-    terms in all."""
+    """The edge-class sum as three signed blocks, kept as the reference for
+    :func:`w1_radial_flow_formula`: edges above X or Y, edges above interior
+    path vertices, and the d path edges, path edge a = 0..d-1 adding the
+    classes at path indices 1..a. The signs hold only because both centers
+    carry the same profile; O(d^2 * top + top^3) terms in all."""
     q, d = geometry.q, geometry.d
     s = _padded(profile, d)
     top = profile.support_radius
@@ -574,19 +576,21 @@ def reference_edge_sum(profile: RadialProfile, geometry: PairGeometry) -> Fracti
 
 
 class TestEdgeSumAgainstThePathEdgeReference:
-    """The edge-class sum, its path block summed class by class, against the
-    same sum taken path edge by path edge."""
+    """The edge-class sum, one absolute value per class, against the old
+    three signed blocks, kept here as the reference."""
 
     def test_random_profiles(self):
         rng = rng_for(26)
         for _ in range(400):
-            g = PairGeometry(rng.randint(2, 5), rng.randint(1, 12))
+            g = PairGeometry(rng.randint(2, 5), rng.randint(1, 40))
             profile = random_profile(rng, 6)
             expected = reference_edge_sum(profile, g)
             assert w1_radial_flow_formula(profile, g) == expected == w1_radial_formula(profile, g)
 
-    def test_linear_in_the_center_distance(self):
-        profile, g = ball_profile(3, 4), PairGeometry(3, 2000)
+    @pytest.mark.parametrize("profile,g", [(ball_profile(3, 4), PairGeometry(3, 2000)),
+                                           (srw_profile(0, 2, 200), PairGeometry(2, 40))],
+                             ids=["ball-d2000", "walk-n200"])
+    def test_linear_in_the_center_distance(self, profile, g):
         start = time.perf_counter()
         value = w1_radial_flow_formula(profile, g)
         assert time.perf_counter() - start < 0.1
