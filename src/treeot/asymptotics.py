@@ -16,7 +16,7 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import InvalidParams
-from .rational import RationalLike, _qpow
+from .rational import RationalLike
 from .regular import PairGeometry, _check_alpha, _check_q
 
 
@@ -76,7 +76,7 @@ def ball_d1_exact(q: int, n: int) -> Fraction:
     _check_q(q)
     if n < 0:
         raise InvalidParams(f"radius must be >= 0, got {n}")
-    return Fraction(q - 1) * (2 * n + 1) / (q + 1 - 2 * _qpow(q, -n))
+    return Fraction(q - 1) * (2 * n + 1) / (q + 1 - 2 * Fraction(q) ** -n)
 
 
 def h_values(alpha: RationalLike, q: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -100,15 +100,14 @@ def verify_inequalities(alpha: RationalLike, d: int, q: int) -> dict:
     floor, and ``passed``, which needs both chains, the slope identity, both
     gaps, and B_ball = 1/3 exactly at (d, q) = (1, 2)."""
     alpha = _check_alpha(alpha)
-    s, power, *_ = _coefficients(q, d)  # the slope factor is s / power
     srw = srw_AB(alpha, d, q)
     sph = sphere_AB(d, q)
     bal = ball_AB(d, q)
     chain_a = 0 < srw.A < sph.A == bal.A < 2
     chain_b = srw.B > sph.B > bal.B >= Fraction(1, 3)
     witnesses = (srw.A * (q + 1) == (1 - alpha) * (q - 1) * sph.A
-                 and srw.B - sph.B == Fraction(4 * q * s, (q + 1) ** 2 * (q - 1) * power)
-                 and sph.B - bal.B == Fraction(2 * s, (q * q - 1) * power))
+                 and (srw.B - sph.B) * (q * q - 1) == 2 * q * sph.A
+                 and (sph.B - bal.B) * (q - 1) == sph.A)
     at_floor = bal.B == Fraction(1, 3)
     return {"alpha": str(alpha), "d": d, "q": q,
             "A_srw": str(srw.A), "A_sphere": str(sph.A), "A_ball": str(bal.A),

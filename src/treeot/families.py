@@ -49,7 +49,7 @@ from math import gcd
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidParams, OrderExceeded
-from .rational import RationalLike, _qpow
+from .rational import RationalLike
 from .regular import PairGeometry, RadialProfile, _check_alpha, _check_q, ball_size, sphere_size
 from .series import Series
 
@@ -247,8 +247,9 @@ def ball_gf(q: int, order: int = DEFAULT_ORDER) -> GFBundle:
     return bundle_from_table(ball_g_table(q, order))
 
 
-def check_functional_equation(table: GTable, alpha: RationalLike, q: int) -> bool:
-    """True iff the defining walk-family identity holds for the table's rows.
+def check_functional_equation(table: GTable, alpha: RationalLike) -> bool:
+    """True iff the defining walk-family identity holds for the rows of the
+    table, with q = ``table.q``.
 
     Row l, C_l, holds the masses g(l, n) = ``table.columns[n][l] /
     table.scales[n]`` as its y^n coefficients; gamma is the first row. The
@@ -263,7 +264,7 @@ def check_functional_equation(table: GTable, alpha: RationalLike, q: int) -> boo
     power of S for the walk table.
     """
     alpha = _check_alpha(alpha)
-    a, den = alpha.numerator, alpha.denominator
+    q, a, den = table.q, alpha.numerator, alpha.denominator
     count = len(table.columns[0])
     prev, prev_scale = (0,) * count, 1  # column n - 1, zero before time 0
     for n, (col, scale) in enumerate(zip(table.columns, table.scales)):
@@ -299,18 +300,18 @@ def w1_via_genfun(bundle: GFBundle, geometry: PairGeometry, n: int) -> Fraction:
         raise InvalidParams(
             f"bundle carries {len(bundle.gammas)} distance rows, need {delta + 1} for d={d}")
 
-    c_g1 = 2 * geometry.slope_factor
+    c_g1 = Fraction(2 * geometry.slope_numerator, q ** delta)
     c_g = (Fraction(d) + Fraction(d, q) - Fraction(4, q - 1)
-           + 2 * delta_p * _qpow(q, -delta_p) + Fraction(2, q - 1) * _qpow(q, -delta_p)
-           + 2 * delta * _qpow(q, -1 - delta) + Fraction(2, q - 1) * _qpow(q, -delta))
+           + 2 * delta_p * Fraction(q) ** -delta_p + Fraction(2, q - 1) * Fraction(q) ** -delta_p
+           + 2 * delta * Fraction(q) ** (-1 - delta) + Fraction(2, q - 1) * Fraction(q) ** -delta)
 
     total = c_g1 * bundle.g1_at_q[n] + c_g * bundle.g_at_q[n]
     total -= Fraction(d, q) * bundle.gammas[0][n]
     for i in range(delta + 1):
         w_i = (Fraction(4, q - 1)
-               + (2 * i - 2 * delta_p - Fraction(2, q - 1)) * _qpow(q, i - delta_p)
+               + (2 * i - 2 * delta_p - Fraction(2, q - 1)) * Fraction(q) ** (i - delta_p)
                + (Fraction(2 * i, q) - Fraction(2 * delta, q) - Fraction(2, q - 1))
-               * _qpow(q, i - delta))
+               * Fraction(q) ** (i - delta))
         total += w_i * bundle.gammas[i][n]
     return total
 

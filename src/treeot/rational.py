@@ -57,11 +57,6 @@ def _over_scale(values: Iterable[Fraction]) -> tuple[int, list[int]]:
     return scale, [x.numerator * factor[x.denominator] for x in values]
 
 
-def _qpow(q: int, e: int) -> Fraction:
-    """q**e as an exact rational, allowing negative exponents."""
-    return Fraction(q) ** e
-
-
 def _shown(value: object) -> str:
     """``repr(value)`` for a message, cut to about 40 characters."""
     text = repr(value)

@@ -101,17 +101,12 @@ class PairGeometry(_ReadOnly):
 
     @property
     def slope_numerator(self) -> int:
-        """(q + 1) q^floor(d/2) - q^(1 - ceil(d/2) + floor(d/2)) - 1, the
-        numerator of :attr:`slope_factor` over q^floor(d/2)."""
+        """(q + 1) q^floor(d/2) - q^(1 - ceil(d/2) + floor(d/2)) - 1: over
+        q^floor(d/2) it is the slope factor q + 1 - q^(1-ceil(d/2)) -
+        q^(-floor(d/2)) >= q - 1 > 0, shared by all three slopes and the
+        x-derivative weight of the distance formula."""
         q, delta = self.q, self.delta
         return (q + 1) * q ** delta - q ** (delta + 1 - self.delta_prime) - 1
-
-    @property
-    def slope_factor(self) -> Fraction:
-        """q + 1 - q^(1-ceil(d/2)) - q^(-floor(d/2)): shared by all three slopes,
-        the intercept gaps and the x-derivative weight of the distance
-        formula; at least q - 1 > 0. One Fraction over q^floor(d/2)."""
-        return Fraction(self.slope_numerator, self.q ** self.delta)
 
     @cached_property
     def _weights(self) -> tuple[list[int], Iterator[int]]:

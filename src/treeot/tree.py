@@ -19,7 +19,7 @@ from operator import eq, sub
 from typing import Hashable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import DuplicateEdge, HasCycle, MassMismatch, NotConnected
-from .rational import RationalLike, _common_scale, _frac, _over_scale, decimal_string
+from .rational import RationalLike, _common_scale, _frac, _over_scale, _shown, decimal_string
 
 
 def _build_graph(vertices: Iterable[Hashable], edges: Iterable) -> tuple[tuple, dict, tuple, tuple]:
@@ -286,9 +286,10 @@ class Measure(_ReadOnly):
     ``scale`` is the lcm of the reduced denominators of the positive masses,
     and ``num`` holds the positive masses only, so equal measures hold equal
     integers and compare equal. Fractions are built only when ``masses`` or
-    :meth:`total` is read. ``Measure({v: RationalLike})`` puts the masses
-    over one scale under the charge cap (:func:`rational._over_scale`), so a
-    measure over the cap is refused before any mass is scaled. The loader
+    :meth:`total` is read. ``Measure({v: RationalLike})`` refuses a key that
+    is not an int, a bool included, and puts the masses over one scale under
+    the charge cap (:func:`rational._over_scale`), so a measure over the cap
+    is refused before any mass is scaled. The loader
     and ``radial_measure`` hold integers from the start (:meth:`_of`).
     """
 
@@ -297,11 +298,13 @@ class Measure(_ReadOnly):
     def __init__(self, masses: Mapping[int, RationalLike]):
         reduced: dict[int, Fraction] = {}
         for v, raw in masses.items():
+            if type(v) is not int:  # "1", 1.0 or True would merge with the vertex 1
+                raise ValueError(f"vertex key {_shown(v)} is not an int")
             m = _frac(raw)
             if m.numerator < 0:
                 raise ValueError(f"negative mass {m} at vertex {v}")
             if m.numerator:
-                reduced[int(v)] = m
+                reduced[v] = m
         scale, nums = _over_scale(reduced.values())
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "num", dict(zip(reduced, nums)))

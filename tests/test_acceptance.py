@@ -109,7 +109,7 @@ def test_criterion_04_series_equality_and_functional_equation():
             same = (closed.gammas[0] == recurrence.gammas[0]
                     and closed.g_at_q == recurrence.g_at_q
                     and closed.g1_at_q == recurrence.g1_at_q)
-            identity = check_functional_equation(table, alpha, q)
+            identity = check_functional_equation(table, alpha)
             if not (same and identity):
                 bad.append((str(alpha), q))
     elapsed = time.perf_counter() - started

@@ -11,9 +11,10 @@ import pytest
 from treeot.asymptotics import (LinearAsymptotic, ball_AB, ball_d1_exact, gamma_asymptotic,
                                 h_values, interval_mid, sphere_AB, srw_AB, verify_inequalities)
 from treeot.errors import InvalidParams
-from treeot.families import bundle_from_table, srw_g_table, srw_return_sequence, w1_via_genfun
-from treeot.rational import _qpow
+from treeot.families import (GFBundle, bundle_from_table, srw_g_table, srw_return_sequence,
+                             w1_via_genfun)
 from treeot.regular import PairGeometry
+from treeot.series import Series
 
 from conftest import interval_contains, mpf_pair, to_mpf
 
@@ -28,8 +29,9 @@ def reference_srw_AB(alpha, d, q):
     delta, delta_p = d // 2, (d + 1) // 2
     a = 2 * (1 - alpha) * reference_slope_factor(q, d) * Fraction(q - 1, (q + 1) ** 2)
     b = (Fraction(d)
-         + Fraction(2, q + 1) * (delta * _qpow(q, -delta) + delta_p * _qpow(q, 1 - delta_p))
-         + Fraction(2, (q + 1) ** 2) * (_qpow(q, 1 - delta) - _qpow(q, 1 - delta_p)))
+         + Fraction(2, q + 1) * (delta * Fraction(q) ** -delta
+                                 + delta_p * Fraction(q) ** (1 - delta_p))
+         + Fraction(2, (q + 1) ** 2) * (Fraction(q) ** (1 - delta) - Fraction(q) ** (1 - delta_p)))
     return a, b
 
 
@@ -39,8 +41,8 @@ def reference_sphere_AB(d, q):
     a = 2 * reference_slope_factor(q, d) / (q + 1)
     b = Fraction(d) + Fraction(
         -4 * q
-        + 2 * (delta_p * (q - 1) + 1) * _qpow(q, 1 - delta_p)
-        + 2 * (delta * (q - 1) + q) * _qpow(q, -delta),
+        + 2 * (delta_p * (q - 1) + 1) * Fraction(q) ** (1 - delta_p)
+        + 2 * (delta * (q - 1) + q) * Fraction(q) ** -delta,
         1) / (q * q - 1)
     return a, b
 
@@ -51,8 +53,8 @@ def reference_ball_AB(d, q):
     a = 2 * reference_slope_factor(q, d) / (q + 1)
     b = Fraction(d) + Fraction(
         -6 * q - 2
-        + 2 * (delta_p * (q - 1) + 2) * _qpow(q, 1 - delta_p)
-        + 2 * (delta * (q - 1) + q + 1) * _qpow(q, -delta),
+        + 2 * (delta_p * (q - 1) + 2) * Fraction(q) ** (1 - delta_p)
+        + 2 * (delta * (q - 1) + q + 1) * Fraction(q) ** -delta,
         1) / (q * q - 1)
     return a, b
 
@@ -209,6 +211,18 @@ class TestInequalities:
         record = verify_inequalities(Fraction(0), 4, 3)
         assert record["chain_a"] and record["chain_b"] and not record["passed"]
 
+    @pytest.mark.parametrize("name", ["srw_AB", "ball_AB"])
+    def test_passed_needs_each_intercept_gap(self, monkeypatch, name):
+        # One intercept off by 10^-6 keeps both chains but breaks the gap
+        # that reads it: (B_srw - B_sphere)(q^2 - 1) = 2q A_sphere for the
+        # walk, (B_sphere - B_ball)(q - 1) = A_sphere for balls.
+        import treeot.asymptotics as asymptotics
+        original = getattr(asymptotics, name)
+        monkeypatch.setattr(asymptotics, name, lambda *args: LinearAsymptotic(
+            original(*args).A, original(*args).B + Fraction(1, 10 ** 6)))
+        record = verify_inequalities(Fraction(0), 4, 3)
+        assert record["chain_a"] and record["chain_b"] and not record["passed"]
+
     def test_passed_needs_the_slope_identity(self, monkeypatch):
         # A walk slope off by 10^-6 keeps both chains and both gaps but breaks
         # A_srw (q+1) = (1-alpha)(q-1) A_sphere.
@@ -248,14 +262,35 @@ def test_integer_forms_equal_the_fraction_chains():
     for d in range(1, 41):
         for q in range(2, 12):
             geometry = PairGeometry(q, d)
-            assert geometry.slope_factor == Fraction(geometry.slope_numerator, q ** (d // 2))
-            assert geometry.slope_factor == reference_slope_factor(q, d)
+            assert Fraction(geometry.slope_numerator, q ** (d // 2)) == reference_slope_factor(q, d)
             assert tuple(sphere_AB(d, q)[:2]) == reference_sphere_AB(d, q)
             assert tuple(ball_AB(d, q)[:2]) == reference_ball_AB(d, q)
             for alpha in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10),
                           Fraction(7, 11)):
                 assert tuple(srw_AB(alpha, d, q)[:2]) == reference_srw_AB(alpha, d, q)
                 assert verify_inequalities(alpha, d, q)["passed"]
+
+
+def test_the_asymptotes_follow_from_the_distance_formula():
+    # One-hot bundles read single weights of w1_via_genfun: c_g1 on the
+    # x-derivative evaluation and c_g on the x = q evaluation. Spheres have
+    # those evaluations n / (q+1) and q / (q+1) for n >= 1 and no distance
+    # rows past n = floor(d/2), so their asymptote is (c_g1, q c_g) / (q+1).
+    # The walk's evaluations grow like h1 n + (h1 - h1') and tend to h.
+    one, zero = Series.over([1], [1]), Series.over([0], [1])
+    for q in range(2, 8):
+        for d in range(1, 13):
+            geometry = PairGeometry(q, d)
+            rows = (zero,) * (d // 2 + 1)
+            c_g1 = w1_via_genfun(GFBundle(q, zero, one, rows), geometry, 0)
+            c_g = w1_via_genfun(GFBundle(q, one, zero, rows), geometry, 0)
+            sphere = sphere_AB(d, q)
+            assert c_g1 == (q + 1) * sphere.A
+            assert c_g == (q + 1) * sphere.B / q
+            for alpha in (Fraction(0), Fraction(1, 3), Fraction(9, 10)):
+                h1, h1_prime, h = h_values(alpha, q)
+                assert (tuple(srw_AB(alpha, d, q)[:2])
+                        == (c_g1 * h1, c_g1 * (h1 - h1_prime) + c_g * h))
 
 
 class TestLimitsAndBounds:

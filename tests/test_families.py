@@ -192,26 +192,26 @@ def test_closed_form_equals_table(pr, q, order):
 class TestFunctionalEquation:
     @pytest.mark.parametrize("alpha,q", [(Fraction(1, 2), 2), (Fraction(0), 3)])
     def test_table_satisfies_identity(self, alpha, q):
-        assert check_functional_equation(srw_g_table(alpha, q, 20), alpha, q)
+        assert check_functional_equation(srw_g_table(alpha, q, 20), alpha)
 
     def test_closed_form_rows_satisfy_identity(self):
         alpha, q, order = Fraction(1, 2), 2, 20
         rows = srw_closed_form_rows(alpha, q, order, order + 1)
-        assert check_functional_equation(table_of(q, [row.coefficients for row in rows]), alpha, q)
+        assert check_functional_equation(table_of(q, [row.coefficients for row in rows]), alpha)
 
     def test_perturbed_table_rejected(self):
         alpha, q = Fraction(1, 2), 2
         table = srw_g_table(alpha, q, 10)
         rows = [list(row) for row in rows_of(table)]
         rows[2][4] += Fraction(1, 1000)
-        assert not check_functional_equation(table_of(q, rows), alpha, q)
+        assert not check_functional_equation(table_of(q, rows), alpha)
 
 
     @pytest.mark.parametrize("alpha,q", [(Fraction(1, 2), 2), (Fraction(0), 3),
                                          (Fraction(2, 9), 4)])
     def test_table_columns_read_as_integers(self, alpha, q):
         table = srw_g_table(alpha, q, 16)
-        assert check_functional_equation(table, alpha, q)
+        assert check_functional_equation(table, alpha)
         columns = [list(col) for col in table.columns]
         scales = list(table.scales)
         # Column 5 over 7 S^5 instead of S^5: the scales are no longer powers
@@ -219,17 +219,17 @@ class TestFunctionalEquation:
         columns[5] = [7 * x for x in columns[5]]
         scales[5] *= 7
         assert check_functional_equation(GTable(q, tuple(map(tuple, columns)), tuple(scales)),
-                                         alpha, q)
+                                         alpha)
         columns[5][3] += 1
         assert not check_functional_equation(
-            GTable(q, tuple(map(tuple, columns)), tuple(scales)), alpha, q)
+            GTable(q, tuple(map(tuple, columns)), tuple(scales)), alpha)
 
     @pytest.mark.parametrize("table", [ball_g_table(2, 6), sphere_g_table(3, 6),
                                        srw_g_table(Fraction(1, 3), 2, 6)],
                              ids=["ball", "sphere", "srw"])
     def test_only_the_walk_table_of_its_alpha_passes(self, table):
         for alpha in (Fraction(0), Fraction(1, 3)):
-            assert (check_functional_equation(table, alpha, table.q)
+            assert (check_functional_equation(table, alpha)
                     == (table == srw_g_table(alpha, table.q, 6)))
 
 
@@ -240,20 +240,20 @@ def test_functional_equation_reads_every_entry(pr, q, order, data):
     alpha = Fraction(*pr)
     table = srw_g_table(alpha, q, order)
     closed = srw_closed_form_rows(alpha, q, order, order + 1)
-    assert check_functional_equation(table, alpha, q)
-    assert check_functional_equation(table_of(q, [row.coefficients for row in closed]), alpha, q)
+    assert check_functional_equation(table, alpha)
+    assert check_functional_equation(table_of(q, [row.coefficients for row in closed]), alpha)
     # The last row C_order enters the identity only as y C_order at x^order,
     # and the rows stop at y^order, so its y^order coefficient enters no
     # residual: no truncated check can see it. Every other entry is read.
     rows = [list(row) for row in rows_of(table)]
     unread = [list(row) for row in rows]
     unread[order][order] += 1
-    assert check_functional_equation(table_of(q, unread), alpha, q)
+    assert check_functional_equation(table_of(q, unread), alpha)
     ell = data.draw(st.integers(0, order), label="row")
     n = data.draw(st.integers(0, order - 1 if ell == order else order), label="time")
     rows[ell][n] += data.draw(st.fractions(max_denominator=10 ** 6).filter(bool),
                               label="shift")
-    assert not check_functional_equation(table_of(q, rows), alpha, q)
+    assert not check_functional_equation(table_of(q, rows), alpha)
 
 
 class TestSphereBundle:

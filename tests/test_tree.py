@@ -86,6 +86,16 @@ def test_constructors_refuse_floats_and_bools(build, value):
         build(value)
 
 
+@pytest.mark.parametrize("masses", [{"1": 1, 1: 2}, {True: 1}, {1.0: 1}, {"3": 1}],
+                         ids=["str-and-int", "bool", "float", "str"])
+def test_a_measure_refuses_vertex_keys_that_are_not_ints(masses):
+    # Read with int(), {"1": 1, 1: 2} would keep one vertex of mass 2 and
+    # drop the other mass.
+    key = next(k for k in masses if type(k) is not int)
+    with pytest.raises(ValueError, match=f"vertex key {re.escape(repr(key))} is not an int"):
+        Measure(masses)
+
+
 class TestAssignment:
     def test_identical_measures_cancel(self):
         mu = Measure({0: Fraction(1, 2), 1: Fraction(1, 2)})
