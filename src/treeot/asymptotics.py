@@ -19,6 +19,11 @@ from .errors import InvalidParams
 from .rational import RationalLike
 from .regular import PairGeometry, _check_alpha, _check_q
 
+#: Default (alpha, d, q) grid of the coefficient chain, for the
+#: ``inequalities`` suite and ``treeot verify-ineq``.
+INEQUALITY_GRID = {"alpha": (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)),
+                   "d": tuple(range(1, 7)), "q": tuple(range(2, 11))}
+
 
 class LinearAsymptotic(NamedTuple):
     """Slope/intercept pair of the large-n distance, exact rationals."""

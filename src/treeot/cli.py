@@ -13,9 +13,16 @@ Subcommands:
 * ``verify SUITE``             seeded verification suites; exit status 0 iff
   every check passed.
 
-Each family's profile keys are in :data:`FAMILIES` and its routines in
-:func:`_routines`, called with :func:`_leads` first; :func:`_write_rows`
+Each family's profile keys are in :data:`FAMILIES`, and its routines are
+looked up by :func:`_profile_routine`, :func:`_asymptote_routine` and
+:func:`_genfun_routine`, called with :func:`_leads` first; :func:`_write_rows`
 prints every table.
+
+The module loads only what every command needs. Each command imports the
+modules it runs when it starts: ``w1 FILE`` adds ``duality`` and ``lp`` to
+``tree`` and ``instances``, ``w1 --radial`` adds ``regular`` (and
+``families`` for a walk), and only ``verify`` loads ``suites``, which
+imports all the others.
 """
 
 from __future__ import annotations
@@ -28,20 +35,18 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .asymptotics import ball_AB, sphere_AB, srw_AB, verify_inequalities
+from . import DEFAULT_ORDER, DEFAULT_SEED, SUITE_NAMES
 from .errors import InvalidParams, TreeOTError, TooLarge
-from .families import (DEFAULT_ORDER, ball_gf, sphere_gf, srw_closed_form, srw_g_table,
-                       srw_profile)
 from .instances import dump_instance, load_instance
 from .rational import _shown, decimal_string, format_rational, parse_rational
-from .regular import (MAX_SERIES_BITS, PairGeometry, RadialProfile, ball_profile,
-                      sphere_profile, truncation_size, w1_radial_formula)
-from .suites import (DEFAULT_SEED, INEQUALITY_GRID, SUITE_NAMES, duality_cell, run_suite,
-                     triple_cell)
 # Never called here: the benchmark's tracer test checks its rewiring through
 # the binding ``treeot.cli.unique_flow``, so the name stays importable.
 from .tree import unique_flow  # noqa: F401
+
+if TYPE_CHECKING:
+    from .regular import RadialProfile
 
 #: The families of ``sweep``, ``series``, ``asym`` and ``w1 --radial``, each
 #: with the keys of its named profile (:func:`parse_profile_spec`), the size
@@ -116,22 +121,40 @@ def _parse_list(text: str, read=int) -> list:
     return _distinct(_list_chunks(text, read))
 
 
-def _routines(family: str) -> tuple:
-    """The family's (profile, asymptote, generating functions) routines. The
-    walk's take its laziness first. They are looked up at each call, so a
-    rebinding of this module's names (the benchmark's tracer, a test's stub)
-    reaches every command."""
-    return {"srw": (srw_profile, srw_AB, srw_closed_form),
-            "sphere": (sphere_profile, sphere_AB, sphere_gf),
-            "ball": (ball_profile, ball_AB, ball_gf)}[family]
+def _profile_routine(family: str):
+    """The family's profile routine; the walk's takes its laziness first.
+    This and the two lookups below import the routine's module and read its
+    name at each call: a command loads only the module of the routine it
+    runs, and a rebinding of that module's name (the benchmark's tracer, a
+    test's stub) reaches every command."""
+    if family == "srw":
+        from .families import srw_profile
+        return srw_profile
+    from .regular import ball_profile, sphere_profile
+    return ball_profile if family == "ball" else sphere_profile
+
+
+def _asymptote_routine(family: str):
+    """The family's asymptote routine, (d, q) after the walk's laziness."""
+    from .asymptotics import ball_AB, sphere_AB, srw_AB
+    return {"srw": srw_AB, "sphere": sphere_AB, "ball": ball_AB}[family]
+
+
+def _genfun_routine(family: str):
+    """The family's generating-function routine, (q, order) after the walk's
+    laziness."""
+    from .families import ball_gf, sphere_gf, srw_closed_form
+    return {"srw": srw_closed_form, "sphere": sphere_gf, "ball": ball_gf}[family]
 
 
 def _support_radius(spec: str, fields: dict, key: str, q: int, d: int) -> int:
     """A named profile's support radius ``fields[key]``; refuses a missing
     key or a value that is not an integer, naming the key and the spec, and
     a truncation of that radius at center distance ``d`` (the one
-    :func:`triple_cell` builds) over the size cap, before the profile is
-    built."""
+    :func:`~treeot.regular.triple_cell` builds) over the size cap, before
+    the profile is built."""
+    from .regular import truncation_size
+
     if key not in fields:
         raise ValueError(f"profile {_shown(spec)} needs its size key {key}")
     value = fields[key]
@@ -151,6 +174,8 @@ def parse_profile_spec(spec: str, q: int, d: int) -> tuple[str, RadialProfile]:
     ``key=value``; it needs its size key, while the walk's ``alpha`` defaults
     to 0. It is sized against the truncation cap at center distance ``d``
     first."""
+    from .regular import RadialProfile
+
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "custom":
@@ -181,7 +206,7 @@ def parse_profile_spec(spec: str, q: int, d: int) -> tuple[str, RadialProfile]:
         fields[key] = value.strip()
     lead = [parse_rational(fields.get(key, "0")) for key in lead_keys]
     size = _support_radius(spec, fields, size_key, q, d)
-    return kind, _routines(kind)[0](*lead, q, size)
+    return kind, _profile_routine(kind)(*lead, q, size)
 
 
 def _print_w1(args: argparse.Namespace, paths: dict[str, Fraction], agree: bool,
@@ -211,6 +236,8 @@ def _cmd_w1(args: argparse.Namespace) -> int:
         return _cmd_w1_radial(args)
     if not args.instance:
         raise ValueError("give an instance file, or --radial with --q/--d")
+    from .duality import duality_cell
+
     radial_only = [flag for flag, value in (("--q", args.q), ("--d", args.d),
                                             ("--emit-instance", args.emit_instance))
                    if value is not None]
@@ -227,6 +254,8 @@ def _cmd_w1(args: argparse.Namespace) -> int:
 def _cmd_w1_radial(args: argparse.Namespace) -> int:
     """Distance between the X- and Y-centered copies of one radial profile,
     via the class-sum formula, the edge-sum formula, and the tree flow."""
+    from .regular import PairGeometry, triple_cell
+
     if args.q is None or args.d is None:
         raise ValueError("--radial needs --q and --d")
     geometry = PairGeometry(args.q, args.d)
@@ -239,7 +268,7 @@ def _cmd_w1_radial(args: argparse.Namespace) -> int:
 
 
 def _leads(args: argparse.Namespace, many: bool = False) -> list[list]:
-    """The first arguments of :func:`_routines`: ``[alpha]`` per walk
+    """The first arguments of a family's routines: ``[alpha]`` per walk
     laziness in ``--alpha`` (a list when ``many``; 0 when not given), or
     ``[[]]`` for spheres and balls, which refuse ``--alpha``."""
     if args.family != "srw":
@@ -254,7 +283,9 @@ def _leads(args: argparse.Namespace, many: bool = False) -> list[list]:
 
 def _check_series_size(knob: str, size: int, leads: list[list], qs: list[int]) -> None:
     """Refuse, before any work, a family run whose denominators could pass
-    :data:`MAX_SERIES_BITS`: bits(S) * size, S = den(alpha) * (q+1)."""
+    :data:`~treeot.regular.MAX_SERIES_BITS`: bits(S) * size, S = den(alpha) * (q+1)."""
+    from .regular import MAX_SERIES_BITS
+
     scale = max((lead[0].denominator if lead else 1) * (q + 1) for lead in leads for q in qs)
     if scale.bit_length() * size > MAX_SERIES_BITS:
         raise TooLarge(f"{knob} {size} with a {scale.bit_length()}-bit per-step scale "
@@ -282,6 +313,8 @@ def _write_rows(rows: list[dict], form: str, out: str | None = None) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .regular import PairGeometry, w1_radial_formula
+
     leads = _leads(args, many=True)
     d_list = _parse_list(args.d)
     q_list = _parse_list(args.q)
@@ -303,15 +336,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if steps > MAX_SWEEP_STEPS:
         raise TooLarge(f"the sweep grid needs {steps:,} class-sum steps, (d // 2 + 1)(n + 1) "
                        f"per cell, over the {MAX_SWEEP_STEPS:,}-step sweep cap")
-    profile, asymptote, _ = _routines(args.family)
+    profile, asymptote = _profile_routine(args.family), _asymptote_routine(args.family)
     rows = []
     for q in q_list:
         geoms = [PairGeometry(q, d) for d in d_list]
         for lead in leads:
-            # The walk's profiles are the columns of one G-table per (q, alpha):
-            # O(n^2) work in all, where one srw_profile per n costs O(n^3).
-            profile_at = (srw_g_table(*lead, q, max_n).column_profile if lead
-                          else functools.partial(profile, q))
+            if lead:
+                # The walk's profiles are the columns of one G-table per (q, alpha):
+                # O(n^2) work in all, where one srw_profile per n costs O(n^3).
+                from .families import srw_g_table
+                profile_at = srw_g_table(*lead, q, max_n).column_profile
+            else:
+                profile_at = functools.partial(profile, q)
             asyms = [asymptote(*lead, d, q) for d in d_list]
             # Each time-n profile once, for every d; the rows are sorted below.
             for n in n_list:
@@ -338,7 +374,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         raise InvalidParams(f"--order holds {args.order}; orders start at 0")
     [lead] = _leads(args)
     _check_series_size("--order", args.order, [lead], [args.q])
-    bundle = _routines(args.family)[2](*lead, args.q, args.order)
+    bundle = _genfun_routine(args.family)(*lead, args.q, args.order)
     _write_rows([{"n": n,
                   "gamma": format_rational(bundle.gammas[0][n]),
                   "g_at_q": format_rational(bundle.g_at_q[n]),
@@ -349,7 +385,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_asym(args: argparse.Namespace) -> int:
     [lead] = _leads(args)
-    result = _routines(args.family)[1](*lead, args.d, args.q)
+    result = _asymptote_routine(args.family)(*lead, args.d, args.q)
     print(json.dumps({
         "A": format_rational(result.A),
         "B": format_rational(result.B),
@@ -360,7 +396,9 @@ def _cmd_asym(args: argparse.Namespace) -> int:
 
 def _parse_grid(tokens: list[str]) -> dict:
     """The grid of ``verify-ineq``: each ``FIELD=SPEC`` token's list, given
-    at most once per field, over :data:`INEQUALITY_GRID`."""
+    at most once per field, over :data:`~treeot.asymptotics.INEQUALITY_GRID`."""
+    from .asymptotics import INEQUALITY_GRID
+
     grid = {}
     for token in tokens:
         key, eq, value = token.partition("=")
@@ -376,6 +414,8 @@ def _parse_grid(tokens: list[str]) -> dict:
 
 
 def _cmd_verify_ineq(args: argparse.Namespace) -> int:
+    from .asymptotics import verify_inequalities
+
     grid = _parse_grid(args.grid or [])
     cells = len(grid["alpha"]) * len(grid["d"]) * len(grid["q"])
     if cells > MAX_INEQUALITY_CELLS:
@@ -391,6 +431,8 @@ def _cmd_verify_ineq(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .suites import run_suite
+
     reports = run_suite(args.suite, seed=args.seed)
     doc = {"passed": all(r.passed for r in reports),
            "suites": [r.as_dict() for r in reports]}

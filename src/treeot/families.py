@@ -48,13 +48,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, NamedTuple
 
+from . import DEFAULT_ORDER
 from .errors import InvalidParams, OrderExceeded
 from .rational import RationalLike
 from .regular import PairGeometry, RadialProfile, _check_alpha, _check_q, ball_size, sphere_size
 from .series import Series
-
-#: Default truncation order; enough for time steps up to ~60.
-DEFAULT_ORDER = 64
 
 
 def _check_family_params(q: int, order: int) -> None:

@@ -114,7 +114,8 @@ def format_rational(value: Fraction) -> str:
     """Lossless string form, ``"p/q"`` or ``"p"`` for integers. Raises
     :class:`TooLarge`, naming the digit count, when the numerator or the
     denominator has more digits than Python's integer-string limit."""
-    value = Fraction(value)
+    if type(value) is not Fraction:  # Fraction(value) would copy even a Fraction
+        value = Fraction(value)
     limit = sys.get_int_max_str_digits()
     for part, name in ((value.numerator, "numerator"), (value.denominator, "denominator")):
         # Under 3 * limit bits a part has under 0.91 * limit digits: no count needed.
@@ -128,5 +129,6 @@ def format_rational(value: Fraction) -> str:
 
 def decimal_string(value: Fraction) -> str:
     """Decimal rendering with 12 significant digits."""
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     return str(_TWELVE_DIGITS.divide(Decimal(value.numerator), Decimal(value.denominator)))

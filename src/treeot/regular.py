@@ -8,7 +8,9 @@ s(0), s(1), ..., and the transport distance between the X- and Y-centered
 copies has two closed evaluations: a potential-weighted sum over vertex
 classes and the tree identity W1 = sum_e |mu(T_e) - nu(T_e)| over edge
 classes. Both are implemented here, along with finite truncations of the
-tree large enough to reproduce the infinite-tree answer exactly.
+tree large enough to reproduce the infinite-tree answer exactly, and
+:func:`triple_cell`, which checks the two against the tree flow on one, for
+``treeot w1 --radial`` and the ``triple`` suite alike.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InvalidAlpha, InvalidParams, TooLarge, TruncationTooSmall
-from .rational import RationalLike, _frac, _over_scale
-from .tree import Measure, Tree, _ReadOnly
+from .rational import RationalLike, _frac, _over_scale, _shown
+from .tree import Measure, Tree, _ReadOnly, w1_tree
 
 #: Cap on bits(S) * order for the families' size knobs (``series --order``,
 #: ``sweep --n``), S being the per-step scale: den(alpha) * (q+1) for the walk,
@@ -41,8 +43,17 @@ MAX_SERIES_BITS = 2 ** 11
 MAX_TRUNCATION_VERTICES = 10 ** 6
 
 
+def _check_int(name: str, value: int) -> None:
+    """Raises :class:`InvalidParams`, naming ``value``, unless its type is
+    exactly ``int``: a bool would be read as 0 or 1, and a float or a string
+    would fail later with an untyped error or be read as another number."""
+    if type(value) is not int:
+        raise InvalidParams(f"{name} must be an int, got {type(value).__name__} {_shown(value)}")
+
+
 def _check_q(q: int) -> None:
-    """Raises :class:`InvalidParams` unless the branching number q is >= 2."""
+    """Raises :class:`InvalidParams` unless the branching number q is an int >= 2."""
+    _check_int("branching number q", q)
     if q < 2:
         raise InvalidParams(f"branching number q must be >= 2, got {q}")
 
@@ -59,13 +70,15 @@ def _check_alpha(alpha: RationalLike) -> Fraction:
 
 
 class PairGeometry(_ReadOnly):
-    """Branching number q >= 2 and center separation d >= 1; geometries
-    compare by (q, d)."""
+    """Branching number q >= 2 and center separation d >= 1, each an
+    ``int``; geometries compare by (q, d)."""
 
     #: ``__dict__`` holds the cached class-sum weights.
     __slots__ = ("q", "d", "__dict__")
 
     def __init__(self, q: int, d: int):
+        _check_int("branching number q", q)
+        _check_int("center distance d", d)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "d", d)
         if self.q == 1:
@@ -386,3 +399,25 @@ def w1_radial_flow_formula(profile: RadialProfile, geometry: PairGeometry) -> Fr
         through += s[i] - s[d - i] + branches * (cone[i + 1] - cone[d - i + 1])
         total += abs(through)
     return Fraction(total, profile.scale)
+
+
+def triple_cell(profile: RadialProfile, geometry: PairGeometry
+                ) -> tuple[dict[str, Fraction], TruncatedRegularTree, Measure, Measure, bool]:
+    """The radial routes for one profile: vertex-class sum (formula), edge-class
+    sum (flow-sum) and tree flow on the truncation of radius
+    ``profile.support_radius``; that truncation and its X- and Y-centered
+    measures; and whether the routes agree.
+
+    That radius is exact. The truncation is a subtree of the infinite tree
+    holding the balls of that radius about X and Y, so it holds both
+    supports. On a tree the optimal flow is zero off the paths between the
+    two supports, so W1 on any subtree that holds both supports equals W1 on
+    the infinite tree. A smaller radius clips a sphere of the support, and
+    :func:`radial_measure` refuses it."""
+    truncation = build_truncated_tree(geometry.q, geometry.d, profile.support_radius)
+    mu = radial_measure(truncation, truncation.x, profile)
+    nu = radial_measure(truncation, truncation.y, profile)
+    paths = {"formula": w1_radial_formula(profile, geometry),
+             "flow-sum": w1_radial_flow_formula(profile, geometry),
+             "tree": w1_tree(truncation.tree, mu, nu)}
+    return paths, truncation, mu, nu, len(set(paths.values())) == 1

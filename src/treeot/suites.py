@@ -12,24 +12,15 @@ import random
 from fractions import Fraction
 from typing import Callable
 
-from .asymptotics import gamma_asymptotic, interval_mid, verify_inequalities
+from . import DEFAULT_SEED, SUITE_NAMES
+from .asymptotics import INEQUALITY_GRID, gamma_asymptotic, interval_mid, verify_inequalities
 from .families import (bundle_from_table, check_functional_equation, srw_closed_form,
                        srw_g_table, srw_return_sequence)
-from .errors import TooLarge
-from .lp import verify_duality
+from .duality import duality_cell
 from .rational import decimal_string, format_rational
-from .regular import (PairGeometry, RadialProfile, TruncatedRegularTree, build_truncated_tree,
-                      radial_measure, w1_radial_flow_formula, w1_radial_formula)
+from .regular import PairGeometry, RadialProfile, triple_cell
 from .series import Series
-from .tree import (Measure, Tree, assignment_from, flow_cost, good_potential, is_edge_lipschitz,
-                   potential_value, unique_flow, validate_tree, w1_tree)
-
-DEFAULT_SEED = 20260808
-
-#: Default (alpha, d, q) grid of the coefficient chain, for the
-#: ``inequalities`` suite and ``treeot verify-ineq``.
-INEQUALITY_GRID = {"alpha": (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)),
-                   "d": tuple(range(1, 7)), "q": tuple(range(2, 11))}
+from .tree import Measure, validate_tree
 
 
 class RunReport:
@@ -119,34 +110,6 @@ def random_profile(rng: random.Random, max_radius: int) -> RadialProfile:
             return RadialProfile(tuple(values))
 
 
-def duality_cell(tree: Tree, mu: Measure, nu: Measure) -> tuple[dict[str, Fraction], dict, bool]:
-    """The tree routes on one instance: flow, potential and, under the LP's
-    support cap, lp; the block that ``treeot w1 --json`` prints after
-    ``agree``, ``{"duality": {"primal", "dual", "certificate"}}`` or
-    ``{"lp_skipped": reason}``; and whether the routes agree. Agreement needs
-    equal values and an adapted potential that is 1-Lipschitz, checked once
-    per instance at every size and before the LP; with the LP, also an
-    optimal certificate, and the plan's complementary slackness and exact
-    marginals, which :func:`verify_duality` decides."""
-    rho = assignment_from(mu, nu)
-    flow = unique_flow(tree, rho)
-    paths = {"flow": flow_cost(flow)}
-    phi = good_potential(tree, flow)
-    paths["potential"] = potential_value(rho, phi)
-    if not is_edge_lipschitz(phi, tree):  # the potential route's fault, not the input's
-        return paths, {"lp_skipped": "the adapted potential is infeasible: potential "
-                                     "jumps by more than 1 across an edge"}, False
-    try:
-        primal, certified = verify_duality(tree, mu, nu, phi)
-    except TooLarge as exc:
-        return paths, {"lp_skipped": str(exc)}, paths["flow"] == paths["potential"]
-    paths["lp"] = primal
-    dual = paths["potential"]
-    ok = len(set(paths.values())) == 1 and certified
-    return paths, {"duality": {"primal": format_rational(primal), "dual": format_rational(dual),
-                               "certificate": primal == dual}}, ok
-
-
 def suite_duality(seed: int = DEFAULT_SEED) -> RunReport:
     """Tree route == LP route, optimality certificates, complementary slackness."""
     report = RunReport("duality", seed)
@@ -159,28 +122,6 @@ def suite_duality(seed: int = DEFAULT_SEED) -> RunReport:
         report.add({"case": case, "vertices": n}, "lp", ok, w1=paths.get("lp"),
                    detail="" if ok else f"{paths} {block}")
     return report
-
-
-def triple_cell(profile: RadialProfile, geometry: PairGeometry
-                ) -> tuple[dict[str, Fraction], TruncatedRegularTree, Measure, Measure, bool]:
-    """The radial routes for one profile: vertex-class sum (formula), edge-class
-    sum (flow-sum) and tree flow on the truncation of radius
-    ``profile.support_radius``; that truncation and its X- and Y-centered
-    measures; and whether the routes agree.
-
-    That radius is exact. The truncation is a subtree of the infinite tree
-    holding the balls of that radius about X and Y, so it holds both
-    supports. On a tree the optimal flow is zero off the paths between the
-    two supports, so W1 on any subtree that holds both supports equals W1 on
-    the infinite tree. A smaller radius clips a sphere of the support, and
-    :func:`radial_measure` refuses it."""
-    truncation = build_truncated_tree(geometry.q, geometry.d, profile.support_radius)
-    mu = radial_measure(truncation, truncation.x, profile)
-    nu = radial_measure(truncation, truncation.y, profile)
-    paths = {"formula": w1_radial_formula(profile, geometry),
-             "flow-sum": w1_radial_flow_formula(profile, geometry),
-             "tree": w1_tree(truncation.tree, mu, nu)}
-    return paths, truncation, mu, nu, len(set(paths.values())) == 1
 
 
 def suite_triple(seed: int = DEFAULT_SEED) -> RunReport:
@@ -289,15 +230,10 @@ def suite_gamma(seed: int = DEFAULT_SEED) -> RunReport:
     return report
 
 
-SUITES: dict[str, Callable[..., RunReport]] = {
-    "duality": suite_duality,
-    "triple": suite_triple,
-    "series": suite_series,
-    "inequalities": suite_inequalities,
-    "oeis": suite_oeis,
-    "gamma": suite_gamma,
-}
-SUITE_NAMES = tuple(SUITES)
+#: Each suite under its name in :data:`treeot.SUITE_NAMES`, in that order.
+SUITES: dict[str, Callable[..., RunReport]] = dict(zip(SUITE_NAMES, (
+    suite_duality, suite_triple, suite_series, suite_inequalities, suite_oeis, suite_gamma),
+    strict=True))
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[RunReport]:

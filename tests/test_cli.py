@@ -46,6 +46,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+#: The modules ``import treeot.cli`` loads: those that every command needs.
+CLI_IMPORT = ["treeot", "treeot.cli", "treeot.errors", "treeot.instances", "treeot.rational",
+              "treeot.tree"]
+
+
 class TestStartup:
     def test_cli_imports_only_the_standard_library(self):
         # Site hooks may load modules at startup, so only what the import adds is read.
@@ -62,13 +67,45 @@ class TestStartup:
         # The asymptotes read no walk table and no series.
         ("import treeot.asymptotics", ["treeot", "treeot.asymptotics", "treeot.errors",
                                        "treeot.rational", "treeot.regular", "treeot.tree"]),
-    ], ids=["package", "instances-lp", "asymptotics"])
+        # Building the parser reads the package's defaults and loads no family.
+        ("import treeot.cli; treeot.cli.build_parser()", CLI_IMPORT),
+    ], ids=["package", "instances-lp", "asymptotics", "cli-and-parser"])
     def test_an_import_loads_only_what_it_names_and_needs(self, statement, added):
         done = run_python(f"import sys; before = set(sys.modules); {statement}; "
                           f"print(*sorted(name for name in set(sys.modules) - before "
                           f"if name.partition('.')[0] == 'treeot'))")
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == added
+
+    @pytest.mark.parametrize("argv, added", [
+        (["w1", str(FIXTURES / "demo_tree_instance.json"), "--json"],
+         ["treeot.duality", "treeot.lp"]),
+        (["w1", "--radial", "srw:alpha=1/2,n=3", "--q", "3", "--d", "2"],
+         ["treeot.families", "treeot.regular", "treeot.series"]),
+        (["w1", "--radial", "ball:r=2", "--q", "3", "--d", "2"], ["treeot.regular"]),
+        (["series", "--family", "srw", "--q", "2", "--order", "4"],
+         ["treeot.families", "treeot.regular", "treeot.series"]),
+        (["sweep", "--family", "srw", "--q", "2", "--n", "0..3"],
+         ["treeot.asymptotics", "treeot.families", "treeot.regular", "treeot.series"]),
+        (["sweep", "--family", "sphere", "--q", "2", "--n", "0..3"],
+         ["treeot.asymptotics", "treeot.regular"]),
+        (["asym", "--family", "ball", "--d", "2", "--q", "3"],
+         ["treeot.asymptotics", "treeot.regular"]),
+        (["verify-ineq", "--grid", "alpha=1/2", "d=3", "q=5"],
+         ["treeot.asymptotics", "treeot.regular"]),
+        (["verify", "oeis"], ["treeot.asymptotics", "treeot.duality", "treeot.families",
+                              "treeot.lp", "treeot.regular", "treeot.series", "treeot.suites"]),
+    ], ids=["w1-file", "w1-radial-srw", "w1-radial-ball", "series", "sweep-srw", "sweep-sphere",
+            "asym", "verify-ineq", "verify"])
+    def test_a_command_loads_only_the_modules_it_runs(self, argv, added):
+        # Each command imports its own modules when it starts.
+        done = run_python("import contextlib, io, sys; from treeot.cli import main\n"
+                          "with contextlib.redirect_stdout(io.StringIO()):\n"
+                          f"    code = main({argv!r})\n"
+                          "print(code, *sorted(name for name in sys.modules "
+                          "if name.partition('.')[0] == 'treeot'))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", *sorted(CLI_IMPORT + added)]
 
     def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
         # Without the site hooks nothing else can load them first.
@@ -85,26 +122,38 @@ class TestStartup:
         assert json.loads(done.stdout)["passed"] is True
 
 
+def _traced(monkeypatch, argvs):
+    """The benchmark's tracer after one traced run of each command in
+    ``argvs``. Each runs once untraced first, as ``bench/worker.py`` runs its
+    first pass: a command loads its modules when it starts, and the tracer
+    wraps names only in modules already loaded."""
+    monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+    import tracing
+
+    import treeot.cli
+
+    for argv in argvs:
+        assert treeot.cli.main(argv) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.op(1):
+            for argv in argvs:
+                assert treeot.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    return tracer
+
+
 class TestBenchTracer:
     def test_tracer_finds_every_name_and_counts(self, capsys, monkeypatch, demo_instance_path):
         # The benchmark's tracer wraps its targets by name; a moved name or a
         # counter that no longer reads lands in ``absent``.
-        monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
-        import tracing
-
-        import treeot.cli
-
-        tracer = tracing.Tracer()
-        tracer.install()
-        try:
-            with tracer.op(1):
-                for argv in (["w1", str(demo_instance_path), "--json"],
-                             ["w1", "--radial", "sphere:r=2", "--q", "2", "--d", "1"],
-                             ["verify", "series"], ["verify", "inequalities"],
-                             ["verify-ineq", "--grid", "alpha=1/2", "d=3", "q=5"]):
-                    assert treeot.cli.main(argv) == 0
-        finally:
-            tracer.uninstall()
+        argvs = (["w1", str(demo_instance_path), "--json"],
+                 ["w1", "--radial", "sphere:r=2", "--q", "2", "--d", "1"],
+                 ["verify", "series"], ["verify", "inequalities"],
+                 ["verify-ineq", "--grid", "alpha=1/2", "d=3", "q=5"])
+        tracer = _traced(monkeypatch, argvs)
         capsys.readouterr()
         assert tracer.absent == []
         assert tracer.sums["tree.vertices"] > 0 and tracer.sums["lp.distance_entries"] > 0
@@ -120,22 +169,11 @@ class TestBenchTracer:
     def test_family_commands_call_the_traced_routines(self, capsys, monkeypatch):
         # The tracer rebinds the module's names, so a family routine kept from
         # before it was installed would run untraced.
-        monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
-        import tracing
-
-        import treeot.cli
-
-        tracer = tracing.Tracer()
-        tracer.install()
-        try:
-            with tracer.op(1):
-                for argv in (["asym", "--family", "ball", "--d", "2", "--q", "3"],
-                             ["series", "--family", "srw", "--q", "2", "--order", "4"],
-                             ["series", "--family", "ball", "--q", "2", "--order", "4"],
-                             ["sweep", "--family", "srw", "--q", "2", "--n", "0..3"]):
-                    assert treeot.cli.main(argv) == 0
-        finally:
-            tracer.uninstall()
+        argvs = (["asym", "--family", "ball", "--d", "2", "--q", "3"],
+                 ["series", "--family", "srw", "--q", "2", "--order", "4"],
+                 ["series", "--family", "ball", "--q", "2", "--order", "4"],
+                 ["sweep", "--family", "srw", "--q", "2", "--n", "0..3"])
+        tracer = _traced(monkeypatch, argvs)
         capsys.readouterr()
         spans = collections.Counter(span[0] for span in tracer.spans)
         for name in ("asymptotics.AB", "families.srw_closed_form", "families.ball_gf",
@@ -249,6 +287,16 @@ class TestInstances:
         with pytest.raises(TooLarge, match="a 5001-digit denominator, over the 4300-digit"):
             format_rational(Fraction(1, 10 ** 5000))
         assert len(format_rational(Fraction(-(10 ** 4300 - 1), 7))) == 4303
+
+    def test_an_int_and_a_fraction_subclass_render_as_plain_fractions(self):
+        class Tagged(Fraction):
+            def __str__(self):
+                return "tagged"
+
+        for value, exact, decimal_form in ((7, "7", "7"), (Tagged(2, 3), "2/3", "0.666666666667"),
+                                           (Fraction(-5, 4), "-5/4", "-1.25")):
+            assert format_rational(value) == exact
+            assert decimal_string(value) == decimal_form
 
     def test_decimal_string_renders_as_a_local_twelve_digit_context(self):
         def in_local_context(value: Fraction) -> str:
@@ -953,13 +1001,14 @@ class TestSweepCommand:
     ], ids=["srw-n", "srw-n-range", "n-under-the-step-cap", "d-under-the-step-cap", "d-zero"])
     def test_entry_below_its_floor_refused_before_any_work(self, capsys, monkeypatch, argv,
                                                            message):
-        import treeot.cli
+        import treeot.families
+        import treeot.regular
 
         def no_work(*args):
             raise AssertionError("a table or a cell was computed before the list checks")
 
-        monkeypatch.setattr(treeot.cli, "srw_g_table", no_work)
-        monkeypatch.setattr(treeot.cli, "w1_radial_formula", no_work)
+        monkeypatch.setattr(treeot.families, "srw_g_table", no_work)
+        monkeypatch.setattr(treeot.regular, "w1_radial_formula", no_work)
         code, out, err = run_cli(capsys, "sweep", *argv)
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
@@ -1063,13 +1112,14 @@ class TestSeriesSizeCap:
         ("--family", "ball", "--q", "2,3", "--d", "1..2046", "--n", "1"),
     ], ids=["one-cell-row", "d-list", "alpha-list", "q-list"])
     def test_sweep_grid_refused_fast(self, capsys, monkeypatch, argv):
-        import treeot.cli
+        import treeot.families
+        import treeot.regular
 
         def no_work(*args):
             raise AssertionError("a table or a cell was computed before the grid check")
 
-        monkeypatch.setattr(treeot.cli, "srw_g_table", no_work)
-        monkeypatch.setattr(treeot.cli, "w1_radial_formula", no_work)
+        monkeypatch.setattr(treeot.families, "srw_g_table", no_work)
+        monkeypatch.setattr(treeot.regular, "w1_radial_formula", no_work)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "sweep", *argv)
         assert time.perf_counter() - start < 1
@@ -1164,12 +1214,12 @@ class TestSeriesSizeCap:
         assert err.startswith(f"error: --n {top} ") and "series cap" in err
 
     def test_verify_ineq_grid_refused_fast(self, capsys, monkeypatch):
-        import treeot.cli
+        import treeot.asymptotics
 
         def no_work(*args):
             raise AssertionError("a cell was checked before the grid check")
 
-        monkeypatch.setattr(treeot.cli, "verify_inequalities", no_work)
+        monkeypatch.setattr(treeot.asymptotics, "verify_inequalities", no_work)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "verify-ineq", "--grid", "q=2..401", "d=1..6",
                                  "alpha=0,1/4,1/2,9/10")
@@ -1227,6 +1277,15 @@ class TestAsymCommand:
 
 
 class TestVerifyCommands:
+    def test_each_suite_runs_under_its_name(self):
+        # The names are stated once, in the package, for the parser; the
+        # registry pairs them with the suite functions in order.
+        from treeot.suites import SUITES
+
+        assert [fn.__name__ for fn in SUITES.values()] == [f"suite_{name}"
+                                                          for name in treeot.SUITE_NAMES]
+        assert tuple(SUITES) == treeot.SUITE_NAMES
+
     def test_verify_ineq_grid(self, capsys):
         code, out, _ = run_cli(capsys, "verify-ineq", "--grid",
                                "alpha=0,1/2", "d=1..3", "q=2..4")
@@ -1438,12 +1497,12 @@ class TestRadialW1Mode:
         ("--radial", "srw:alpha=1/2,n=1000000", "--q", "3", "--d", "2"),
     ], ids=["sphere", "custom", "srw"])
     def test_truncation_size_refused_fast(self, capsys, monkeypatch, argv):
-        import treeot.cli
+        import treeot.families
 
         def no_profile(*args):
             raise AssertionError("the profile was built before the size check")
 
-        monkeypatch.setattr(treeot.cli, "srw_profile", no_profile)
+        monkeypatch.setattr(treeot.families, "srw_profile", no_profile)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "w1", *argv)
         assert time.perf_counter() - start < 1
@@ -1514,12 +1573,14 @@ class TestRadialW1Mode:
     @staticmethod
     def _no_work(monkeypatch):
         import treeot.cli
+        import treeot.regular
 
         def no_work(*args):
             raise AssertionError("w1 did work before refusing its flags")
 
-        for name in ("load_instance", "parse_profile_spec", "triple_cell"):
+        for name in ("load_instance", "parse_profile_spec"):
             monkeypatch.setattr(treeot.cli, name, no_work)
+        monkeypatch.setattr(treeot.regular, "triple_cell", no_work)
 
     @pytest.mark.parametrize("flags, named", [
         (("--emit-instance", "OUT", "--q", "9", "--d", "4"), "--q, --d, --emit-instance"),

@@ -207,7 +207,7 @@ class TestCore:
                 assert w1_lp(g, mu, nu)[0] == expected
 
     def test_duality_cell_builds_no_edge_pairs(self):
-        from treeot.suites import duality_cell
+        from treeot.duality import duality_cell
         rng = rng_for(53)
         tree = random_tree(rng, 30)
         mu, nu = random_measure_pair(rng, 30)

@@ -55,7 +55,8 @@ def _public_names(tree: ast.Module | ast.ClassDef) -> set[str]:
 
 def _unread() -> set[tuple[str, str]]:
     """(module, name) for each public name that no module of the package
-    loads: its own module by name, or another one that imports it from there."""
+    loads: its own module by name, or another one that imports it from there
+    (``from . import NAME`` imports it from the package, ``__init__``)."""
     modules = _modules()
     read = set()
     for stem, tree in modules.items():
@@ -63,8 +64,8 @@ def _unread() -> set[tuple[str, str]]:
                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         read.update((stem, name) for name in loaded)
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-                read.update((node.module, alias.name) for alias in node.names
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                read.update((node.module or "__init__", alias.name) for alias in node.names
                             if (alias.asname or alias.name) in loaded)
     return {(stem, name) for stem, tree in modules.items()
             for name in _public_names(tree)} - read

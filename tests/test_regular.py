@@ -10,13 +10,14 @@ import pytest
 
 from treeot import regular
 from treeot.cli import main
+from treeot.asymptotics import sphere_AB
 from treeot.errors import InvalidParams, TooLarge, TruncationTooSmall
 from treeot.families import srw_profile
 from treeot.regular import (MAX_SERIES_BITS, MAX_TRUNCATION_VERTICES, PairGeometry,
                             RadialProfile, TruncatedRegularTree, _padded, ball_profile, ball_size,
                             build_truncated_tree, radial_measure, sphere_profile, sphere_size,
-                            truncation_size, w1_radial_flow_formula, w1_radial_formula)
-from treeot.suites import triple_cell
+                            triple_cell, truncation_size, w1_radial_flow_formula,
+                            w1_radial_formula)
 from treeot.tree import (Flow, _hop_distances, assignment_from, flow_cost, unique_flow,
                          validate_tree, w1_tree)
 
@@ -51,6 +52,24 @@ class TestGeometry:
     def test_d_zero_rejected(self):
         with pytest.raises(InvalidParams):
             PairGeometry(2, 0)
+
+    @pytest.mark.parametrize("value, shown", [(True, "bool True"), (2.0, "float 2.0"),
+                                              ("3", "str '3'")], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize("call, name", [
+        (lambda v: PairGeometry(v, 2), "branching number q"),
+        (lambda v: PairGeometry(3, v), "center distance d"),
+        (lambda v: sphere_AB(2, v), "branching number q"),
+        (lambda v: sphere_AB(v, 3), "center distance d"),
+        (lambda v: w1_radial_formula(sphere_profile(3, 2), PairGeometry(v, 2)),
+         "branching number q"),
+        (lambda v: w1_radial_formula(sphere_profile(3, 2), PairGeometry(3, v)),
+         "center distance d"),
+    ], ids=["geometry-q", "geometry-d", "sphere-AB-q", "sphere-AB-d", "formula-q", "formula-d"])
+    def test_q_and_d_must_be_ints(self, call, name, value, shown):
+        # A bool was read as 0 or 1, and a float or a str failed untyped or
+        # was read as another number.
+        with pytest.raises(InvalidParams, match=f"^{name} must be an int, got {shown}$"):
+            call(value)
 
     @pytest.mark.parametrize("q,d", [(3, 20000), (3, 10 ** 8), (2 ** 2048, 1)])
     def test_center_distance_cap(self, q, d):
